@@ -32,7 +32,6 @@ from .errors import (
     InputError,
     InternalInvariantError,
     SeparatorNotFoundError,
-    SimplicityError,
 )
 from .extension import extend_to_complete_crossmin, extend_to_complete_separable
 from .hamiltonicity import ham_cycle, ham_path, plane_matching, verify_crossing_free
@@ -74,6 +73,10 @@ def _load_tables(args):
 
 def _load_rs(args):
     records = parse_crs(Path(args.input).read_text())
+    if len(records) != 1:
+        raise InputError(
+            f"expected one rotation-system record, got {len(records)}"
+        )
     return records[0]
 
 
@@ -282,12 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, tables=True):
         p.add_argument("--json", action="store_true")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="seed for corpus-generation tooling (reserved)",
-        )
         if tables:
             p.add_argument("--tables", help="realizability tables file (.tbl)")
 
@@ -377,10 +374,8 @@ def main(argv=None) -> int:
     except SeparatorNotFoundError as exc:
         print(f"negative: {exc}", file=sys.stderr)
         return NEGATIVE
-    except SimplicityError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return BAD_INPUT
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
+        # unreadable, undecodable or malformed input files included
         print(f"input error: {exc}", file=sys.stderr)
         return BAD_INPUT
     except InternalInvariantError as exc:

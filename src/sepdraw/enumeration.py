@@ -226,7 +226,21 @@ def serialize_tables(tables: RealizabilityTables) -> str:
     return out.getvalue()
 
 
+def _table_field(toks, i: int, bound: int, line: str) -> int:
+    """Token ``i`` of a tables line as an integer in 0..bound-1."""
+    try:
+        val = int(toks[i])
+    except (IndexError, ValueError):
+        raise InputError(f"bad tables line: {line!r}") from None
+    if not 0 <= val < bound:
+        raise InputError(f"value out of range in tables line: {line!r}")
+    return val
+
+
 def parse_tables(text: str) -> RealizabilityTables:
+    """Parse the text written by :func:`serialize_tables`.  Every
+    malformed line (bad or out-of-range index, pair code outside 0..2,
+    truncated ``k5`` block) is an :class:`InputError`."""
     lines = [
         ln.strip()
         for ln in text.splitlines()
@@ -239,24 +253,30 @@ def parse_tables(text: str) -> RealizabilityTables:
     k5_count = None
     i = 1
     while i < len(lines):
-        toks = lines[i].split()
+        line = lines[i]
+        toks = line.split()
         if toks[0] == "k4":
-            idx = int(toks[1])
-            if toks[2] == "unreal":
+            idx = _table_field(toks, 1, len(k4), line)
+            if toks[2:] == ["unreal"]:
                 k4[idx] = K4_UNREALIZABLE
-            elif toks[2] == "none":
+            elif toks[2:] == ["none"]:
                 k4[idx] = K4_NO_CROSSING
-            elif toks[2] == "cross":
-                k4[idx] = int(toks[3])
+            elif len(toks) == 4 and toks[2] == "cross":
+                k4[idx] = _table_field(toks, 3, len(PAIR_BY_CODE), line)
             else:
-                raise InputError(f"bad k4 entry: {lines[i]}")
-        elif toks[0] == "k5":
-            k5_count = int(toks[1])
-            for j in range(i + 1, i + 1 + k5_count):
-                k5.add(int(lines[j]))
+                raise InputError(f"bad k4 entry: {line}")
+        elif toks[0] == "k5" and len(toks) == 2:
+            k5_count = _table_field(toks, 1, 6**5 + 1, line)
+            block = lines[i + 1 : i + 1 + k5_count]
+            if len(block) < k5_count:
+                raise InputError(
+                    f"k5 block truncated: {len(block)} of {k5_count} lines"
+                )
+            for entry in block:
+                k5.add(_table_field([entry], 0, 6**5, entry))
             i += k5_count
         else:
-            raise InputError(f"unexpected tables line: {lines[i]}")
+            raise InputError(f"unexpected tables line: {line}")
         i += 1
     if any(v is None for v in k4):
         raise InputError("k4 table incomplete")

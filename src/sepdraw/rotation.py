@@ -50,9 +50,11 @@ class RotationSystem:
 
     Rotations are stored as linear sequences with an arbitrary anchor;
     equality and hashing compare cyclic orders, not linearizations.
+    Answers that depend on a tables object (the realizability verdict and
+    the crossing sets) are memoized per system together with that object.
     """
 
-    __slots__ = ("n", "rows", "_norm", "_pos")
+    __slots__ = ("n", "rows", "_norm", "_pos", "_realizable", "_crossings")
 
     def __init__(self, n: int, rows):
         if n < 1:
@@ -71,6 +73,8 @@ class RotationSystem:
         self.rows = rows
         self._norm = None
         self._pos = None
+        self._realizable = None
+        self._crossings = None
 
     def rotation(self, v: int) -> tuple[int, ...]:
         if not 1 <= v <= self.n:
@@ -334,23 +338,69 @@ def crossing_pairs(
     return CrossingPairSet(frozenset(pairs))
 
 
+def crossing_sets(
+    tables: RealizabilityTables, rs: RotationSystem
+) -> dict[Edge, frozenset[Edge]]:
+    """The edges crossing each edge, from one :func:`crossing_pairs`
+    sweep; memoized on ``rs`` per tables object."""
+    memo = rs._crossings
+    if memo is None or memo[0] is not tables:
+        sets: dict[Edge, set[Edge]] = {e: set() for e in rs.edges()}
+        for e, f in crossing_pairs(tables, rs).pairs:
+            sets[e].add(f)
+            sets[f].add(e)
+        memo = rs._crossings = (
+            tables,
+            {e: frozenset(s) for e, s in sets.items()},
+        )
+    return memo[1]
+
+
 def is_realizable(tables: RealizabilityTables, rs: RotationSystem) -> bool:
-    """Realizability via the 5-vertex criterion (table lookups for n <= 4)."""
-    if rs.n <= 3:
-        return True
-    if rs.n == 4:
-        return tables.k4[k4_index(rs, (1, 2, 3, 4))] != K4_UNREALIZABLE
-    return all(
-        k5_index(rs, quint) in tables.k5
-        for quint in itertools.combinations(range(1, rs.n + 1), 5)
-    )
+    """Realizability via the 5-vertex criterion (table lookups for n <= 4).
+
+    The verdict is memoized on ``rs`` per tables object; see
+    :func:`known_realizable`.
+    """
+    memo = rs._realizable
+    if memo is None or memo[0] is not tables:
+        if rs.n <= 3:
+            verdict = True
+        elif rs.n == 4:
+            verdict = tables.k4[k4_index(rs, (1, 2, 3, 4))] != K4_UNREALIZABLE
+        else:
+            verdict = all(
+                k5_index(rs, quint) in tables.k5
+                for quint in itertools.combinations(range(1, rs.n + 1), 5)
+            )
+        memo = rs._realizable = (tables, verdict)
+    return memo[1]
+
+
+def known_realizable(tables: RealizabilityTables, rs: RotationSystem) -> bool:
+    """Whether :func:`is_realizable` has already found ``rs`` realizable
+    under ``tables``.  Never computes anything."""
+    memo = rs._realizable
+    return memo is not None and memo[0] is tables and memo[1]
 
 
 def is_realizable_touching(
-    tables: RealizabilityTables, rs: RotationSystem, e
+    tables: RealizabilityTables, rs: RotationSystem, e, swept=None
 ) -> bool:
-    """Realizability recheck after repositioning edge ``e``: only subsets
-    containing both endpoints can have changed."""
+    """Realizability recheck of ``rs`` after edge ``e`` = {v,w} was
+    repositioned.
+
+    Only the rotations of v and w changed, so only the 5-tuples containing
+    both endpoints are checked.  By Kynčl's 5-tuple criterion (a system is
+    realizable iff all its 5-vertex subsystems are), that decides
+    realizability when the system before the move was realizable.
+
+    ``swept``, the set S that e moved across, narrows the check further on
+    the same assumption: in the rotations of v and w the other endpoint
+    moved only past members of S, so a 5-tuple {v,w,a,b,c} with {a,b,c}
+    disjoint from S keeps its table entry, and only the 5-tuples meeting S
+    are checked.
+    """
     v, w = edge_key(*e)
     if rs.n <= 3:
         return True
@@ -358,6 +408,8 @@ def is_realizable_touching(
         return tables.k4[k4_index(rs, (1, 2, 3, 4))] != K4_UNREALIZABLE
     rest = [x for x in range(1, rs.n + 1) if x != v and x != w]
     for triple in itertools.combinations(rest, 3):
+        if swept is not None and swept.isdisjoint(triple):
+            continue
         quint = tuple(sorted((v, w) + triple))
         if k5_index(rs, quint) not in tables.k5:
             return False
@@ -510,10 +562,13 @@ def parse_crs(text: str) -> list[RotationSystem]:
         nonlocal cur_n, cur_rows
         if cur_n is None:
             return
-        if sorted(cur_rows) != list(range(1, cur_n + 1)):
+        expected = range(1, cur_n + 1)
+        if len(cur_rows) != cur_n or not all(v in expected for v in cur_rows):
+            # ``n`` may be huge: list at most a few absent labels
+            absent = (v for v in expected if v not in cur_rows)
             raise InputError(
                 f"record with n={cur_n} is missing rotations for vertices "
-                f"{sorted(set(range(1, cur_n + 1)) - set(cur_rows))}"
+                f"{list(itertools.islice(absent, 20))}"
             )
         records.append(
             RotationSystem(cur_n, [cur_rows[v] for v in range(1, cur_n + 1)])
@@ -537,6 +592,8 @@ def parse_crs(text: str) -> list[RotationSystem]:
                 cur_n = int(head[2:])
             except ValueError:
                 raise InputError(f"line {lineno}: bad vertex count") from None
+            if cur_n < 1:
+                raise InputError(f"line {lineno}: vertex count must be >= 1")
             continue
         if ":" not in line:
             raise InputError(f"line {lineno}: expected '<v>: <rotation>'")

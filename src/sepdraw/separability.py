@@ -7,7 +7,9 @@ this is equivalent to: the edge is uncrossed, or it can be flipped
 (repositioned across a common swept vertex set in the two endpoint
 rotations, staying realizable) so that old and new edge cross disjoint
 edge sets.  Candidate repositionings come from a linear parity scan of
-the two endpoint rotations.
+the two endpoint rotations.  On a system that :func:`is_realizable` has
+already found realizable, candidates are validated with exact pruning
+by the set of vertices the edge is moved across.
 """
 from __future__ import annotations
 
@@ -16,9 +18,13 @@ from dataclasses import dataclass
 from .rotation import (
     RealizabilityTables,
     RotationSystem,
+    crossing_sets,
     crossings_of_edge,
     edge_key,
+    is_realizable,
     is_realizable_touching,
+    known_realizable,
+    pair_crossing,
 )
 
 
@@ -147,6 +153,48 @@ def flip_candidates(rs: RotationSystem, e) -> list[FlipCandidate]:
     return out
 
 
+def _old_crossings(tables, rs, e):
+    """Whether ``rs`` is known to be realizable, and the edges crossing
+    ``e`` in it.  The memoized crossing sets are used only on known
+    realizable systems: elsewhere a query may raise, and it must raise
+    for the same edge as before."""
+    if known_realizable(tables, rs):
+        return True, crossing_sets(tables, rs)[e]
+    return False, crossings_of_edge(tables, rs, e)
+
+
+def _is_valid_flip(tables, e, cand: FlipCandidate, old_cross, known) -> bool:
+    """Whether ``cand.new_rs`` is realizable and ``e`` crosses none of
+    ``old_cross`` in it.
+
+    When the system before the flip is known to be realizable, the test
+    is pruned by the swept set S, exactly.  A flip changes only the
+    rotations of v and w, and in each the other endpoint moves only past
+    members of S, so every quadruple or 5-tuple whose vertices other
+    than v, w avoid S keeps its table entry.  Hence:
+
+    - an edge crossing ``e`` with no endpoint in S still crosses it after
+      the flip, and the candidate is rejected at once;
+    - only the 5-tuples {v,w,a,b,c} with {a,b,c} meeting S are rechecked;
+    - the old and new crossing sets meet iff some old crossing edge still
+      crosses ``e``, so only the old crossing edges are looked up in the
+      flipped system.
+
+    Otherwise the full recheck runs, so that answers and exceptions on
+    unrealizable input stay those of the unpruned test.
+    """
+    new_rs, swept = cand.new_rs, cand.swept
+    if not known:
+        if not is_realizable_touching(tables, new_rs, e):
+            return False
+        return not old_cross & crossings_of_edge(tables, new_rs, e)
+    if any(swept.isdisjoint(f) for f in old_cross):
+        return False
+    if not is_realizable_touching(tables, new_rs, e, swept=swept):
+        return False
+    return not any(pair_crossing(tables, new_rs, e, f) for f in old_cross)
+
+
 def valid_flips(
     tables: RealizabilityTables, rs: RotationSystem, e
 ) -> list[Flip]:
@@ -154,19 +202,13 @@ def valid_flips(
     disjointness of the old and new crossing sets of ``e``.  Descriptions
     of the same repositioning are merged (smallest swept set reported)."""
     e = edge_key(*e)
-    old_cross = crossings_of_edge(tables, rs, e)
+    known, old_cross = _old_crossings(tables, rs, e)
     out: list[Flip] = []
-    seen_systems = []
     for cand in flip_candidates(rs, e):
-        if any(cand.new_rs == s for s in seen_systems):
+        if any(cand.new_rs == f.new_rs for f in out):
             continue
-        if not is_realizable_touching(tables, cand.new_rs, e):
-            continue
-        new_cross = crossings_of_edge(tables, cand.new_rs, e)
-        if old_cross & new_cross:
-            continue
-        seen_systems.append(cand.new_rs)
-        out.append(Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs))
+        if _is_valid_flip(tables, e, cand, old_cross, known):
+            out.append(Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs))
     return out
 
 
@@ -176,23 +218,20 @@ def is_separator_edge(
     """Evidence that ``e`` is a separator edge, or None.
 
     Uncrossed edges short-circuit; otherwise the first valid flip in scan
-    order wins.
+    order wins.  Flip validation is pruned when :func:`is_realizable` has
+    already found ``rs`` realizable.
     """
     e = edge_key(*e)
-    if not crossings_of_edge(tables, rs, e):
+    known, old_cross = _old_crossings(tables, rs, e)
+    if not old_cross:
         return SeparatorEvidence(edge=e, uncrossed=True, flip=None)
-    old_cross = crossings_of_edge(tables, rs, e)
     for cand in flip_candidates(rs, e):
-        if not is_realizable_touching(tables, cand.new_rs, e):
-            continue
-        new_cross = crossings_of_edge(tables, cand.new_rs, e)
-        if old_cross & new_cross:
-            continue
-        return SeparatorEvidence(
-            edge=e,
-            uncrossed=False,
-            flip=Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs),
-        )
+        if _is_valid_flip(tables, e, cand, old_cross, known):
+            return SeparatorEvidence(
+                edge=e,
+                uncrossed=False,
+                flip=Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs),
+            )
     return None
 
 
@@ -201,9 +240,12 @@ def is_separable(
 ) -> SeparabilityResult:
     """Whether every edge is a separator edge (with a certificate).
 
+    Establishes realizability first (memoized on ``rs``), so that flip
+    validation can be pruned; on unrealizable input it runs unpruned.
     Stops at the first failing edge; the certificate covers the edges
     examined so far.
     """
+    is_realizable(tables, rs)
     entries = []
     for e in rs.edges():
         ev = is_separator_edge(tables, rs, e)

@@ -52,6 +52,35 @@ class TestRecognize:
     def test_missing_file_exits_two(self):
         assert main(["recognize", "--input", "/nonexistent.crs"]) == 2
 
+    def test_directory_input_exits_two(self, tmp_path, capsys):
+        assert main(["recognize", "--input", str(tmp_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_utf8_input_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "latin1.crs"
+        p.write_bytes(b"n=3\n1: 2 3\n2: 1 3\n3: 1 2 \xe9\n")
+        assert main(["recognize", "--input", str(p)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_multi_record_input_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "two.crs"
+        p.write_text(serialize_crs([convex(5), convex(6)]))
+        for cmd in ("recognize", "hamcycle", "matching", "gconvex"):
+            assert main([cmd, "--input", str(p)]) == 2
+            assert "one rotation-system record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["1000000000000", "1" + "0" * 30, "0", "-3"])
+    def test_vertex_count_out_of_range_exits_two(self, tmp_path, n):
+        p = tmp_path / "huge.crs"
+        p.write_text(f"n={n}\n1: 2 3\n")
+        assert main(["recognize", "--input", str(p)]) == 2
+
+    def test_truncated_tables_exit_two(self, tmp_path, convex7, capsys):
+        p = tmp_path / "bad.tbl"
+        p.write_text("tables v1\nk5 5\n1\n")
+        assert main(["recognize", "--input", convex7, "--tables", str(p)]) == 2
+        assert "truncated" in capsys.readouterr().err
+
     def test_certificate_json(self, convex7, capsys):
         assert (
             main(["recognize", "--input", convex7, "--certificate", "--json"])

@@ -121,6 +121,42 @@ class TestTables:
         with pytest.raises(InputError):
             parse_tables("tables v1\nk5 1\n3\nk4 0 none\n")
 
+    @pytest.mark.parametrize(
+        "line, bad",
+        [
+            # k4 index not an integer, out of range, missing
+            ("k4 15 ", "k4 x unreal"),
+            ("k4 15 ", "k4 16 unreal"),
+            ("k4 15 ", "k4 -1 unreal"),
+            ("k4 15 ", "k4"),
+            ("k4 15 ", "k4 15"),
+            ("k4 15 ", "k4 15 none extra"),
+            # pair code outside 0..2, missing or not an integer
+            ("k4 15 ", "k4 15 cross 3"),
+            ("k4 15 ", "k4 15 cross -1"),
+            ("k4 15 ", "k4 15 cross"),
+            ("k4 15 ", "k4 15 cross one"),
+            # k5 count or member bad or out of range
+            ("k5 ", "k5 two"),
+            ("k5 ", "k5"),
+            (None, "7776"),
+            (None, "-1"),
+            (None, "1 2"),
+            # truncated k5 block
+            (None, None),
+        ],
+    )
+    def test_parse_rejects_malformed_line(self, tables, line, bad):
+        """One line of the shipped table replaced (the last one when
+        ``line`` is None) or, when ``bad`` is None, removed."""
+        lines = serialize_tables(tables).splitlines()
+        i = len(lines) - 1
+        if line is not None:
+            i = next(i for i, ln in enumerate(lines) if ln.startswith(line))
+        lines[i : i + 1] = [] if bad is None else [bad]
+        with pytest.raises(InputError):
+            parse_tables("\n".join(lines) + "\n")
+
 
 class TestRealize:
     def test_convex_k5_has_five_crossings(self, tables):

@@ -14,11 +14,15 @@ from sepdraw.rotation import (
     RotationSystem,
     canonical_key,
     convex,
+    RealizabilityTables,
     crossing_pairs,
+    crossing_sets,
+    crossings_of_edge,
     is_g_convex,
     is_realizable,
     is_realizable_touching,
     k5_index_of,
+    known_realizable,
     k5_system,
     labeled_encoding,
     mirror,
@@ -185,6 +189,14 @@ class TestCrossingPairs:
         rs = convex(7)
         assert crossing_pairs(tables, mirror(rs)) == crossing_pairs(tables, rs)
 
+    def test_crossing_sets_match_crossings_of_edge(self, tables):
+        rs = rotation_system_from_points(random_points(8, random.Random(4)))
+        sets = crossing_sets(tables, rs)
+        assert sets is crossing_sets(tables, rs)
+        assert sorted(sets) == rs.edges()
+        for e in rs.edges():
+            assert sets[e] == crossings_of_edge(tables, rs, e)
+
 
 class TestRealizability:
     def test_convex_k7(self, tables):
@@ -197,6 +209,16 @@ class TestRealizability:
     def test_smallest_non_realizable_k5(self, tables):
         non = min(set(range(6**5)) - set(tables.k5))
         assert not is_realizable(tables, k5_system(non))
+
+    def test_verdict_is_memoized_per_tables(self, tables):
+        rs = convex(6)
+        no_k5 = RealizabilityTables(k4=tables.k4, k5=frozenset())
+        assert not known_realizable(tables, rs)
+        assert is_realizable(tables, rs)
+        assert known_realizable(tables, rs)
+        assert not is_realizable(no_k5, rs)
+        assert not known_realizable(no_k5, rs)
+        assert is_realizable(tables, rs)
 
     def test_k5_index_round_trip(self):
         rng = random.Random(9)
