@@ -85,6 +85,9 @@ def _load_map(args):
 
 
 def _parse_edge(text: str):
+    # argparse turns "--edge=--" into an empty list, not a string
+    if not isinstance(text, str):
+        raise InputError(f"expected '--edge u,v', got {text!r}")
     try:
         u, v = (int(t) for t in text.split(","))
     except ValueError:

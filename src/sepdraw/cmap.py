@@ -1051,6 +1051,12 @@ def parse_cmap(text: str) -> CombinatorialMap:
             ) from None
         if not rot:
             raise InputError(f"vertex {vid} has no darts")
+        for d in darts:
+            # a dart listed twice would leave a rotation cycle that never
+            # closes, and building the map would not terminate
+            if b.dvert[dmap[d]] != -1:
+                raise InputError(f"dart {d} is listed twice in the rotations")
+            b.dvert[dmap[d]] = vmap[vid]
         b.set_rotation(vmap[vid], rot)
     if len(dmap) != 2 * len(segs):
         raise InputError("dart bookkeeping mismatch")

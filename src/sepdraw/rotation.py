@@ -35,6 +35,23 @@ K4_NO_CROSSING = -1
 _RANK3 = {p: r for r, p in enumerate(itertools.permutations((0, 1, 2)))}
 
 
+def _rank_by_comparisons() -> tuple[int, ...]:
+    """``_RANK3`` re-keyed for :func:`k5_index`: entry
+    ``4*(r0 < r1) + 2*(r0 < r2) + (r1 < r2)`` is the rank of the order
+    that sorts three distinct values r0, r1, r2.  The two keys no order
+    produces (cyclic comparison patterns) hold -1."""
+    table = [-1] * 8
+    for order, rank in _RANK3.items():
+        r = [0, 0, 0]
+        for place, i in enumerate(order):
+            r[i] = place
+        table[4 * (r[0] < r[1]) + 2 * (r[0] < r[2]) + (r[1] < r[2])] = rank
+    return tuple(table)
+
+
+_RANK_BY_CMP = _rank_by_comparisons()
+
+
 def edge_key(u: int, v: int) -> Edge:
     if u == v:
         raise InputError(f"degenerate edge ({u},{v})")
@@ -89,12 +106,18 @@ class RotationSystem:
         return self._norm
 
     @property
-    def positions(self) -> tuple[dict[int, int], ...]:
-        """Per-vertex map from label to index in the stored linearization."""
+    def positions(self) -> tuple[list[int], ...]:
+        """Per vertex, a list indexed by label: ``positions[v-1][x]`` is
+        the index of x in the stored linearization of v's rotation.
+        Entries 0 and v are unused.  Shared and cached: do not mutate."""
         if self._pos is None:
-            self._pos = tuple(
-                {x: i for i, x in enumerate(row)} for row in self.rows
-            )
+            pos = []
+            for row in self.rows:
+                p = [0] * (self.n + 1)
+                for i, x in enumerate(row):
+                    p[x] = i
+                pos.append(p)
+            self._pos = tuple(pos)
         return self._pos
 
     def edges(self):
@@ -195,7 +218,7 @@ class RealizabilityTables:
             raise InputError("k4 table must have exactly 16 entries")
 
 
-def _cyclic_ascending(pos: dict[int, int], a: int, b: int, c: int, L: int) -> bool:
+def _cyclic_ascending(pos: list[int], a: int, b: int, c: int, L: int) -> bool:
     pa, pb, pc = pos[a], pos[b], pos[c]
     return (pb - pa) % L < (pc - pa) % L
 
@@ -220,22 +243,38 @@ def k4_index_of(rs4: RotationSystem) -> int:
 
 
 def k5_index(rs: RotationSystem, quint: tuple[int, ...]) -> int:
-    """Index of the induced labeled 5-vertex system of a sorted quintuple."""
+    """Index of the induced labeled 5-vertex system of a sorted quintuple.
+
+    Digit i (base 6, least significant first) describes vertex quint[i]:
+    the rank, per ``_RANK3``, of the order in which the last three of its
+    four neighbours in the quintuple follow the first one in its rotation.
+    Each digit is read from three comparisons of cyclic offsets, without
+    building tuples or sorting.
+    """
     L = rs.n - 1
     pos = rs.positions
-    idx = 0
-    power = 1
-    for v in quint:
-        others = tuple(x for x in quint if x != v)
-        p = pos[v - 1]
-        a = others[0]
-        pa = p[a]
-        rel = tuple((p[x] - pa) % L for x in others[1:])
-        order = tuple(sorted(range(3), key=lambda i: rel[i]))
-        rank = _RANK3[order]
-        idx += rank * power
-        power *= 6
-    return idx
+    rank = _RANK_BY_CMP
+    a, b, c, d, e = quint
+    p = pos[a - 1]
+    q = p[b]
+    x, y, z = (p[c] - q) % L, (p[d] - q) % L, (p[e] - q) % L
+    idx = rank[4 * (x < y) + 2 * (x < z) + (y < z)]
+    p = pos[b - 1]
+    q = p[a]
+    x, y, z = (p[c] - q) % L, (p[d] - q) % L, (p[e] - q) % L
+    idx += 6 * rank[4 * (x < y) + 2 * (x < z) + (y < z)]
+    p = pos[c - 1]
+    q = p[a]
+    x, y, z = (p[b] - q) % L, (p[d] - q) % L, (p[e] - q) % L
+    idx += 36 * rank[4 * (x < y) + 2 * (x < z) + (y < z)]
+    p = pos[d - 1]
+    q = p[a]
+    x, y, z = (p[b] - q) % L, (p[c] - q) % L, (p[e] - q) % L
+    idx += 216 * rank[4 * (x < y) + 2 * (x < z) + (y < z)]
+    p = pos[e - 1]
+    q = p[a]
+    x, y, z = (p[b] - q) % L, (p[c] - q) % L, (p[d] - q) % L
+    return idx + 1296 * rank[4 * (x < y) + 2 * (x < z) + (y < z)]
 
 
 def k5_index_of(rs5: RotationSystem) -> int:

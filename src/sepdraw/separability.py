@@ -13,8 +13,10 @@ by the set of vertices the edge is moved across.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
+from .errors import InputError
 from .rotation import (
     RealizabilityTables,
     RotationSystem,
@@ -32,11 +34,21 @@ from .rotation import (
 class FlipCandidate:
     """A repositioning emitted by the parity scan (realizability not yet
     checked).  ``swept`` is the vertex set the edge moves across, as seen
-    from the scan direction that produced it."""
+    from the scan direction that produced it.
+
+    The flipped system ``new_rs`` is built on first access: most
+    candidates are rejected by the swept-set rule without it.  ``move``
+    is the ``(a, b, t)`` of the :func:`_reposition` call that builds it
+    from ``rs``."""
 
     edge: tuple[int, int]
     swept: frozenset[int]
-    new_rs: RotationSystem
+    rs: RotationSystem = field(repr=False)
+    move: tuple[int, int, int] = field(repr=False)
+
+    @cached_property
+    def new_rs(self) -> RotationSystem:
+        return _reposition(self.rs, *self.move)
 
 
 @dataclass(frozen=True)
@@ -131,7 +143,7 @@ def flip_candidates(rs: RotationSystem, e) -> list[FlipCandidate]:
     when no proper repositioning exists, where it is the candidate that
     certifies uncrossed edges.
     """
-    v, w = edge_key(*e)
+    v, w = _checked_edge(rs, e)
     if rs.n < 3:
         return []
     found = []
@@ -143,14 +155,18 @@ def flip_candidates(rs: RotationSystem, e) -> list[FlipCandidate]:
     full = frozenset(x for x in range(1, rs.n + 1) if x not in (v, w))
     proper = [c for c in found if c[2] != full]
     chosen = proper if proper else found[:1]
-    out = []
-    for t, _, swept, a, b in chosen:
-        out.append(
-            FlipCandidate(
-                edge=(v, w), swept=swept, new_rs=_reposition(rs, a, b, t)
-            )
-        )
-    return out
+    return [
+        FlipCandidate(edge=(v, w), swept=swept, rs=rs, move=(a, b, t))
+        for t, _, swept, a, b in chosen
+    ]
+
+
+def _checked_edge(rs: RotationSystem, e) -> tuple[int, int]:
+    """``edge_key(*e)``, rejecting endpoints outside 1..n."""
+    v, w = edge_key(*e)
+    if v < 1 or w > rs.n:
+        raise InputError(f"edge {(v, w)} has an endpoint outside 1..{rs.n}")
+    return v, w
 
 
 def _old_crossings(tables, rs, e):
@@ -174,7 +190,8 @@ def _is_valid_flip(tables, e, cand: FlipCandidate, old_cross, known) -> bool:
     than v, w avoid S keeps its table entry.  Hence:
 
     - an edge crossing ``e`` with no endpoint in S still crosses it after
-      the flip, and the candidate is rejected at once;
+      the flip, and the candidate is rejected at once, before its
+      flipped system is built;
     - only the 5-tuples {v,w,a,b,c} with {a,b,c} meeting S are rechecked;
     - the old and new crossing sets meet iff some old crossing edge still
       crosses ``e``, so only the old crossing edges are looked up in the
@@ -183,13 +200,15 @@ def _is_valid_flip(tables, e, cand: FlipCandidate, old_cross, known) -> bool:
     Otherwise the full recheck runs, so that answers and exceptions on
     unrealizable input stay those of the unpruned test.
     """
-    new_rs, swept = cand.new_rs, cand.swept
+    swept = cand.swept
     if not known:
+        new_rs = cand.new_rs
         if not is_realizable_touching(tables, new_rs, e):
             return False
         return not old_cross & crossings_of_edge(tables, new_rs, e)
     if any(swept.isdisjoint(f) for f in old_cross):
         return False
+    new_rs = cand.new_rs
     if not is_realizable_touching(tables, new_rs, e, swept=swept):
         return False
     return not any(pair_crossing(tables, new_rs, e, f) for f in old_cross)
@@ -201,7 +220,7 @@ def valid_flips(
     """Candidates filtered by realizability of the flipped system and by
     disjointness of the old and new crossing sets of ``e``.  Descriptions
     of the same repositioning are merged (smallest swept set reported)."""
-    e = edge_key(*e)
+    e = _checked_edge(rs, e)
     known, old_cross = _old_crossings(tables, rs, e)
     out: list[Flip] = []
     for cand in flip_candidates(rs, e):
@@ -221,7 +240,7 @@ def is_separator_edge(
     order wins.  Flip validation is pruned when :func:`is_realizable` has
     already found ``rs`` realizable.
     """
-    e = edge_key(*e)
+    e = _checked_edge(rs, e)
     known, old_cross = _old_crossings(tables, rs, e)
     if not old_cross:
         return SeparatorEvidence(edge=e, uncrossed=True, flip=None)

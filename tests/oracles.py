@@ -7,7 +7,7 @@ the table-driven pipeline under test.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 from sepdraw.rotation import RotationSystem, edge_key, pair_key
 
@@ -28,6 +28,39 @@ def rotation_system_from_points(pts: dict[int, tuple[float, float]]):
         others.sort()
         rows.append(tuple(w for _, w in others))
     return RotationSystem(n, rows)
+
+
+def _cyclic_sequence(row, members) -> list[int]:
+    """``members`` in the order they occur in the cyclic ``row``, read
+    from ``members[0]`` on."""
+    i = row.index(members[0])
+    return [x for x in row[i:] + row[:i] if x in members]
+
+
+def reference_k4_index(rs: RotationSystem, quad) -> int:
+    """The documented k4 index of a sorted quad, read off the rotations:
+    bit i is set when the other three vertices a < b < c do not occur in
+    the order a, b, c around ``quad[i]``."""
+    idx = 0
+    for bit, v in enumerate(quad):
+        others = [x for x in quad if x != v]
+        if _cyclic_sequence(rs.rotation(v), others) != others:
+            idx |= 1 << bit
+    return idx
+
+
+def reference_k5_index(rs: RotationSystem, quint) -> int:
+    """The documented k5 index of a sorted quintuple, read off the
+    rotations: digit i (base 6, least significant first) is the place of
+    the order in which the last three of the other four vertices follow
+    the first one around ``quint[i]``, among the permutations of those
+    three in lexicographic order."""
+    idx = 0
+    for i, v in enumerate(quint):
+        others = [x for x in quint if x != v]
+        seq = tuple(_cyclic_sequence(rs.rotation(v), others)[1:])
+        idx += list(permutations(others[1:])).index(seq) * 6**i
+    return idx
 
 
 def _orient(a, b, c) -> float:

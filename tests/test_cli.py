@@ -108,6 +108,11 @@ class TestFlips:
     def test_bad_edge_syntax(self, convex7):
         assert main(["flips", "--input", convex7, "--edge", "2-6"]) == 2
 
+    @pytest.mark.parametrize("edge", ["1,99", "0,2", "-1,3", "3,3", "--"])
+    def test_bad_edge_exits_two(self, convex7, edge, capsys):
+        assert main(["flips", "--input", convex7, "--edge=" + edge]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestHamiltonian:
     def test_hampath_verified(self, convex7, capsys):

@@ -213,6 +213,18 @@ class TestCmapFormat:
         with pytest.raises(InputError):
             parse_cmap(good.replace("idx 0", "idx 5", 1))
 
+    @pytest.mark.parametrize("where", ["other_vertex", "same_vertex"])
+    def test_dart_listed_twice_is_rejected(self, where):
+        # a dart in two rotations used to make parse_cmap loop forever
+        m, _, _, _ = random_two_page(5, random.Random(73))
+        lines = serialize_cmap(m).splitlines()
+        i = next(k for k, line in enumerate(lines) if "cross :" in line)
+        j = i if where == "same_vertex" else i + 1
+        dart = lines[i].split(":")[1].split()[0]
+        lines[j] = lines[j].replace(":", f": {dart}", 1)
+        with pytest.raises(InputError, match="listed twice"):
+            parse_cmap("\n".join(lines) + "\n")
+
 
 # Three edges drawn so that pieces of all three close into a cycle with
 # vertex 1 inside and vertex 2 outside: edge (1,2) crosses both other

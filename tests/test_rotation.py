@@ -21,6 +21,8 @@ from sepdraw.rotation import (
     is_g_convex,
     is_realizable,
     is_realizable_touching,
+    k4_index,
+    k5_index,
     k5_index_of,
     known_realizable,
     k5_system,
@@ -39,6 +41,8 @@ from oracles import (
     convex_points,
     crossing_pairs_from_points,
     random_points,
+    reference_k4_index,
+    reference_k5_index,
     rotation_system_from_points,
 )
 
@@ -198,6 +202,45 @@ class TestCrossingPairs:
             assert sets[e] == crossings_of_edge(tables, rs, e)
 
 
+def _rolled_rows(rs: RotationSystem, rng) -> RotationSystem:
+    """The same system with every rotation stored from a random anchor."""
+    rows = []
+    for row in rs.rows:
+        k = rng.randrange(len(row))
+        rows.append(row[k:] + row[:k])
+    return RotationSystem(rs.n, rows)
+
+
+def _shuffled_system(n: int, rng) -> RotationSystem:
+    rows = []
+    for v in range(1, n + 1):
+        row = [x for x in range(1, n + 1) if x != v]
+        rng.shuffle(row)
+        rows.append(tuple(row))
+    return RotationSystem(n, rows)
+
+
+class TestIndexKernels:
+    """k4_index and k5_index against the reference definitions in
+    oracles.py, on every 4- and 5-subset."""
+
+    @pytest.mark.parametrize("n", range(5, 15))
+    def test_all_subsets_match_reference(self, tables, n):
+        rng = random.Random(100 + n)
+        straight = _rolled_rows(
+            rotation_system_from_points(random_points(n, rng)), rng
+        )
+        shuffled = _shuffled_system(n, rng)
+        assert is_realizable(tables, straight)
+        if n >= 6:
+            assert not is_realizable(tables, shuffled)
+        for rs in (straight, shuffled):
+            for quad in itertools.combinations(range(1, n + 1), 4):
+                assert k4_index(rs, quad) == reference_k4_index(rs, quad)
+            for quint in itertools.combinations(range(1, n + 1), 5):
+                assert k5_index(rs, quint) == reference_k5_index(rs, quint)
+
+
 class TestRealizability:
     def test_convex_k7(self, tables):
         assert is_realizable(tables, convex(7))
@@ -221,8 +264,7 @@ class TestRealizability:
         assert is_realizable(tables, rs)
 
     def test_k5_index_round_trip(self):
-        rng = random.Random(9)
-        for idx in rng.sample(range(6**5), 100):
+        for idx in range(6**5):
             assert k5_index_of(k5_system(idx)) == idx
 
     def test_touching_after_valid_flip(self, tables):

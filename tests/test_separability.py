@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from sepdraw.cmap import extract_rotation_system
+from sepdraw.errors import InputError
 from sepdraw.generators import random_two_page
 from sepdraw.rotation import (
     RotationSystem,
@@ -55,6 +58,47 @@ class TestFlipCandidates:
             assert len(cands) == 1
             assert cands[0].swept == frozenset(range(3, n + 1))
             assert cands[0].new_rs == convex(n)
+
+    def test_endpoint_out_of_range_is_input_error(self, tables):
+        rs = convex(7)
+        for e in ((1, 99), (0, 2), (-1, 3), (7, 8)):
+            for call in (
+                lambda: flip_candidates(rs, e),
+                lambda: valid_flips(tables, rs, e),
+                lambda: is_separator_edge(tables, rs, e),
+            ):
+                with pytest.raises(InputError):
+                    call()
+
+    def test_new_rs_is_built_on_first_access(self):
+        cand = flip_candidates(convex(7), (2, 6))[0]
+        assert "new_rs" not in vars(cand)
+        first = cand.new_rs
+        assert cand.new_rs is first
+        assert first.rotation(2) != convex(7).rotation(2)
+
+    def test_swept_rule_rejects_before_building(self, tables, monkeypatch):
+        # on a known-realizable system every flipped system that is built
+        # gets exactly one realizability recheck
+        import sepdraw.separability as sep
+
+        counts = {"built": 0, "checked": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            sep, "_reposition", counting("built", sep._reposition)
+        )
+        monkeypatch.setattr(
+            sep, "is_realizable_touching",
+            counting("checked", sep.is_realizable_touching),
+        )
+        assert is_separable(tables, convex(9)).separable
+        assert 0 < counts["built"] == counts["checked"]
 
     def test_k3_single_candidate(self):
         cands = flip_candidates(convex(3), (1, 2))
