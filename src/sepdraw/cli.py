@@ -9,6 +9,7 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -274,6 +275,9 @@ def cmd_extend(args) -> int:
     return _emit(args, payload, human, OK)
 
 
+# built once per process: every main() call shares this parser, so no
+# caller may add to or change it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sepdraw",

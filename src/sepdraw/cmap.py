@@ -51,6 +51,7 @@ class CombinatorialMap:
         "_faces",
         "_face_of",
         "_real_by_label",
+        "_meets",
     )
 
     def __init__(self, vkind, vlabel, vdarts, scurve, sidx, curves):
@@ -65,6 +66,7 @@ class CombinatorialMap:
         self._faces = None
         self._face_of = None
         self._real_by_label = None
+        self._meets = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -126,6 +128,22 @@ class CombinatorialMap:
     def curves_at_cross(self, vid: int) -> tuple[int, int]:
         darts = self.vdarts[vid]
         return (self.scurve[darts[0] >> 1], self.scurve[darts[1] >> 1])
+
+    @property
+    def meets(self) -> dict[tuple[int, int], int]:
+        """Number of crossing vertices per unordered curve pair ``(a, b)``
+        with ``a <= b``; a pair that never meets is absent, and ``(a, a)``
+        counts self-crossings of curve ``a``.  Shared by every caller;
+        never mutate it."""
+        if self._meets is None:
+            meets: dict[tuple[int, int], int] = {}
+            for vid, kind in enumerate(self.vkind):
+                if kind == "cross":
+                    a, b = self.curves_at_cross(vid)
+                    k = (a, b) if a <= b else (b, a)
+                    meets[k] = meets.get(k, 0) + 1
+            self._meets = meets
+        return self._meets
 
     # -- faces ---------------------------------------------------------------
 
@@ -340,13 +358,13 @@ class MapBuilder:
         self.scurve[s] = -1
 
     def rotation_of(self, vid: int) -> list[int]:
-        anchor = -1
+        """Live darts at ``vid`` clockwise from its smallest one."""
         for d in range(len(self.dvert)):
             if self.dvert[d] == vid and self.scurve[d >> 1] >= 0:
-                anchor = d
-                break
-        if anchor < 0:
-            return []
+                return self._cycle(d)
+        return []
+
+    def _cycle(self, anchor: int) -> list[int]:
         out = [anchor]
         d = self.sigma[anchor]
         while d != anchor:
@@ -439,6 +457,12 @@ class MapBuilder:
         def newdart(d):
             return 2 * smapid[d >> 1] + (d & 1)
 
+        # live darts per vertex in one pass, smallest first
+        at = [[] for _ in self.vkind]
+        for d, v in enumerate(self.dvert):
+            if v >= 0 and self.scurve[d >> 1] >= 0:
+                at[v].append(d)
+
         # Vertices: real sorted by label, then crossings by incident segments.
         real = [
             (self.vlabel[v], v)
@@ -450,22 +474,19 @@ class MapBuilder:
         for v, k in enumerate(self.vkind):
             if k != "real":
                 incid = sorted(
-                    smapid[d >> 1]
-                    for d in range(len(self.dvert))
-                    if self.dvert[d] == v and (d >> 1) in smapid
+                    smapid[d >> 1] for d in at[v] if (d >> 1) in smapid
                 )
                 if incid:
                     cross.append((tuple(incid), v))
         cross.sort()
         vorder = [v for _, v in real] + [v for _, v in cross]
-        vmapid = {v: i for i, v in enumerate(vorder)}
 
         vdarts = []
         for v in vorder:
-            rot = [newdart(d) for d in self.rotation_of(v)]
-            if not rot:
+            if not at[v]:
                 vdarts.append(())
                 continue
+            rot = [newdart(d) for d in self._cycle(at[v][0])]
             k = rot.index(min(rot))
             vdarts.append(tuple(rot[k:] + rot[:k]))
 
@@ -622,16 +643,7 @@ def validate_map(m: CombinatorialMap, strict: bool = True) -> list[str]:
             )
 
     # simplicity between drawn curves
-    cross_at: dict[int, list[tuple[int, int]]] = {}
-    for vid in range(len(m.vkind)):
-        if m.vkind[vid] == "cross":
-            a, b = m.curves_at_cross(vid)
-            cross_at.setdefault(vid, []).append((a, b))
-    meet: dict[tuple[int, int], int] = {}
-    for vid, pairs in cross_at.items():
-        for a, b in pairs:
-            k = (min(a, b), max(a, b))
-            meet[k] = meet.get(k, 0) + 1
+    meet = m.meets
     drawn = [
         cid
         for cid, c in enumerate(m.curves)
@@ -650,7 +662,7 @@ def validate_map(m: CombinatorialMap, strict: bool = True) -> list[str]:
             ):
                 continue
             shared = len(set(m.curves[a].edge()) & set(m.curves[b].edge()))
-            total = shared + meet.get((min(a, b), max(a, b)), 0)
+            total = shared + meet.get((a, b), 0)
             if total > 1:
                 v.append(
                     f"curves {m.curves[a].edge()} and {m.curves[b].edge()} "
@@ -661,18 +673,19 @@ def validate_map(m: CombinatorialMap, strict: bool = True) -> list[str]:
     for cid, c in enumerate(m.curves):
         if c.kind != WITNESS:
             continue
-        err = _witness_violation(m, cid, meet, seen_edges)
+        err = _witness_violation(m, cid, seen_edges)
         if err:
             v.append(err)
     return v
 
 
-def _witness_violation(m, wid, meet, edge_curve_of) -> str | None:
+def _witness_violation(m, wid, edge_curve_of) -> str | None:
     w = m.curves[wid]
     e = w.edge()
     eid = edge_curve_of.get(e)
     if eid is None or m.curves[eid].kind != EDGE:
         return f"witness for {e} has no underlying edge curve"
+    meet = m.meets
     if meet.get((min(wid, eid), max(wid, eid)), 0) > 0:
         return f"witness for {e} crosses its own edge"
     for f, fid in edge_curve_of.items():
@@ -697,15 +710,9 @@ def validate_witness(m: CombinatorialMap, e) -> bool:
     edge_curve_of = {
         c.edge(): cid for cid, c in enumerate(m.curves) if c.kind == EDGE
     }
-    meet: dict[tuple[int, int], int] = {}
-    for vid in range(len(m.vkind)):
-        if m.vkind[vid] == "cross":
-            a, b = m.curves_at_cross(vid)
-            k = (min(a, b), max(a, b))
-            meet[k] = meet.get(k, 0) + 1
     for cid, c in enumerate(m.curves):
         if c.kind == WITNESS and c.edge() == e:
-            return _witness_violation(m, cid, meet, edge_curve_of) is None
+            return _witness_violation(m, cid, edge_curve_of) is None
     return False
 
 
@@ -731,10 +738,7 @@ def witness_set(m: CombinatorialMap) -> WitnessSet:
 def crossing_pairs_of_map(m: CombinatorialMap, kinds=DRAWN_KINDS):
     """Unordered crossing pairs of drawn edges read off the planarization."""
     out = set()
-    for vid in range(len(m.vkind)):
-        if m.vkind[vid] != "cross":
-            continue
-        a, b = m.curves_at_cross(vid)
+    for a, b in m.meets:
         ca, cb = m.curves[a], m.curves[b]
         if ca.kind in kinds and cb.kind in kinds:
             ea, eb = ca.edge(), cb.edge()
@@ -1060,7 +1064,7 @@ def parse_cmap(text: str) -> CombinatorialMap:
         b.set_rotation(vmap[vid], rot)
     if len(dmap) != 2 * len(segs):
         raise InputError("dart bookkeeping mismatch")
-    for d in range(len(b.dvert)):
-        if b.dvert[d] == -1:
-            raise InputError(f"dart {d} not attached to any vertex")
+    if -1 in b.dvert:
+        d = b.dvert.index(-1)
+        raise InputError(f"dart {d} not attached to any vertex")
     return b.freeze()

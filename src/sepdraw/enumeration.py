@@ -40,7 +40,7 @@ from .rotation import (
     relabel,
     subrotation,
 )
-from .routing import apply_route, apply_route_from_bare_vertex, iter_routes
+from .routing import apply_route, iter_routes
 
 import itertools
 
@@ -110,10 +110,8 @@ def extend_by_vertex(m: CombinatorialMap, new_label: int, prune=None):
             for route in iter_routes(cur, source, cur.real_by_label[t], budget):
                 b = MapBuilder.from_map(cur)
                 if k == 0:
-                    z = b.new_vertex("real", new_label)
-                    apply_route_from_bare_vertex(b, EDGE, z, t, route)
-                else:
-                    apply_route(b, EDGE, new_label, t, route)
+                    b.new_vertex("real", new_label)
+                apply_route(b, EDGE, new_label, t, route)
                 nxt = b.freeze()
                 if prune is not None and not prune(nxt, targets[: k + 1]):
                     continue

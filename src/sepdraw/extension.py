@@ -114,20 +114,12 @@ def _insert(m: CombinatorialMap, u: int, v: int, mode: str) -> InsertionResult:
 def _check_simple_vs_original(m: CombinatorialMap, cid: int):
     """The curve must share at most one point with every original edge."""
     target = m.curves[cid]
-    meets: dict[int, int] = {}
-    for vid in range(len(m.vkind)):
-        if m.vkind[vid] != "cross":
-            continue
-        a, b = m.curves_at_cross(vid)
-        if a == cid:
-            meets[b] = meets.get(b, 0) + 1
-        elif b == cid:
-            meets[a] = meets.get(a, 0) + 1
+    meets = m.meets
     for fid, c in enumerate(m.curves):
         if c.kind != EDGE:
             continue
         shared = len(set(c.edge()) & set(target.edge()))
-        if shared + meets.get(fid, 0) > 1:
+        if shared + meets.get((min(cid, fid), max(cid, fid)), 0) > 1:
             return c.edge()
     return None
 
@@ -199,11 +191,7 @@ def _reverse_segment(b: MapBuilder, s: int) -> int:
 def _smooth_passage(b: MapBuilder, y: int, dead: set[int]):
     """Remove vertex ``y`` by merging the passage whose segments are not
     in ``dead`` (the other strands there are being deleted)."""
-    darts = [
-        d
-        for d in range(len(b.dvert))
-        if b.dvert[d] == y and b.scurve[d >> 1] >= 0 and (d >> 1) not in dead
-    ]
+    darts = [d for d in b.rotation_of(y) if (d >> 1) not in dead]
     if len(darts) != 2:
         raise InternalInvariantError(
             f"expected one surviving passage at vertex {y}, found "
@@ -315,11 +303,7 @@ def _exchange(b: MapBuilder, c1: int, c2: int, x1: int, x2: int):
 def _smooth_cross_junction(b: MapBuilder, x: int):
     """At a former crossing that two curves now merely touch, separate
     the strands: merge each curve's two segments at ``x``."""
-    darts = [
-        d
-        for d in range(len(b.dvert))
-        if b.dvert[d] == x and b.scurve[d >> 1] >= 0
-    ]
+    darts = b.rotation_of(x)
     if len(darts) != 4:
         raise InternalInvariantError(f"junction {x} does not have 4 darts")
     by_curve: dict[int, list[int]] = {}
@@ -349,18 +333,13 @@ def _smooth_cross_junction(b: MapBuilder, x: int):
 def _potential(m: CombinatorialMap, mode: str) -> tuple[int, int]:
     cost_kinds = _COST_KINDS[mode]
     wc = 0
-    total = 0
-    for vid in range(len(m.vkind)):
-        if m.vkind[vid] != "cross":
-            continue
-        total += 1
-        a, b = m.curves_at_cross(vid)
+    for (a, b), k in m.meets.items():
         ka, kb = m.curves[a].kind, m.curves[b].kind
-        if ka == INSERTED and kb in cost_kinds:
-            wc += 1
-        elif kb == INSERTED and ka in cost_kinds:
-            wc += 1
-    return wc, total
+        if (ka == INSERTED and kb in cost_kinds) or (
+            kb == INSERTED and ka in cost_kinds
+        ):
+            wc += k
+    return wc, sum(m.meets.values())
 
 
 def _violating_pair(m: CombinatorialMap):

@@ -17,7 +17,7 @@ from .cmap import (
 )
 from .enumeration import path_k2_map
 from .errors import InternalInvariantError
-from .routing import apply_route, apply_route_from_bare_vertex, iter_routes
+from .routing import apply_route, iter_routes
 
 
 def all_edges(n: int):
@@ -116,8 +116,8 @@ def _place_vertex_crossing_free(m, label, rng):
         for r in iter_routes(m, ("face", fid), m.real_by_label[first], zero)
     ]
     b = MapBuilder.from_map(m)
-    z = b.new_vertex("real", label)
-    apply_route_from_bare_vertex(b, EDGE, z, first, rng.choice(routes))
+    b.new_vertex("real", label)
+    apply_route(b, EDGE, label, first, rng.choice(routes))
     m = b.freeze()
     # fan out to a few more targets while staying crossing-free
     for _ in range(rng.randint(0, 2)):

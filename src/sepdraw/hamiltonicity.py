@@ -66,14 +66,6 @@ def verify_crossing_free(
     return True
 
 
-def _restrict(rs, labels):
-    """Subsystem on a label set, keeping a translation back to the
-    original labels."""
-    labels = sorted(labels)
-    sub = subrotation(rs, labels)
-    return sub, labels
-
-
 def ham_path(
     tables: RealizabilityTables, rs: RotationSystem, v: int, w: int
 ) -> PlanePath:
@@ -98,9 +90,9 @@ def _ham_path_rec(tables, rs, labels, v, w) -> list[int]:
         return [v]
     if n == 2:
         return [v, w]
-    sub, lab = _restrict(rs, labels)
-    back = {i + 1: x for i, x in enumerate(lab)}
-    fwd = {x: i + 1 for i, x in enumerate(lab)}
+    sub = subrotation(rs, labels)
+    back = {i + 1: x for i, x in enumerate(labels)}
+    fwd = {x: i + 1 for i, x in enumerate(labels)}
     sv, sw = fwd[v], fwd[w]
     # smallest v' by original label, v' != w, over separator edges at v
     for vp in sorted(labels):
@@ -160,8 +152,8 @@ def _matching_rec(tables, rs, labels) -> list[tuple[int, int]]:
     n = len(labels)
     if n < 2:
         return []
-    sub, lab = _restrict(rs, labels)
-    back = {i + 1: x for i, x in enumerate(lab)}
+    sub = subrotation(rs, labels)
+    back = {i + 1: x for i, x in enumerate(labels)}
     for le in sub.edges():
         ev = is_separator_edge(tables, sub, le)
         if ev is None:

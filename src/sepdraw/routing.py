@@ -29,7 +29,7 @@ from .errors import InputError, InternalInvariantError
 class Route:
     """A realizable curve insertion."""
 
-    start: tuple  # ('gap', dart) or ('vertex', vid) for a dartless source
+    start: tuple  # ('gap', dart), or ('face', fid) for a dartless source
     crossings: tuple  # ((segment, side_dart), ...)
     end_gap: int
 
@@ -224,7 +224,10 @@ def apply_route(
     The route must reference the builder's current segment ids (apply
     immediately after searching, before other mutations).  The curve is
     recorded in route direction: from ``u_label`` (the route source) to
-    ``v_label``.
+    ``v_label``.  A ``('gap', dart)`` start leaves through that corner; a
+    ``('face', fid)`` start leaves from the real vertex labelled
+    ``u_label``, which the caller must already have placed in the builder
+    without darts, and becomes its sole dart.
     Returns the new curve id.
     """
     cid = b.new_curve(kind, u_label, v_label)
@@ -257,7 +260,12 @@ def apply_route(
         g = replaced.get(g, g)
         b.insert_dart_after(g, d_start)
     else:
-        raise InputError(f"unsupported route start {route.start[0]}")
+        u_vid = b.vlabel.index(u_label)
+        if u_vid in b.dvert:
+            raise InputError(
+                f"route starts in a face but vertex {u_label} has darts"
+            )
+        b.attach_sole_dart(u_vid, d_start)
     ge = route.end_gap
     ge = replaced.get(ge, ge)
     b.insert_dart_after(ge, d_end)
@@ -267,29 +275,12 @@ def apply_route(
 def apply_route_from_bare_vertex(
     b: MapBuilder, kind: str, u_vid: int, v_label: int, route: Route
 ) -> int:
-    """Like :func:`apply_route` for a source vertex that has no darts yet
-    (first edge out of a freshly placed vertex)."""
-    u_label = b.vlabel[u_vid]
-    cid = b.new_curve(kind, u_label, v_label)
-    nseg = len(route.crossings) + 1
-    segs = [b.new_segment(cid) for _ in range(nseg)]
-    b.csegs[cid] = segs
-    replaced: dict[int, int] = {}
-    for k, (s, side) in enumerate(route.crossings):
-        x = b.new_vertex("cross")
-        s1, s2, repl = b.split_segment(s, x)
-        replaced.update(repl)
-        new_in = 2 * segs[k] + 1
-        new_out = 2 * segs[k + 1]
-        if side == 2 * s:
-            rot = (2 * s2, new_out, 2 * s1 + 1, new_in)
-        else:
-            rot = (2 * s1 + 1, new_out, 2 * s2, new_in)
-        b.set_rotation(x, rot)
-    b.attach_sole_dart(u_vid, 2 * segs[0])
-    ge = replaced.get(route.end_gap, route.end_gap)
-    b.insert_dart_after(ge, 2 * segs[-1] + 1)
-    return cid
+    """:func:`apply_route` for a face-start route out of the dartless
+    vertex ``u_vid``."""
+    # No library code calls this.  It stays because perfbench/tracer.py
+    # wraps it by name with getattr, and deleting it would break
+    # ``perfbench/run.py --trace 1`` and ``--selfcheck``.
+    return apply_route(b, kind, b.vlabel[u_vid], v_label, route)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +303,7 @@ def find_witness(m: CombinatorialMap, e):
             eid = cid
     if eid is None:
         raise InputError(f"no drawn edge {e}")
-    crossers = set()
-    for vid in range(len(m.vkind)):
-        if m.vkind[vid] == "cross":
-            a, b = m.curves_at_cross(vid)
-            if a == eid:
-                crossers.add(b)
-            elif b == eid:
-                crossers.add(a)
+    crossers = {a if b == eid else b for a, b in m.meets if eid in (a, b)}
     budget = {}
     for cid, c in enumerate(m.curves):
         barred = (

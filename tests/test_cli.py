@@ -96,6 +96,28 @@ class TestRecognize:
         main(["recognize", "--input", convex7, "--json"])
         assert capsys.readouterr().out == first
 
+    def test_reused_parser_keeps_no_state(
+        self, convex7, nonsep5, tmp_path, capsys
+    ):
+        # main() builds its parser once per process; a subcommand's
+        # options must not leak into the next call
+        m, _, _, _ = random_two_page(5, random.Random(73))
+        p = tmp_path / "m.cmap"
+        p.write_text(serialize_cmap(m))
+        calls = [
+            ["recognize", "--input", convex7, "--json"],
+            ["verify", "--input", str(p), "--json"],
+            ["recognize", "--input", nonsep5, "--certificate", "--json"],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            return code, capsys.readouterr().out
+
+        first = [run(argv) for argv in calls]
+        assert [code for code, _ in first] == [0, 0, 1]
+        assert [run(argv) for argv in calls] == first
+
 
 class TestFlips:
     def test_fig_style_query(self, convex7, capsys):

@@ -123,6 +123,29 @@ class TestRouterOptimality:
         assert checked >= 8
 
 
+class TestApplyRoute:
+    def _face_route(self):
+        m, _ = from_two_page([1, 2, 3], [(1, 2), (2, 3)], ["upper"] * 2)
+        zero = {cid: 0 for cid in range(len(m.curves))}
+        route = next(iter_routes(m, ("face", 0), m.real_by_label[1], zero))
+        return m, route
+
+    def test_face_start_attaches_the_placed_vertex(self):
+        m, route = self._face_route()
+        b = MapBuilder.from_map(m)
+        b.new_vertex("real", 4)
+        cid = apply_route(b, EDGE, 4, 1, route)
+        out = b.freeze()
+        assert out.curves[cid].edge() == (1, 4)
+        assert len(out.vdarts[out.real_by_label[4]]) == 1
+        assert validate_map(out) == []
+
+    def test_face_start_rejects_a_vertex_with_darts(self):
+        m, route = self._face_route()
+        with pytest.raises(InputError):
+            apply_route(MapBuilder.from_map(m), EDGE, 3, 1, route)
+
+
 class TestExtendSeparable:
     def test_seeded_two_page_instances(self, tables):
         rng = random.Random(53)
