@@ -24,6 +24,7 @@ from .cmap import (
 )
 from .enumeration import (
     build_tables,
+    check_tables,
     default_tables,
     enumerate_good_drawings,
     parse_tables,
@@ -68,7 +69,9 @@ def _emit(args, payload: dict, human: str, code: int) -> int:
 
 def _load_tables(args):
     if getattr(args, "tables", None):
-        return parse_tables(Path(args.tables).read_text())
+        tables = parse_tables(Path(args.tables).read_text())
+        check_tables(tables)
+        return tables
     return default_tables()
 
 

@@ -432,7 +432,12 @@ class MapBuilder:
         b.vlabel = list(m.vlabel)
         b.scurve = list(m.scurve)
         b.curves = [[c.kind, c.u, c.v] for c in m.curves]
-        b.csegs = [m.curve_segments(cid) for cid in range(len(m.curves))]
+        # every curve's chain from one pass: bucket by curve, sort by index
+        b.csegs = [[] for _ in m.curves]
+        for s, cid in enumerate(m.scurve):
+            b.csegs[cid].append(s)
+        for segs in b.csegs:
+            segs.sort(key=m.sidx.__getitem__)
         nd = m.n_darts
         b.sigma = [-1] * nd
         b.sprev = [-1] * nd

@@ -33,8 +33,10 @@ from .rotation import (
     RealizabilityTables,
     RotationSystem,
     canonical_key,
+    k4_index,
     k4_index_of,
     k5_index_of,
+    k5_system,
     labeled_encoding,
     mirror,
     relabel,
@@ -281,6 +283,37 @@ def parse_tables(text: str) -> RealizabilityTables:
     if k5_count != len(k5):
         raise InputError("k5 count mismatch")
     return RealizabilityTables(k4=tuple(k4), k5=frozenset(k5))
+
+
+def check_tables(tables: RealizabilityTables) -> None:
+    """Raise :class:`InputError` unless ``tables`` is internally
+    consistent: every realizable labeled 5-vertex system has only
+    realizable 4-vertex subsystems, and the k5 set is closed under
+    relabeling and mirroring.  Closure is checked on the generators
+    (1 2) and (1 2 3 4 5) of S5 and on ``mirror``; a finite set closed
+    under generators is closed under the group they generate."""
+    quads = list(itertools.combinations(range(1, 6), 4))
+    swap = {1: 2, 2: 1, 3: 3, 4: 4, 5: 5}
+    cycle = {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}
+    for idx in sorted(tables.k5):
+        rs = k5_system(idx)
+        for quad in quads:
+            if tables.k4[k4_index(rs, quad)] == K4_UNREALIZABLE:
+                raise InputError(
+                    f"inconsistent tables: k5 entry {idx} has an "
+                    f"unrealizable 4-vertex subsystem on {quad}"
+                )
+        for name, image in (
+            ("(1 2)", relabel(rs, swap)),
+            ("(1 2 3 4 5)", relabel(rs, cycle)),
+            ("mirror", mirror(rs)),
+        ):
+            j = k5_index_of(image)
+            if j not in tables.k5:
+                raise InputError(
+                    f"inconsistent tables: k5 entry {idx} maps to {j} "
+                    f"under {name}, which is absent"
+                )
 
 
 _DEFAULT_TABLES = None

@@ -570,20 +570,45 @@ def labeled_encoding(rs: RotationSystem) -> bytes:
     return b"".join(bytes(r) for r in rs.normalized)
 
 
-def orbit_encodings(rs: RotationSystem) -> set[bytes]:
-    enc = _orbit_encodings(rs)
-    return {r.tobytes() for r in enc}
-
-
 def canonical_key(rs: RotationSystem) -> bytes:
     """Minimal encoding over all relabelings, mirrorings and cyclic
     re-linearizations; equal keys identify the same orbit.
 
-    Cost grows with n! and is intended for small n only.
+    The encoding of a labeled system lists the rotations of vertices
+    1..n, each rolled to start at its minimum, so row 1 is a permutation
+    of 2..n and is at least (2, ..., n).  A labeling reaches that bound
+    exactly when it gives label 1 to some vertex v and labels 2..n to
+    v's rotation in order, read from one of its n-1 starts.  The orbit
+    minimum is therefore the minimum over these 2n(n-1) labelings (both
+    orientations), not over all 2·n! of :func:`_orbit_encodings`.  Every
+    other row then starts at 1, the new label of v, so each candidate is
+    the rotations of v's neighbours read from v, relabeled.
     """
-    enc = _orbit_encodings(rs)
-    best = enc[np.lexsort(enc[:, ::-1].T)[0]]
-    return bytes([rs.n]) + best.tobytes()
+    n = rs.n
+    if n == 1:
+        return bytes([1])
+    m = n - 1
+    best = None
+    for rows in (rs.rows, tuple(r[::-1] for r in rs.rows)):
+        for v in range(1, n + 1):
+            rot = rows[v - 1]
+            # rows 2..n for start 0: each neighbour's rotation read from
+            # v; start s rolls this by s rows
+            flat = []
+            for w in rot:
+                row = rows[w - 1]
+                i = row.index(v)
+                flat += row[i:] + row[:i]
+            for s in range(m):
+                lab = [0] * (n + 1)
+                lab[v] = 1
+                for i, x in enumerate(rot[s:] + rot[:s], start=2):
+                    lab[x] = i
+                cut = s * m
+                cand = list(map(lab.__getitem__, flat[cut:] + flat[:cut]))
+                if best is None or cand < best:
+                    best = cand
+    return bytes([n, *range(2, n + 1), *best])
 
 
 # ---------------------------------------------------------------------------

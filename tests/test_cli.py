@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -80,6 +81,35 @@ class TestRecognize:
         p.write_text("tables v1\nk5 5\n1\n")
         assert main(["recognize", "--input", convex7, "--tables", str(p)]) == 2
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [("k5 member dropped", "absent"), ("k4 entry unreal", "4-vertex")],
+    )
+    def test_inconsistent_tables_exit_two(
+        self, tmp_path, convex7, capsys, corrupt, message
+    ):
+        """A corrupted copy of the shipped table that still parses."""
+        lines = (
+            resources.files("sepdraw.data").joinpath("tables.tbl")
+            .read_text().splitlines()
+        )
+        p = tmp_path / "shipped.tbl"
+        p.write_text("\n".join(lines) + "\n")
+        assert main(["recognize", "--input", convex7, "--tables", str(p)]) == 0
+        if corrupt == "k5 member dropped":
+            i = next(i for i, ln in enumerate(lines) if ln.startswith("k5 "))
+            lines[i] = f"k5 {int(lines[i].split()[1]) - 1}"
+            del lines[i + 1]
+        else:
+            i = next(i for i, ln in enumerate(lines) if ln.endswith(" none"))
+            lines[i] = lines[i].replace(" none", " unreal")
+        p = tmp_path / "bad.tbl"
+        p.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["recognize", "--input", convex7, "--tables", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "inconsistent tables" in err and message in err
 
     def test_certificate_json(self, convex7, capsys):
         assert (

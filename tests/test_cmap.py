@@ -7,6 +7,7 @@ import pytest
 
 from sepdraw.cmap import (
     EDGE,
+    CombinatorialMap,
     MapBuilder,
     crossing_pairs_of_map,
     dual,
@@ -180,6 +181,38 @@ curve 1 edge 3-4
         for n in (3, 4, 5):
             for rep in enum5[n]:
                 assert validate_map(rep.map) == []
+
+
+class TestFromMap:
+    @staticmethod
+    def renumber_segments(m, rng):
+        """The same map with its segments in a shuffled order."""
+        perm = list(range(len(m.scurve)))
+        rng.shuffle(perm)
+        scurve = [0] * len(perm)
+        sidx = [0] * len(perm)
+        for s, t in enumerate(perm):
+            scurve[t] = m.scurve[s]
+            sidx[t] = m.sidx[s]
+        vdarts = [
+            [2 * perm[d >> 1] + (d & 1) for d in darts] for darts in m.vdarts
+        ]
+        return CombinatorialMap(
+            m.vkind, m.vlabel, vdarts, scurve, sidx, m.curves
+        )
+
+    def test_chains_match_curve_segments(self, enum5):
+        rng = random.Random(8)
+        maps = [r.map for r in enum5[5]]
+        maps += [two_page_convex(6, witnesses=True)[0]]
+        maps += [random_two_page(7, rng)[0] for _ in range(3)]
+        for m in maps:
+            for mm in (m, self.renumber_segments(m, rng)):
+                b = MapBuilder.from_map(mm)
+                assert b.csegs == [
+                    mm.curve_segments(cid) for cid in range(len(mm.curves))
+                ]
+                assert serialize_cmap(b.freeze()) == serialize_cmap(m)
 
 
 class TestCmapFormat:

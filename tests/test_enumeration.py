@@ -12,6 +12,7 @@ from sepdraw.cmap import (
 )
 from sepdraw.enumeration import (
     build_tables,
+    check_tables,
     enumerate_good_drawings,
     parse_tables,
     realize,
@@ -114,6 +115,9 @@ class TestTables:
             resources.files("sepdraw.data").joinpath("tables.tbl").read_text()
         )
         assert text == serialize_tables(tables)
+
+    def test_shipped_table_is_consistent(self, tables):
+        check_tables(tables)
 
     def test_parse_errors(self):
         with pytest.raises(InputError):

@@ -12,6 +12,7 @@ from sepdraw.errors import (
 )
 from sepdraw.rotation import (
     RotationSystem,
+    _orbit_encodings,
     canonical_key,
     convex,
     RealizabilityTables,
@@ -348,6 +349,53 @@ class TestCanonicalKey:
 
     def test_distinct_orbits_differ(self):
         assert canonical_key(convex(4)) != canonical_key(PLANAR_K4)
+
+    @staticmethod
+    def full_orbit_key(rs):
+        """The reference key: the byte minimum over all 2·n! labeled
+        encodings of the orbit."""
+        return bytes([rs.n]) + min(r.tobytes() for r in _orbit_encodings(rs))
+
+    @staticmethod
+    def shuffled_system(rng, n):
+        rows = []
+        for v in range(1, n + 1):
+            row = [x for x in range(1, n + 1) if x != v]
+            rng.shuffle(row)
+            rows.append(row)
+        return RotationSystem(n, rows)
+
+    def test_equals_full_orbit_minimum_on_enumerated(self, enum5, enum6):
+        rng = random.Random(11)
+        reps = [r for n in (3, 4, 5) for r in enum5[n]] + list(enum6)
+        for rep in reps:
+            n = rep.rs.n
+            for _ in range(2):
+                perm = list(range(1, n + 1))
+                rng.shuffle(perm)
+                rs = relabel(rep.rs, perm)
+                if rng.random() < 0.5:
+                    rs = mirror(rs)
+                rows = []
+                for r in rs.rows:  # re-anchor every stored row
+                    k = rng.randrange(n - 1)
+                    rows.append(r[k:] + r[:k])
+                rs = RotationSystem(n, rows)
+                assert canonical_key(rs) == self.full_orbit_key(rs) == rep.key
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_full_orbit_minimum_on_random_systems(self, tables, n):
+        rng = random.Random(100 + n)
+        count = 4 if n == 8 else 12
+        systems = [self.shuffled_system(rng, n) for _ in range(count)]
+        if n >= 5:
+            # shuffled rotations are almost never realizable
+            assert not all(is_realizable(tables, rs) for rs in systems)
+        for rs in systems:
+            assert canonical_key(rs) == self.full_orbit_key(rs)
+
+    def test_single_vertex(self):
+        assert canonical_key(RotationSystem(1, [()])) == bytes([1])
 
     def test_collision_free_across_orbits(self, enum5, enum6):
         keys = [r.key for n in (3, 4, 5) for r in enum5[n]]
