@@ -10,6 +10,7 @@ from .rotation import (  # noqa: F401
     RotationSystem,
     canonical_key,
     convex,
+    crosses_any,
     crossing_pairs,
     crossings_of_edge,
     is_g_convex,

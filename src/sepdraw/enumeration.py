@@ -35,11 +35,13 @@ from .rotation import (
     canonical_key,
     k4_index,
     k4_index_of,
+    k4_system,
     k5_index_of,
     k5_system,
     labeled_encoding,
     mirror,
     relabel,
+    relabel_pair_code,
     subrotation,
 )
 from .routing import apply_route, iter_routes
@@ -186,12 +188,7 @@ def build_tables() -> RealizabilityTables:
                 if pair is None:
                     val = K4_NO_CROSSING
                 else:
-                    (a, b), (c, d) = pair
-                    ea = tuple(sorted((perm[a], perm[b])))
-                    eb = tuple(sorted((perm[c], perm[d])))
-                    val = PAIR_BY_CODE.index(
-                        (ea, eb) if ea < eb else (eb, ea)
-                    )
+                    val = relabel_pair_code(PAIR_BY_CODE.index(pair), perm)
                 if k4[idx] not in (K4_UNREALIZABLE, val):
                     raise InternalInvariantError(
                         f"conflicting k4 classification at index {idx}"
@@ -288,10 +285,12 @@ def parse_tables(text: str) -> RealizabilityTables:
 def check_tables(tables: RealizabilityTables) -> None:
     """Raise :class:`InputError` unless ``tables`` is internally
     consistent: every realizable labeled 5-vertex system has only
-    realizable 4-vertex subsystems, and the k5 set is closed under
-    relabeling and mirroring.  Closure is checked on the generators
-    (1 2) and (1 2 3 4 5) of S5 and on ``mirror``; a finite set closed
-    under generators is closed under the group they generate."""
+    realizable 4-vertex subsystems, the k5 set is closed under
+    relabeling and mirroring, and the k4 table maps to itself under
+    relabeling (with its pair codes relabeled) and mirroring.  Closure
+    is checked on the generators (1 2) and (1 2 ... k) of S_k and on
+    ``mirror``; a finite set closed under generators is closed under the
+    group they generate."""
     quads = list(itertools.combinations(range(1, 6), 4))
     swap = {1: 2, 2: 1, 3: 3, 4: 4, 5: 5}
     cycle = {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}
@@ -313,6 +312,24 @@ def check_tables(tables: RealizabilityTables) -> None:
                 raise InputError(
                     f"inconsistent tables: k5 entry {idx} maps to {j} "
                     f"under {name}, which is absent"
+                )
+    swap = {1: 2, 2: 1, 3: 3, 4: 4}
+    cycle = {1: 2, 2: 3, 3: 4, 4: 1}
+    identity = {x: x for x in range(1, 5)}
+    for idx, entry in enumerate(tables.k4):
+        rs = k4_system(idx)
+        for name, image, perm in (
+            ("(1 2)", relabel(rs, swap), swap),
+            ("(1 2 3 4)", relabel(rs, cycle), cycle),
+            ("mirror", mirror(rs), identity),
+        ):
+            j = k4_index_of(image)
+            want = relabel_pair_code(entry, perm)
+            if tables.k4[j] != want:
+                raise InputError(
+                    f"inconsistent tables: k4 entry {idx} maps to entry "
+                    f"{j} under {name}, which holds {tables.k4[j]}, not "
+                    f"{want}"
                 )
 
 

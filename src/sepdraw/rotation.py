@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,8 @@ def _rank_by_comparisons() -> tuple[int, ...]:
 
 
 _RANK_BY_CMP = _rank_by_comparisons()
+# ``_RANK_BY_CMP`` scaled by the weight 6**i of digit i of a k5 index
+_DIGIT = tuple(tuple(r * 6**i for r in _RANK_BY_CMP) for i in range(5))
 
 
 def edge_key(u: int, v: int) -> Edge:
@@ -208,6 +211,17 @@ class RealizabilityTables:
     ``K4_UNREALIZABLE``, ``K4_NO_CROSSING`` or a pair code 0..2 selecting
     an entry of ``PAIR_BY_CODE``.  ``k5`` holds indices per
     :func:`k5_index` of all realizable labeled 5-vertex systems.
+
+    The flip queries :func:`is_realizable_touching` and
+    :func:`crosses_any` read a tuple with the flipped edge {v, w}, v < w,
+    first and the other vertices after it in increasing order: (v, w,
+    a, b, c) or (v, w, c, d).  That reading is a relabeling of the
+    sorted tuple, fixed by where v and w fall among the sorted
+    vertices.  ``k5_reads`` and ``k4_reads`` hold both tables per
+    placement, derived on first use, so the readings are exact for any
+    tables, closed under relabeling or not.  A placement is keyed by
+    ``4*i + j`` for i of the other vertices below v and j below w; key
+    0 is the sorted reading itself.
     """
 
     k4: tuple[int, ...]
@@ -217,6 +231,82 @@ class RealizabilityTables:
         if len(self.k4) != 16:
             raise InputError("k4 table must have exactly 16 entries")
 
+    @cached_property
+    def k5_reads(self) -> tuple[bytes | None, ...]:
+        """Per placement key, a membership row of length 6**5: byte
+        :func:`k5_index` of the (v, w, a, b, c) reading is 1 iff the
+        quintuple is in ``k5``.  Keys no placement has hold None.
+
+        A digit describes one rotation, so a reading maps each vertex's
+        digit by itself; the maps are read off the six systems whose
+        digits are all equal."""
+        # 1555 is 11111 in base 6
+        uniform = [k5_system(t * 1555) for t in range(6)]
+        digits = [[idx // 6**i % 6 for i in range(5)] for idx in self.k5]
+        out = [None] * 16
+        for key, order in _reading_orders(5).items():
+            reads = [k5_index(rs5, order) for rs5 in uniform]
+            # per sorted position, its digit's term in the reading index
+            term = [None] * 5
+            for k, x in enumerate(order):
+                term[x - 1] = [r // 6**k % 6 * 6**k for r in reads]
+            row = bytearray(6**5)
+            for ds in digits:
+                row[sum(map(list.__getitem__, term, ds))] = 1
+            out[key] = bytes(row)
+        return tuple(out)
+
+    @cached_property
+    def k4_reads(self) -> tuple[tuple[int, ...] | None, ...]:
+        """Per placement key, ``k4`` indexed by :func:`k4_index` of the
+        (v, w, c, d) reading, with pair codes relabeled to that reading:
+        code 0 means that {v, w} crosses {c, d}.  Keys no placement has
+        hold None."""
+        systems = [k4_system(idx) for idx in range(16)]
+        out = [None] * 16
+        for key, order in _reading_orders(4).items():
+            label = {x: i + 1 for i, x in enumerate(order)}
+            entries = [K4_UNREALIZABLE] * 16
+            for rs4, entry in zip(systems, self.k4):
+                entries[k4_index(rs4, order)] = relabel_pair_code(entry, label)
+            out[key] = tuple(entries)
+        return tuple(out)
+
+
+def _reading_orders(k: int) -> dict[int, tuple[int, ...]]:
+    """Placement key -> the sorted positions 1..k of a k-tuple in the
+    order it is read: v at position i, w at position j, then the rest."""
+    orders = {}
+    for i, j in itertools.combinations(range(1, k + 1), 2):
+        rest = tuple(x for x in range(1, k + 1) if x != i and x != j)
+        orders[4 * (i - 1) + j - 2] = (i, j) + rest
+    return orders
+
+
+def relabel_pair_code(entry: int, perm) -> int:
+    """A k4 entry after relabeling the quad by ``perm`` (old label ->
+    new label): pair codes name the image pair, the other entries are
+    unchanged."""
+    if entry < 0:
+        return entry
+    (a, b), (c, d) = PAIR_BY_CODE[entry]
+    ea = edge_key(perm[a], perm[b])
+    eb = edge_key(perm[c], perm[d])
+    return PAIR_BY_CODE.index(pair_key(ea, eb))
+
+
+def _anchored(rs: RotationSystem, u: int, x: int) -> list[int]:
+    """Cyclic offsets in the rotation of u counted from x, indexed by
+    label: entry y is the number of steps from x on to y (entries 0 and
+    u are unused).  Comparing two entries compares cyclic order after x,
+    with no modulo."""
+    row = rs.rows[u - 1]
+    i = row.index(x)
+    off = [0] * (rs.n + 1)
+    for k, y in enumerate(row[i:] + row[:i]):
+        off[y] = k
+    return off
+
 
 def _cyclic_ascending(pos: list[int], a: int, b: int, c: int, L: int) -> bool:
     pa, pb, pc = pos[a], pos[b], pos[c]
@@ -224,7 +314,12 @@ def _cyclic_ascending(pos: list[int], a: int, b: int, c: int, L: int) -> bool:
 
 
 def k4_index(rs: RotationSystem, quad: tuple[int, int, int, int]) -> int:
-    """Index of the induced labeled 4-vertex system of a sorted quad."""
+    """Index of the induced labeled 4-vertex system of a sorted quad (a
+    quad in another order is read as relabeled to 1..4 in that order).
+
+    The reference kernel, one lookup per call: :func:`k4_index_of`,
+    ``check_tables`` and the derivation of ``k4_reads`` use it.  The
+    sweeps read offset rows built once per call instead."""
     L = rs.n - 1
     pos = rs.positions
     idx = 0
@@ -249,7 +344,12 @@ def k5_index(rs: RotationSystem, quint: tuple[int, ...]) -> int:
     the rank, per ``_RANK3``, of the order in which the last three of its
     four neighbours in the quintuple follow the first one in its rotation.
     Each digit is read from three comparisons of cyclic offsets, without
-    building tuples or sorting.
+    building tuples or sorting.  A quintuple in another order is read as
+    relabeled to 1..5 in that order.
+
+    The reference kernel, one lookup per call: :func:`k5_index_of`,
+    ``check_tables`` and the derivation of ``k5_reads`` use it.  The
+    realizability sweeps read offset rows built once per call instead.
     """
     L = rs.n - 1
     pos = rs.positions
@@ -281,6 +381,17 @@ def k5_index_of(rs5: RotationSystem) -> int:
     if rs5.n != 5:
         raise InputError("expected a 5-vertex rotation system")
     return k5_index(rs5, (1, 2, 3, 4, 5))
+
+
+def k4_system(index: int) -> RotationSystem:
+    """Inverse of :func:`k4_index_of`."""
+    if not 0 <= index < 16:
+        raise InputError(f"k4 index out of range: {index}")
+    rows = []
+    for v in range(1, 5):
+        a, b, c = (x for x in range(1, 5) if x != v)
+        rows.append((a, c, b) if index >> (v - 1) & 1 else (a, b, c))
+    return RotationSystem(4, rows)
 
 
 def k5_system(index: int) -> RotationSystem:
@@ -333,6 +444,48 @@ def crossings_of_edge(
     return frozenset(out)
 
 
+def crosses_any(
+    tables: RealizabilityTables, rs: RotationSystem, e, edges
+) -> bool:
+    """Whether ``e`` crosses any of ``edges``, per the 4-vertex table.
+
+    The answer of ``any(pair_crossing(tables, rs, e, f) for f in edges)``,
+    raising for the same first edge f.  Each quad is read as (v, w, c,
+    d), from v's rotation counted from w and the others counted from v,
+    against ``tables.k4_reads``.
+    """
+    v, w = edge_key(*e)
+    reads = tables.k4_reads
+    V = _anchored(rs, v, w)
+    W = _anchored(rs, w, v)
+    rows = [None] * (rs.n + 1)
+    for f in edges:
+        c, d = f
+        if c > d:
+            c, d = d, c
+        if c == d or c == v or c == w or d == v or d == w:
+            pair_crossing(tables, rs, e, f)  # raises
+        C = rows[c]
+        if C is None:
+            C = rows[c] = _anchored(rs, c, v)
+        D = rows[d]
+        if D is None:
+            D = rows[d] = _anchored(rs, d, v)
+        # placement: a vertex below v moves both v and w up one place
+        key = (5 if c < v else 1 if c < w else 0) + (
+            5 if d < v else 1 if d < w else 0
+        )
+        entry = reads[key][
+            (V[c] > V[d]) + 2 * (W[c] > W[d]) + 4 * (C[w] > C[d])
+            + 8 * (D[w] > D[c])
+        ]
+        if entry == 0:
+            return True
+        if entry == K4_UNREALIZABLE:
+            pair_crossing(tables, rs, e, f)  # raises
+    return False
+
+
 @dataclass(frozen=True)
 class CrossingPairSet:
     """Unordered pairs of independent edges that cross."""
@@ -346,34 +499,51 @@ class CrossingPairSet:
     def __len__(self):
         return len(self.pairs)
 
-    def edges_crossing(self, e) -> frozenset[Edge]:
-        e = edge_key(*e)
-        return frozenset(
-            f if g == e else g for g, f in self.pairs if e in (g, f)
-        )
-
-    def is_uncrossed(self, e) -> bool:
-        e = edge_key(*e)
-        return all(e not in p for p in self.pairs)
-
 
 def crossing_pairs(
     tables: RealizabilityTables, rs: RotationSystem
 ) -> CrossingPairSet:
-    """The crossing pairs determined by the rotation system."""
+    """The crossing pairs determined by the rotation system.
+
+    One sweep over the sorted quads (a, b, c, d), with offset rows built
+    per minimum vertex a: a's rotation counted from b, every later one
+    counted from a.  Each bit of :func:`k4_index` is then one
+    comparison.  Raises on the first unrealizable quad in sorted order.
+    """
+    n = rs.n
+    k4 = tables.k4
     pairs = []
-    for quad in itertools.combinations(range(1, rs.n + 1), 4):
-        entry = tables.k4[k4_index(rs, quad)]
-        if entry == K4_UNREALIZABLE:
-            raise RealizabilityError(
-                f"4-vertex subsystem on {quad} is not realizable", quad
-            )
-        if entry == K4_NO_CROSSING:
-            continue
-        pa, pb = PAIR_BY_CODE[entry]
-        ea = edge_key(quad[pa[0] - 1], quad[pa[1] - 1])
-        eb = edge_key(quad[pb[0] - 1], quad[pb[1] - 1])
-        pairs.append(pair_key(ea, eb))
+    for a in range(1, n - 2):
+        rows = [None] * (a + 1)
+        rows += [_anchored(rs, u, a) for u in range(a + 1, n + 1)]
+        for b in range(a + 1, n - 1):
+            A = _anchored(rs, a, b)
+            B = rows[b]
+            for c in range(b + 1, n):
+                C = rows[c]
+                Ac, Bc, Cb = A[c], B[c], C[b]
+                for d in range(c + 1, n + 1):
+                    D = rows[d]
+                    entry = k4[
+                        (Ac > A[d]) + 2 * (Bc > B[d]) + 4 * (Cb > C[d])
+                        + 8 * (D[b] > D[c])
+                    ]
+                    if entry < 0:
+                        if entry == K4_UNREALIZABLE:
+                            quad = (a, b, c, d)
+                            raise RealizabilityError(
+                                f"4-vertex subsystem on {quad} is not "
+                                "realizable",
+                                quad,
+                            )
+                        continue
+                    # PAIR_BY_CODE on the quad, each pair in pair_key order
+                    if entry == 0:
+                        pairs.append(((a, b), (c, d)))
+                    elif entry == 1:
+                        pairs.append(((a, c), (b, d)))
+                    else:
+                        pairs.append(((a, d), (b, c)))
     return CrossingPairSet(frozenset(pairs))
 
 
@@ -408,12 +578,48 @@ def is_realizable(tables: RealizabilityTables, rs: RotationSystem) -> bool:
         elif rs.n == 4:
             verdict = tables.k4[k4_index(rs, (1, 2, 3, 4))] != K4_UNREALIZABLE
         else:
-            verdict = all(
-                k5_index(rs, quint) in tables.k5
-                for quint in itertools.combinations(range(1, rs.n + 1), 5)
-            )
+            verdict = _all_quints_realizable(tables, rs)
         memo = rs._realizable = (tables, verdict)
     return memo[1]
+
+
+def _all_quints_realizable(tables: RealizabilityTables, rs) -> bool:
+    """Every sorted quintuple (a, b, c, d, e) in ``k5``, in sorted order,
+    with offset rows built per minimum vertex a as in
+    :func:`crossing_pairs`; digit i of :func:`k5_index` is three
+    comparisons."""
+    n = rs.n
+    member = tables.k5_reads[0]
+    D0, D1, D2, D3, D4 = _DIGIT
+    for a in range(1, n - 3):
+        rows = [None] * (a + 1)
+        rows += [_anchored(rs, u, a) for u in range(a + 1, n + 1)]
+        for b in range(a + 1, n - 2):
+            A = _anchored(rs, a, b)
+            B = rows[b]
+            for c in range(b + 1, n - 1):
+                C = rows[c]
+                Ac, Bc, Cb = A[c], B[c], C[b]
+                for d in range(c + 1, n):
+                    D = rows[d]
+                    Ad, Bd, Cd, Db, Dc = A[d], B[d], C[d], D[b], D[c]
+                    ka = 4 * (Ac < Ad)
+                    kb = 4 * (Bc < Bd)
+                    kc = 4 * (Cb < Cd)
+                    kd = 4 * (Db < Dc)
+                    for e in range(d + 1, n + 1):
+                        E = rows[e]
+                        Ae, Be, Ce, De = A[e], B[e], C[e], D[e]
+                        Eb, Ec, Ed = E[b], E[c], E[d]
+                        if not member[
+                            D0[ka + 2 * (Ac < Ae) + (Ad < Ae)]
+                            + D1[kb + 2 * (Bc < Be) + (Bd < Be)]
+                            + D2[kc + 2 * (Cb < Ce) + (Cd < Ce)]
+                            + D3[kd + 2 * (Db < De) + (Dc < De)]
+                            + D4[4 * (Eb < Ec) + 2 * (Eb < Ed) + (Ec < Ed)]
+                        ]:
+                            return False
+    return True
 
 
 def known_realizable(tables: RealizabilityTables, rs: RotationSystem) -> bool:
@@ -439,19 +645,63 @@ def is_realizable_touching(
     moved only past members of S, so a 5-tuple {v,w,a,b,c} with {a,b,c}
     disjoint from S keeps its table entry, and only the 5-tuples meeting S
     are checked.
+
+    Only the triples a < b < c that meet S are enumerated.  Each 5-tuple
+    is read as (v, w, a, b, c), from v's rotation counted from w and the
+    others counted from v, against ``tables.k5_reads``.
     """
     v, w = edge_key(*e)
-    if rs.n <= 3:
+    n = rs.n
+    if n <= 3:
         return True
-    if rs.n == 4:
+    if n == 4:
         return tables.k4[k4_index(rs, (1, 2, 3, 4))] != K4_UNREALIZABLE
-    rest = [x for x in range(1, rs.n + 1) if x != v and x != w]
-    for triple in itertools.combinations(rest, 3):
-        if swept is not None and swept.isdisjoint(triple):
-            continue
-        quint = tuple(sorted((v, w) + triple))
-        if k5_index(rs, quint) not in tables.k5:
-            return False
+    reads = tables.k5_reads
+    D0, D1, D2, D3, D4 = _DIGIT
+    V = _anchored(rs, v, w)
+    W = _anchored(rs, w, v)
+    rest = [x for x in range(1, n + 1) if x != v and x != w]
+    rows = [None] * (n + 1)
+    for u in rest:
+        rows[u] = _anchored(rs, u, v)
+    # placement weight: a vertex below v moves both v and w up one place
+    place = [5 if x < v else 1 if x < w else 0 for x in range(n + 1)]
+    hit = [swept is None or x in swept for x in range(n + 1)]
+    # later[i]: the members of S after rest[i]
+    r = len(rest)
+    later, tail = [None] * r, []
+    for i in range(r - 1, -1, -1):
+        later[i] = tail
+        if hit[rest[i]]:
+            tail = [rest[i]] + tail
+    for ia in range(r - 2):
+        a = rest[ia]
+        A = rows[a]
+        Va, Wa, Aw, pa = V[a], W[a], A[w], place[a]
+        for ib in range(ia + 1, r - 1):
+            b = rest[ib]
+            cs = rest[ib + 1 :] if hit[a] or hit[b] else later[ib]
+            if not cs:
+                continue
+            B = rows[b]
+            Vb, Wb, Ab, Bw, Ba = V[b], W[b], A[b], B[w], B[a]
+            kv = 4 * (Va < Vb)
+            kw = 4 * (Wa < Wb)
+            ka = 4 * (Aw < Ab)
+            kb = 4 * (Bw < Ba)
+            pab = pa + place[b]
+            for c in cs:
+                C = rows[c]
+                Vc, Wc, Ac, Bc = V[c], W[c], A[c], B[c]
+                Cw, Ca, Cb = C[w], C[a], C[b]
+                if not reads[pab + place[c]][
+                    D0[kv + 2 * (Va < Vc) + (Vb < Vc)]
+                    + D1[kw + 2 * (Wa < Wc) + (Wb < Wc)]
+                    + D2[ka + 2 * (Aw < Ac) + (Ab < Ac)]
+                    + D3[kb + 2 * (Bw < Bc) + (Ba < Bc)]
+                    + D4[4 * (Cw < Ca) + 2 * (Cw < Cb) + (Ca < Cb)]
+                ]:
+                    return False
     return True
 
 

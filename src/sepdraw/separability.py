@@ -21,12 +21,12 @@ from .rotation import (
     RealizabilityTables,
     RotationSystem,
     crossing_sets,
+    crosses_any,
     crossings_of_edge,
     edge_key,
     is_realizable,
     is_realizable_touching,
     known_realizable,
-    pair_crossing,
 )
 
 
@@ -75,13 +75,6 @@ class SeparatorCertificate:
     """Per-edge evidence for all certified edges."""
 
     entries: tuple[SeparatorEvidence, ...]
-
-    def evidence_for(self, e):
-        e = edge_key(*e)
-        for ev in self.entries:
-            if ev.edge == e:
-                return ev
-        return None
 
 
 @dataclass(frozen=True)
@@ -211,7 +204,7 @@ def _is_valid_flip(tables, e, cand: FlipCandidate, old_cross, known) -> bool:
     new_rs = cand.new_rs
     if not is_realizable_touching(tables, new_rs, e, swept=swept):
         return False
-    return not any(pair_crossing(tables, new_rs, e, f) for f in old_cross)
+    return not crosses_any(tables, new_rs, e, old_cross)
 
 
 def valid_flips(

@@ -84,7 +84,11 @@ class TestRecognize:
 
     @pytest.mark.parametrize(
         "corrupt, message",
-        [("k5 member dropped", "absent"), ("k4 entry unreal", "4-vertex")],
+        [
+            ("k5 member dropped", "absent"),
+            ("k4 entry unreal", "4-vertex"),
+            ("k4 pair code changed", "k4 entry 0 "),
+        ],
     )
     def test_inconsistent_tables_exit_two(
         self, tmp_path, convex7, capsys, corrupt, message
@@ -101,6 +105,9 @@ class TestRecognize:
             i = next(i for i, ln in enumerate(lines) if ln.startswith("k5 "))
             lines[i] = f"k5 {int(lines[i].split()[1]) - 1}"
             del lines[i + 1]
+        elif corrupt == "k4 pair code changed":
+            i = lines.index("k4 0 cross 1")
+            lines[i] = "k4 0 cross 2"
         else:
             i = next(i for i, ln in enumerate(lines) if ln.endswith(" none"))
             lines[i] = lines[i].replace(" none", " unreal")

@@ -16,6 +16,8 @@ from sepdraw.rotation import (
     canonical_key,
     convex,
     RealizabilityTables,
+    PAIR_BY_CODE,
+    crosses_any,
     crossing_pairs,
     crossing_sets,
     crossings_of_edge,
@@ -24,6 +26,8 @@ from sepdraw.rotation import (
     is_realizable_touching,
     k4_index,
     k5_index,
+    k4_index_of,
+    k4_system,
     k5_index_of,
     known_realizable,
     k5_system,
@@ -240,6 +244,142 @@ class TestIndexKernels:
                 assert k4_index(rs, quad) == reference_k4_index(rs, quad)
             for quint in itertools.combinations(range(1, n + 1), 5):
                 assert k5_index(rs, quint) == reference_k5_index(rs, quint)
+
+
+def _sorted_reference(rs: RotationSystem):
+    """Reference k4 and k5 indices of every sorted quad and quintuple."""
+    labels = range(1, rs.n + 1)
+    combos = itertools.combinations
+    k4 = {q: reference_k4_index(rs, q) for q in combos(labels, 4)}
+    k5 = {q: reference_k5_index(rs, q) for q in combos(labels, 5)}
+    return k4, k5
+
+
+def _reference_crossing_pairs(tables, k4_ref):
+    pairs = set()
+    for quad, idx in k4_ref.items():  # sorted order
+        entry = tables.k4[idx]
+        if entry == -2:
+            raise RealizabilityError(
+                f"4-vertex subsystem on {quad} is not realizable", quad
+            )
+        if entry >= 0:
+            (a, b), (c, d) = PAIR_BY_CODE[entry]
+            pairs.add(((quad[a - 1], quad[b - 1]), (quad[c - 1], quad[d - 1])))
+    return frozenset(pairs)
+
+
+def _reference_crosses_any(tables, k4_ref, e, edges):
+    for f in edges:
+        quad = tuple(sorted(e + f))
+        entry = tables.k4[k4_ref[quad]]
+        if entry == -2:
+            raise RealizabilityError(
+                f"4-vertex subsystem on {quad} is not realizable", quad
+            )
+        if entry >= 0:
+            local = tuple(sorted(quad.index(x) + 1 for x in e))
+            if local in PAIR_BY_CODE[entry]:
+                return True
+    return False
+
+
+def _same_error(got, want) -> bool:
+    return (str(got), got.subset) == (str(want), want.subset)
+
+
+def _relabeled_convex(n: int, rng) -> RotationSystem:
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return relabel(convex(n), perm)
+
+
+def _reference_tables(tables):
+    """The shipped tables, plus tables closed under no relabeling: k5
+    without the convex K5, and k4 with entry 0's pair code changed."""
+    k4 = list(tables.k4)
+    k4[0] = (k4[0] + 1) % 3 if k4[0] >= 0 else 0
+    return [
+        tables,
+        RealizabilityTables(
+            k4=tables.k4, k5=tables.k5 - {k5_index_of(convex(5))}
+        ),
+        RealizabilityTables(k4=tuple(k4), k5=tables.k5),
+    ]
+
+
+class TestOffsetSweeps:
+    """The sweeps read tuples from offset rows, in (v, w, ...) order for
+    the flip queries; they must answer as the sorted-order reference
+    definitions do, on any tables, closed under relabeling or not."""
+
+    def test_derived_tables_are_not_closed(self, tables):
+        from sepdraw.enumeration import check_tables
+
+        for other in _reference_tables(tables)[1:]:
+            with pytest.raises(InputError):
+                check_tables(other)
+
+    @pytest.mark.parametrize("n", range(5, 15))
+    def test_match_sorted_reference(self, tables, n):
+        rng = random.Random(200 + n)
+        systems = [
+            _rolled_rows(
+                rotation_system_from_points(random_points(n, rng)), rng
+            ),
+            _relabeled_convex(n, rng),
+            _shuffled_system(n, rng),
+        ]
+        for rs in systems:
+            k4_ref, k5_ref = _sorted_reference(rs)
+            for tab in _reference_tables(tables):
+                want = all(idx in tab.k5 for idx in k5_ref.values())
+                assert is_realizable(tab, rs) == want
+                try:
+                    want_pairs = _reference_crossing_pairs(tab, k4_ref)
+                except RealizabilityError as exc:
+                    with pytest.raises(RealizabilityError) as got:
+                        crossing_pairs(tab, rs)
+                    assert _same_error(got.value, exc)
+                else:
+                    assert crossing_pairs(tab, rs).pairs == want_pairs
+                for _ in range(6):
+                    v, w = sorted(rng.sample(range(1, n + 1), 2))
+                    rest = [x for x in range(1, n + 1) if x not in (v, w)]
+                    swept = None
+                    if rng.random() < 0.7:
+                        k = rng.randrange(1, len(rest) + 1)
+                        swept = frozenset(rng.sample(rest, k))
+                    want = all(
+                        k5_ref[tuple(sorted((v, w) + t))] in tab.k5
+                        for t in itertools.combinations(rest, 3)
+                        if swept is None or not swept.isdisjoint(t)
+                    )
+                    assert (
+                        is_realizable_touching(tab, rs, (w, v), swept) == want
+                    )
+                    edges = [
+                        tuple(sorted(rng.sample(rest, 2)))
+                        for _ in range(rng.randrange(1, 8))
+                    ]
+                    try:
+                        want = _reference_crosses_any(
+                            tab, k4_ref, (v, w), edges
+                        )
+                    except RealizabilityError as exc:
+                        with pytest.raises(RealizabilityError) as got:
+                            crosses_any(tab, rs, (v, w), edges)
+                        assert _same_error(got.value, exc)
+                    else:
+                        assert crosses_any(tab, rs, (v, w), edges) == want
+
+    def test_crosses_any_rejects_adjacent_edges(self, tables):
+        with pytest.raises(AdjacentEdgesError):
+            crosses_any(tables, convex(6), (1, 3), [(3, 4), (2, 5)])
+
+    def test_k4_system_round_trip(self):
+        for idx in range(16):
+            assert k4_index_of(k4_system(idx)) == idx
 
 
 class TestRealizability:
