@@ -5,7 +5,6 @@ and completion of partial drawings to K_n."""
 __version__ = "0.1.0"
 
 from .rotation import (  # noqa: F401
-    CrossingPairSet,
     RealizabilityTables,
     RotationSystem,
     canonical_key,

@@ -77,9 +77,6 @@ class CombinatorialMap:
     def alpha(self, d: int) -> int:
         return d ^ 1
 
-    def segment_of(self, d: int) -> int:
-        return d >> 1
-
     @property
     def dvert(self):
         if self._dvert is None:
@@ -186,9 +183,6 @@ class CombinatorialMap:
         """
         return self.face_of[g ^ 1]
 
-    def gaps_of_vertex(self, vid: int):
-        return self.vdarts[vid]
-
     def __eq__(self, other):
         return isinstance(other, CombinatorialMap) and (
             self.vkind,
@@ -231,12 +225,13 @@ def dual(m: CombinatorialMap):
     return len(m.faces), arcs
 
 
-def dual_connected(m: CombinatorialMap) -> bool:
-    n, arcs = dual(m)
+def _connected(n: int, links) -> bool:
+    """Whether the graph on nodes 0..n-1 with edges ``links`` (pairs) is
+    connected."""
     if n <= 1:
         return True
     adj = {i: set() for i in range(n)}
-    for a, b, _, _ in arcs:
+    for a, b in links:
         adj[a].add(b)
         adj[b].add(a)
     seen = {0}
@@ -249,24 +244,15 @@ def dual_connected(m: CombinatorialMap) -> bool:
     return len(seen) == n
 
 
+def dual_connected(m: CombinatorialMap) -> bool:
+    n, arcs = dual(m)
+    return _connected(n, ((a, b) for a, b, _, _ in arcs))
+
+
 def is_connected(m: CombinatorialMap) -> bool:
-    nv = len(m.vkind)
-    if nv <= 1:
-        return True
-    adj = {i: set() for i in range(nv)}
     dv = m.dvert
-    for s in range(len(m.scurve)):
-        a, b = dv[2 * s], dv[2 * s + 1]
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == nv
+    ends = ((dv[2 * s], dv[2 * s + 1]) for s in range(len(m.scurve)))
+    return _connected(len(m.vkind), ends)
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +398,6 @@ class MapBuilder:
         self.kill_segment(sa)
         self.kill_segment(sb)
         return s
-
-    def clone(self) -> "MapBuilder":
-        b = MapBuilder.__new__(MapBuilder)
-        b.vkind = self.vkind.copy()
-        b.vlabel = self.vlabel.copy()
-        b.sigma = self.sigma.copy()
-        b.sprev = self.sprev.copy()
-        b.dvert = self.dvert.copy()
-        b.scurve = self.scurve.copy()
-        b.curves = [c.copy() for c in self.curves]
-        b.csegs = [c.copy() for c in self.csegs]
-        return b
 
     @classmethod
     def from_map(cls, m: CombinatorialMap) -> "MapBuilder":

@@ -15,8 +15,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import AdjacentEdgesError, InputError, RealizabilityError
 
 Edge = tuple[int, int]
@@ -59,6 +57,14 @@ def edge_key(u: int, v: int) -> Edge:
     if u == v:
         raise InputError(f"degenerate edge ({u},{v})")
     return (u, v) if u < v else (v, u)
+
+
+def _checked_edge(rs: RotationSystem, e) -> Edge:
+    """``edge_key(*e)``, rejecting endpoints outside 1..n."""
+    v, w = edge_key(*e)
+    if v < 1 or w > rs.n:
+        raise InputError(f"edge {(v, w)} has an endpoint outside 1..{rs.n}")
+    return v, w
 
 
 def pair_key(e: Edge, f: Edge):
@@ -411,8 +417,8 @@ def pair_crossing(
     tables: RealizabilityTables, rs: RotationSystem, e, f
 ) -> bool:
     """Whether two independent edges cross, per the 4-vertex table."""
-    e = edge_key(*e)
-    f = edge_key(*f)
+    e = _checked_edge(rs, e)
+    f = _checked_edge(rs, f)
     if set(e) & set(f):
         raise AdjacentEdgesError(
             f"edges {e} and {f} share an endpoint; adjacent edges never cross"
@@ -435,7 +441,7 @@ def crossings_of_edge(
     tables: RealizabilityTables, rs: RotationSystem, e
 ) -> frozenset[Edge]:
     """All edges crossing ``e``."""
-    e = edge_key(*e)
+    e = _checked_edge(rs, e)
     out = []
     rest = [x for x in range(1, rs.n + 1) if x not in e]
     for c, d in itertools.combinations(rest, 2):
@@ -454,16 +460,17 @@ def crosses_any(
     d), from v's rotation counted from w and the others counted from v,
     against ``tables.k4_reads``.
     """
-    v, w = edge_key(*e)
+    v, w = _checked_edge(rs, e)
+    n = rs.n
     reads = tables.k4_reads
     V = _anchored(rs, v, w)
     W = _anchored(rs, w, v)
-    rows = [None] * (rs.n + 1)
+    rows = [None] * (n + 1)
     for f in edges:
         c, d = f
         if c > d:
             c, d = d, c
-        if c == d or c == v or c == w or d == v or d == w:
+        if c == d or c == v or c == w or d == v or d == w or c < 1 or d > n:
             pair_crossing(tables, rs, e, f)  # raises
         C = rows[c]
         if C is None:
@@ -486,24 +493,11 @@ def crosses_any(
     return False
 
 
-@dataclass(frozen=True)
-class CrossingPairSet:
-    """Unordered pairs of independent edges that cross."""
-
-    pairs: frozenset[tuple[Edge, Edge]]
-
-    def __contains__(self, pair):
-        e, f = pair
-        return pair_key(edge_key(*e), edge_key(*f)) in self.pairs
-
-    def __len__(self):
-        return len(self.pairs)
-
-
 def crossing_pairs(
     tables: RealizabilityTables, rs: RotationSystem
-) -> CrossingPairSet:
-    """The crossing pairs determined by the rotation system.
+) -> frozenset[tuple[Edge, Edge]]:
+    """The unordered pairs of independent edges that cross, each in
+    :func:`pair_key` order.
 
     One sweep over the sorted quads (a, b, c, d), with offset rows built
     per minimum vertex a: a's rotation counted from b, every later one
@@ -544,7 +538,7 @@ def crossing_pairs(
                         pairs.append(((a, c), (b, d)))
                     else:
                         pairs.append(((a, d), (b, c)))
-    return CrossingPairSet(frozenset(pairs))
+    return frozenset(pairs)
 
 
 def crossing_sets(
@@ -555,7 +549,7 @@ def crossing_sets(
     memo = rs._crossings
     if memo is None or memo[0] is not tables:
         sets: dict[Edge, set[Edge]] = {e: set() for e in rs.edges()}
-        for e, f in crossing_pairs(tables, rs).pairs:
+        for e, f in crossing_pairs(tables, rs):
             sets[e].add(f)
             sets[f].add(e)
         memo = rs._crossings = (
@@ -650,7 +644,7 @@ def is_realizable_touching(
     is read as (v, w, a, b, c), from v's rotation counted from w and the
     others counted from v, against ``tables.k5_reads``.
     """
-    v, w = edge_key(*e)
+    v, w = _checked_edge(rs, e)
     n = rs.n
     if n <= 3:
         return True
@@ -789,32 +783,6 @@ def is_g_convex(tables: RealizabilityTables, rs: RotationSystem) -> bool:
 # Canonical forms
 
 
-def _encoding_matrix(rs: RotationSystem) -> np.ndarray:
-    return np.array(rs.rows, dtype=np.uint8)
-
-
-def _orbit_encodings(rs: RotationSystem) -> np.ndarray:
-    """All normalized labeled encodings of the orbit of ``rs`` under
-    relabeling and mirroring, one flat row per group element."""
-    n = rs.n
-    m = n - 1
-    perms = np.array(
-        list(itertools.permutations(range(1, n + 1))), dtype=np.uint8
-    )
-    order = np.argsort(perms, axis=1)
-    base = _encoding_matrix(rs)
-    variants = [base, base[:, ::-1]] if m > 1 else [base]
-    outs = []
-    for mat in variants:
-        relabeled = perms[:, mat - 1]  # [P, n, m], entries mapped
-        rows = relabeled[np.arange(len(perms))[:, None], order]
-        am = np.argmin(rows, axis=2)
-        take = (am[..., None] + np.arange(m)) % m
-        normed = np.take_along_axis(rows, take, axis=2)
-        outs.append(normed.reshape(len(perms), n * m))
-    return np.concatenate(outs, axis=0)
-
-
 def labeled_encoding(rs: RotationSystem) -> bytes:
     """Byte encoding of this labeled system (normalized linearization)."""
     return b"".join(bytes(r) for r in rs.normalized)
@@ -830,7 +798,7 @@ def canonical_key(rs: RotationSystem) -> bytes:
     exactly when it gives label 1 to some vertex v and labels 2..n to
     v's rotation in order, read from one of its n-1 starts.  The orbit
     minimum is therefore the minimum over these 2n(n-1) labelings (both
-    orientations), not over all 2·n! of :func:`_orbit_encodings`.  Every
+    orientations), not over all 2·n! relabelings and mirrorings.  Every
     other row then starts at 1, the new label of v, so each candidate is
     the rotations of v's neighbours read from v, relabeled.
     """

@@ -33,9 +33,6 @@ class Route:
     crossings: tuple  # ((segment, side_dart), ...)
     end_gap: int
 
-    def crossed_curves(self, m: CombinatorialMap):
-        return tuple(m.scurve[s] for s, _ in self.crossings)
-
 
 def _boundary(m: CombinatorialMap, fid: int):
     """Boundary items of a face: maps for edge items and corner gaps onto

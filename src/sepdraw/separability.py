@@ -7,19 +7,27 @@ this is equivalent to: the edge is uncrossed, or it can be flipped
 (repositioned across a common swept vertex set in the two endpoint
 rotations, staying realizable) so that old and new edge cross disjoint
 edge sets.  Candidate repositionings come from a linear parity scan of
-the two endpoint rotations.  On a system that :func:`is_realizable` has
-already found realizable, candidates are validated with exact pruning
-by the set of vertices the edge is moved across.
+the two endpoint rotations.
+
+Every candidate is validated the same way: a realizability recheck of
+the 5-tuples through the edge, then a lookup of the old crossing edges
+in the flipped system.  Each quad those lookups read lies in a 5-tuple
+through the edge, which the recheck has found realizable, so by
+Kynčl's 5-tuple criterion none of them can fail, and the answer is
+that of comparing the full old and new crossing sets, whether or not
+the system is known to be realizable.  On a system that
+:func:`is_realizable` has already found realizable, the set of
+vertices the edge is moved across prunes both steps exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import InputError
 from .rotation import (
     RealizabilityTables,
     RotationSystem,
+    _checked_edge,
     crossing_sets,
     crosses_any,
     crossings_of_edge,
@@ -154,14 +162,6 @@ def flip_candidates(rs: RotationSystem, e) -> list[FlipCandidate]:
     ]
 
 
-def _checked_edge(rs: RotationSystem, e) -> tuple[int, int]:
-    """``edge_key(*e)``, rejecting endpoints outside 1..n."""
-    v, w = edge_key(*e)
-    if v < 1 or w > rs.n:
-        raise InputError(f"edge {(v, w)} has an endpoint outside 1..{rs.n}")
-    return v, w
-
-
 def _old_crossings(tables, rs, e):
     """Whether ``rs`` is known to be realizable, and the edges crossing
     ``e`` in it.  The memoized crossing sets are used only on known
@@ -176,30 +176,27 @@ def _is_valid_flip(tables, e, cand: FlipCandidate, old_cross, known) -> bool:
     """Whether ``cand.new_rs`` is realizable and ``e`` crosses none of
     ``old_cross`` in it.
 
+    A flip changes only the rotations of v and w, so realizability is
+    rechecked on the 5-tuples through e = {v,w} only.  The old and new
+    crossing sets of ``e`` meet iff ``e`` still crosses some old crossing
+    edge, so only those edges are looked up in the flipped system.  No
+    lookup can fail once the recheck has passed: a quad {v,w,c,d} lies in
+    a checked 5-tuple {v,w,c,d,x} (at n = 4 the recheck covers the whole
+    K4, and n <= 3 has no quads), and every 4-subsystem of a realizable
+    5-tuple is realizable under ``k4`` (the first condition of
+    ``check_tables``, which shipped, built and loaded tables meet).
+
     When the system before the flip is known to be realizable, the test
-    is pruned by the swept set S, exactly.  A flip changes only the
-    rotations of v and w, and in each the other endpoint moves only past
-    members of S, so every quadruple or 5-tuple whose vertices other
-    than v, w avoid S keeps its table entry.  Hence:
-
-    - an edge crossing ``e`` with no endpoint in S still crosses it after
-      the flip, and the candidate is rejected at once, before its
-      flipped system is built;
-    - only the 5-tuples {v,w,a,b,c} with {a,b,c} meeting S are rechecked;
-    - the old and new crossing sets meet iff some old crossing edge still
-      crosses ``e``, so only the old crossing edges are looked up in the
-      flipped system.
-
-    Otherwise the full recheck runs, so that answers and exceptions on
-    unrealizable input stay those of the unpruned test.
+    is pruned by the swept set S, exactly.  In the rotations of v and w
+    the other endpoint moves only past members of S, so every quad or
+    5-tuple whose vertices other than v, w avoid S keeps its table entry.
+    Hence an edge crossing ``e`` with no endpoint in S still crosses it
+    after the flip, and the candidate is rejected at once, before its
+    flipped system is built; and only the 5-tuples {v,w,a,b,c} with
+    {a,b,c} meeting S are rechecked.
     """
-    swept = cand.swept
-    if not known:
-        new_rs = cand.new_rs
-        if not is_realizable_touching(tables, new_rs, e):
-            return False
-        return not old_cross & crossings_of_edge(tables, new_rs, e)
-    if any(swept.isdisjoint(f) for f in old_cross):
+    swept = cand.swept if known else None
+    if known and any(swept.isdisjoint(f) for f in old_cross):
         return False
     new_rs = cand.new_rs
     if not is_realizable_touching(tables, new_rs, e, swept=swept):

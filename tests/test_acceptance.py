@@ -34,7 +34,6 @@ from sepdraw.hamiltonicity import (
 )
 from sepdraw.rotation import (
     K4_UNREALIZABLE,
-    _orbit_encodings,
     _roll_min,
     convex,
     is_g_convex,
@@ -44,7 +43,7 @@ from sepdraw.routing import min_cost_route
 from sepdraw.separability import is_separable, valid_flips
 
 from oracles import exhaustive_min_route_cost
-from test_rotation import REROUTED_K5
+from test_rotation import REROUTED_K5, _orbit_encodings
 
 
 def _report(num, ok, detail):

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -279,3 +283,11 @@ class TestMapCommands:
 
     def test_unknown_subcommand_exits_two(self):
         assert main(["frobnicate"]) == 2
+
+
+def test_library_does_not_load_numpy():
+    # numpy is a test dependency only; the CLI must run without it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sepdraw.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

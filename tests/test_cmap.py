@@ -124,7 +124,7 @@ class TestTwoPage:
             # the Gioan/Kyncl consistency check: map crossings equal the
             # rotation-system crossings
             rs = extract_rotation_system(m)
-            assert crossing_pairs(tables, rs).pairs == frozenset(expect)
+            assert crossing_pairs(tables, rs) == frozenset(expect)
 
     def test_input_validation(self):
         with pytest.raises(InputError):

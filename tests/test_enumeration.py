@@ -69,7 +69,7 @@ class TestEnumeration:
     def test_oracle_agreement(self, tables, enum5):
         for n in (4, 5):
             for rep in enum5[n]:
-                assert crossing_pairs(tables, rep.rs).pairs == frozenset(
+                assert crossing_pairs(tables, rep.rs) == frozenset(
                     crossing_pairs_of_map(rep.map)
                 )
 

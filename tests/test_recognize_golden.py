@@ -6,7 +6,9 @@ The corpus is generated here from fixed seeds.  The digests in
 swept set, so any change to certificates, tie-breaks or exit codes shows
 up as a mismatch.  The exactness test compares, edge by edge, a copy on
 which ``is_realizable`` was called (pruned validation) with a fresh copy
-(full recheck).
+(unpruned validation).  Both run the same lookup of the old crossing
+edges, so the fresh copy is also compared with a reference that reads
+the flipped systems off the rotations and compares full crossing sets.
 """
 from __future__ import annotations
 
@@ -15,19 +17,33 @@ import io
 import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 
-from oracles import random_points, rotation_system_from_points
+from oracles import (
+    random_points,
+    reference_k4_index,
+    reference_k5_index,
+    rotation_system_from_points,
+)
 from sepdraw.cli import main
 from sepdraw.cmap import extract_rotation_system, from_two_page
 from sepdraw.generators import all_edges
 from sepdraw.rotation import (
+    K4_UNREALIZABLE,
     RotationSystem,
     convex,
+    crossings_of_edge,
     is_realizable,
     relabel,
     serialize_crs,
 )
-from sepdraw.separability import is_separator_edge, valid_flips
+from sepdraw.separability import (
+    Flip,
+    SeparatorEvidence,
+    flip_candidates,
+    is_separator_edge,
+    valid_flips,
+)
 
 # orbits of enumerate_good_drawings(6) that are not separable
 NON_SEPARABLE_K6 = (1, 37, 71, 82)
@@ -154,6 +170,60 @@ def _per_edge(tables, rs):
     }
 
 
+def _reference_valid(tables, e, cand, old_cross) -> bool:
+    """A flip by definition: every 5-tuple through e of the flipped
+    system is in k5 (at n = 4 the K4 itself is realizable), and the full
+    new crossing set of e misses the old one."""
+    new_rs = cand.new_rs
+    if new_rs.n == 4:
+        entry = tables.k4[reference_k4_index(new_rs, (1, 2, 3, 4))]
+        realizable = entry != K4_UNREALIZABLE
+    else:
+        rest = [x for x in range(1, new_rs.n + 1) if x not in e]
+        realizable = all(
+            reference_k5_index(new_rs, tuple(sorted(e + t))) in tables.k5
+            for t in combinations(rest, 3)
+        )
+    if not realizable:
+        return False
+    return not old_cross & crossings_of_edge(tables, new_rs, e)
+
+
+def _reference_separator_edge(tables, rs, e):
+    old_cross = crossings_of_edge(tables, rs, e)
+    if not old_cross:
+        return SeparatorEvidence(edge=e, uncrossed=True, flip=None)
+    for cand in flip_candidates(rs, e):
+        if _reference_valid(tables, e, cand, old_cross):
+            flip = Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs)
+            return SeparatorEvidence(edge=e, uncrossed=False, flip=flip)
+    return None
+
+
+def _reference_flips(tables, rs, e):
+    old_cross = crossings_of_edge(tables, rs, e)
+    out = []
+    for cand in flip_candidates(rs, e):
+        if any(cand.new_rs == f.new_rs for f in out):
+            continue
+        if _reference_valid(tables, e, cand, old_cross):
+            out.append(Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs))
+    return out
+
+
+def _reference_per_edge(tables, rs):
+    """``_per_edge`` by the reference flip test."""
+    return {
+        e: (
+            _outcome(
+                lambda: _reference_separator_edge(tables, rs, e), _evidence
+            ),
+            _outcome(lambda: _reference_flips(tables, rs, e), _flips),
+        )
+        for e in rs.edges()
+    }
+
+
 def test_pruned_flip_validation_is_exact(tables, enum6):
     systems = list(golden_corpus(tables, enum6).values())
     rng = random.Random(11)
@@ -164,6 +234,9 @@ def test_pruned_flip_validation_is_exact(tables, enum6):
         fresh = RotationSystem(rs.n, rs.rows)
         known = RotationSystem(rs.n, rs.rows)
         realizable += is_realizable(tables, known)
-        assert _per_edge(tables, known) == _per_edge(tables, fresh)
+        got = _per_edge(tables, fresh)
+        assert _per_edge(tables, known) == got
+        reference = RotationSystem(rs.n, rs.rows)
+        assert _reference_per_edge(tables, reference) == got
     assert 0 < realizable < len(systems)
 

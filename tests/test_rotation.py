@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from sepdraw.errors import (
@@ -12,7 +13,6 @@ from sepdraw.errors import (
 )
 from sepdraw.rotation import (
     RotationSystem,
-    _orbit_encodings,
     canonical_key,
     convex,
     RealizabilityTables,
@@ -59,6 +59,28 @@ PLANAR_K4 = RotationSystem(4, [(3, 4, 2), (1, 4, 3), (2, 4, 1), (3, 2, 1)])
 REROUTED_K5 = RotationSystem(
     5, [(2, 4, 5, 3), (3, 5, 1, 4), (4, 5, 2, 1), (5, 1, 3, 2), (1, 2, 3, 4)]
 )
+
+
+def _orbit_encodings(rs: RotationSystem) -> np.ndarray:
+    """All normalized labeled encodings of the orbit of ``rs`` under
+    relabeling and mirroring, one flat row per group element."""
+    n = rs.n
+    m = n - 1
+    perms = np.array(
+        list(itertools.permutations(range(1, n + 1))), dtype=np.uint8
+    )
+    order = np.argsort(perms, axis=1)
+    base = np.array(rs.rows, dtype=np.uint8)
+    variants = [base, base[:, ::-1]] if m > 1 else [base]
+    outs = []
+    for mat in variants:
+        relabeled = perms[:, mat - 1]  # [P, n, m], entries mapped
+        rows = relabeled[np.arange(len(perms))[:, None], order]
+        am = np.argmin(rows, axis=2)
+        take = (am[..., None] + np.arange(m)) % m
+        normed = np.take_along_axis(rows, take, axis=2)
+        outs.append(normed.reshape(len(perms), n * m))
+    return np.concatenate(outs, axis=0)
 
 
 class TestRotationSystem:
@@ -121,6 +143,32 @@ class TestPairCrossing:
         with pytest.raises(AdjacentEdgesError):
             pair_crossing(tables, convex(4), (1, 2), (2, 3))
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda t, rs: pair_crossing(t, rs, (1, 7), (3, 4)),
+            lambda t, rs: pair_crossing(t, rs, (0, 2), (3, 4)),
+            lambda t, rs: pair_crossing(t, rs, (3, 4), (2, 9)),
+            lambda t, rs: crossings_of_edge(t, rs, (2, 9)),
+            lambda t, rs: crossings_of_edge(t, rs, (-1, 3)),
+            lambda t, rs: crosses_any(t, rs, (0, 3), [(4, 5)]),
+            lambda t, rs: crosses_any(t, rs, (1, 3), [(4, 5), (2, 7)]),
+            lambda t, rs: crosses_any(t, rs, (1, 3), [(0, 5)]),
+            lambda t, rs: is_realizable_touching(t, rs, (2, 9)),
+            lambda t, rs: is_realizable_touching(t, rs, (0, 1), swept={3}),
+        ],
+        ids=[
+            "pair_crossing-e-high", "pair_crossing-e-zero",
+            "pair_crossing-f-high", "crossings_of_edge-high",
+            "crossings_of_edge-negative", "crosses_any-e-zero",
+            "crosses_any-f-high", "crosses_any-f-zero",
+            "is_realizable_touching-high", "is_realizable_touching-zero",
+        ],
+    )
+    def test_out_of_range_labels_rejected(self, tables, query):
+        with pytest.raises(InputError, match="outside 1.."):
+            query(tables, convex(6))
+
     def test_unrealizable_subsystem_reported(self, tables):
         # flip one entry of a single rotation of convex K4: breaks the quad
         rs = RotationSystem(4, [(2, 4, 3), (3, 4, 1), (4, 1, 2), (1, 2, 3)])
@@ -136,12 +184,12 @@ class TestPairCrossing:
 
 class TestCrossingPairs:
     def test_convex_k4(self, tables):
-        assert crossing_pairs(tables, convex(4)).pairs == frozenset(
+        assert crossing_pairs(tables, convex(4)) == frozenset(
             {((1, 3), (2, 4))}
         )
 
     def test_convex_k3_empty(self, tables):
-        assert crossing_pairs(tables, convex(3)).pairs == frozenset()
+        assert crossing_pairs(tables, convex(3)) == frozenset()
 
     def test_convex_k5_diagonal_pairs(self, tables):
         expect = frozenset(
@@ -153,7 +201,7 @@ class TestCrossingPairs:
                 ((2, 4), (3, 5)),
             }
         )
-        assert crossing_pairs(tables, convex(5)).pairs == expect
+        assert crossing_pairs(tables, convex(5)) == expect
 
     def test_matches_point_oracle_on_random_configurations(self, tables):
         rng = random.Random(42)
@@ -162,9 +210,8 @@ class TestCrossingPairs:
                 pts = random_points(n, rng)
                 rs = rotation_system_from_points(pts)
                 assert is_realizable(tables, rs)
-                assert crossing_pairs(
-                    tables, rs
-                ).pairs == crossing_pairs_from_points(pts)
+                want = crossing_pairs_from_points(pts)
+                assert crossing_pairs(tables, rs) == want
 
     def test_invariance_under_relinearization(self, tables):
         rs = convex(6)
@@ -176,11 +223,11 @@ class TestCrossingPairs:
     def test_relabeling_permutes_pairs(self, tables):
         rng = random.Random(3)
         rs = convex(6)
-        base = crossing_pairs(tables, rs).pairs
+        base = crossing_pairs(tables, rs)
         perm = list(range(1, 7))
         rng.shuffle(perm)
         pm = {i + 1: p for i, p in enumerate(perm)}
-        relabeled = crossing_pairs(tables, relabel(rs, pm)).pairs
+        relabeled = crossing_pairs(tables, relabel(rs, pm))
         expect = frozenset(
             tuple(
                 sorted(
@@ -342,7 +389,7 @@ class TestOffsetSweeps:
                         crossing_pairs(tab, rs)
                     assert _same_error(got.value, exc)
                 else:
-                    assert crossing_pairs(tab, rs).pairs == want_pairs
+                    assert crossing_pairs(tab, rs) == want_pairs
                 for _ in range(6):
                     v, w = sorted(rng.sample(range(1, n + 1), 2))
                     rest = [x for x in range(1, n + 1) if x not in (v, w)]

@@ -137,12 +137,12 @@ class TestValidFlips:
     def test_crossing_preservation(self, tables, enum5):
         # crossing pairs not involving the flipped edge are unchanged
         for rep in enum5[5]:
-            base = crossing_pairs(tables, rep.rs).pairs
+            base = crossing_pairs(tables, rep.rs)
             for e in rep.rs.edges():
                 ek = tuple(sorted(e))
                 rest = {p for p in base if ek not in p}
                 for f in valid_flips(tables, rep.rs, e):
-                    after = crossing_pairs(tables, f.new_rs).pairs
+                    after = crossing_pairs(tables, f.new_rs)
                     assert {p for p in after if ek not in p} == rest
 
 
@@ -240,7 +240,7 @@ class TestSidePartition:
     def test_separation_invariant(self, tables, enum5):
         # no crossing pair straddles the two sides of any valid flip
         for rep in enum5[5]:
-            pairs = crossing_pairs(tables, rep.rs).pairs
+            pairs = crossing_pairs(tables, rep.rs)
             for e in rep.rs.edges():
                 ek = set(e)
                 for f in valid_flips(tables, rep.rs, e):
