@@ -13,8 +13,10 @@ the right of the dart's direction; the corner gap clockwise-after dart
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import InputError, InternalInvariantError
 from .rotation import RotationSystem, edge_key
@@ -52,6 +54,7 @@ class CombinatorialMap:
         "_face_of",
         "_real_by_label",
         "_meets",
+        "_meeting",
     )
 
     def __init__(self, vkind, vlabel, vdarts, scurve, sidx, curves):
@@ -67,6 +70,7 @@ class CombinatorialMap:
         self._face_of = None
         self._real_by_label = None
         self._meets = None
+        self._meeting = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -142,6 +146,20 @@ class CombinatorialMap:
             self._meets = meets
         return self._meets
 
+    @property
+    def meeting(self) -> tuple[tuple[int, ...], ...]:
+        """Per curve, the other curves it shares a crossing vertex with,
+        ascending: its neighbours in :attr:`meets`.  Shared by every
+        caller."""
+        if self._meeting is None:
+            nb: list[list[int]] = [[] for _ in self.curves]
+            for a, b in self.meets:
+                if a != b:
+                    nb[a].append(b)
+                    nb[b].append(a)
+            self._meeting = tuple(tuple(sorted(x)) for x in nb)
+        return self._meeting
+
     # -- faces ---------------------------------------------------------------
 
     @property
@@ -160,7 +178,8 @@ class CombinatorialMap:
                     orbit.append(d)
                     d = sg[d ^ 1]
                 out.append(tuple(orbit))
-            out.sort(key=lambda o: min(o))
+            # each orbit starts at its smallest dart, so ``out`` is sorted
+            # by smallest dart already
             self._faces = tuple(out)
         return self._faces
 
@@ -498,9 +517,18 @@ def validate_map(m: CombinatorialMap, strict: bool = True) -> list[str]:
     """Check all structural and simplicity invariants.
 
     Returns a list of violation descriptions (empty means valid).  With
-    ``strict`` false, multiple intersections between two *inserted* curves
-    are tolerated; the completion fix-up loop relies on that intermediate
-    state.
+    ``strict`` false, a pair of drawn curves of which at least one is an
+    *inserted* curve is not checked for repeated intersections; the
+    completion fix-up loop relies on that intermediate state.
+
+    Two curves share their common endpoints plus the crossing vertices
+    they meet in, and two distinct edges share at most one endpoint.  So
+    a pair of drawn curves can share more than one point only if the two
+    meet (the pair is in :attr:`CombinatorialMap.meets`) or draw the same
+    edge, and the closed curve of edge e (its edge curve plus its witness
+    arc) can meet another edge f more than once only if f's curve meets
+    one of the two.  The simplicity and witness checks visit only those
+    pairs, so every check is linear in darts plus meeting pairs.
     """
     v = []
     nseg = len(m.scurve)
@@ -533,7 +561,7 @@ def validate_map(m: CombinatorialMap, strict: bool = True) -> list[str]:
         if not segs:
             v.append(f"curve {cid} has no segments")
             continue
-        segs.sort(key=lambda s: m.sidx[s])
+        segs.sort(key=m.sidx.__getitem__)
         if [m.sidx[s] for s in segs] != list(range(len(segs))):
             v.append(f"curve {cid} has non-consecutive segment indices")
             continue
@@ -601,97 +629,105 @@ def validate_map(m: CombinatorialMap, strict: bool = True) -> list[str]:
         a, b = find(owned[2 * s]), find(owned[2 * s + 1])
         if a != b:
             comp[a] = b
-    faces_per = {}
-    for orbit in m.faces:
-        faces_per.setdefault(find(owned[orbit[0]]), 0)
-        faces_per[find(owned[orbit[0]])] += 1
-    verts_per: dict[int, int] = {}
-    segs_per: dict[int, int] = {}
-    for vid in range(len(m.vkind)):
-        verts_per[find(vid)] = verts_per.get(find(vid), 0) + 1
-    for s in range(nseg):
-        r = find(owned[2 * s])
-        segs_per[r] = segs_per.get(r, 0) + 1
-    for root, nv in verts_per.items():
-        ne = segs_per.get(root, 0)
-        nf = faces_per.get(root, 0)
+    # point every vertex straight at its root, the vertex that names its
+    # component in the messages
+    for x in range(len(comp)):
+        r = comp[x]
+        while comp[r] != r:
+            r = comp[r]
+        comp[x] = r
+    verts_per = Counter(comp)
+    segs_per = Counter(comp[owned[2 * s]] for s in range(nseg))
+    faces_per = Counter(comp[owned[orbit[0]]] for orbit in m.faces)
+    for r, nv in verts_per.items():
+        ne = segs_per[r]
+        nf = faces_per[r]
         if nv - ne + nf != 2:
             v.append(
-                f"component at vertex {root} violates the sphere Euler "
+                f"component at vertex {r} violates the sphere Euler "
                 f"formula: V={nv} E={ne} F={nf}"
             )
 
-    # simplicity between drawn curves
+    # simplicity between drawn curves: meeting pairs and repeated edges
     meet = m.meets
-    drawn = [
-        cid
-        for cid, c in enumerate(m.curves)
-        if c.kind in DRAWN_KINDS
-    ]
-    seen_edges = {}
-    for cid in drawn:
-        e = m.curves[cid].edge()
-        if e in seen_edges:
-            v.append(f"edge {e} drawn twice (curves {seen_edges[e]},{cid})")
-        seen_edges[e] = cid
-    for i, a in enumerate(drawn):
-        for b in drawn[i + 1 :]:
-            if not strict and (
-                m.curves[a].kind == INSERTED or m.curves[b].kind == INSERTED
-            ):
-                continue
-            shared = len(set(m.curves[a].edge()) & set(m.curves[b].edge()))
-            total = shared + meet.get((a, b), 0)
-            if total > 1:
-                v.append(
-                    f"curves {m.curves[a].edge()} and {m.curves[b].edge()} "
-                    f"share {total} points"
-                )
+    curves = m.curves
+    edges = [c.edge() for c in curves]
+    drawn = [c.kind in DRAWN_KINDS for c in curves]
+    edge_curve_of = {}
+    copies: dict[tuple[int, int], list[int]] = {}
+    for cid, e in enumerate(edges):
+        if not drawn[cid]:
+            continue
+        if e in edge_curve_of:
+            v.append(f"edge {e} drawn twice (curves {edge_curve_of[e]},{cid})")
+        edge_curve_of[e] = cid
+        copies.setdefault(e, []).append(cid)
+    pairs = {(a, b) for a, b in meet if a != b and drawn[a] and drawn[b]}
+    for group in copies.values():
+        pairs.update(combinations(group, 2))
+    for a, b in sorted(pairs):
+        if not strict and (
+            curves[a].kind == INSERTED or curves[b].kind == INSERTED
+        ):
+            continue
+        total = len(set(edges[a]) & set(edges[b])) + meet.get((a, b), 0)
+        if total > 1:
+            v.append(f"curves {edges[a]} and {edges[b]} share {total} points")
 
     # witness invariants (against original drawn edges)
-    for cid, c in enumerate(m.curves):
+    for cid, c in enumerate(curves):
         if c.kind != WITNESS:
             continue
-        err = _witness_violation(m, cid, seen_edges)
+        err = _witness_violation(m, cid, edge_curve_of, edges)
         if err:
             v.append(err)
     return v
 
 
-def _witness_violation(m, wid, edge_curve_of) -> str | None:
-    w = m.curves[wid]
-    e = w.edge()
+def _witness_violation(m, wid, edge_curve_of, edges) -> str | None:
+    """First violation of witness ``wid`` against the edges of
+    ``edge_curve_of`` (edge -> curve id), whose iteration order decides
+    which offending edge is named; ``edges`` lists every curve's edge."""
+    e = edges[wid]
     eid = edge_curve_of.get(e)
     if eid is None or m.curves[eid].kind != EDGE:
         return f"witness for {e} has no underlying edge curve"
     meet = m.meets
     if meet.get((min(wid, eid), max(wid, eid)), 0) > 0:
         return f"witness for {e} crosses its own edge"
-    for f, fid in edge_curve_of.items():
-        if m.curves[fid].kind != EDGE or fid == eid:
+    ends = set(e)
+    totals = {}
+    for fid in {*m.meeting[eid], *m.meeting[wid]}:
+        f = edges[fid]
+        if (
+            fid == eid
+            or edge_curve_of.get(f) != fid
+            or m.curves[fid].kind != EDGE
+        ):
             continue
-        shared = len(set(e) & set(f))
         total = (
-            shared
-            + meet.get((min(eid, fid), max(eid, fid)), 0)
-            + meet.get((min(wid, fid), max(wid, fid)), 0)
+            len(ends & set(f))
+            + meet.get((eid, fid) if eid < fid else (fid, eid), 0)
+            + meet.get((wid, fid) if wid < fid else (fid, wid), 0)
         )
         if total > 1:
-            return (
-                f"closed curve of {e} meets edge {f} in {total} points"
-            )
-    return None
+            totals[f] = total
+    if not totals:
+        return None
+    f = next(f for f in edge_curve_of if f in totals)
+    return f"closed curve of {e} meets edge {f} in {totals[f]} points"
 
 
 def validate_witness(m: CombinatorialMap, e) -> bool:
     """Whether the stored witness arc for edge ``e`` is valid."""
     e = edge_key(*e)
+    edges = [c.edge() for c in m.curves]
     edge_curve_of = {
-        c.edge(): cid for cid, c in enumerate(m.curves) if c.kind == EDGE
+        edges[cid]: cid for cid, c in enumerate(m.curves) if c.kind == EDGE
     }
     for cid, c in enumerate(m.curves):
-        if c.kind == WITNESS and c.edge() == e:
-            return _witness_violation(m, cid, edge_curve_of) is None
+        if c.kind == WITNESS and edges[cid] == e:
+            return _witness_violation(m, cid, edge_curve_of, edges) is None
     return False
 
 

@@ -112,13 +112,25 @@ def _insert(m: CombinatorialMap, u: int, v: int, mode: str) -> InsertionResult:
 
 
 def _check_simple_vs_original(m: CombinatorialMap, cid: int):
-    """The curve must share at most one point with every original edge."""
-    target = m.curves[cid]
+    """The curve must share at most one point with every original edge.
+
+    Two distinct edges share at most one endpoint, so only an edge curve
+    that meets the curve, or one drawing the same edge (the curve itself
+    included), can share two points with it; the first such edge curve
+    in curve-id order is reported."""
+    e = m.curves[cid].edge()
     meets = m.meets
-    for fid, c in enumerate(m.curves):
+    candidates = set(m.meeting[cid])
+    candidates.update(
+        fid
+        for fid, c in enumerate(m.curves)
+        if c.kind == EDGE and c.edge() == e
+    )
+    for fid in sorted(candidates):
+        c = m.curves[fid]
         if c.kind != EDGE:
             continue
-        shared = len(set(c.edge()) & set(target.edge()))
+        shared = len(set(c.edge()) & set(e))
         if shared + meets.get((min(cid, fid), max(cid, fid)), 0) > 1:
             return c.edge()
     return None
@@ -346,6 +358,8 @@ def _violating_pair(m: CombinatorialMap):
     """First pair of inserted curves sharing at least two points, with
     the two common points consecutive along the first curve."""
     ins = [c for c, cu in enumerate(m.curves) if cu.kind == INSERTED]
+    if len(ins) < 2:
+        return None
     b = MapBuilder.from_map(m)
     for i, c1 in enumerate(ins):
         for c2 in ins[i + 1 :]:

@@ -21,7 +21,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .cmap import EDGE, INSERTED, WITNESS, CombinatorialMap, MapBuilder
+from .cmap import (
+    EDGE,
+    INSERTED,
+    WITNESS,
+    CombinatorialMap,
+    MapBuilder,
+    validate_map,
+)
 from .errors import InputError, InternalInvariantError
 
 
@@ -290,9 +297,13 @@ def find_witness(m: CombinatorialMap, e):
     The arc may cross every curve at most once, may not cross the edge
     itself, any edge crossing it, or any edge sharing one of its
     endpoints.  Returns ``(new_map, witness_curve_id)`` or ``None``.
+    Raises :class:`InputError` when the map fails :func:`validate_map`.
     """
     from .rotation import edge_key
 
+    bad = validate_map(m)
+    if bad:
+        raise InputError(f"input map invalid: {bad[0]}")
     e = edge_key(*e)
     eid = None
     for cid, c in enumerate(m.curves):

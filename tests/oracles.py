@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from itertools import combinations, permutations
 
+from sepdraw.cmap import DRAWN_KINDS, EDGE, INSERTED, WITNESS, CombinatorialMap
 from sepdraw.rotation import RotationSystem, edge_key, pair_key
 
 
@@ -135,3 +136,220 @@ def exhaustive_min_route_cost(m, u_label: int, v_label: int, cost_of_curve):
     for fid in sorted(start_faces):
         dfs(fid, 0, frozenset({fid}))
     return best[0]
+
+
+# ---------------------------------------------------------------------------
+# Reference map validation: the all-pairs scans that ``cmap.validate_map``,
+# ``cmap.validate_witness`` and ``extension._check_simple_vs_original`` ran
+# before they were restricted to meeting curve pairs, kept verbatim so the
+# pruned versions can be compared with them message for message.
+
+
+def reference_validate_map(m: CombinatorialMap, strict: bool = True) -> list[str]:
+    """All-pairs reference for ``cmap.validate_map``: the same violation
+    list, scanning every pair of drawn curves and every witness against
+    every edge."""
+    v = []
+    nseg = len(m.scurve)
+    nd = 2 * nseg
+
+    # dart bookkeeping
+    owned = [-1] * nd
+    for vid, darts in enumerate(m.vdarts):
+        for d in darts:
+            if not 0 <= d < nd:
+                v.append(f"vertex {vid} lists unknown dart {d}")
+                continue
+            if owned[d] != -1:
+                v.append(f"dart {d} appears at two vertices")
+            owned[d] = vid
+    missing = [d for d in range(nd) if owned[d] == -1]
+    if missing:
+        v.append(f"darts not attached to any vertex: {missing}")
+        return v
+
+    # curve chains
+    by_curve: dict[int, list[int]] = {c: [] for c in range(len(m.curves))}
+    for s, c in enumerate(m.scurve):
+        if not 0 <= c < len(m.curves):
+            v.append(f"segment {s} references unknown curve {c}")
+            return v
+        by_curve[c].append(s)
+    for cid, segs in by_curve.items():
+        cur = m.curves[cid]
+        if not segs:
+            v.append(f"curve {cid} has no segments")
+            continue
+        segs.sort(key=lambda s: m.sidx[s])
+        if [m.sidx[s] for s in segs] != list(range(len(segs))):
+            v.append(f"curve {cid} has non-consecutive segment indices")
+            continue
+        for a, b in zip(segs, segs[1:]):
+            mid1, mid2 = owned[2 * a + 1], owned[2 * b]
+            if mid1 != mid2:
+                v.append(f"curve {cid} chain broken between {a} and {b}")
+            elif m.vkind[mid1] != "cross":
+                v.append(f"curve {cid} passes through a real vertex {mid1}")
+        t, h = owned[2 * segs[0]], owned[2 * segs[-1] + 1]
+        for endv, want in ((t, cur.u), (h, cur.v)):
+            if m.vkind[endv] != "real" or m.vlabel[endv] != want:
+                v.append(
+                    f"curve {cid} does not end at real vertex {want}"
+                )
+
+    # vertices
+    for vid, darts in enumerate(m.vdarts):
+        if m.vkind[vid] == "real":
+            if not darts:
+                v.append(f"real vertex {vid} is isolated (unsupported)")
+            for d in darts:
+                s = d >> 1
+                cid = m.scurve[s]
+                segs = by_curve[cid]
+                is_end = (d == 2 * segs[0]) or (d == 2 * segs[-1] + 1)
+                if not is_end:
+                    v.append(
+                        f"dart {d} at real vertex {vid} is not a curve end"
+                    )
+        elif m.vkind[vid] == "cross":
+            if len(darts) != 4:
+                v.append(f"cross vertex {vid} has degree {len(darts)} != 4")
+                continue
+            cs = [m.scurve[d >> 1] for d in darts]
+            if cs[0] != cs[2] or cs[1] != cs[3] or cs[0] == cs[1]:
+                v.append(
+                    f"cross vertex {vid} lacks two alternating distinct "
+                    f"curves: {cs}"
+                )
+                continue
+            for da, db in ((darts[0], darts[2]), (darts[1], darts[3])):
+                ia, ib = m.sidx[da >> 1], m.sidx[db >> 1]
+                if abs(ia - ib) != 1:
+                    v.append(
+                        f"cross vertex {vid}: curve {m.scurve[da >> 1]} "
+                        f"segments not consecutive ({ia},{ib})"
+                    )
+        else:
+            v.append(f"vertex {vid} has unknown kind {m.vkind[vid]}")
+
+    if v:
+        return v
+
+    # Euler formula per connected component (sphere pieces)
+    comp = list(range(len(m.vkind)))
+
+    def find(x):
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    for s in range(nseg):
+        a, b = find(owned[2 * s]), find(owned[2 * s + 1])
+        if a != b:
+            comp[a] = b
+    faces_per = {}
+    for orbit in m.faces:
+        faces_per.setdefault(find(owned[orbit[0]]), 0)
+        faces_per[find(owned[orbit[0]])] += 1
+    verts_per: dict[int, int] = {}
+    segs_per: dict[int, int] = {}
+    for vid in range(len(m.vkind)):
+        verts_per[find(vid)] = verts_per.get(find(vid), 0) + 1
+    for s in range(nseg):
+        r = find(owned[2 * s])
+        segs_per[r] = segs_per.get(r, 0) + 1
+    for root, nv in verts_per.items():
+        ne = segs_per.get(root, 0)
+        nf = faces_per.get(root, 0)
+        if nv - ne + nf != 2:
+            v.append(
+                f"component at vertex {root} violates the sphere Euler "
+                f"formula: V={nv} E={ne} F={nf}"
+            )
+
+    # simplicity between drawn curves
+    meet = m.meets
+    drawn = [
+        cid
+        for cid, c in enumerate(m.curves)
+        if c.kind in DRAWN_KINDS
+    ]
+    seen_edges = {}
+    for cid in drawn:
+        e = m.curves[cid].edge()
+        if e in seen_edges:
+            v.append(f"edge {e} drawn twice (curves {seen_edges[e]},{cid})")
+        seen_edges[e] = cid
+    for i, a in enumerate(drawn):
+        for b in drawn[i + 1 :]:
+            if not strict and (
+                m.curves[a].kind == INSERTED or m.curves[b].kind == INSERTED
+            ):
+                continue
+            shared = len(set(m.curves[a].edge()) & set(m.curves[b].edge()))
+            total = shared + meet.get((a, b), 0)
+            if total > 1:
+                v.append(
+                    f"curves {m.curves[a].edge()} and {m.curves[b].edge()} "
+                    f"share {total} points"
+                )
+
+    # witness invariants (against original drawn edges)
+    for cid, c in enumerate(m.curves):
+        if c.kind != WITNESS:
+            continue
+        err = _reference_witness_violation(m, cid, seen_edges)
+        if err:
+            v.append(err)
+    return v
+
+
+def _reference_witness_violation(m, wid, edge_curve_of) -> str | None:
+    w = m.curves[wid]
+    e = w.edge()
+    eid = edge_curve_of.get(e)
+    if eid is None or m.curves[eid].kind != EDGE:
+        return f"witness for {e} has no underlying edge curve"
+    meet = m.meets
+    if meet.get((min(wid, eid), max(wid, eid)), 0) > 0:
+        return f"witness for {e} crosses its own edge"
+    for f, fid in edge_curve_of.items():
+        if m.curves[fid].kind != EDGE or fid == eid:
+            continue
+        shared = len(set(e) & set(f))
+        total = (
+            shared
+            + meet.get((min(eid, fid), max(eid, fid)), 0)
+            + meet.get((min(wid, fid), max(wid, fid)), 0)
+        )
+        if total > 1:
+            return (
+                f"closed curve of {e} meets edge {f} in {total} points"
+            )
+    return None
+
+
+def reference_validate_witness(m: CombinatorialMap, e) -> bool:
+    """Whether the stored witness arc for edge ``e`` is valid."""
+    e = edge_key(*e)
+    edge_curve_of = {
+        c.edge(): cid for cid, c in enumerate(m.curves) if c.kind == EDGE
+    }
+    for cid, c in enumerate(m.curves):
+        if c.kind == WITNESS and c.edge() == e:
+            return _reference_witness_violation(m, cid, edge_curve_of) is None
+    return False
+
+
+def reference_check_simple_vs_original(m: CombinatorialMap, cid: int):
+    """The curve must share at most one point with every original edge."""
+    target = m.curves[cid]
+    meets = m.meets
+    for fid, c in enumerate(m.curves):
+        if c.kind != EDGE:
+            continue
+        shared = len(set(c.edge()) & set(target.edge()))
+        if shared + meets.get((min(cid, fid), max(cid, fid)), 0) > 1:
+            return c.edge()
+    return None

@@ -20,6 +20,8 @@ from sepdraw.errors import InputError
 from sepdraw.generators import random_two_page
 from sepdraw.rotation import convex, serialize_crs
 
+from test_map_golden import _mutate as _edit_structure
+
 # bytes near the .crs format reach the parser's deeper branches far more
 # often than uniform bytes do
 CRS_ALPHABET = b"n=: 0123456789\n#-\xff"
@@ -127,3 +129,26 @@ def test_verify_exit_codes_on_mutated_map(mutations):
         code, err = _run_cli(["verify", "--input", str(path)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_witness_rejects_maps_that_verify_rejects(seed, twice):
+    """Structural edits that still parse: whenever ``verify`` finds the
+    map invalid (exit 1), ``witness`` refuses it as bad input (exit 2)."""
+    rng = random.Random(seed)
+    lines = _edit_structure(_serialized_map().splitlines(), rng)
+    if twice:
+        lines = _edit_structure(lines, rng)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "edited.cmap"
+        path.write_text("\n".join(lines) + "\n")
+        verify, err = _run_cli(["verify", "--input", str(path)])
+        witness, werr = _run_cli(
+            ["witness", "--input", str(path), "--edge", "1,2"]
+        )
+    assert verify in (0, 1, 2) and witness in (0, 1, 2)
+    assert "Traceback" not in err + werr
+    if verify == 1:
+        assert witness == 2, werr

@@ -1,0 +1,263 @@
+"""The pruned map validators against the all-pairs reference.
+
+``validate_map``, ``validate_witness`` and
+``extension._check_simple_vs_original`` visit only curve pairs that meet
+or draw the same edge.  They must return exactly what the all-pairs scans
+in ``tests/oracles.py`` return (same messages, same order, same
+exceptions) on three map sets: the edited and intermediate maps of the
+golden test, the completions of its inputs, and seeded maps whose
+witness arcs break the rules.  ``validate_map`` is also compared on maps
+whose fields were edited directly.
+"""
+from __future__ import annotations
+
+import random
+import re
+
+import sepdraw.extension as ext
+from sepdraw.cmap import (
+    DRAWN_KINDS,
+    EDGE,
+    WITNESS,
+    CombinatorialMap,
+    Curve,
+    MapBuilder,
+    validate_map,
+    validate_witness,
+)
+from sepdraw.extension import (
+    extend_to_complete_crossmin,
+    extend_to_complete_separable,
+)
+from sepdraw.generators import all_edges
+from sepdraw.routing import apply_route, iter_routes, min_cost_route
+
+from oracles import (
+    reference_check_simple_vs_original,
+    reference_validate_map,
+    reference_validate_witness,
+)
+from test_map_golden import (
+    _crossmin_inputs,
+    _probe_maps,
+    _separable_inputs,
+    _witness_free,
+)
+
+# one pattern per message that validate_map can give
+MESSAGE_KINDS = {
+    "unknown dart": r"vertex \d+ lists unknown dart",
+    "dart twice": r"dart \d+ appears at two vertices",
+    "unattached darts": r"darts not attached to any vertex",
+    "unknown curve": r"segment \d+ references unknown curve",
+    "no segments": r"curve \d+ has no segments",
+    "non-consecutive": r"curve \d+ has non-consecutive segment indices",
+    "chain broken": r"curve \d+ chain broken between",
+    "through real vertex": r"curve \d+ passes through a real vertex",
+    "bad end": r"curve \d+ does not end at real vertex",
+    "isolated": r"real vertex \d+ is isolated",
+    "not a curve end": r"dart \d+ at real vertex \d+ is not a curve end",
+    "cross degree": r"cross vertex \d+ has degree",
+    "not alternating": r"cross vertex \d+ lacks two alternating",
+    "cross not consecutive": r"cross vertex \d+: curve \d+ segments not",
+    "unknown kind": r"vertex \d+ has unknown kind",
+    "euler": r"component at vertex \d+ violates the sphere Euler",
+    "drawn twice": r"edge \(\d+, \d+\) drawn twice",
+    "share": r"curves \(\d+, \d+\) and \(\d+, \d+\) share \d+ points",
+    "no edge curve": r"witness for \(\d+, \d+\) has no underlying edge",
+    "crosses own edge": r"witness for \(\d+, \d+\) crosses its own edge",
+    "closed curve": r"closed curve of \(\d+, \d+\) meets edge",
+}
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except Exception as exc:  # the exception is part of the answer
+        return "raised", type(exc).__name__, str(exc)
+
+
+def _with_curve(m, kind, e, rng):
+    """``m`` plus one curve of ``kind`` for edge ``e``, routed at least
+    cost under a random 0/1 cost per curve, so that it may cross any curve
+    whose cost is 0, its own edge included."""
+    costs = [rng.randrange(2) for _ in m.curves]
+    route, _ = min_cost_route(
+        m, m.real_by_label[e[0]], m.real_by_label[e[1]], costs.__getitem__
+    )
+    b = MapBuilder.from_map(m)
+    apply_route(b, kind, e[0], e[1], route)
+    return b.freeze()
+
+
+def _with_own_crossing_witness(m, e):
+    """``m`` plus a witness arc for edge ``e`` that crosses ``e`` once and
+    nothing else, or ``m`` itself when there is none."""
+    eid = next(c for c, cu in enumerate(m.curves) if cu.edge() == e)
+    routes = iter_routes(
+        m, m.real_by_label[e[0]], m.real_by_label[e[1]], {eid: 1}
+    )
+    route = next((r for r in routes if r.crossings), None)
+    if route is None:
+        return m
+    b = MapBuilder.from_map(m)
+    apply_route(b, WITNESS, e[0], e[1], route)
+    return b.freeze()
+
+
+def _witness_violating_maps():
+    """Two-page drawings, some with a second copy of one edge, given a
+    witness arc per edge along randomly costed least-cost routes; in
+    some, one witness arc crosses its own edge instead."""
+    rng = random.Random(48)
+    out = []
+    for n in (4, 5, 6, 7):
+        for k in range(10):
+            m = _witness_free(n, rng)
+            edges = all_edges(n)
+            if rng.random() < 0.5:
+                m = _with_curve(m, EDGE, rng.choice(edges), rng)
+            crossing = rng.choice(edges) if k % 3 == 0 else None
+            for e in edges:
+                if e == crossing:
+                    m = _with_own_crossing_witness(m, e)
+                else:
+                    m = _with_curve(m, WITNESS, e, rng)
+            out.append(m)
+    return out
+
+
+def _map_sets():
+    probes = [o[1] for o in _probe_maps() if o[0] == "ok"]
+    completions = [extend_to_complete_separable(m).map
+                   for m in _separable_inputs()]
+    for m in _crossmin_inputs():
+        found = _outcome(lambda: extend_to_complete_crossmin(m).map)
+        if found[0] == "ok":
+            completions.append(found[1])
+    return {
+        "probes": probes,
+        "completions": completions,
+        "witness-violating": _witness_violating_maps(),
+    }
+
+
+def _answers(m, validate, witness, simple):
+    witnessed = sorted({c.edge() for c in m.curves if c.kind == WITNESS})
+    return (
+        _outcome(lambda: validate(m)),
+        _outcome(lambda: validate(m, strict=False)),
+        [_outcome(lambda: witness(m, e)) for e in witnessed],
+        [_outcome(lambda: simple(m, c)) for c in range(len(m.curves))],
+    )
+
+
+def _offenders(m, wid):
+    """The edge curves that meet the closed curve of witness ``wid`` in
+    more than one point, in the order ``validate_map`` lists edges: by
+    each edge's first drawn curve, each edge standing for its last."""
+    edge_curve_of = {}
+    for cid, c in enumerate(m.curves):
+        if c.kind in DRAWN_KINDS:
+            edge_curve_of[c.edge()] = cid
+    e = m.curves[wid].edge()
+    eid = edge_curve_of[e]
+    out = []
+    for f, fid in edge_curve_of.items():
+        if m.curves[fid].kind != EDGE or fid == eid:
+            continue
+        total = len(set(e) & set(f)) + sum(
+            m.meets.get((min(x, fid), max(x, fid)), 0) for x in (eid, wid)
+        )
+        if total > 1:
+            out.append(fid)
+    return out
+
+
+def _witness_cases(maps):
+    """How many witnesses have two or more offending edges, and how many
+    of those name a different first offender in curve-id order."""
+    several = reordered = 0
+    for m in maps:
+        for wid, c in enumerate(m.curves):
+            if c.kind == WITNESS:
+                found = _offenders(m, wid)
+                several += len(found) > 1
+                reordered += len(found) > 1 and min(found) != found[0]
+    return several, reordered
+
+
+def _corrupted_maps():
+    """Direct edits of one valid map's fields, for the structural messages
+    that the other sets do not give; ``parse_cmap`` and ``freeze`` rule
+    most of them out."""
+    m = _witness_free(6, random.Random(49))
+    fields = (m.vkind, m.vlabel, m.vdarts, m.scurve, m.sidx, m.curves)
+
+    def edit(i, value):
+        return CombinatorialMap(*fields[:i], value, *fields[i + 1:])
+
+    vd, vk = list(m.vdarts), list(m.vkind)
+    x, y = [v for v, k in enumerate(vk) if k == "cross"][:2]
+    # two segments of a curve with three or more swap their indices
+    long = next(c for c in range(len(m.curves)) if m.scurve.count(c) >= 3)
+    s0, s1 = [s for s, c in enumerate(m.scurve) if c == long][:2]
+    swapped = list(m.sidx)
+    swapped[s0], swapped[s1] = swapped[s1], swapped[s0]
+    moved = list(vd)
+    moved[x], moved[y] = vd[x][1:], vd[y] + vd[x][:1]
+    return [
+        edit(2, [vd[0] + (-1,)] + vd[1:]),
+        edit(2, [vd[0] + vd[1][:1]] + vd[1:]),
+        edit(2, [vd[0][1:]] + vd[1:]),
+        edit(3, m.scurve[:-1] + (len(m.curves),)),
+        edit(5, m.curves + (Curve(EDGE, 1, 2),)),
+        edit(4, m.sidx[:-1] + (m.sidx[-1] + 1,)),
+        edit(0, ["bogus"] + vk[1:]),
+        edit(2, [(), vd[1] + vd[0]] + vd[2:]),
+        edit(0, vk[:x] + ["real"] + vk[x + 1:]),
+        edit(2, moved),
+        edit(4, swapped),
+    ]
+
+
+def _messages(outcomes):
+    """The violation messages of the outcomes that returned."""
+    return [msg for o in outcomes if o[0] == "ok" for msg in o[1]]
+
+
+def _kinds(messages):
+    return {k for msg in messages for k, pat in MESSAGE_KINDS.items()
+            if re.match(pat, msg)}
+
+
+def test_pruned_validators_match_reference():
+    sets = _map_sets()
+    messages = []
+    for name, maps in sets.items():
+        assert maps, name
+        for i, m in enumerate(maps):
+            got = _answers(m, validate_map, validate_witness,
+                           ext._check_simple_vs_original)
+            want = _answers(m, reference_validate_map,
+                            reference_validate_witness,
+                            reference_check_simple_vs_original)
+            assert got == want, (name, i)
+            messages += _messages(want[:2])
+    # the edited fields can break the maps' other queries, so only the
+    # two validate_map modes are compared there
+    for i, m in enumerate(_corrupted_maps()):
+        for strict in (True, False):
+            got = _outcome(lambda: validate_map(m, strict))
+            assert got == _outcome(lambda: reference_validate_map(m, strict)), i
+            messages += _messages([got])
+    assert _kinds(messages) == set(MESSAGE_KINDS)
+    share = {
+        "repeated edge" if pair[1] == pair[2] else "meeting pair"
+        for pair in map(re.compile(r"curves (\(.*?\)) and (\(.*?\)) share").match,
+                        messages)
+        if pair
+    }
+    assert share == {"repeated edge", "meeting pair"}
+    several, reordered = _witness_cases(sets["witness-violating"])
+    assert several > 0 and reordered > 0
