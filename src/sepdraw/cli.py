@@ -75,12 +75,14 @@ def _load_tables(args):
     return default_tables()
 
 
-def _load_rs(args):
+def _load_rs(args, tables):
     records = parse_crs(Path(args.input).read_text())
     if len(records) != 1:
         raise InputError(
             f"expected one rotation-system record, got {len(records)}"
         )
+    if not is_realizable(tables, records[0]):
+        raise InputError("input rotation system is not realizable")
     return records[0]
 
 
@@ -101,9 +103,7 @@ def _parse_edge(text: str):
 
 def cmd_recognize(args) -> int:
     tables = _load_tables(args)
-    rs = _load_rs(args)
-    if not is_realizable(tables, rs):
-        raise InputError("input rotation system is not realizable")
+    rs = _load_rs(args, tables)
     res = is_separable(tables, rs)
     payload: dict = {"separable": res.separable, "n": rs.n}
     if not res.separable:
@@ -118,7 +118,7 @@ def cmd_recognize(args) -> int:
 
 def cmd_flips(args) -> int:
     tables = _load_tables(args)
-    rs = _load_rs(args)
+    rs = _load_rs(args, tables)
     e = _parse_edge(args.edge)
     cands = flip_candidates(rs, e)
     flips = valid_flips(tables, rs, e)
@@ -150,7 +150,7 @@ def _verified(args, tables, rs, edges) -> bool | None:
 
 def cmd_hampath(args) -> int:
     tables = _load_tables(args)
-    rs = _load_rs(args)
+    rs = _load_rs(args, tables)
     path = ham_path(tables, rs, args.src, args.dst)
     ver = _verified(args, tables, rs, path.edges)
     payload = {"path": list(path.vertices), "verified": ver}
@@ -162,7 +162,7 @@ def cmd_hampath(args) -> int:
 
 def cmd_hamcycle(args) -> int:
     tables = _load_tables(args)
-    rs = _load_rs(args)
+    rs = _load_rs(args, tables)
     cyc = ham_cycle(tables, rs)
     ver = _verified(args, tables, rs, cyc.edges)
     payload = {"cycle": list(cyc.vertices), "verified": ver}
@@ -173,7 +173,7 @@ def cmd_hamcycle(args) -> int:
 
 def cmd_matching(args) -> int:
     tables = _load_tables(args)
-    rs = _load_rs(args)
+    rs = _load_rs(args, tables)
     mt = plane_matching(tables, rs)
     ver = _verified(args, tables, rs, mt.edges)
     payload = {
@@ -190,7 +190,7 @@ def cmd_matching(args) -> int:
 
 def cmd_gconvex(args) -> int:
     tables = _load_tables(args)
-    rs = _load_rs(args)
+    rs = _load_rs(args, tables)
     ans = is_g_convex(tables, rs)
     return _emit(
         args,

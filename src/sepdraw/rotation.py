@@ -80,7 +80,7 @@ class RotationSystem:
     the crossing sets) are memoized per system together with that object.
     """
 
-    __slots__ = ("n", "rows", "_norm", "_pos", "_realizable", "_crossings")
+    __slots__ = ("n", "rows", "_norm", "_realizable", "_crossings")
 
     def __init__(self, n: int, rows):
         if n < 1:
@@ -98,7 +98,6 @@ class RotationSystem:
         self.n = n
         self.rows = rows
         self._norm = None
-        self._pos = None
         self._realizable = None
         self._crossings = None
 
@@ -113,21 +112,6 @@ class RotationSystem:
         if self._norm is None:
             self._norm = tuple(_roll_min(row) for row in self.rows)
         return self._norm
-
-    @property
-    def positions(self) -> tuple[list[int], ...]:
-        """Per vertex, a list indexed by label: ``positions[v-1][x]`` is
-        the index of x in the stored linearization of v's rotation.
-        Entries 0 and v are unused.  Shared and cached: do not mutate."""
-        if self._pos is None:
-            pos = []
-            for row in self.rows:
-                p = [0] * (self.n + 1)
-                for i, x in enumerate(row):
-                    p[x] = i
-                pos.append(p)
-            self._pos = tuple(pos)
-        return self._pos
 
     def edges(self):
         return [
@@ -314,25 +298,21 @@ def _anchored(rs: RotationSystem, u: int, x: int) -> list[int]:
     return off
 
 
-def _cyclic_ascending(pos: list[int], a: int, b: int, c: int, L: int) -> bool:
-    pa, pb, pc = pos[a], pos[b], pos[c]
-    return (pb - pa) % L < (pc - pa) % L
-
-
 def k4_index(rs: RotationSystem, quad: tuple[int, int, int, int]) -> int:
     """Index of the induced labeled 4-vertex system of a sorted quad (a
-    quad in another order is read as relabeled to 1..4 in that order).
+    quad in another order is read as relabeled to 1..4 in that order):
+    bit i is set when the other three vertices a, b, c, in quad order,
+    do not occur in the order a, b, c around ``quad[i]``.
 
     The reference kernel, one lookup per call: :func:`k4_index_of`,
-    ``check_tables`` and the derivation of ``k4_reads`` use it.  The
-    sweeps read offset rows built once per call instead."""
-    L = rs.n - 1
-    pos = rs.positions
+    ``check_tables``, :func:`is_realizable` at n = 4 and the derivation
+    of ``k4_reads`` use it.  The sweeps read offset rows built once per
+    call instead."""
     idx = 0
     for bit, v in enumerate(quad):
         a, b, c = (x for x in quad if x != v)
-        if not _cyclic_ascending(pos[v - 1], a, b, c, L):
-            idx |= 1 << bit
+        off = _anchored(rs, v, a)
+        idx |= (off[b] > off[c]) << bit
     return idx
 
 
@@ -349,38 +329,20 @@ def k5_index(rs: RotationSystem, quint: tuple[int, ...]) -> int:
     Digit i (base 6, least significant first) describes vertex quint[i]:
     the rank, per ``_RANK3``, of the order in which the last three of its
     four neighbours in the quintuple follow the first one in its rotation.
-    Each digit is read from three comparisons of cyclic offsets, without
-    building tuples or sorting.  A quintuple in another order is read as
-    relabeled to 1..5 in that order.
+    A quintuple in another order is read as relabeled to 1..5 in that
+    order.
 
     The reference kernel, one lookup per call: :func:`k5_index_of`,
     ``check_tables`` and the derivation of ``k5_reads`` use it.  The
     realizability sweeps read offset rows built once per call instead.
     """
-    L = rs.n - 1
-    pos = rs.positions
-    rank = _RANK_BY_CMP
-    a, b, c, d, e = quint
-    p = pos[a - 1]
-    q = p[b]
-    x, y, z = (p[c] - q) % L, (p[d] - q) % L, (p[e] - q) % L
-    idx = rank[4 * (x < y) + 2 * (x < z) + (y < z)]
-    p = pos[b - 1]
-    q = p[a]
-    x, y, z = (p[c] - q) % L, (p[d] - q) % L, (p[e] - q) % L
-    idx += 6 * rank[4 * (x < y) + 2 * (x < z) + (y < z)]
-    p = pos[c - 1]
-    q = p[a]
-    x, y, z = (p[b] - q) % L, (p[d] - q) % L, (p[e] - q) % L
-    idx += 36 * rank[4 * (x < y) + 2 * (x < z) + (y < z)]
-    p = pos[d - 1]
-    q = p[a]
-    x, y, z = (p[b] - q) % L, (p[c] - q) % L, (p[e] - q) % L
-    idx += 216 * rank[4 * (x < y) + 2 * (x < z) + (y < z)]
-    p = pos[e - 1]
-    q = p[a]
-    x, y, z = (p[b] - q) % L, (p[c] - q) % L, (p[d] - q) % L
-    return idx + 1296 * rank[4 * (x < y) + 2 * (x < z) + (y < z)]
+    idx = 0
+    for i, v in enumerate(quint):
+        a, b, c, d = (x for x in quint if x != v)
+        off = _anchored(rs, v, a)
+        x, y, z = off[b], off[c], off[d]
+        idx += _DIGIT[i][4 * (x < y) + 2 * (x < z) + (y < z)]
+    return idx
 
 
 def k5_index_of(rs5: RotationSystem) -> int:
@@ -413,52 +375,18 @@ def k5_system(index: int) -> RotationSystem:
     return RotationSystem(5, rows)
 
 
-def pair_crossing(
-    tables: RealizabilityTables, rs: RotationSystem, e, f
-) -> bool:
-    """Whether two independent edges cross, per the 4-vertex table."""
-    e = _checked_edge(rs, e)
-    f = _checked_edge(rs, f)
-    if set(e) & set(f):
-        raise AdjacentEdgesError(
-            f"edges {e} and {f} share an endpoint; adjacent edges never cross"
-        )
-    quad = tuple(sorted(e + f))
-    entry = tables.k4[k4_index(rs, quad)]
-    if entry == K4_UNREALIZABLE:
-        raise RealizabilityError(
-            f"4-vertex subsystem on {quad} is not realizable", quad
-        )
-    if entry == K4_NO_CROSSING:
-        return False
-    local = {x: i + 1 for i, x in enumerate(quad)}
-    le = tuple(sorted((local[e[0]], local[e[1]])))
-    pa, pb = PAIR_BY_CODE[entry]
-    return le in (pa, pb)
-
-
-def crossings_of_edge(
-    tables: RealizabilityTables, rs: RotationSystem, e
-) -> frozenset[Edge]:
-    """All edges crossing ``e``."""
-    e = _checked_edge(rs, e)
-    out = []
-    rest = [x for x in range(1, rs.n + 1) if x not in e]
-    for c, d in itertools.combinations(rest, 2):
-        if pair_crossing(tables, rs, e, (c, d)):
-            out.append((c, d))
-    return frozenset(out)
-
-
-def crosses_any(
+def _crossing_edges(
     tables: RealizabilityTables, rs: RotationSystem, e, edges
-) -> bool:
-    """Whether ``e`` crosses any of ``edges``, per the 4-vertex table.
+):
+    """Yield, in input order, each of ``edges`` that crosses ``e``, as
+    (c, d) with c < d, per the 4-vertex table.
 
-    The answer of ``any(pair_crossing(tables, rs, e, f) for f in edges)``,
-    raising for the same first edge f.  Each quad is read as (v, w, c,
-    d), from v's rotation counted from w and the others counted from v,
-    against ``tables.k4_reads``.
+    The one reader of edge-by-edge crossing queries.  Each quad is read
+    as (v, w, c, d), from v's rotation counted from w and the others
+    counted from v, against ``tables.k4_reads``.  An edge that is not
+    independent of ``e`` raises :class:`InputError` or
+    :class:`AdjacentEdgesError`, and an unrealizable quad raises
+    :class:`RealizabilityError`, when the sweep reaches it.
     """
     v, w = _checked_edge(rs, e)
     n = rs.n
@@ -471,7 +399,11 @@ def crosses_any(
         if c > d:
             c, d = d, c
         if c == d or c == v or c == w or d == v or d == w or c < 1 or d > n:
-            pair_crossing(tables, rs, e, f)  # raises
+            f = _checked_edge(rs, f)
+            raise AdjacentEdgesError(
+                f"edges {(v, w)} and {f} share an endpoint; adjacent edges "
+                "never cross"
+            )
         C = rows[c]
         if C is None:
             C = rows[c] = _anchored(rs, c, v)
@@ -487,10 +419,39 @@ def crosses_any(
             + 8 * (D[w] > D[c])
         ]
         if entry == 0:
-            return True
-        if entry == K4_UNREALIZABLE:
-            pair_crossing(tables, rs, e, f)  # raises
-    return False
+            yield c, d
+        elif entry == K4_UNREALIZABLE:
+            quad = tuple(sorted((v, w, c, d)))
+            raise RealizabilityError(
+                f"4-vertex subsystem on {quad} is not realizable", quad
+            )
+
+
+def pair_crossing(
+    tables: RealizabilityTables, rs: RotationSystem, e, f
+) -> bool:
+    """Whether two independent edges cross, per the 4-vertex table."""
+    return any(_crossing_edges(tables, rs, e, (f,)))
+
+
+def crossings_of_edge(
+    tables: RealizabilityTables, rs: RotationSystem, e
+) -> frozenset[Edge]:
+    """All edges crossing ``e``."""
+    v, w = _checked_edge(rs, e)
+    rest = [x for x in range(1, rs.n + 1) if x != v and x != w]
+    return frozenset(
+        _crossing_edges(tables, rs, (v, w), itertools.combinations(rest, 2))
+    )
+
+
+def crosses_any(
+    tables: RealizabilityTables, rs: RotationSystem, e, edges
+) -> bool:
+    """Whether ``e`` crosses any of ``edges``: the answer of
+    ``any(pair_crossing(tables, rs, e, f) for f in edges)``, raising for
+    the same first edge f."""
+    return any(_crossing_edges(tables, rs, e, edges))
 
 
 def crossing_pairs(

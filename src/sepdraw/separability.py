@@ -62,7 +62,9 @@ class FlipCandidate:
 @dataclass(frozen=True)
 class Flip:
     """A validated flip: ``new_rs`` is realizable and the flipped edge
-    crosses an edge set disjoint from the original's."""
+    crosses an edge set disjoint from the original's.  The realizability
+    promise holds when the system flipped was realizable: validation
+    rechecks only the 5-tuples through the flipped edge."""
 
     edge: tuple[int, int]
     swept: frozenset[int]
@@ -209,7 +211,11 @@ def valid_flips(
 ) -> list[Flip]:
     """Candidates filtered by realizability of the flipped system and by
     disjointness of the old and new crossing sets of ``e``.  Descriptions
-    of the same repositioning are merged (smallest swept set reported)."""
+    of the same repositioning are merged (smallest swept set reported).
+
+    Realizability of each flipped system is decided by the 5-tuples
+    through ``e`` alone, so it is exact only for a realizable ``rs``; the
+    CLI rejects unrealizable input before calling this."""
     e = _checked_edge(rs, e)
     known, old_cross = _old_crossings(tables, rs, e)
     out: list[Flip] = []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -13,7 +14,13 @@ import pytest
 from sepdraw.cli import main
 from sepdraw.cmap import serialize_cmap
 from sepdraw.generators import random_two_page, random_two_page_minus
-from sepdraw.rotation import convex, serialize_crs
+from sepdraw.rotation import (
+    K4_UNREALIZABLE,
+    convex,
+    k4_index,
+    k5_system,
+    serialize_crs,
+)
 from test_separability import LOW_DEGREE_K6
 
 
@@ -217,6 +224,38 @@ class TestGconvex:
         p = tmp_path / "r.crs"
         p.write_text(serialize_crs(REROUTED_K5))
         assert main(["gconvex", "--input", str(p)]) == 1
+
+
+class TestUnrealizableInput:
+    """Every rotation-system subcommand rejects an unrealizable system as
+    bad input, also when all its 4-vertex subsystems are realizable."""
+
+    def test_k4_consistent_k5_exits_two(self, tables, tmp_path, capsys):
+        quads = list(itertools.combinations(range(1, 6), 4))
+        systems = []
+        for idx in range(6**5):
+            rs = k5_system(idx)
+            if idx not in tables.k5 and all(
+                tables.k4[k4_index(rs, q)] != K4_UNREALIZABLE for q in quads
+            ):
+                systems.append(rs)
+        assert len(systems) == 72
+        commands = [
+            ["recognize", "--certificate"],
+            ["flips", "--edge", "1,2"],
+            ["hampath", "--from", "1", "--to", "3", "--verify"],
+            ["hamcycle", "--verify"],
+            ["matching", "--verify"],
+            ["gconvex"],
+        ]
+        p = tmp_path / "k5.crs"
+        for rs in systems:
+            p.write_text(serialize_crs(rs))
+            for cmd, *rest in commands:
+                assert main([cmd, "--input", str(p), *rest]) == 2, (cmd, rs)
+                err = capsys.readouterr().err
+                assert "input rotation system is not realizable" in err
+                assert "Traceback" not in err
 
 
 class TestEnumerateAndTables:

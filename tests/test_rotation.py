@@ -331,8 +331,30 @@ def _reference_crosses_any(tables, k4_ref, e, edges):
     return False
 
 
+def _reference_crossings_of_edge(tables, k4_ref, e, n):
+    rest = [x for x in range(1, n + 1) if x not in e]
+    return frozenset(
+        f
+        for f in itertools.combinations(rest, 2)
+        if _reference_crosses_any(tables, k4_ref, e, [f])
+    )
+
+
 def _same_error(got, want) -> bool:
     return (str(got), got.subset) == (str(want), want.subset)
+
+
+def _assert_same_answer(got, want):
+    """``got()`` returns what ``want()`` returns, or raises the same
+    :class:`RealizabilityError`, message and subset included."""
+    try:
+        expected = want()
+    except RealizabilityError as exc:
+        with pytest.raises(RealizabilityError) as raised:
+            got()
+        assert _same_error(raised.value, exc)
+    else:
+        assert got() == expected
 
 
 def _relabeled_convex(n: int, rng) -> RotationSystem:
@@ -357,8 +379,9 @@ def _reference_tables(tables):
 
 class TestOffsetSweeps:
     """The sweeps read tuples from offset rows, in (v, w, ...) order for
-    the flip queries; they must answer as the sorted-order reference
-    definitions do, on any tables, closed under relabeling or not."""
+    the flip queries and every edge-by-edge crossing query; they must
+    answer as the sorted-order reference definitions do, on any tables,
+    closed under relabeling or not."""
 
     def test_derived_tables_are_not_closed(self, tables):
         from sepdraw.enumeration import check_tables
@@ -382,14 +405,10 @@ class TestOffsetSweeps:
             for tab in _reference_tables(tables):
                 want = all(idx in tab.k5 for idx in k5_ref.values())
                 assert is_realizable(tab, rs) == want
-                try:
-                    want_pairs = _reference_crossing_pairs(tab, k4_ref)
-                except RealizabilityError as exc:
-                    with pytest.raises(RealizabilityError) as got:
-                        crossing_pairs(tab, rs)
-                    assert _same_error(got.value, exc)
-                else:
-                    assert crossing_pairs(tab, rs) == want_pairs
+                _assert_same_answer(
+                    lambda: crossing_pairs(tab, rs),
+                    lambda: _reference_crossing_pairs(tab, k4_ref),
+                )
                 for _ in range(6):
                     v, w = sorted(rng.sample(range(1, n + 1), 2))
                     rest = [x for x in range(1, n + 1) if x not in (v, w)]
@@ -409,16 +428,25 @@ class TestOffsetSweeps:
                         tuple(sorted(rng.sample(rest, 2)))
                         for _ in range(rng.randrange(1, 8))
                     ]
-                    try:
-                        want = _reference_crosses_any(
-                            tab, k4_ref, (v, w), edges
+                    for c, d in edges:
+                        _assert_same_answer(
+                            lambda: pair_crossing(tab, rs, (w, v), (d, c)),
+                            lambda: _reference_crosses_any(
+                                tab, k4_ref, (v, w), [(c, d)]
+                            ),
                         )
-                    except RealizabilityError as exc:
-                        with pytest.raises(RealizabilityError) as got:
-                            crosses_any(tab, rs, (v, w), edges)
-                        assert _same_error(got.value, exc)
-                    else:
-                        assert crosses_any(tab, rs, (v, w), edges) == want
+                    _assert_same_answer(
+                        lambda: crossings_of_edge(tab, rs, (w, v)),
+                        lambda: _reference_crossings_of_edge(
+                            tab, k4_ref, (v, w), n
+                        ),
+                    )
+                    _assert_same_answer(
+                        lambda: crosses_any(tab, rs, (v, w), edges),
+                        lambda: _reference_crosses_any(
+                            tab, k4_ref, (v, w), edges
+                        ),
+                    )
 
     def test_crosses_any_rejects_adjacent_edges(self, tables):
         with pytest.raises(AdjacentEdgesError):
