@@ -6,18 +6,23 @@ edge, split the vertex set into the two sides of its closing curve
 glue.  Separator edges are searched on demand at every recursion level,
 so the routines also work on inputs that are merely degree-2-separable
 rather than fully separable.
+
+The constructions assume a realizable system: on one that is not, they
+can return crossing edges.  So :func:`ham_path`, :func:`ham_cycle` and
+:func:`plane_matching` raise :class:`RealizabilityError` on it, from
+the realizability verdict memoized on the system.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, SeparatorNotFoundError
 from .rotation import (
     RealizabilityTables,
     RotationSystem,
+    _crossing_edges,
+    _require_realizable,
     edge_key,
-    pair_crossing,
     subrotation,
 )
 from .separability import evidence_partition, is_separator_edge
@@ -56,12 +61,15 @@ class PlaneMatching:
 def verify_crossing_free(
     tables: RealizabilityTables, rs: RotationSystem, edges
 ) -> bool:
-    """Whether no two of the given edges cross (adjacent pairs never do)."""
+    """Whether no two of the given edges cross (adjacent pairs never do).
+
+    One reader call per edge over the later edges independent of it, so
+    pairs are tested, and a bad pair raises, in the order of
+    ``itertools.combinations(edges, 2)``."""
     edges = [edge_key(*e) for e in edges]
-    for e, f in itertools.combinations(edges, 2):
-        if set(e) & set(f):
-            continue
-        if pair_crossing(tables, rs, e, f):
+    for i, (v, w) in enumerate(edges):
+        later = [f for f in edges[i + 1 :] if v not in f and w not in f]
+        if later and any(_crossing_edges(tables, rs, (v, w), later)):
             return False
     return True
 
@@ -80,6 +88,7 @@ def ham_path(
     for x in (v, w):
         if not 1 <= x <= rs.n:
             raise InputError(f"vertex {x} out of range 1..{rs.n}")
+    _require_realizable(tables, rs)
     seq = _ham_path_rec(tables, rs, list(range(1, rs.n + 1)), v, w)
     return PlanePath(tuple(seq))
 
@@ -123,6 +132,7 @@ def ham_cycle(
     edge's partition carry a path between its endpoints."""
     if rs.n < 3:
         raise InputError("a cycle needs at least 3 vertices")
+    _require_realizable(tables, rs)
     for e in rs.edges():
         ev = is_separator_edge(tables, rs, e)
         if ev is None:
@@ -144,6 +154,7 @@ def plane_matching(
     """A crossing-free matching of size at least floor(n/4), built by
     taking a separator edge and recursing on both sides minus its
     endpoints."""
+    _require_realizable(tables, rs)
     edges = _matching_rec(tables, rs, list(range(1, rs.n + 1)))
     return PlaneMatching(tuple(edges))
 

@@ -430,7 +430,12 @@ def _crossing_edges(
 def pair_crossing(
     tables: RealizabilityTables, rs: RotationSystem, e, f
 ) -> bool:
-    """Whether two independent edges cross, per the 4-vertex table."""
+    """Whether two independent edges cross, per the 4-vertex table.
+
+    The single-pair wrapper of the edge-by-edge reader: a caller with
+    many pairs that share an edge asks :func:`crosses_any` or
+    :func:`crossings_of_edge` once per edge instead, and one that knows
+    the system is realizable reads :func:`crossing_sets`."""
     return any(_crossing_edges(tables, rs, e, (f,)))
 
 
@@ -509,8 +514,12 @@ def crossing_sets(
     sweep; memoized on ``rs`` per tables object."""
     memo = rs._crossings
     if memo is None or memo[0] is not tables:
-        sets: dict[Edge, set[Edge]] = {e: set() for e in rs.edges()}
+        edges = rs.edges()
+        sets: dict[Edge, set[Edge]] = {e: set() for e in edges}
+        # the memo keeps one tuple per edge, not one per crossing
+        own = dict(zip(edges, edges))
         for e, f in crossing_pairs(tables, rs):
+            e, f = own[e], own[f]
             sets[e].add(f)
             sets[f].add(e)
         memo = rs._crossings = (
@@ -683,61 +692,94 @@ def same_triangle_side(
     for x in (u, v) + T:
         if not 1 <= x <= rs.n:
             raise InputError(f"vertex {x} out of range 1..{rs.n}")
-    count = 0
-    for a, b in itertools.combinations(T, 2):
-        if pair_crossing(tables, rs, (u, v), (a, b)):
-            count += 1
-    return count % 2 == 0
+    crossed = _crossing_edges(tables, rs, (u, v), itertools.combinations(T, 2))
+    return sum(1 for _ in crossed) % 2 == 0
+
+
+def _triangle_side_of(cross, n: int, T) -> list[int]:
+    """Per label 1..n, the side of the sorted triangle T it lies on: 2 on
+    T, 0 on the side of the smallest other vertex (the anchor), 1 on the
+    other side.  ``cross`` is :func:`crossing_sets`.
+
+    x is on the anchor's side iff edge {anchor, x} lies in an even
+    number of the crossing sets of T's three edges (the parity rule of
+    :func:`same_triangle_side`)."""
+    a, b, c = T
+    X = (cross[(a, b)], cross[(a, c)], cross[(b, c)])
+    side = [2] * (n + 1)
+    anchor = None
+    for x in range(1, n + 1):
+        if x == a or x == b or x == c:
+            continue
+        if anchor is None:
+            anchor = x
+            side[x] = 0
+        else:
+            e = (anchor, x)
+            side[x] = ((e in X[0]) + (e in X[1]) + (e in X[2])) & 1
+    return side
 
 
 def triangle_sides(
     tables: RealizabilityTables, rs: RotationSystem, T
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Bipartition of the vertices off triangle T by side (one part may be
-    empty)."""
+    empty), the part holding the smallest such vertex first.
+
+    Reads :func:`crossing_sets`, so it raises
+    :class:`RealizabilityError` on the first unrealizable quad of ``rs``
+    in sorted order."""
     T = tuple(sorted(set(T)))
-    others = [x for x in range(1, rs.n + 1) if x not in T]
-    if not others:
-        return frozenset(), frozenset()
-    anchor = others[0]
-    side_a, side_b = [anchor], []
-    for x in others[1:]:
-        if same_triangle_side(tables, rs, T, anchor, x):
-            side_a.append(x)
-        else:
-            side_b.append(x)
-    return frozenset(side_a), frozenset(side_b)
+    if len(T) != 3:
+        raise InputError(f"expected a vertex triple, got {T}")
+    for x in T:
+        if not 1 <= x <= rs.n:
+            raise InputError(f"vertex {x} out of range 1..{rs.n}")
+    side = _triangle_side_of(crossing_sets(tables, rs), rs.n, T)
+    parts = ([], [], [])
+    for x in range(1, rs.n + 1):
+        parts[side[x]].append(x)
+    return frozenset(parts[0]), frozenset(parts[1])
 
 
 def is_g_convex(tables: RealizabilityTables, rs: RotationSystem) -> bool:
     """Whether every vertex triple has a side whose induced subdrawing
-    stays inside it (no induced edge crosses the triangle)."""
-    if rs.n <= 3:
+    stays inside it (no induced edge crosses the triangle).
+
+    Raises :class:`RealizabilityError` on an unrealizable system.  A
+    side of triangle T is good iff no edge crossing one of T's edges
+    has both endpoints in that side and T; such an edge is independent
+    of the triangle edge it crosses, so at most one of its endpoints is
+    on T.  Each triple reads the three crossing sets of T's edges from
+    the memoized :func:`crossing_sets`."""
+    n = rs.n
+    if n <= 3:
         return True
-    for T in itertools.combinations(range(1, rs.n + 1), 3):
-        t_edges = list(itertools.combinations(T, 2))
-        side_a, side_b = triangle_sides(tables, rs, T)
-        ok = False
-        for cls in (side_a, side_b):
-            members = tuple(sorted(cls)) + T
-            good = True
-            for x, y in itertools.combinations(members, 2):
-                if x in T and y in T:
+    _require_realizable(tables, rs)
+    cross = crossing_sets(tables, rs)
+    for T in itertools.combinations(range(1, n + 1), 3):
+        side = _triangle_side_of(cross, n, T)
+        a, b, c = T
+        # bit s set once side s is ruled out
+        bad = 0
+        for t in ((a, b), (a, c), (b, c)):
+            for x, y in cross[t]:
+                s, r = side[x], side[y]
+                if s == 2:
+                    s = r
+                elif r != 2 and r != s:
                     continue
-                for te in t_edges:
-                    if x in te or y in te:
-                        continue
-                    if pair_crossing(tables, rs, (x, y), te):
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
-                ok = True
-                break
-        if not ok:
-            return False
+                bad |= 1 << s
+            if bad == 3:
+                return False
     return True
+
+
+def _require_realizable(tables: RealizabilityTables, rs: RotationSystem):
+    """Raise :class:`RealizabilityError` unless :func:`is_realizable`
+    (memoized on ``rs``) holds."""
+    if not is_realizable(tables, rs):
+        raise RealizabilityError("rotation system is not realizable")
 
 
 # ---------------------------------------------------------------------------

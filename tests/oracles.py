@@ -6,11 +6,21 @@ the table-driven pipeline under test.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from itertools import combinations, permutations
 
 from sepdraw.cmap import DRAWN_KINDS, EDGE, INSERTED, WITNESS, CombinatorialMap
-from sepdraw.rotation import RotationSystem, edge_key, pair_key
+from sepdraw.errors import InputError
+from sepdraw.rotation import (
+    K4_UNREALIZABLE,
+    RotationSystem,
+    edge_key,
+    k4_index,
+    k5_system,
+    pair_crossing,
+    pair_key,
+)
 
 
 def rotation_system_from_points(pts: dict[int, tuple[float, float]]):
@@ -353,3 +363,102 @@ def reference_check_simple_vs_original(m: CombinatorialMap, cid: int):
         if shared + meets.get((min(cid, fid), max(cid, fid)), 0) > 1:
             return c.edge()
     return None
+
+
+# ---------------------------------------------------------------------------
+# Per-pair references for the triangle-side, g-convexity and crossing-free
+# queries: each pair of edges is one ``pair_crossing`` call, with no
+# crossing sets and no reader shared across pairs.
+
+
+def reference_same_triangle_side(tables, rs, T, u: int, v: int) -> bool:
+    """Whether u and v lie on the same side of the triangle on T."""
+    T = tuple(sorted(set(T)))
+    if len(T) != 3:
+        raise InputError(f"expected a vertex triple, got {T}")
+    if u == v:
+        raise InputError("u and v must differ")
+    if u in T or v in T:
+        raise InputError("u and v must not lie on the triangle")
+    for x in (u, v) + T:
+        if not 1 <= x <= rs.n:
+            raise InputError(f"vertex {x} out of range 1..{rs.n}")
+    count = 0
+    for a, b in itertools.combinations(T, 2):
+        if pair_crossing(tables, rs, (u, v), (a, b)):
+            count += 1
+    return count % 2 == 0
+
+
+def reference_triangle_sides(tables, rs, T):
+    """Bipartition of the vertices off triangle T by side (one part may be
+    empty)."""
+    T = tuple(sorted(set(T)))
+    others = [x for x in range(1, rs.n + 1) if x not in T]
+    if not others:
+        return frozenset(), frozenset()
+    anchor = others[0]
+    side_a, side_b = [anchor], []
+    for x in others[1:]:
+        if reference_same_triangle_side(tables, rs, T, anchor, x):
+            side_a.append(x)
+        else:
+            side_b.append(x)
+    return frozenset(side_a), frozenset(side_b)
+
+
+def reference_is_g_convex(tables, rs) -> bool:
+    """Whether every vertex triple has a side whose induced subdrawing
+    stays inside it (no induced edge crosses the triangle)."""
+    if rs.n <= 3:
+        return True
+    for T in itertools.combinations(range(1, rs.n + 1), 3):
+        t_edges = list(itertools.combinations(T, 2))
+        side_a, side_b = reference_triangle_sides(tables, rs, T)
+        ok = False
+        for cls in (side_a, side_b):
+            members = tuple(sorted(cls)) + T
+            good = True
+            for x, y in itertools.combinations(members, 2):
+                if x in T and y in T:
+                    continue
+                for te in t_edges:
+                    if x in te or y in te:
+                        continue
+                    if pair_crossing(tables, rs, (x, y), te):
+                        good = False
+                        break
+                if not good:
+                    break
+            if good:
+                ok = True
+                break
+        if not ok:
+            return False
+    return True
+
+
+def reference_verify_crossing_free(tables, rs, edges) -> bool:
+    """Whether no two of the given edges cross (adjacent pairs never do)."""
+    edges = [edge_key(*e) for e in edges]
+    for e, f in itertools.combinations(edges, 2):
+        if set(e) & set(f):
+            continue
+        if pair_crossing(tables, rs, e, f):
+            return False
+    return True
+
+
+def k4_consistent_unrealizable_k5(tables) -> list[RotationSystem]:
+    """The labeled K5 systems outside ``tables.k5`` whose five
+    4-subsystems are all realizable under ``tables.k4``: unrealizable,
+    yet no single crossing query on them fails."""
+    quads = list(combinations(range(1, 6), 4))
+    systems = []
+    for idx in range(6**5):
+        rs = k5_system(idx)
+        if idx not in tables.k5 and all(
+            tables.k4[k4_index(rs, q)] != K4_UNREALIZABLE for q in quads
+        ):
+            systems.append(rs)
+    return systems

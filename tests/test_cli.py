@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import random
@@ -11,16 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from oracles import k4_consistent_unrealizable_k5
 from sepdraw.cli import main
 from sepdraw.cmap import serialize_cmap
 from sepdraw.generators import random_two_page, random_two_page_minus
-from sepdraw.rotation import (
-    K4_UNREALIZABLE,
-    convex,
-    k4_index,
-    k5_system,
-    serialize_crs,
-)
+from sepdraw.rotation import convex, serialize_crs
 from test_separability import LOW_DEGREE_K6
 
 
@@ -231,14 +225,7 @@ class TestUnrealizableInput:
     bad input, also when all its 4-vertex subsystems are realizable."""
 
     def test_k4_consistent_k5_exits_two(self, tables, tmp_path, capsys):
-        quads = list(itertools.combinations(range(1, 6), 4))
-        systems = []
-        for idx in range(6**5):
-            rs = k5_system(idx)
-            if idx not in tables.k5 and all(
-                tables.k4[k4_index(rs, q)] != K4_UNREALIZABLE for q in quads
-            ):
-                systems.append(rs)
+        systems = k4_consistent_unrealizable_k5(tables)
         assert len(systems) == 72
         commands = [
             ["recognize", "--certificate"],

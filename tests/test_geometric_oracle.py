@@ -1,9 +1,9 @@
 """Straight-line drawings past n = 7 against the geometric oracle.
 
 Crossings read off point coordinates share no code with the tables, so
-they check the edge-by-edge crossing queries and the crossing-free
-constructions at sizes the enumerated corpora do not reach.  Tier-1
-runs K8-K16; the weekly ``recognize-scale`` CI job calls
+they check the edge-by-edge crossing queries, g-convexity and the
+crossing-free constructions at sizes the enumerated corpora do not
+reach.  Tier-1 runs K8-K16; the weekly ``recognize-scale`` CI job calls
 :func:`check_straight_line` on K20-K30.  This module imports no pytest,
 so that job can import it from a plain install.
 """
@@ -19,7 +19,7 @@ from oracles import (
     segments_cross,
 )
 from sepdraw.hamiltonicity import ham_cycle, ham_path, plane_matching
-from sepdraw.rotation import crossings_of_edge
+from sepdraw.rotation import crossings_of_edge, is_g_convex
 
 
 def _crossing_free(pts, edges) -> bool:
@@ -32,7 +32,8 @@ def _crossing_free(pts, edges) -> bool:
 
 def check_straight_line(tables, n: int, seed: int) -> None:
     """On seeded random points: ``crossings_of_edge`` of every edge is
-    the set of edges whose segments cross it, and ``ham_cycle``,
+    the set of edges whose segments cross it, the drawing is g-convex
+    (every straight-line drawing is), and ``ham_cycle``,
     ``plane_matching`` and three ``ham_path`` pairs are crossing-free
     as segments."""
     rng = random.Random(f"{n}:{seed}")
@@ -44,6 +45,7 @@ def check_straight_line(tables, n: int, seed: int) -> None:
         crossing[f].add(e)
     for e, want in crossing.items():
         assert crossings_of_edge(tables, rs, e) == want, (n, seed, e)
+    assert is_g_convex(tables, rs), (n, seed)
     labels = list(range(1, n + 1))
     cycle = ham_cycle(tables, rs)
     assert sorted(cycle.vertices) == labels, (n, seed)
