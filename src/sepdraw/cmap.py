@@ -362,6 +362,14 @@ class MapBuilder:
     def kill_segment(self, s: int):
         self.scurve[s] = -1
 
+    def curve_points(self, cid: int) -> list[int]:
+        """Vertex chain of a live curve: endpoint, crossings..., endpoint
+        (as :meth:`CombinatorialMap.curve_points`)."""
+        segs = self.csegs[cid]
+        pts = [self.dvert[2 * segs[0]]]
+        pts += [self.dvert[2 * s + 1] for s in segs]
+        return pts
+
     def rotation_of(self, vid: int) -> list[int]:
         """Live darts at ``vid`` clockwise from its smallest one."""
         for d in range(len(self.dvert)):
@@ -684,6 +692,14 @@ def validate_map(m: CombinatorialMap, strict: bool = True) -> list[str]:
     return v
 
 
+def require_valid_map(m: CombinatorialMap, strict: bool = True) -> None:
+    """Raise :class:`InputError` naming the first violation that
+    :func:`validate_map` reports."""
+    bad = validate_map(m, strict)
+    if bad:
+        raise InputError(f"input map invalid: {bad[0]}")
+
+
 def _witness_violation(m, wid, edge_curve_of, edges) -> str | None:
     """First violation of witness ``wid`` against the edges of
     ``edge_curve_of`` (edge -> curve id), whose iteration order decides
@@ -828,7 +844,7 @@ def from_two_page(order, edges, pages, witnesses: bool = True):
         vid_of[lab] = b.new_vertex("real", lab)
 
     # curve records: edges then mirrored witnesses
-    specs = []  # (cid, page, label_u, label_v)
+    specs = []  # (cid, page, label_u, label_v), indexed by cid
     for (u, v), page in zip(edges, pages):
         specs.append((b.new_curve(EDGE, u, v), page, u, v))
     if witnesses:
@@ -887,36 +903,20 @@ def from_two_page(order, edges, pages, witnesses: bool = True):
             else:
                 side_darts[(xv, cid)] = {"small": fwd, "big": back}
 
-    # rotations at crossing vertices
-    for i in range(len(specs)):
-        for j in range(i + 1, len(specs)):
-            ci, pi, *_ = specs[i]
-            cj, pj, *_ = specs[j]
-            for x, xv, other in events[ci]:
-                if other != cj:
-                    continue
-                a1, b1 = interval(specs[i])
-                a2, b2 = interval(specs[j])
-                # A = curve with the smaller left endpoint
-                if a1 < a2:
-                    A, B = ci, cj
-                else:
-                    A, B = cj, ci
-                if pi == "upper":
-                    rot = (
-                        side_darts[(xv, A)]["big"],
-                        side_darts[(xv, B)]["big"],
-                        side_darts[(xv, A)]["small"],
-                        side_darts[(xv, B)]["small"],
-                    )
-                else:
-                    rot = (
-                        side_darts[(xv, A)]["big"],
-                        side_darts[(xv, B)]["small"],
-                        side_darts[(xv, A)]["small"],
-                        side_darts[(xv, B)]["big"],
-                    )
-                b.set_rotation(xv, rot)
+    # rotations at crossing vertices, each set once from its lower curve;
+    # A is the curve with the smaller left endpoint
+    for ci, page, *_ in specs:
+        left = interval(specs[ci])[0]
+        for _, xv, cj in events[ci]:
+            if cj < ci:
+                continue
+            A, B = (ci, cj) if left < interval(specs[cj])[0] else (cj, ci)
+            da, db = side_darts[(xv, A)], side_darts[(xv, B)]
+            if page == "upper":
+                rot = (da["big"], db["big"], da["small"], db["small"])
+            else:
+                rot = (da["big"], db["small"], da["small"], db["big"])
+            b.set_rotation(xv, rot)
 
     # rotations at spine vertices: upper-left asc, lower-left desc,
     # lower-right desc, upper-right asc (by the other endpoint's position)

@@ -12,6 +12,7 @@ crossings), which strictly decreases at every step.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cmap import (
@@ -21,6 +22,7 @@ from .cmap import (
     CombinatorialMap,
     MapBuilder,
     is_connected,
+    require_valid_map,
     validate_map,
     witness_set,
 )
@@ -61,7 +63,7 @@ def _drawn_edges(m: CombinatorialMap):
     return {c.edge() for c in m.curves if c.kind in (EDGE, INSERTED)}
 
 
-def _insert(m: CombinatorialMap, u: int, v: int, mode: str) -> InsertionResult:
+def _check_insertable(m: CombinatorialMap, u: int, v: int):
     e = edge_key(u, v)
     labels = set(m.real_labels())
     if u == v or u not in labels or v not in labels:
@@ -70,6 +72,13 @@ def _insert(m: CombinatorialMap, u: int, v: int, mode: str) -> InsertionResult:
         raise InputError(f"edge {e} is already drawn")
     if not is_connected(m):
         raise InputError("insertion requires a connected drawing")
+
+
+def _insert(m: CombinatorialMap, u: int, v: int, mode: str) -> InsertionResult:
+    """Insert edge {u,v} along a least-cost route of ``mode`` and check
+    that it shares at most one point with every original edge.  The
+    caller has checked the input."""
+    e = edge_key(u, v)
     cost_kinds = _COST_KINDS[mode]
 
     def cost(cid):
@@ -85,29 +94,29 @@ def _insert(m: CombinatorialMap, u: int, v: int, mode: str) -> InsertionResult:
     new_cid = apply_route(b, INSERTED, e[0], e[1], route)
     out = b.freeze()
     # curve ids are stable under freeze for pure insertions
-    kinds = [wc.kind for wc in out.curves]
-    if kinds[new_cid] != INSERTED or out.curves[new_cid].edge() != e:
+    new = out.curves[new_cid]
+    if new.kind != INSERTED or new.edge() != e:
         raise InternalInvariantError("inserted curve id not stable")
-    wcx = sum(
-        1
-        for s, _ in route.crossings
-        if m.curves[m.scurve[s]].kind in (EDGE, WITNESS)
-    )
-    ecx = sum(
-        1 for s, _ in route.crossings if m.curves[m.scurve[s]].kind == EDGE
-    )
-    icx = sum(
-        1
-        for s, _ in route.crossings
-        if m.curves[m.scurve[s]].kind == INSERTED
-    )
+    crossed = Counter(m.curves[m.scurve[s]].kind for s, _ in route.crossings)
+    offender = _check_simple_vs_original(out, new_cid)
+    if offender is not None:
+        if mode == SEPARABLE:
+            raise InternalInvariantError(
+                f"minimum-witness-crossing insertion of {e} meets edge "
+                f"{offender} twice"
+            )
+        raise SimplicityError(
+            f"inserting {e} with minimum crossings meets edge "
+            f"{offender} twice; the input is not crossing-minimizing",
+            pair=(e, offender),
+        )
     return InsertionResult(
         map=out,
         curve_id=new_cid,
         edge=e,
-        witness_set_crossings=wcx,
-        edge_crossings=ecx,
-        inserted_crossings=icx,
+        witness_set_crossings=crossed[EDGE] + crossed[WITNESS],
+        edge_crossings=crossed[EDGE],
+        inserted_crossings=crossed[INSERTED],
     )
 
 
@@ -143,52 +152,33 @@ def insert_min_witness_crossings(
     drawn edge together with its witness arc); crossings with previously
     inserted edges are free and recorded separately.
 
-    The input must carry one valid witness per drawn edge; the result is
-    then guaranteed simple against the original edges, which is asserted.
+    The input must carry one witness per drawn edge (else
+    :class:`WitnessError`) and pass ``validate_map(m, strict=False)``
+    (else :class:`InputError`); the result is then guaranteed simple
+    against the original edges, which is asserted.
     """
-    ws = witness_set(m)
-    if not ws.complete_for(m):
+    if not witness_set(m).complete_for(m):
         raise WitnessError("every drawn edge needs a witness arc")
-    bad = [x for x in validate_map(m, strict=False) if "witness" in x or "closed curve" in x]
-    if bad:
-        raise WitnessError(f"invalid witness set: {bad[0]}")
-    res = _insert(m, u, v, SEPARABLE)
-    offender = _check_simple_vs_original(res.map, res.curve_id)
-    if offender is not None:
-        raise InternalInvariantError(
-            f"minimum-witness-crossing insertion of {res.edge} meets edge "
-            f"{offender} twice"
-        )
-    return res
+    require_valid_map(m, strict=False)
+    _check_insertable(m, u, v)
+    return _insert(m, u, v, SEPARABLE)
 
 
 def insert_min_crossings(
     m: CombinatorialMap, u: int, v: int
 ) -> InsertionResult:
     """Insert edge {u,v} with the minimum number of crossings with the
-    drawn edges.  Simplicity of the result against the original edges is
-    reported via :class:`SimplicityError` (it is guaranteed only when the
-    input drawing is crossing-minimizing)."""
-    res = _insert(m, u, v, CROSSMIN)
-    offender = _check_simple_vs_original(res.map, res.curve_id)
-    if offender is not None:
-        raise SimplicityError(
-            f"inserting {res.edge} with minimum crossings meets edge "
-            f"{offender} twice; the input is not crossing-minimizing",
-            pair=(res.edge, offender),
-        )
-    return res
+    drawn edges.  The input must pass ``validate_map(m, strict=False)``
+    (else :class:`InputError`).  Simplicity of the result against the
+    original edges is reported via :class:`SimplicityError` (it is
+    guaranteed only when the input drawing is crossing-minimizing)."""
+    require_valid_map(m, strict=False)
+    _check_insertable(m, u, v)
+    return _insert(m, u, v, CROSSMIN)
 
 
 # ---------------------------------------------------------------------------
 # Fix-up surgery
-
-
-def _chain_points(b: MapBuilder, cid: int) -> list[int]:
-    segs = b.csegs[cid]
-    pts = [b.dvert[2 * segs[0]]]
-    pts += [b.dvert[2 * s + 1] for s in segs]
-    return pts
 
 
 def _reverse_segment(b: MapBuilder, s: int) -> int:
@@ -200,6 +190,21 @@ def _reverse_segment(b: MapBuilder, s: int) -> int:
     return s2
 
 
+def _merge_step(b: MapBuilder, cid: int, sa: int, sb: int, x: int) -> bool:
+    """Merge segments ``sa`` and ``sb`` of curve ``cid`` (given in either
+    order) into one segment, in place in its chain, if they follow each
+    other along the chain through vertex ``x``; returns whether they did
+    (and nothing changes otherwise)."""
+    chain = b.csegs[cid]
+    ia, ib = chain.index(sa), chain.index(sb)
+    if ib < ia:
+        (sa, ia), (sb, ib) = (sb, ib), (sa, ia)
+    if ib != ia + 1 or b.dvert[2 * sa + 1] != x or b.dvert[2 * sb] != x:
+        return False
+    chain[ia : ib + 1] = [b.merge_segments(sa, 2 * sa + 1, sb, 2 * sb, cid)]
+    return True
+
+
 def _smooth_passage(b: MapBuilder, y: int, dead: set[int]):
     """Remove vertex ``y`` by merging the passage whose segments are not
     in ``dead`` (the other strands there are being deleted)."""
@@ -209,25 +214,18 @@ def _smooth_passage(b: MapBuilder, y: int, dead: set[int]):
             f"expected one surviving passage at vertex {y}, found "
             f"{len(darts)} darts"
         )
-    da, db = darts
-    sa, sb = da >> 1, db >> 1
+    sa, sb = darts[0] >> 1, darts[1] >> 1
     cid = b.scurve[sa]
     if b.scurve[sb] != cid:
         raise InternalInvariantError("surviving strands belong to two curves")
-    chain = b.csegs[cid]
-    ia, ib = chain.index(sa), chain.index(sb)
-    if ib < ia:
-        (da, db), (sa, sb), (ia, ib) = (db, da), (sb, sa), (ib, ia)
-    if ib != ia + 1 or b.dvert[2 * sa + 1] != y or b.dvert[2 * sb] != y:
+    if not _merge_step(b, cid, sa, sb, y):
         raise InternalInvariantError("surviving passage is not a chain step")
-    merged = b.merge_segments(sa, 2 * sa + 1, sb, 2 * sb, cid)
-    chain[ia : ib + 1] = [merged]
 
 
 def _excise_one_loop(b: MapBuilder, cid: int) -> bool:
     """Remove the first self-overlap loop of a curve; returns whether one
     was found."""
-    pts = _chain_points(b, cid)
+    pts = b.curve_points(cid)
     first: dict[int, int] = {}
     dup = None
     for idx, pt in enumerate(pts):
@@ -258,29 +256,25 @@ def _smooth_junction(b: MapBuilder, cid: int, x: int):
     """Merge the two chain segments of ``cid`` meeting at the now
     passage-free vertex ``x``."""
     chain = b.csegs[cid]
-    for k in range(len(chain) - 1):
-        sa, sb = chain[k], chain[k + 1]
-        if b.dvert[2 * sa + 1] == x and b.dvert[2 * sb] == x:
-            merged = b.merge_segments(sa, 2 * sa + 1, sb, 2 * sb, cid)
-            chain[k : k + 2] = [merged]
+    for sa, sb in zip(chain, chain[1:]):
+        if _merge_step(b, cid, sa, sb, x):
             return
     raise InternalInvariantError(f"junction vertex {x} not on curve {cid}")
 
 
-def _common_points(b: MapBuilder, c1: int, c2: int) -> list[int]:
-    """Common points of two curves, ordered along c1 (vertex ids;
-    includes a shared real endpoint)."""
-    pts1 = _chain_points(b, c1)
-    pts2 = set(_chain_points(b, c2))
-    return [p for p in pts1 if p in pts2]
+def _common_points(b, c1: int, c2: int) -> list[int]:
+    """Common points of two curves of a map or builder, ordered along c1
+    (vertex ids; includes a shared real endpoint)."""
+    pts2 = set(b.curve_points(c2))
+    return [p for p in b.curve_points(c1) if p in pts2]
 
 
 def _exchange(b: MapBuilder, c1: int, c2: int, x1: int, x2: int):
     """Swap the pieces of c1 and c2 between common points x1, x2 (chosen
     consecutive along c1), smooth the two junctions, and excise any
     self-overlaps created."""
-    pts1 = _chain_points(b, c1)
-    pts2 = _chain_points(b, c2)
+    pts1 = b.curve_points(c1)
+    pts2 = b.curve_points(c2)
     a, bp = pts1.index(x1), pts1.index(x2)
     if a > bp:
         raise InternalInvariantError("x1 must precede x2 along c1")
@@ -324,18 +318,10 @@ def _smooth_cross_junction(b: MapBuilder, x: int):
     if len(by_curve) != 2 or any(len(v) != 2 for v in by_curve.values()):
         raise InternalInvariantError(f"junction {x} is not a clean touch")
     for cid, (da, db) in sorted(by_curve.items()):
-        sa, sb = da >> 1, db >> 1
-        chain = b.csegs[cid]
-        ia, ib = chain.index(sa), chain.index(sb)
-        if ib < ia:
-            sa, sb = sb, sa
-            ia, ib = ib, ia
-        if ib != ia + 1:
+        if not _merge_step(b, cid, da >> 1, db >> 1, x):
             raise InternalInvariantError(
                 f"curve {cid} does not pass straight through junction {x}"
             )
-        merged = b.merge_segments(sa, 2 * sa + 1, sb, 2 * sb, cid)
-        chain[ia : ib + 1] = [merged]
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +342,17 @@ def _potential(m: CombinatorialMap, mode: str) -> tuple[int, int]:
 
 def _violating_pair(m: CombinatorialMap):
     """First pair of inserted curves sharing at least two points, with
-    the two common points consecutive along the first curve."""
+    the two common points consecutive along the first curve.  Two curves
+    share their common endpoints plus the crossing vertices they meet
+    in."""
     ins = [c for c, cu in enumerate(m.curves) if cu.kind == INSERTED]
-    if len(ins) < 2:
-        return None
-    b = MapBuilder.from_map(m)
+    meets = m.meets
     for i, c1 in enumerate(ins):
+        ends = set(m.curves[c1].edge())
         for c2 in ins[i + 1 :]:
-            common = _common_points(b, c1, c2)
-            if len(common) >= 2:
+            shared = len(ends & set(m.curves[c2].edge()))
+            if shared + meets.get((c1, c2), 0) >= 2:
+                common = _common_points(m, c1, c2)
                 return c1, c2, common[0], common[1]
     return None
 
@@ -374,9 +362,7 @@ def _extend(m: CombinatorialMap, mode: str) -> ExtensionResult:
     n = len(labels)
     if labels != list(range(1, n + 1)):
         raise InputError(f"real vertex labels must be 1..n, got {labels}")
-    bad = validate_map(m)
-    if bad:
-        raise InputError(f"input map invalid: {bad[0]}")
+    require_valid_map(m)
     missing = sorted(
         {
             (u, v)
@@ -388,13 +374,13 @@ def _extend(m: CombinatorialMap, mode: str) -> ExtensionResult:
     )
     if not missing:
         return ExtensionResult(map=m, insertions=(), potential_log=())
+    # the labels are fine and the edges missing; an insertion keeps the
+    # drawing's components, so one connectivity check covers all of them
+    _check_insertable(m, *missing[0])
     insertions = []
     cur = m
     for u, v in missing:
-        if mode == SEPARABLE:
-            res = insert_min_witness_crossings(cur, u, v)
-        else:
-            res = insert_min_crossings(cur, u, v)
+        res = _insert(cur, u, v, mode)
         insertions.append(res)
         cur = res.map
     # fix-up loop

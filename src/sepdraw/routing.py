@@ -27,7 +27,7 @@ from .cmap import (
     WITNESS,
     CombinatorialMap,
     MapBuilder,
-    validate_map,
+    require_valid_map,
 )
 from .errors import InputError, InternalInvariantError
 
@@ -301,9 +301,7 @@ def find_witness(m: CombinatorialMap, e):
     """
     from .rotation import edge_key
 
-    bad = validate_map(m)
-    if bad:
-        raise InputError(f"input map invalid: {bad[0]}")
+    require_valid_map(m)
     e = edge_key(*e)
     eid = None
     for cid, c in enumerate(m.curves):

@@ -10,7 +10,14 @@ import itertools
 import math
 from itertools import combinations, permutations
 
-from sepdraw.cmap import DRAWN_KINDS, EDGE, INSERTED, WITNESS, CombinatorialMap
+from sepdraw.cmap import (
+    DRAWN_KINDS,
+    EDGE,
+    INSERTED,
+    WITNESS,
+    CombinatorialMap,
+    MapBuilder,
+)
 from sepdraw.errors import InputError
 from sepdraw.rotation import (
     K4_UNREALIZABLE,
@@ -362,6 +369,42 @@ def reference_check_simple_vs_original(m: CombinatorialMap, cid: int):
         shared = len(set(c.edge()) & set(target.edge()))
         if shared + meets.get((min(cid, fid), max(cid, fid)), 0) > 1:
             return c.edge()
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Reference fix-up pair search: ``extension._violating_pair`` as it was
+# when it built a ``MapBuilder`` and compared curve chains point by point,
+# kept verbatim so the version reading ``meets`` can be compared with it.
+
+
+def _reference_chain_points(b: MapBuilder, cid: int) -> list[int]:
+    segs = b.csegs[cid]
+    pts = [b.dvert[2 * segs[0]]]
+    pts += [b.dvert[2 * s + 1] for s in segs]
+    return pts
+
+
+def _reference_common_points(b: MapBuilder, c1: int, c2: int) -> list[int]:
+    """Common points of two curves, ordered along c1 (vertex ids;
+    includes a shared real endpoint)."""
+    pts1 = _reference_chain_points(b, c1)
+    pts2 = set(_reference_chain_points(b, c2))
+    return [p for p in pts1 if p in pts2]
+
+
+def reference_violating_pair(m: CombinatorialMap):
+    """First pair of inserted curves sharing at least two points, with
+    the two common points consecutive along the first curve."""
+    ins = [c for c, cu in enumerate(m.curves) if cu.kind == INSERTED]
+    if len(ins) < 2:
+        return None
+    b = MapBuilder.from_map(m)
+    for i, c1 in enumerate(ins):
+        for c2 in ins[i + 1 :]:
+            common = _reference_common_points(b, c1, c2)
+            if len(common) >= 2:
+                return c1, c2, common[0], common[1]
     return None
 
 

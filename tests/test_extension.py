@@ -8,6 +8,8 @@ import sepdraw.extension as ext
 from sepdraw.cmap import (
     EDGE,
     INSERTED,
+    WITNESS,
+    CombinatorialMap,
     MapBuilder,
     crossing_pairs_of_map,
     extract_rotation_system,
@@ -30,7 +32,11 @@ from sepdraw.generators import (
 from sepdraw.rotation import is_realizable
 from sepdraw.routing import apply_route, iter_routes, min_cost_route
 
-from oracles import exhaustive_min_route_cost
+from oracles import (
+    exhaustive_min_route_cost,
+    reference_validate_map,
+    reference_violating_pair,
+)
 
 
 class TestInsertMinWitnessCrossings:
@@ -62,6 +68,76 @@ class TestInsertMinWitnessCrossings:
             insert_min_witness_crossings(m, 1, 2)
         with pytest.raises(InputError):
             insert_min_witness_crossings(m, 2, 2)
+
+
+def _corrupted_maps():
+    """Two structural corruptions of a separable K7 minus three edges,
+    and its first missing edge: two darts swapped in vertex 0's rotation
+    (the faces no longer satisfy Euler's formula), and one dart moved
+    from vertex 0 to vertex 1."""
+    m, _, removed = random_two_page_minus(7, 3, random.Random(3))
+    rot = m.vdarts[0]
+
+    def with_rotations(first, second):
+        vdarts = (first, second) + m.vdarts[2:]
+        return CombinatorialMap(
+            m.vkind, m.vlabel, vdarts, m.scurve, m.sidx, m.curves
+        )
+
+    swapped = with_rotations((rot[1], rot[0]) + rot[2:], m.vdarts[1])
+    moved = with_rotations(rot[1:], m.vdarts[1] + rot[:1])
+    return (swapped, moved), sorted(removed)[0]
+
+
+def _bad_witness_map():
+    """A separable K7 minus three edges with one more witness arc, which
+    crosses its own edge, and the drawing's first missing edge."""
+    m, _, removed = random_two_page_minus(7, 3, random.Random(3))
+    for eid, c in enumerate(m.curves):
+        if c.kind != EDGE:
+            continue
+        budget = {cid: 0 for cid in range(len(m.curves))}
+        budget[eid] = 1
+        ends = m.real_by_label[c.u], m.real_by_label[c.v]
+        route = next(
+            (r for r in iter_routes(m, *ends, budget) if r.crossings), None
+        )
+        if route is not None:
+            b = MapBuilder.from_map(m)
+            apply_route(b, WITNESS, c.u, c.v, route)
+            return b.freeze(), sorted(removed)[0]
+    raise AssertionError("no witness route crosses its own edge")
+
+
+def _extend_separable(m, u, v):
+    return extend_to_complete_separable(m)
+
+
+class TestInsertionEntryChecks:
+    """Both insertion functions check ``validate_map(m, strict=False)``
+    and raise :class:`InputError` naming its first violation; a bad
+    witness arc fails the same way in ``extend_to_complete_separable``."""
+
+    INSERT = (insert_min_witness_crossings, insert_min_crossings)
+
+    @pytest.mark.parametrize("insert", INSERT)
+    def test_structurally_broken_input(self, insert):
+        bad_maps, (u, v) = _corrupted_maps()
+        for bad in bad_maps:
+            want = validate_map(bad, strict=False)
+            assert want
+            with pytest.raises(InputError) as exc:
+                insert(bad, u, v)
+            assert str(exc.value) == f"input map invalid: {want[0]}"
+
+    @pytest.mark.parametrize("insert", INSERT + (_extend_separable,))
+    def test_invalid_witness_arc(self, insert):
+        m, (u, v) = _bad_witness_map()
+        want = validate_map(m, strict=False)
+        assert "crosses its own edge" in want[0]
+        with pytest.raises(InputError) as exc:
+            insert(m, u, v)
+        assert str(exc.value) == f"input map invalid: {want[0]}"
 
 
 class TestInsertMinCrossings:
@@ -312,3 +388,34 @@ class TestFixupSurgery:
             if hit:
                 break
         assert hit, "no order-permuted triple crossing found"
+
+
+# Crossmin inputs whose completion runs fix-up steps (3, 3, 5 and 7 when
+# this test was written); criteria 9 and 10 of the acceptance suite run
+# none.
+FIXUP_KEYS = ("8:0", "10:23", "11:24", "11:34")
+
+
+class TestFixupLoop:
+    @pytest.mark.parametrize("key", FIXUP_KEYS)
+    def test_completion_runs_fixup_steps(self, key):
+        m = random_planar_map(int(key.split(":")[0]), random.Random(key))
+        res = extend_to_complete_crossmin(m)
+        log = res.potential_log
+        assert len(log) > 1
+        assert all(a > b for a, b in zip(log, log[1:]))
+        assert validate_map(res.map) == [] == reference_validate_map(res.map)
+        # replay the loop, comparing each pair found with the reference
+        cur = res.insertions[-1].map
+        steps = 0
+        while True:
+            viol = ext._violating_pair(cur)
+            assert viol == reference_violating_pair(cur), (key, steps)
+            if viol is None:
+                break
+            b = MapBuilder.from_map(cur)
+            ext._exchange(b, *viol)
+            cur = b.freeze()
+            steps += 1
+        assert steps == len(log) - 1
+        assert cur == res.map

@@ -1,9 +1,9 @@
 """Straight-line drawings past n = 7 against the geometric oracle.
 
 Crossings read off point coordinates share no code with the tables, so
-they check the edge-by-edge crossing queries, g-convexity and the
-crossing-free constructions at sizes the enumerated corpora do not
-reach.  Tier-1 runs K8-K16; the weekly ``recognize-scale`` CI job calls
+they check the edge-by-edge crossing queries, separability, g-convexity
+and the crossing-free constructions at sizes the enumerated corpora do
+not reach.  Tier-1 runs K8-K16; the weekly ``recognize-scale`` CI job calls
 :func:`check_straight_line` on K20-K30.  This module imports no pytest,
 so that job can import it from a plain install.
 """
@@ -20,6 +20,7 @@ from oracles import (
 )
 from sepdraw.hamiltonicity import ham_cycle, ham_path, plane_matching
 from sepdraw.rotation import crossings_of_edge, is_g_convex
+from sepdraw.separability import is_separable
 
 
 def _crossing_free(pts, edges) -> bool:
@@ -32,10 +33,10 @@ def _crossing_free(pts, edges) -> bool:
 
 def check_straight_line(tables, n: int, seed: int) -> None:
     """On seeded random points: ``crossings_of_edge`` of every edge is
-    the set of edges whose segments cross it, the drawing is g-convex
-    (every straight-line drawing is), and ``ham_cycle``,
-    ``plane_matching`` and three ``ham_path`` pairs are crossing-free
-    as segments."""
+    the set of edges whose segments cross it, the drawing is separable
+    and g-convex (every straight-line drawing is both), and
+    ``ham_cycle``, ``plane_matching`` and three ``ham_path`` pairs are
+    crossing-free as segments."""
     rng = random.Random(f"{n}:{seed}")
     pts = random_points(n, rng)
     rs = rotation_system_from_points(pts)
@@ -45,6 +46,7 @@ def check_straight_line(tables, n: int, seed: int) -> None:
         crossing[f].add(e)
     for e, want in crossing.items():
         assert crossings_of_edge(tables, rs, e) == want, (n, seed, e)
+    assert is_separable(tables, rs).separable, (n, seed)
     assert is_g_convex(tables, rs), (n, seed)
     labels = list(range(1, n + 1))
     cycle = ham_cycle(tables, rs)
