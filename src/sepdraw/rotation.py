@@ -78,9 +78,11 @@ class RotationSystem:
     equality and hashing compare cyclic orders, not linearizations.
     Answers that depend on a tables object (the realizability verdict and
     the crossing sets) are memoized per system together with that object.
+    The offset rows counted from one vertex are memoized too (see
+    :func:`_rows_from`).
     """
 
-    __slots__ = ("n", "rows", "_norm", "_realizable", "_crossings")
+    __slots__ = ("n", "rows", "_norm", "_realizable", "_crossings", "_rows")
 
     def __init__(self, n: int, rows):
         if n < 1:
@@ -90,16 +92,40 @@ class RotationSystem:
             raise InputError(f"expected {n} rotations, got {len(rows)}")
         full = frozenset(range(1, n + 1))
         for v, row in enumerate(rows, start=1):
-            if frozenset(row) != full - {v} or len(row) != n - 1:
-                raise InputError(
-                    f"rotation of vertex {v} is not a permutation of the "
-                    f"other {n - 1} labels: {row}"
-                )
+            _check_rotation(n, v, row, full)
+        self._set(n, rows)
+
+    def _set(self, n, rows):
         self.n = n
         self.rows = rows
         self._norm = None
         self._realizable = None
         self._crossings = None
+        self._rows = None
+
+    def _replaced(self, changed) -> RotationSystem:
+        """This system with the rotations in ``changed`` (vertex -> row)
+        replaced.  Only the new rows are validated.  The offset rows
+        memoized by :func:`_rows_from` carry over: an entry depends only
+        on its own vertex's rotation, so only the changed vertices'
+        entries are rebuilt."""
+        n = self.n
+        rows = list(self.rows)
+        full = frozenset(range(1, n + 1))
+        for v, row in changed.items():
+            row = tuple(row)
+            _check_rotation(n, v, row, full)
+            rows[v - 1] = row
+        new = RotationSystem.__new__(RotationSystem)
+        new._set(n, tuple(rows))
+        if self._rows is not None:
+            x, offsets = self._rows
+            offsets = list(offsets)
+            for u in changed:
+                if u != x:
+                    offsets[u] = _anchored(new, u, x)
+            new._rows = (x, offsets)
+        return new
 
     def rotation(self, v: int) -> tuple[int, ...]:
         if not 1 <= v <= self.n:
@@ -132,6 +158,16 @@ class RotationSystem:
 
     def __repr__(self):
         return f"RotationSystem(n={self.n}, rows={self.rows!r})"
+
+
+def _check_rotation(n: int, v: int, row: tuple, full: frozenset) -> None:
+    """Raise :class:`InputError` unless ``row`` is a permutation of the
+    labels in ``full`` (1..n) other than v."""
+    if frozenset(row) != full - {v} or len(row) != n - 1:
+        raise InputError(
+            f"rotation of vertex {v} is not a permutation of the "
+            f"other {n - 1} labels: {row}"
+        )
 
 
 def _roll_min(row: tuple[int, ...]) -> tuple[int, ...]:
@@ -298,6 +334,23 @@ def _anchored(rs: RotationSystem, u: int, x: int) -> list[int]:
     return off
 
 
+def _rows_from(rs: RotationSystem, x: int) -> list:
+    """Offset rows counted from x, indexed by label: entry u is
+    ``_anchored(rs, u, x)`` for every u != x (entries 0 and x are None).
+
+    Memoized on ``rs`` for the last x asked.  The lists are shared with
+    the memo and with the systems :meth:`RotationSystem._replaced` builds
+    from ``rs``, so callers only read them."""
+    memo = rs._rows
+    if memo is None or memo[0] != x:
+        rows = [None] * (rs.n + 1)
+        for u in range(1, rs.n + 1):
+            if u != x:
+                rows[u] = _anchored(rs, u, x)
+        memo = rs._rows = (x, rows)
+    return memo[1]
+
+
 def k4_index(rs: RotationSystem, quad: tuple[int, int, int, int]) -> int:
     """Index of the induced labeled 4-vertex system of a sorted quad (a
     quad in another order is read as relabeled to 1..4 in that order):
@@ -383,8 +436,13 @@ def _crossing_edges(
 
     The one reader of edge-by-edge crossing queries.  Each quad is read
     as (v, w, c, d), from v's rotation counted from w and the others
-    counted from v, against ``tables.k4_reads``.  An edge that is not
-    independent of ``e`` raises :class:`InputError` or
+    counted from v, against ``tables.k4_reads``.  The rows counted from
+    v come from the memo of :func:`_rows_from` when it holds v, as it
+    does on a flipped system: ``is_separator_edge`` tries the candidate
+    flips of an edge lazily, nearest first, and every flipped system
+    shares the rows from v of the system it was flipped from.
+    Otherwise each row is built on first use.  An edge that is
+    not independent of ``e`` raises :class:`InputError` or
     :class:`AdjacentEdgesError`, and an unrealizable quad raises
     :class:`RealizabilityError`, when the sweep reaches it.
     """
@@ -392,8 +450,13 @@ def _crossing_edges(
     n = rs.n
     reads = tables.k4_reads
     V = _anchored(rs, v, w)
-    W = _anchored(rs, w, v)
-    rows = [None] * (n + 1)
+    memo = rs._rows
+    if memo is not None and memo[0] == v:
+        rows = memo[1]
+        W = rows[w]
+    else:
+        rows = [None] * (n + 1)
+        W = _anchored(rs, w, v)
     for f in edges:
         c, d = f
         if c > d:
@@ -612,7 +675,8 @@ def is_realizable_touching(
 
     Only the triples a < b < c that meet S are enumerated.  Each 5-tuple
     is read as (v, w, a, b, c), from v's rotation counted from w and the
-    others counted from v, against ``tables.k5_reads``.
+    others counted from v, against ``tables.k5_reads``.  The rows counted
+    from v are :func:`_rows_from`'s, which a flipped system inherits.
     """
     v, w = _checked_edge(rs, e)
     n = rs.n
@@ -622,12 +686,10 @@ def is_realizable_touching(
         return tables.k4[k4_index(rs, (1, 2, 3, 4))] != K4_UNREALIZABLE
     reads = tables.k5_reads
     D0, D1, D2, D3, D4 = _DIGIT
+    rows = _rows_from(rs, v)
     V = _anchored(rs, v, w)
-    W = _anchored(rs, w, v)
+    W = rows[w]
     rest = [x for x in range(1, n + 1) if x != v and x != w]
-    rows = [None] * (n + 1)
-    for u in rest:
-        rows[u] = _anchored(rs, u, v)
     # placement weight: a vertex below v moves both v and w up one place
     place = [5 if x < v else 1 if x < w else 0 for x in range(n + 1)]
     hit = [swept is None or x in swept for x in range(n + 1)]

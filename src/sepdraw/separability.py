@@ -7,7 +7,8 @@ this is equivalent to: the edge is uncrossed, or it can be flipped
 (repositioned across a common swept vertex set in the two endpoint
 rotations, staying realizable) so that old and new edge cross disjoint
 edge sets.  Candidate repositionings come from a linear parity scan of
-the two endpoint rotations.
+the two endpoint rotations.  They are generated lazily, nearest first,
+and :func:`is_separator_edge` stops at the first valid one.
 
 Every candidate is validated the same way: a realizability recheck of
 the 5-tuples through the edge, then a lookup of the old crossing edges
@@ -18,6 +19,12 @@ that of comparing the full old and new crossing sets, whether or not
 the system is known to be realizable.  On a system that
 :func:`is_realizable` has already found realizable, the set of
 vertices the edge is moved across prunes both steps exactly.
+
+Both steps read the other vertices' rotations counted from v, the
+smaller endpoint.  A flip leaves those rotations unchanged, so the
+system builds these offset rows once per v, every flipped system
+inherits them, and only w's row is rebuilt; :func:`is_separable` visits
+the edges in lexicographic order, so all edges at v share them.
 """
 from __future__ import annotations
 
@@ -28,6 +35,7 @@ from .rotation import (
     RealizabilityTables,
     RotationSystem,
     _checked_edge,
+    _rows_from,
     crossing_sets,
     crosses_any,
     crossings_of_edge,
@@ -96,7 +104,11 @@ class SeparabilityResult:
 
 def _reposition(rs: RotationSystem, v: int, w: int, t: int) -> RotationSystem:
     """Move w forward by t slots in the ccw rotation of v, and v forward
-    by t slots in the cw rotation of w."""
+    by t slots in the cw rotation of w.
+
+    ``rs`` builds its offset rows from the smaller endpoint first, so
+    the flipped system inherits them, and the candidates of every edge
+    at that endpoint share them."""
     n = rs.n
     ccw_v = list(reversed(rs.rows[v - 1]))
     j = ccw_v.index(w)
@@ -106,62 +118,64 @@ def _reposition(rs: RotationSystem, v: int, w: int, t: int) -> RotationSystem:
     j = cw_w.index(v)
     del cw_w[j]
     cw_w.insert((j + t) % (n - 2), v)
-    rows = list(rs.rows)
-    rows[v - 1] = tuple(reversed(ccw_v))
-    rows[w - 1] = tuple(cw_w)
-    return RotationSystem(n, rows)
+    _rows_from(rs, min(v, w))
+    return rs._replaced({v: tuple(reversed(ccw_v)), w: tuple(cw_w)})
 
 
-def _scan(rs: RotationSystem, v: int, w: int):
-    """Parity scan along the ccw rotation of v and the cw rotation of w,
-    both starting right after the other endpoint.  Emits (t, swept) at
-    every return of the odd-parity counter to zero."""
+def _candidates(rs: RotationSystem, v: int, w: int):
+    """Yield the candidate repositionings of the edge {v, w}, v < w,
+    nearest first.
+
+    Two parity scans run side by side: direction 0 along the ccw
+    rotation of v and the cw rotation of w, direction 1 along the ccw
+    rotation of w and the cw rotation of v, each starting right after
+    the other endpoint.  At step t a scan yields when its odd-parity
+    counter returns to zero, direction 0 before direction 1.  Both
+    counters return to zero at t = n - 2, the full sweep across all
+    other vertices, which leaves the rotation system unchanged (the edge
+    is redrawn around the back); it is yielded, from direction 0, only
+    when no proper repositioning exists, where it is the candidate that
+    certifies uncrossed edges."""
     n = rs.n
+    if n < 3:
+        return
+    m = n - 1
     row_v = rs.rows[v - 1]
     row_w = rs.rows[w - 1]
     iv = row_v.index(w)
     iw = row_w.index(v)
     # ccw successor of position i in a cw-stored row is position i-1
-    a_seq = [row_v[(iv - 1 - k) % (n - 1)] for k in range(n - 2)]
-    b_seq = [row_w[(iw + 1 + k) % (n - 1)] for k in range(n - 2)]
-    odd: set[int] = set()
-    out = []
-    for t in range(1, n - 1):
-        for x in (a_seq[t - 1], b_seq[t - 1]):
-            if x in odd:
-                odd.discard(x)
-            else:
-                odd.add(x)
-        if not odd:
-            out.append((t, frozenset(a_seq[:t])))
-    return out
+    ccw_v = [row_v[(iv - 1 - k) % m] for k in range(n - 2)]
+    cw_v = [row_v[(iv + 1 + k) % m] for k in range(n - 2)]
+    ccw_w = [row_w[(iw - 1 - k) % m] for k in range(n - 2)]
+    cw_w = [row_w[(iw + 1 + k) % m] for k in range(n - 2)]
+    scans = ((ccw_v, cw_w, v, w, set()), (ccw_w, cw_v, w, v, set()))
+    found = False
+    for t in range(1, n - 2):
+        for a_seq, b_seq, a, b, odd in scans:
+            for x in (a_seq[t - 1], b_seq[t - 1]):
+                if x in odd:
+                    odd.discard(x)
+                else:
+                    odd.add(x)
+            if not odd:
+                found = True
+                yield FlipCandidate(
+                    edge=(v, w), swept=frozenset(a_seq[:t]), rs=rs,
+                    move=(a, b, t),
+                )
+    if not found:
+        yield FlipCandidate(
+            edge=(v, w), swept=frozenset(ccw_v), rs=rs, move=(v, w, n - 2)
+        )
 
 
 def flip_candidates(rs: RotationSystem, e) -> list[FlipCandidate]:
     """All candidate repositionings of ``e`` found by the parity scan run
-    from both endpoints, ordered nearest-first.
-
-    The full sweep across all other vertices leaves the rotation system
-    unchanged (the edge is redrawn around the back); it is reported only
-    when no proper repositioning exists, where it is the candidate that
-    certifies uncrossed edges.
-    """
+    from both endpoints, ordered nearest-first (see :func:`_candidates`,
+    which :func:`is_separator_edge` walks lazily)."""
     v, w = _checked_edge(rs, e)
-    if rs.n < 3:
-        return []
-    found = []
-    for t, swept in _scan(rs, v, w):
-        found.append((t, 0, swept, v, w))
-    for t, swept in _scan(rs, w, v):
-        found.append((t, 1, swept, w, v))
-    found.sort(key=lambda c: (c[0], c[1]))
-    full = frozenset(x for x in range(1, rs.n + 1) if x not in (v, w))
-    proper = [c for c in found if c[2] != full]
-    chosen = proper if proper else found[:1]
-    return [
-        FlipCandidate(edge=(v, w), swept=swept, rs=rs, move=(a, b, t))
-        for t, _, swept, a, b in chosen
-    ]
+    return list(_candidates(rs, v, w))
 
 
 def _old_crossings(tables, rs, e):
@@ -232,15 +246,16 @@ def is_separator_edge(
 ) -> SeparatorEvidence | None:
     """Evidence that ``e`` is a separator edge, or None.
 
-    Uncrossed edges short-circuit; otherwise the first valid flip in scan
-    order wins.  Flip validation is pruned when :func:`is_realizable` has
-    already found ``rs`` realizable.
+    Uncrossed edges short-circuit; otherwise the candidates are walked
+    nearest first, and the first valid flip wins.  Flip validation is
+    pruned when :func:`is_realizable` has already found ``rs``
+    realizable.
     """
     e = _checked_edge(rs, e)
     known, old_cross = _old_crossings(tables, rs, e)
     if not old_cross:
         return SeparatorEvidence(edge=e, uncrossed=True, flip=None)
-    for cand in flip_candidates(rs, e):
+    for cand in _candidates(rs, *e):
         if _is_valid_flip(tables, e, cand, old_cross, known):
             return SeparatorEvidence(
                 edge=e,

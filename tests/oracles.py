@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from sepdraw.cmap import (
@@ -22,11 +23,21 @@ from sepdraw.errors import InputError
 from sepdraw.rotation import (
     K4_UNREALIZABLE,
     RotationSystem,
+    _checked_edge,
     edge_key,
+    is_realizable,
     k4_index,
     k5_system,
     pair_crossing,
     pair_key,
+)
+from sepdraw.separability import (
+    Flip,
+    SeparatorCertificate,
+    SeparatorEvidence,
+    _is_valid_flip,
+    _old_crossings,
+    certificate_json,
 )
 
 
@@ -490,6 +501,121 @@ def reference_verify_crossing_free(tables, rs, edges) -> bool:
         if pair_crossing(tables, rs, e, f):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Eager flip candidates: every candidate of an edge listed at once, each
+# flipped system built in full by ``RotationSystem(n, rows)``, which
+# validates every row and inherits nothing from the system it came from.
+
+
+@dataclass(frozen=True)
+class ReferenceCandidate:
+    """A candidate repositioning with its flipped system already built:
+    ``new_rs`` is ``reference_reposition(rs, *move)``."""
+
+    edge: tuple[int, int]
+    swept: frozenset[int]
+    move: tuple[int, int, int]
+    new_rs: RotationSystem
+
+
+def reference_reposition(rs: RotationSystem, v: int, w: int, t: int) -> RotationSystem:
+    """Move w forward by t slots in the ccw rotation of v, and v forward
+    by t slots in the cw rotation of w."""
+    n = rs.n
+    ccw_v = list(reversed(rs.rows[v - 1]))
+    j = ccw_v.index(w)
+    del ccw_v[j]
+    ccw_v.insert((j + t) % (n - 2), w)
+    cw_w = list(rs.rows[w - 1])
+    j = cw_w.index(v)
+    del cw_w[j]
+    cw_w.insert((j + t) % (n - 2), v)
+    rows = list(rs.rows)
+    rows[v - 1] = tuple(reversed(ccw_v))
+    rows[w - 1] = tuple(cw_w)
+    return RotationSystem(n, rows)
+
+
+def _reference_scan(rs: RotationSystem, v: int, w: int):
+    """Parity scan along the ccw rotation of v and the cw rotation of w,
+    both starting right after the other endpoint.  Emits (t, swept) at
+    every return of the odd-parity counter to zero."""
+    n = rs.n
+    row_v = rs.rows[v - 1]
+    row_w = rs.rows[w - 1]
+    iv = row_v.index(w)
+    iw = row_w.index(v)
+    # ccw successor of position i in a cw-stored row is position i-1
+    a_seq = [row_v[(iv - 1 - k) % (n - 1)] for k in range(n - 2)]
+    b_seq = [row_w[(iw + 1 + k) % (n - 1)] for k in range(n - 2)]
+    odd: set[int] = set()
+    out = []
+    for t in range(1, n - 1):
+        for x in (a_seq[t - 1], b_seq[t - 1]):
+            if x in odd:
+                odd.discard(x)
+            else:
+                odd.add(x)
+        if not odd:
+            out.append((t, frozenset(a_seq[:t])))
+    return out
+
+
+def reference_flip_candidates(rs: RotationSystem, e) -> list[ReferenceCandidate]:
+    """All candidate repositionings of ``e`` found by the parity scan run
+    from both endpoints, ordered nearest-first.
+
+    The full sweep across all other vertices leaves the rotation system
+    unchanged (the edge is redrawn around the back); it is reported only
+    when no proper repositioning exists, where it is the candidate that
+    certifies uncrossed edges.
+    """
+    v, w = _checked_edge(rs, e)
+    if rs.n < 3:
+        return []
+    found = []
+    for t, swept in _reference_scan(rs, v, w):
+        found.append((t, 0, swept, v, w))
+    for t, swept in _reference_scan(rs, w, v):
+        found.append((t, 1, swept, w, v))
+    found.sort(key=lambda c: (c[0], c[1]))
+    full = frozenset(x for x in range(1, rs.n + 1) if x not in (v, w))
+    proper = [c for c in found if c[2] != full]
+    chosen = proper if proper else found[:1]
+    return [
+        ReferenceCandidate(
+            edge=(v, w), swept=swept, move=(a, b, t),
+            new_rs=reference_reposition(rs, a, b, t),
+        )
+        for t, _, swept, a, b in chosen
+    ]
+
+
+def reference_certificate_json(tables, rs) -> dict | None:
+    """``certificate_json`` of :func:`is_separable` on a separable ``rs``,
+    or None when some edge has no separator evidence, by the eager path:
+    per edge, every candidate of :func:`reference_flip_candidates` listed
+    at once, and the first that passes the library's flip validation
+    taken.  The flipped systems inherit no offset rows from ``rs``."""
+    is_realizable(tables, rs)
+    entries = []
+    for e in rs.edges():
+        known, old_cross = _old_crossings(tables, rs, e)
+        if not old_cross:
+            entries.append(SeparatorEvidence(edge=e, uncrossed=True, flip=None))
+            continue
+        for cand in reference_flip_candidates(rs, e):
+            if _is_valid_flip(tables, e, cand, old_cross, known):
+                flip = Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs)
+                entries.append(
+                    SeparatorEvidence(edge=e, uncrossed=False, flip=flip)
+                )
+                break
+        else:
+            return None
+    return certificate_json(SeparatorCertificate(tuple(entries)))
 
 
 def k4_consistent_unrealizable_k5(tables) -> list[RotationSystem]:

@@ -1,0 +1,195 @@
+"""Flip candidates and the offset rows flipped systems inherit.
+
+A flipped system is built from its base system by replacing two rows
+(``RotationSystem._replaced``), and it inherits the base's offset rows
+counted from the smaller endpoint (``_rows_from``), with only the
+changed vertices' entries rebuilt.  These tests compare the candidates
+with the eager reference in ``oracles`` (every flipped system built in
+full) and the inherited rows, and the answers read from them, with a
+system built afresh from the same rows.
+"""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from oracles import (
+    random_points,
+    reference_certificate_json,
+    reference_flip_candidates,
+    rotation_system_from_points,
+)
+from sepdraw.errors import InputError
+from sepdraw.rotation import (
+    RotationSystem,
+    _anchored,
+    _rows_from,
+    convex,
+    crosses_any,
+    crossings_of_edge,
+    is_realizable_touching,
+    relabel,
+)
+from sepdraw.separability import certificate_json, flip_candidates, is_separable
+
+from test_recognize_golden import (
+    NON_SEPARABLE_K6,
+    _outcome,
+    _random_rows,
+    golden_corpus,
+)
+
+
+def _relabeled(rs: RotationSystem, rng: random.Random) -> RotationSystem:
+    perm = list(range(1, rs.n + 1))
+    rng.shuffle(perm)
+    return relabel(rs, perm)
+
+
+def _fresh(rs: RotationSystem) -> RotationSystem:
+    """A copy of ``rs`` with no memo."""
+    return RotationSystem(rs.n, rs.rows)
+
+
+def _candidate_view(cands):
+    return [(c.swept, c.move, c.new_rs.rows) for c in cands]
+
+
+def _assert_candidates_match(rs: RotationSystem) -> int:
+    for e in rs.edges():
+        assert _candidate_view(flip_candidates(rs, e)) == _candidate_view(
+            reference_flip_candidates(rs, e)
+        ), (rs, e)
+    return len(rs.edges())
+
+
+class TestCandidatesMatchReference:
+    def test_relabeled_k5_k6_orbits(self, enum5, enum6):
+        rng = random.Random(5)
+        edges = 0
+        for rep in list(enum5[5]) + list(enum6):
+            edges += _assert_candidates_match(_relabeled(rep.rs, rng))
+        assert edges == 10 * len(enum5[5]) + 15 * len(enum6)
+
+    def test_straight_line_k8_to_k13(self):
+        for n in range(8, 14):
+            for seed in range(2):
+                pts = random_points(n, random.Random(f"{n}:{seed}"))
+                _assert_candidates_match(rotation_system_from_points(pts))
+
+    def test_shuffled_rotations(self):
+        edges = 0
+        for n in range(3, 14):
+            for seed in range(30):
+                rs = _random_rows(n, random.Random(f"{n}:{seed}"))
+                edges += _assert_candidates_match(rs)
+        assert edges == 10890
+
+    def test_certificates_match_eager_path(self, tables, enum6):
+        systems = [convex(12)] + [enum6[i].rs for i in NON_SEPARABLE_K6]
+        for n in range(8, 14):
+            pts = random_points(n, random.Random(f"{n}:0"))
+            systems.append(rotation_system_from_points(pts))
+        separable = 0
+        for rs in systems:
+            res = is_separable(tables, rs)
+            want = reference_certificate_json(tables, _fresh(rs))
+            if res.separable:
+                separable += 1
+                assert certificate_json(res.certificate) == want
+            else:
+                assert want is None
+        assert separable == 7
+
+
+class TestInheritedOffsetRows:
+    def test_golden_corpus(self, tables, enum6):
+        checked = 0
+        for rs in golden_corpus(tables, enum6).values():
+            n = rs.n
+            for e in rs.edges():
+                v, w = e
+                old = _outcome(lambda: crossings_of_edge(tables, _fresh(rs), e), sorted)
+                for cand in flip_candidates(rs, e):
+                    new_rs = cand.new_rs
+                    fresh = _fresh(new_rs)
+                    x, rows = new_rs._rows
+                    assert x == v
+                    assert rows[0] is None and rows[v] is None
+                    for u in range(1, n + 1):
+                        if u != v:
+                            assert rows[u] == _anchored(fresh, u, v), (rs, e, u)
+                    # the base keeps its own rows
+                    base = rs._rows[1]
+                    for u in range(1, n + 1):
+                        if u != v:
+                            assert base[u] == _anchored(rs, u, v), (rs, e, u)
+                    for swept in (None, cand.swept):
+                        assert is_realizable_touching(
+                            tables, new_rs, e, swept=swept
+                        ) == is_realizable_touching(
+                            tables, _fresh(new_rs), e, swept=swept
+                        ), (rs, e, swept)
+                    if n >= 4:
+                        assert _outcome(
+                            lambda: crossings_of_edge(tables, new_rs, e), sorted
+                        ) == _outcome(
+                            lambda: crossings_of_edge(tables, _fresh(new_rs), e),
+                            sorted,
+                        ), (rs, e)
+                    if old[0] == "ok":
+                        assert _outcome(
+                            lambda: crosses_any(tables, new_rs, e, old[1]), bool
+                        ) == _outcome(
+                            lambda: crosses_any(tables, _fresh(new_rs), e, old[1]),
+                            bool,
+                        ), (rs, e)
+                    checked += 1
+        assert checked == 1142
+
+    def test_flipped_twice(self, tables):
+        # a flipped system passes its rows on to the systems flipped from it
+        rs = convex(9)
+        for cand in flip_candidates(rs, (2, 6)):
+            for again in flip_candidates(cand.new_rs, (2, 7)):
+                new_rs = again.new_rs
+                fresh = _fresh(new_rs)
+                x, rows = new_rs._rows
+                assert x == 2
+                for u in range(1, 10):
+                    if u != 2:
+                        assert rows[u] == _anchored(fresh, u, 2)
+                assert is_realizable_touching(
+                    tables, new_rs, (2, 7)
+                ) == is_realizable_touching(tables, fresh, (2, 7))
+
+    def test_memo_holds_the_last_vertex_asked(self):
+        rs = convex(6)
+        rows3 = _rows_from(rs, 3)
+        assert _rows_from(rs, 3) is rows3
+        assert rows3[0] is None and rows3[3] is None
+        assert rows3[5] == _anchored(rs, 5, 3)
+        assert _rows_from(rs, 4)[1] == _anchored(rs, 1, 4)
+        assert rs._rows[0] == 4
+
+    @pytest.mark.parametrize(
+        "row",
+        [(1, 3, 4, 5, 5), (1, 2, 3, 4, 5), (1, 3, 4, 5), (1, 3, 4, 5, 6, 7),
+         (0, 3, 4, 5, 6), (1, 3, 4, 5, 9)],
+    )
+    def test_replaced_rejects_a_row_that_is_not_a_permutation(self, row):
+        rs = convex(6)
+        _rows_from(rs, 2)
+        with pytest.raises(InputError, match="rotation of vertex 2"):
+            rs._replaced({2: row, 4: rs.rows[3]})
+        with pytest.raises(InputError, match="rotation of vertex 2"):
+            rs._replaced({4: rs.rows[3], 2: row})
+
+    def test_replaced_keeps_the_other_rows(self):
+        rs = convex(6)
+        new = rs._replaced({2: (1, 4, 3, 5, 6)})
+        assert new.rows[1] == (1, 4, 3, 5, 6)
+        assert new.rows[2:] == rs.rows[2:] and new.rows[0] == rs.rows[0]
+        assert new == RotationSystem(6, new.rows)
+        assert new._rows is None

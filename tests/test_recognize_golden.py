@@ -7,8 +7,10 @@ swept set, so any change to certificates, tie-breaks or exit codes shows
 up as a mismatch.  The exactness test compares, edge by edge, a copy on
 which ``is_realizable`` was called (pruned validation) with a fresh copy
 (unpruned validation).  Both run the same lookup of the old crossing
-edges, so the fresh copy is also compared with a reference that reads
-the flipped systems off the rotations and compares full crossing sets.
+edges, so the fresh copy is also compared with a reference that lists
+the candidates eagerly (``oracles.reference_flip_candidates``, each
+flipped system built in full), reads the flipped systems off the
+rotations and compares full crossing sets.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from itertools import combinations
 
 from oracles import (
     random_points,
+    reference_flip_candidates,
     reference_k4_index,
     reference_k5_index,
     rotation_system_from_points,
@@ -40,7 +43,6 @@ from sepdraw.rotation import (
 from sepdraw.separability import (
     Flip,
     SeparatorEvidence,
-    flip_candidates,
     is_separator_edge,
     valid_flips,
 )
@@ -193,7 +195,7 @@ def _reference_separator_edge(tables, rs, e):
     old_cross = crossings_of_edge(tables, rs, e)
     if not old_cross:
         return SeparatorEvidence(edge=e, uncrossed=True, flip=None)
-    for cand in flip_candidates(rs, e):
+    for cand in reference_flip_candidates(rs, e):
         if _reference_valid(tables, e, cand, old_cross):
             flip = Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs)
             return SeparatorEvidence(edge=e, uncrossed=False, flip=flip)
@@ -203,7 +205,7 @@ def _reference_separator_edge(tables, rs, e):
 def _reference_flips(tables, rs, e):
     old_cross = crossings_of_edge(tables, rs, e)
     out = []
-    for cand in flip_candidates(rs, e):
+    for cand in reference_flip_candidates(rs, e):
         if any(cand.new_rs == f.new_rs for f in out):
             continue
         if _reference_valid(tables, e, cand, old_cross):
