@@ -67,15 +67,14 @@ def _emit(args, payload: dict, human: str, code: int) -> int:
     return code
 
 
-def _load_tables(args):
-    if getattr(args, "tables", None):
+def _load_rs(args):
+    """The tables (``--tables``, checked, or the shipped ones) and the one
+    realizable rotation system of ``--input``."""
+    if args.tables:
         tables = parse_tables(Path(args.tables).read_text())
         check_tables(tables)
-        return tables
-    return default_tables()
-
-
-def _load_rs(args, tables):
+    else:
+        tables = default_tables()
     records = parse_crs(Path(args.input).read_text())
     if len(records) != 1:
         raise InputError(
@@ -83,7 +82,7 @@ def _load_rs(args, tables):
         )
     if not is_realizable(tables, records[0]):
         raise InputError("input rotation system is not realizable")
-    return records[0]
+    return tables, records[0]
 
 
 def _load_map(args):
@@ -102,8 +101,7 @@ def _parse_edge(text: str):
 
 
 def cmd_recognize(args) -> int:
-    tables = _load_tables(args)
-    rs = _load_rs(args, tables)
+    tables, rs = _load_rs(args)
     res = is_separable(tables, rs)
     payload: dict = {"separable": res.separable, "n": rs.n}
     if not res.separable:
@@ -117,8 +115,7 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_flips(args) -> int:
-    tables = _load_tables(args)
-    rs = _load_rs(args, tables)
+    tables, rs = _load_rs(args)
     e = _parse_edge(args.edge)
     cands = flip_candidates(rs, e)
     flips = valid_flips(tables, rs, e)
@@ -149,8 +146,7 @@ def _verified(args, tables, rs, edges) -> bool | None:
 
 
 def cmd_hampath(args) -> int:
-    tables = _load_tables(args)
-    rs = _load_rs(args, tables)
+    tables, rs = _load_rs(args)
     path = ham_path(tables, rs, args.src, args.dst)
     ver = _verified(args, tables, rs, path.edges)
     payload = {"path": list(path.vertices), "verified": ver}
@@ -161,8 +157,7 @@ def cmd_hampath(args) -> int:
 
 
 def cmd_hamcycle(args) -> int:
-    tables = _load_tables(args)
-    rs = _load_rs(args, tables)
+    tables, rs = _load_rs(args)
     cyc = ham_cycle(tables, rs)
     ver = _verified(args, tables, rs, cyc.edges)
     payload = {"cycle": list(cyc.vertices), "verified": ver}
@@ -172,8 +167,7 @@ def cmd_hamcycle(args) -> int:
 
 
 def cmd_matching(args) -> int:
-    tables = _load_tables(args)
-    rs = _load_rs(args, tables)
+    tables, rs = _load_rs(args)
     mt = plane_matching(tables, rs)
     ver = _verified(args, tables, rs, mt.edges)
     payload = {
@@ -189,8 +183,7 @@ def cmd_matching(args) -> int:
 
 
 def cmd_gconvex(args) -> int:
-    tables = _load_tables(args)
-    rs = _load_rs(args, tables)
+    tables, rs = _load_rs(args)
     ans = is_g_convex(tables, rs)
     return _emit(
         args,

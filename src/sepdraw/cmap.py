@@ -78,9 +78,6 @@ class CombinatorialMap:
     def n_darts(self):
         return 2 * len(self.scurve)
 
-    def alpha(self, d: int) -> int:
-        return d ^ 1
-
     @property
     def dvert(self):
         if self._dvert is None:
@@ -159,6 +156,17 @@ class CombinatorialMap:
                     nb[b].append(a)
             self._meeting = tuple(tuple(sorted(x)) for x in nb)
         return self._meeting
+
+    def shared_points(self, a: int, b: int) -> int:
+        """Points curves ``a`` and ``b`` share: their common endpoints
+        plus the crossing vertices they meet in."""
+        ca, cb = self.curves[a], self.curves[b]
+        ends = (cb.u, cb.v)
+        return (
+            (ca.u in ends)
+            + (ca.v in ends)
+            + self.meets.get((a, b) if a <= b else (b, a), 0)
+        )
 
     # -- faces ---------------------------------------------------------------
 
@@ -529,9 +537,9 @@ def validate_map(m: CombinatorialMap, strict: bool = True) -> list[str]:
     *inserted* curve is not checked for repeated intersections; the
     completion fix-up loop relies on that intermediate state.
 
-    Two curves share their common endpoints plus the crossing vertices
-    they meet in, and two distinct edges share at most one endpoint.  So
-    a pair of drawn curves can share more than one point only if the two
+    Two distinct edges share at most one endpoint.  So a pair of drawn
+    curves can share more than one point (see
+    :meth:`CombinatorialMap.shared_points`) only if the two
     meet (the pair is in :attr:`CombinatorialMap.meets`) or draw the same
     edge, and the closed curve of edge e (its edge curve plus its witness
     arc) can meet another edge f more than once only if f's curve meets
@@ -678,7 +686,7 @@ def validate_map(m: CombinatorialMap, strict: bool = True) -> list[str]:
             curves[a].kind == INSERTED or curves[b].kind == INSERTED
         ):
             continue
-        total = len(set(edges[a]) & set(edges[b])) + meet.get((a, b), 0)
+        total = m.shared_points(a, b)
         if total > 1:
             v.append(f"curves {edges[a]} and {edges[b]} share {total} points")
 
@@ -711,7 +719,6 @@ def _witness_violation(m, wid, edge_curve_of, edges) -> str | None:
     meet = m.meets
     if meet.get((min(wid, eid), max(wid, eid)), 0) > 0:
         return f"witness for {e} crosses its own edge"
-    ends = set(e)
     totals = {}
     for fid in {*m.meeting[eid], *m.meeting[wid]}:
         f = edges[fid]
@@ -721,10 +728,8 @@ def _witness_violation(m, wid, edge_curve_of, edges) -> str | None:
             or m.curves[fid].kind != EDGE
         ):
             continue
-        total = (
-            len(ends & set(f))
-            + meet.get((eid, fid) if eid < fid else (fid, eid), 0)
-            + meet.get((wid, fid) if wid < fid else (fid, wid), 0)
+        total = m.shared_points(eid, fid) + meet.get(
+            (wid, fid) if wid < fid else (fid, wid), 0
         )
         if total > 1:
             totals[f] = total
@@ -766,12 +771,12 @@ def witness_set(m: CombinatorialMap) -> WitnessSet:
     return WitnessSet(by_edge)
 
 
-def crossing_pairs_of_map(m: CombinatorialMap, kinds=DRAWN_KINDS):
+def crossing_pairs_of_map(m: CombinatorialMap):
     """Unordered crossing pairs of drawn edges read off the planarization."""
     out = set()
     for a, b in m.meets:
         ca, cb = m.curves[a], m.curves[b]
-        if ca.kind in kinds and cb.kind in kinds:
+        if ca.kind in DRAWN_KINDS and cb.kind in DRAWN_KINDS:
             ea, eb = ca.edge(), cb.edge()
             out.add((ea, eb) if ea <= eb else (eb, ea))
     return out
@@ -784,22 +789,27 @@ def extract_rotation_system(m: CombinatorialMap) -> RotationSystem:
     if labels != list(range(1, n + 1)):
         raise InputError(f"real vertex labels must be 1..n, got {labels}")
     want = {(u, u2) for u in labels for u2 in labels if u < u2}
-    have = {c.edge() for c in m.curves if c.kind in DRAWN_KINDS}
-    if have != want:
+    if drawn_edges(m) != want:
         raise InputError(
             "underlying graph is not complete on its real vertices"
         )
-    rows = []
-    for lab in labels:
-        vid = m.real_by_label[lab]
-        row = []
-        for d in m.vdarts[vid]:
-            c = m.curves[m.scurve[d >> 1]]
-            if c.kind not in DRAWN_KINDS:
-                continue
-            row.append(c.u if c.v == lab else c.v)
-        rows.append(tuple(row))
-    return RotationSystem(n, rows)
+    return RotationSystem(n, [drawn_rotation(m, lab) for lab in labels])
+
+
+def drawn_edges(m: CombinatorialMap) -> set[tuple[int, int]]:
+    """Edges drawn by the map's edge and inserted curves."""
+    return {c.edge() for c in m.curves if c.kind in DRAWN_KINDS}
+
+
+def drawn_rotation(m: CombinatorialMap, label: int) -> tuple[int, ...]:
+    """Neighbours of real vertex ``label`` in clockwise order of its
+    drawn curves (witness arcs skipped)."""
+    row = []
+    for d in m.vdarts[m.real_by_label[label]]:
+        c = m.curves[m.scurve[d >> 1]]
+        if c.kind in DRAWN_KINDS:
+            row.append(c.u if c.v == label else c.v)
+    return tuple(row)
 
 
 # ---------------------------------------------------------------------------

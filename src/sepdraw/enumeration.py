@@ -23,6 +23,7 @@ from .cmap import (
     CombinatorialMap,
     MapBuilder,
     crossing_pairs_of_map,
+    drawn_rotation,
     extract_rotation_system,
 )
 from .errors import InputError, InternalInvariantError, NotRealizableError
@@ -32,6 +33,7 @@ from .rotation import (
     PAIR_BY_CODE,
     RealizabilityTables,
     RotationSystem,
+    _roll_min,
     canonical_key,
     k4_index,
     k4_index_of,
@@ -44,7 +46,7 @@ from .rotation import (
     relabel_pair_code,
     subrotation,
 )
-from .routing import apply_route, iter_routes
+from .routing import iter_routes, with_route
 
 import itertools
 
@@ -112,11 +114,7 @@ def extend_by_vertex(m: CombinatorialMap, new_label: int, prune=None):
             sources = [cur.real_by_label[new_label]]
         for source in sources:
             for route in iter_routes(cur, source, cur.real_by_label[t], budget):
-                b = MapBuilder.from_map(cur)
-                if k == 0:
-                    b.new_vertex("real", new_label)
-                apply_route(b, EDGE, new_label, t, route)
-                nxt = b.freeze()
+                nxt, _ = with_route(cur, EDGE, new_label, t, route)
                 if prune is not None and not prune(nxt, targets[: k + 1]):
                     continue
                 yield from rec(nxt, k + 1)
@@ -376,16 +374,19 @@ def realize(
     for k in range(4, rs.n + 1):
         target_sub = subrotation(rs, range(1, k + 1))
 
+        # each row lists distinct labels, so two rows agree up to
+        # rotation exactly when their _roll_min forms are equal
         def prune(mp, done, k=k, target_sub=target_sub):
             done_set = set(done)
-            zr = _map_rotation(mp, k)
             want_z = tuple(
                 x for x in target_sub.rotation(k) if x in done_set
             )
-            if not _cyclic_eq(zr, want_z):
+            if _roll_min(drawn_rotation(mp, k)) != _roll_min(want_z):
                 return False
             t = done[-1]
-            return _cyclic_eq(_map_rotation(mp, t), target_sub.rotation(t))
+            return _roll_min(drawn_rotation(mp, t)) == _roll_min(
+                target_sub.rotation(t)
+            )
 
         found = None
         for ext in extend_by_vertex(cur, k, prune=prune):
@@ -401,25 +402,3 @@ def realize(
         raise InternalInvariantError("realization does not match input")
     return cur
 
-
-def _map_rotation(m: CombinatorialMap, label: int) -> tuple[int, ...]:
-    vid = m.real_by_label[label]
-    out = []
-    for d in m.vdarts[vid]:
-        c = m.curves[m.scurve[d >> 1]]
-        out.append(c.u if c.v == label else c.v)
-    return tuple(out)
-
-
-def _cyclic_eq(a: tuple, b: tuple) -> bool:
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    if len(a) == 1:
-        return a == b
-    try:
-        i = b.index(a[0])
-    except ValueError:
-        return False
-    return b[i:] + b[:i] == a

@@ -21,6 +21,7 @@ from .cmap import (
     WITNESS,
     CombinatorialMap,
     MapBuilder,
+    drawn_edges,
     is_connected,
     require_valid_map,
     validate_map,
@@ -33,7 +34,7 @@ from .errors import (
     WitnessError,
 )
 from .rotation import edge_key
-from .routing import apply_route, min_cost_route
+from .routing import min_cost_route, with_route
 
 SEPARABLE = "separable"
 CROSSMIN = "crossmin"
@@ -59,16 +60,12 @@ class ExtensionResult:
     potential_log: tuple[tuple[int, int], ...]
 
 
-def _drawn_edges(m: CombinatorialMap):
-    return {c.edge() for c in m.curves if c.kind in (EDGE, INSERTED)}
-
-
 def _check_insertable(m: CombinatorialMap, u: int, v: int):
     e = edge_key(u, v)
     labels = set(m.real_labels())
     if u == v or u not in labels or v not in labels:
         raise InputError(f"cannot insert edge ({u},{v})")
-    if e in _drawn_edges(m):
+    if e in drawn_edges(m):
         raise InputError(f"edge {e} is already drawn")
     if not is_connected(m):
         raise InputError("insertion requires a connected drawing")
@@ -90,9 +87,7 @@ def _insert(m: CombinatorialMap, u: int, v: int, mode: str) -> InsertionResult:
     if found is None:
         raise InputError("vertices unreachable in the drawing")
     route, _ = found
-    b = MapBuilder.from_map(m)
-    new_cid = apply_route(b, INSERTED, e[0], e[1], route)
-    out = b.freeze()
+    out, new_cid = with_route(m, INSERTED, e[0], e[1], route)
     # curve ids are stable under freeze for pure insertions
     new = out.curves[new_cid]
     if new.kind != INSERTED or new.edge() != e:
@@ -128,7 +123,6 @@ def _check_simple_vs_original(m: CombinatorialMap, cid: int):
     included), can share two points with it; the first such edge curve
     in curve-id order is reported."""
     e = m.curves[cid].edge()
-    meets = m.meets
     candidates = set(m.meeting[cid])
     candidates.update(
         fid
@@ -137,10 +131,7 @@ def _check_simple_vs_original(m: CombinatorialMap, cid: int):
     )
     for fid in sorted(candidates):
         c = m.curves[fid]
-        if c.kind != EDGE:
-            continue
-        shared = len(set(c.edge()) & set(e))
-        if shared + meets.get((min(cid, fid), max(cid, fid)), 0) > 1:
+        if c.kind == EDGE and m.shared_points(cid, fid) > 1:
             return c.edge()
     return None
 
@@ -342,16 +333,19 @@ def _potential(m: CombinatorialMap, mode: str) -> tuple[int, int]:
 
 def _violating_pair(m: CombinatorialMap):
     """First pair of inserted curves sharing at least two points, with
-    the two common points consecutive along the first curve.  Two curves
-    share their common endpoints plus the crossing vertices they meet
-    in."""
-    ins = [c for c, cu in enumerate(m.curves) if cu.kind == INSERTED]
-    meets = m.meets
-    for i, c1 in enumerate(ins):
-        ends = set(m.curves[c1].edge())
-        for c2 in ins[i + 1 :]:
-            shared = len(ends & set(m.curves[c2].edge()))
-            if shared + meets.get((c1, c2), 0) >= 2:
+    the two common points consecutive along the first curve.  Inserted
+    curves draw distinct edges, so two of them share two points only if
+    they meet."""
+    curves = m.curves
+    for c1, cu in enumerate(curves):
+        if cu.kind != INSERTED:
+            continue
+        for c2 in m.meeting[c1]:
+            if (
+                c2 > c1
+                and curves[c2].kind == INSERTED
+                and m.shared_points(c1, c2) >= 2
+            ):
                 common = _common_points(m, c1, c2)
                 return c1, c2, common[0], common[1]
     return None
@@ -370,7 +364,7 @@ def _extend(m: CombinatorialMap, mode: str) -> ExtensionResult:
             for v in labels
             if u < v
         }
-        - _drawn_edges(m)
+        - drawn_edges(m)
     )
     if not missing:
         return ExtensionResult(map=m, insertions=(), potential_log=())

@@ -11,13 +11,12 @@ import random
 from .cmap import (
     CombinatorialMap,
     EDGE,
-    MapBuilder,
     from_two_page,
     is_connected,
 )
 from .enumeration import path_k2_map
 from .errors import InternalInvariantError
-from .routing import apply_route, iter_routes
+from .routing import iter_routes, with_route
 
 
 def all_edges(n: int):
@@ -90,9 +89,7 @@ def random_planar_map(n: int, rng: random.Random) -> CombinatorialMap:
         )
         if not routes:
             continue
-        b = MapBuilder.from_map(m)
-        apply_route(b, EDGE, u, v, rng.choice(routes))
-        m = b.freeze()
+        m, _ = with_route(m, EDGE, u, v, rng.choice(routes))
     return m
 
 
@@ -115,10 +112,7 @@ def _place_vertex_crossing_free(m, label, rng):
         r
         for r in iter_routes(m, ("face", fid), m.real_by_label[first], zero)
     ]
-    b = MapBuilder.from_map(m)
-    b.new_vertex("real", label)
-    apply_route(b, EDGE, label, first, rng.choice(routes))
-    m = b.freeze()
+    m, _ = with_route(m, EDGE, label, first, rng.choice(routes))
     # fan out to a few more targets while staying crossing-free
     for _ in range(rng.randint(0, 2)):
         targets = [x for x in m.real_labels() if x != label]
@@ -135,7 +129,5 @@ def _place_vertex_crossing_free(m, label, rng):
         )
         if not routes:
             continue
-        b = MapBuilder.from_map(m)
-        apply_route(b, EDGE, label, t, rng.choice(routes))
-        m = b.freeze()
+        m, _ = with_route(m, EDGE, label, t, rng.choice(routes))
     return m

@@ -276,6 +276,20 @@ def apply_route(
     return cid
 
 
+def with_route(
+    m: CombinatorialMap, kind: str, u_label: int, v_label: int, route: Route
+):
+    """``m`` with a new curve threaded along ``route`` by
+    :func:`apply_route`; a route that starts in a face starts at a new real
+    vertex labelled ``u_label``.  Returns ``(new_map, curve_id)``: the
+    builder copy has no dead curves, so the freeze keeps every curve id."""
+    b = MapBuilder.from_map(m)
+    if route.start[0] == "face":
+        b.new_vertex("real", u_label)
+    cid = apply_route(b, kind, u_label, v_label, route)
+    return b.freeze(), cid
+
+
 def apply_route_from_bare_vertex(
     b: MapBuilder, kind: str, u_vid: int, v_label: int, route: Route
 ) -> int:
@@ -309,7 +323,7 @@ def find_witness(m: CombinatorialMap, e):
             eid = cid
     if eid is None:
         raise InputError(f"no drawn edge {e}")
-    crossers = {a if b == eid else b for a, b in m.meets if eid in (a, b)}
+    crossers = set(m.meeting[eid])
     budget = {}
     for cid, c in enumerate(m.curves):
         barred = (
@@ -321,7 +335,5 @@ def find_witness(m: CombinatorialMap, e):
     u_vid = m.real_by_label[e[0]]
     v_vid = m.real_by_label[e[1]]
     for route in iter_routes(m, u_vid, v_vid, budget, first_only=True):
-        b = MapBuilder.from_map(m)
-        cid = apply_route(b, WITNESS, e[0], e[1], route)
-        return b.freeze(), cid
+        return with_route(m, WITNESS, e[0], e[1], route)
     return None

@@ -383,6 +383,17 @@ def reference_check_simple_vs_original(m: CombinatorialMap, cid: int):
     return None
 
 
+def reference_shared_points(m: CombinatorialMap) -> dict[tuple[int, int], int]:
+    """Points shared by every pair of distinct curves ``(a, b)``, ``a <
+    b``: the size of the intersection of their vertex chains, which reads
+    neither ``meets`` nor the curves' endpoint labels."""
+    pts = [set(m.curve_points(cid)) for cid in range(len(m.curves))]
+    return {
+        (a, b): len(pts[a] & pts[b])
+        for a, b in combinations(range(len(pts)), 2)
+    }
+
+
 # ---------------------------------------------------------------------------
 # Reference fix-up pair search: ``extension._violating_pair`` as it was
 # when it built a ``MapBuilder`` and compared curve chains point by point,

@@ -120,7 +120,7 @@ class TestTwoPage:
                 a2, b2 = sorted((pos[f[0]], pos[f[1]]))
                 if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
                     expect.add(tuple(sorted((e, f))))
-            assert crossing_pairs_of_map(m, kinds=(EDGE,)) == expect
+            assert crossing_pairs_of_map(m) == expect
             # the Gioan/Kyncl consistency check: map crossings equal the
             # rotation-system crossings
             rs = extract_rotation_system(m)

@@ -30,10 +30,16 @@ from sepdraw.generators import (
     random_two_page_minus,
 )
 from sepdraw.rotation import is_realizable
-from sepdraw.routing import apply_route, iter_routes, min_cost_route
+from sepdraw.routing import (
+    apply_route,
+    iter_routes,
+    min_cost_route,
+    with_route,
+)
 
 from oracles import (
     exhaustive_min_route_cost,
+    reference_shared_points,
     reference_validate_map,
     reference_violating_pair,
 )
@@ -103,9 +109,8 @@ def _bad_witness_map():
             (r for r in iter_routes(m, *ends, budget) if r.crossings), None
         )
         if route is not None:
-            b = MapBuilder.from_map(m)
-            apply_route(b, WITNESS, c.u, c.v, route)
-            return b.freeze(), sorted(removed)[0]
+            bad, _ = with_route(m, WITNESS, c.u, c.v, route)
+            return bad, sorted(removed)[0]
     raise AssertionError("no witness route crosses its own edge")
 
 
@@ -290,9 +295,7 @@ def _conflicted_pair_map():
         )
         if len(r.crossings) >= 1
     )
-    b = MapBuilder.from_map(m)
-    apply_route(b, INSERTED, 1, 4, route_a)
-    m2 = b.freeze()
+    m2, _ = with_route(m, INSERTED, 1, 4, route_a)
     aid = len(m2.curves) - 1
     budget = {cid: 1 for cid in range(len(m2.curves))}
     budget[aid] = 2
@@ -303,9 +306,7 @@ def _conflicted_pair_map():
         )
         if [m2.scurve[s] for s, _ in r.crossings].count(aid) == 2
     )
-    b = MapBuilder.from_map(m2)
-    apply_route(b, INSERTED, 2, 3, route_b)
-    return m2, b.freeze(), aid
+    return m2, with_route(m2, INSERTED, 2, 3, route_b)[0], aid
 
 
 class TestFixupSurgery:
@@ -331,9 +332,7 @@ class TestFixupSurgery:
             )
             if [m2.scurve[s] for s, _ in r.crossings].count(aid) == 1
         )
-        b = MapBuilder.from_map(m2)
-        apply_route(b, INSERTED, 1, 3, route_c)
-        m5 = b.freeze()
+        m5, _ = with_route(m2, INSERTED, 1, 3, route_c)
         viol = ext._violating_pair(m5)
         assert viol is not None
         pot0 = ext._potential(m5, ext.SEPARABLE)
@@ -356,9 +355,7 @@ class TestFixupSurgery:
         ):
             if len(ra.crossings) < 2:
                 continue
-            b = MapBuilder.from_map(m0)
-            apply_route(b, INSERTED, 2, 6, ra)
-            m1 = b.freeze()
+            m1, _ = with_route(m0, INSERTED, 2, 6, ra)
             aid = len(m1.curves) - 1
             budget = {cid: 1 for cid in range(len(m1.curves))}
             budget[aid] = 3
@@ -368,9 +365,7 @@ class TestFixupSurgery:
                 crossed = [m1.scurve[s] for s, _ in rb.crossings]
                 if crossed.count(aid) != 3:
                     continue
-                b = MapBuilder.from_map(m1)
-                apply_route(b, INSERTED, 1, 5, rb)
-                m2 = b.freeze()
+                m2, _ = with_route(m1, INSERTED, 1, 5, rb)
                 bb = MapBuilder.from_map(m2)
                 c1, c2 = aid, len(m2.curves) - 1
                 common1 = ext._common_points(bb, c1, c2)
@@ -409,6 +404,8 @@ class TestFixupLoop:
         cur = res.insertions[-1].map
         steps = 0
         while True:
+            shared = reference_shared_points(cur)
+            assert {p: cur.shared_points(*p) for p in shared} == shared
             viol = ext._violating_pair(cur)
             assert viol == reference_violating_pair(cur), (key, steps)
             if viol is None:

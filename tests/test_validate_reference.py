@@ -21,7 +21,6 @@ from sepdraw.cmap import (
     WITNESS,
     CombinatorialMap,
     Curve,
-    MapBuilder,
     validate_map,
     validate_witness,
 )
@@ -29,11 +28,12 @@ from sepdraw.extension import (
     extend_to_complete_crossmin,
     extend_to_complete_separable,
 )
-from sepdraw.generators import all_edges
-from sepdraw.routing import apply_route, iter_routes, min_cost_route
+from sepdraw.generators import all_edges, random_two_page
+from sepdraw.routing import iter_routes, min_cost_route, with_route
 
 from oracles import (
     reference_check_simple_vs_original,
+    reference_shared_points,
     reference_validate_map,
     reference_validate_witness,
 )
@@ -85,9 +85,7 @@ def _with_curve(m, kind, e, rng):
     route, _ = min_cost_route(
         m, m.real_by_label[e[0]], m.real_by_label[e[1]], costs.__getitem__
     )
-    b = MapBuilder.from_map(m)
-    apply_route(b, kind, e[0], e[1], route)
-    return b.freeze()
+    return with_route(m, kind, e[0], e[1], route)[0]
 
 
 def _with_own_crossing_witness(m, e):
@@ -100,9 +98,7 @@ def _with_own_crossing_witness(m, e):
     route = next((r for r in routes if r.crossings), None)
     if route is None:
         return m
-    b = MapBuilder.from_map(m)
-    apply_route(b, WITNESS, e[0], e[1], route)
-    return b.freeze()
+    return with_route(m, WITNESS, e[0], e[1], route)[0]
 
 
 def _witness_violating_maps():
@@ -261,3 +257,19 @@ def test_pruned_validators_match_reference():
     assert share == {"repeated edge", "meeting pair"}
     several, reordered = _witness_cases(sets["witness-violating"])
     assert several > 0 and reordered > 0
+
+
+def test_shared_points_match_chain_intersection():
+    """``shared_points`` against the chain intersection, on the valid
+    golden probe maps (intermediate completions) and on 2-page drawings
+    with their witness arcs; ``TestFixupLoop`` adds maps whose inserted
+    curves meet twice.  It reads endpoint labels, so it holds on maps
+    whose curves end at their labelled vertices, which ``validate_map``
+    checks."""
+    rng = random.Random(50)
+    maps = [o[1] for o in _probe_maps() if o[0] == "ok"]
+    maps = [m for m in maps if validate_map(m, strict=False) == []]
+    maps += [random_two_page(n, rng)[0] for n in (4, 5, 6, 7, 8)]
+    for i, m in enumerate(maps):
+        want = reference_shared_points(m)
+        assert {p: m.shared_points(*p) for p in want} == want, i
