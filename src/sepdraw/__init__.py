@@ -28,7 +28,6 @@ from .cmap import (  # noqa: F401
     MapBuilder,
     WitnessSet,
     crossing_pairs_of_map,
-    dual,
     extract_rotation_system,
     from_two_page,
     parse_cmap,

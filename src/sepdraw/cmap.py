@@ -239,19 +239,6 @@ class CombinatorialMap:
         )
 
 
-def dual(m: CombinatorialMap):
-    """Dual graph: one node per face, one arc per segment.
-
-    Returns ``(n_faces, arcs)`` with arcs ``(face_a, face_b, segment,
-    curve_id)``.
-    """
-    fo = m.face_of
-    arcs = []
-    for s, cid in enumerate(m.scurve):
-        arcs.append((fo[2 * s], fo[2 * s + 1], s, cid))
-    return len(m.faces), arcs
-
-
 def _connected(n: int, links) -> bool:
     """Whether the graph on nodes 0..n-1 with edges ``links`` (pairs) is
     connected."""
@@ -269,11 +256,6 @@ def _connected(n: int, links) -> bool:
                 seen.add(nb)
                 stack.append(nb)
     return len(seen) == n
-
-
-def dual_connected(m: CombinatorialMap) -> bool:
-    n, arcs = dual(m)
-    return _connected(n, ((a, b) for a, b, _, _ in arcs))
 
 
 def is_connected(m: CombinatorialMap) -> bool:

@@ -388,10 +388,7 @@ def realize(
                 target_sub.rotation(t)
             )
 
-        found = None
-        for ext in extend_by_vertex(cur, k, prune=prune):
-            found = ext
-            break
+        found = next(extend_by_vertex(cur, k, prune=prune), None)
         if found is None:
             raise NotRealizableError(
                 f"no drawing extends to the requested system at {k} vertices"

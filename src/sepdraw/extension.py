@@ -196,21 +196,21 @@ def _merge_step(b: MapBuilder, cid: int, sa: int, sb: int, x: int) -> bool:
     return True
 
 
-def _smooth_passage(b: MapBuilder, y: int, dead: set[int]):
-    """Remove vertex ``y`` by merging the passage whose segments are not
-    in ``dead`` (the other strands there are being deleted)."""
-    darts = [d for d in b.rotation_of(y) if (d >> 1) not in dead]
-    if len(darts) != 2:
-        raise InternalInvariantError(
-            f"expected one surviving passage at vertex {y}, found "
-            f"{len(darts)} darts"
-        )
-    sa, sb = darts[0] >> 1, darts[1] >> 1
-    cid = b.scurve[sa]
-    if b.scurve[sb] != cid:
-        raise InternalInvariantError("surviving strands belong to two curves")
-    if not _merge_step(b, cid, sa, sb, y):
-        raise InternalInvariantError("surviving passage is not a chain step")
+def _smooth(b: MapBuilder, x: int, dead=()):
+    """Remove vertex ``x`` by merging the two darts there of each curve,
+    skipping the segments in ``dead`` (strands being deleted).  Each curve
+    left at ``x`` must pass straight through it."""
+    by_curve: dict[int, list[int]] = {}
+    for d in b.rotation_of(x):
+        if (d >> 1) not in dead:
+            by_curve.setdefault(b.scurve[d >> 1], []).append(d)
+    for cid, darts in sorted(by_curve.items()):
+        if len(darts) != 2 or not _merge_step(
+            b, cid, darts[0] >> 1, darts[1] >> 1, x
+        ):
+            raise InternalInvariantError(
+                f"curve {cid} does not pass straight through vertex {x}"
+            )
 
 
 def _excise_one_loop(b: MapBuilder, cid: int) -> bool:
@@ -231,7 +231,7 @@ def _excise_one_loop(b: MapBuilder, cid: int) -> bool:
     loop = segs[i:j]
     loopset = set(loop)
     for t in range(i + 1, j):
-        _smooth_passage(b, pts[t], loopset)
+        _smooth(b, pts[t], loopset)
     for s in loop:
         b.remove_dart(2 * s)
         b.remove_dart(2 * s + 1)
@@ -291,28 +291,10 @@ def _exchange(b: MapBuilder, c1: int, c2: int, x1: int, x2: int):
     b.csegs[c2] = new2
     for x in (x1, x2):
         if b.vkind[x] == "cross":
-            _smooth_cross_junction(b, x)
+            _smooth(b, x)
     for cid in (c1, c2):
         while _excise_one_loop(b, cid):
             pass
-
-
-def _smooth_cross_junction(b: MapBuilder, x: int):
-    """At a former crossing that two curves now merely touch, separate
-    the strands: merge each curve's two segments at ``x``."""
-    darts = b.rotation_of(x)
-    if len(darts) != 4:
-        raise InternalInvariantError(f"junction {x} does not have 4 darts")
-    by_curve: dict[int, list[int]] = {}
-    for d in darts:
-        by_curve.setdefault(b.scurve[d >> 1], []).append(d)
-    if len(by_curve) != 2 or any(len(v) != 2 for v in by_curve.values()):
-        raise InternalInvariantError(f"junction {x} is not a clean touch")
-    for cid, (da, db) in sorted(by_curve.items()):
-        if not _merge_step(b, cid, da >> 1, db >> 1, x):
-            raise InternalInvariantError(
-                f"curve {cid} does not pass straight through junction {x}"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -79,22 +79,21 @@ def random_planar_map(n: int, rng: random.Random) -> CombinatorialMap:
         if not pairs:
             break
         u, v = rng.choice(pairs)
-        routes = list(
-            iter_routes(
-                m,
-                m.real_by_label[u],
-                m.real_by_label[v],
-                {cid: 0 for cid in range(len(m.curves))},
-            )
-        )
-        if not routes:
-            continue
-        m, _ = with_route(m, EDGE, u, v, rng.choice(routes))
+        m = _with_crossing_free_edge(m, m.real_by_label[u], u, v, rng)
     return m
 
 
+def _with_crossing_free_edge(m, source, u, v, rng):
+    """``m`` plus the edge (u, v) along ``rng.choice`` of the crossing-free
+    routes from ``source`` (u's vertex id, or a face) to v, or ``m`` when
+    there is none."""
+    routes = list(iter_routes(m, source, m.real_by_label[v], {}))
+    if not routes:
+        return m
+    return with_route(m, EDGE, u, v, rng.choice(routes))[0]
+
+
 def _place_vertex_crossing_free(m, label, rng):
-    zero = {cid: 0 for cid in range(len(m.curves))}
     fid = rng.randrange(len(m.faces))
     on_face = sorted(
         {
@@ -108,26 +107,12 @@ def _place_vertex_crossing_free(m, label, rng):
         # face bounded only by crossings cannot happen in a crossing-free map
         raise InternalInvariantError("face without real vertices")
     first = rng.choice(on_face)
-    routes = [
-        r
-        for r in iter_routes(m, ("face", fid), m.real_by_label[first], zero)
-    ]
-    m, _ = with_route(m, EDGE, label, first, rng.choice(routes))
+    m = _with_crossing_free_edge(m, ("face", fid), label, first, rng)
     # fan out to a few more targets while staying crossing-free
     for _ in range(rng.randint(0, 2)):
         targets = [x for x in m.real_labels() if x != label]
         t = rng.choice(targets)
         if (min(label, t), max(label, t)) in {c.edge() for c in m.curves}:
             continue
-        routes = list(
-            iter_routes(
-                m,
-                m.real_by_label[label],
-                m.real_by_label[t],
-                {cid: 0 for cid in range(len(m.curves))},
-            )
-        )
-        if not routes:
-            continue
-        m, _ = with_route(m, EDGE, label, t, rng.choice(routes))
+        m = _with_crossing_free_edge(m, m.real_by_label[label], label, t, rng)
     return m

@@ -20,8 +20,8 @@ from .errors import InputError, SeparatorNotFoundError
 from .rotation import (
     RealizabilityTables,
     RotationSystem,
-    _crossing_edges,
     _require_realizable,
+    crosses_any,
     edge_key,
     subrotation,
 )
@@ -69,7 +69,7 @@ def verify_crossing_free(
     edges = [edge_key(*e) for e in edges]
     for i, (v, w) in enumerate(edges):
         later = [f for f in edges[i + 1 :] if v not in f and w not in f]
-        if later and any(_crossing_edges(tables, rs, (v, w), later)):
+        if later and crosses_any(tables, rs, (v, w), later):
             return False
     return True
 

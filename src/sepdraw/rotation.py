@@ -437,12 +437,10 @@ def _crossing_edges(
     The one reader of edge-by-edge crossing queries.  Each quad is read
     as (v, w, c, d), from v's rotation counted from w and the others
     counted from v, against ``tables.k4_reads``.  The rows counted from
-    v come from the memo of :func:`_rows_from` when it holds v, as it
-    does on a flipped system: ``is_separator_edge`` tries the candidate
-    flips of an edge lazily, nearest first, and every flipped system
-    shares the rows from v of the system it was flipped from.
-    Otherwise each row is built on first use.  An edge that is
-    not independent of ``e`` raises :class:`InputError` or
+    v are :func:`_rows_from`'s: ``is_separator_edge`` tries the
+    candidate flips of an edge lazily, nearest first, and every flipped
+    system shares the rows from v of the system it was flipped from.  An
+    edge that is not independent of ``e`` raises :class:`InputError` or
     :class:`AdjacentEdgesError`, and an unrealizable quad raises
     :class:`RealizabilityError`, when the sweep reaches it.
     """
@@ -450,13 +448,8 @@ def _crossing_edges(
     n = rs.n
     reads = tables.k4_reads
     V = _anchored(rs, v, w)
-    memo = rs._rows
-    if memo is not None and memo[0] == v:
-        rows = memo[1]
-        W = rows[w]
-    else:
-        rows = [None] * (n + 1)
-        W = _anchored(rs, w, v)
+    rows = _rows_from(rs, v)
+    W = rows[w]
     for f in edges:
         c, d = f
         if c > d:
@@ -468,11 +461,7 @@ def _crossing_edges(
                 "never cross"
             )
         C = rows[c]
-        if C is None:
-            C = rows[c] = _anchored(rs, c, v)
         D = rows[d]
-        if D is None:
-            D = rows[d] = _anchored(rs, d, v)
         # placement: a vertex below v moves both v and w up one place
         key = (5 if c < v else 1 if c < w else 0) + (
             5 if d < v else 1 if d < w else 0

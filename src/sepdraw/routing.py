@@ -5,9 +5,9 @@ A route describes a new curve from one real vertex to another: the gap
 (with the side it approaches from), and the gap where it enters the
 target.  Two search modes are provided:
 
-* exhaustive depth-first enumeration of all self-avoiding routes under
+* lazy depth-first enumeration of all self-avoiding routes under
   per-curve crossing budgets (used by the small-drawing enumerator, the
-  witness search, and the brute-force router oracle);
+  witness search, and the crossing-free steps of the seeded generators);
 * deterministic least-cost search (used by the edge-insertion
   operations), which only needs face-loop-free routes because any
   optimal route can be shortcut into one.
@@ -30,6 +30,7 @@ from .cmap import (
     require_valid_map,
 )
 from .errors import InputError, InternalInvariantError
+from .rotation import edge_key
 
 
 @dataclass(frozen=True)
@@ -69,21 +70,16 @@ def _chord_ok(chords, p, q, size):
     return all(not _interleaves(p, q, r, s, size) for r, s in chords)
 
 
-def iter_routes(
-    m: CombinatorialMap,
-    source,
-    target_vid: int,
-    budget,
-    first_only: bool = False,
-):
-    """Yield routes from ``source`` to ``target_vid``.
+def iter_routes(m: CombinatorialMap, source, target_vid: int, budget):
+    """Yield routes from ``source`` to ``target_vid``, each where the
+    depth-first search finds it.
 
     ``source`` is a real vertex id (all its gaps are tried) or
     ``('face', fid)`` for a source point inside a face (a dartless new
     vertex).  ``budget`` maps curve id -> max crossings (0 = barred);
-    missing ids default to 0.
+    missing ids default to 0.  A caller that wants one route takes
+    ``next(...)``, and the search stops there.
     """
-    sigma = m.sigma
     face_of = m.face_of
     bcache: dict[int, tuple] = {}
 
@@ -96,7 +92,6 @@ def iter_routes(
     chords: dict[int, list] = {}
     crossed_segs: set[int] = set()
     path: list[tuple[int, int]] = []
-    results: list[Route] = []
 
     def dfs(fid, entry_coord, start_anchor):
         orbit, edge_coord, gap_coord = boundary(fid)
@@ -106,15 +101,8 @@ def iter_routes(
         for g, gc in sorted(gap_coord.items()):
             if m.dvert[g] != target_vid:
                 continue
-            if not _chord_ok(mychords, entry_coord, gc, size):
-                continue
-            if entry_coord is not None:
-                mychords.append((entry_coord, gc))
-            results.append(Route(start_anchor, tuple(path), g))
-            if entry_coord is not None:
-                mychords.pop()
-            if first_only:
-                return True
+            if _chord_ok(mychords, entry_coord, gc, size):
+                yield Route(start_anchor, tuple(path), g)
         # crossing moves
         for d in orbit:
             s = d >> 1
@@ -133,28 +121,20 @@ def iter_routes(
             path.append((s, d))
             nfid = face_of[d ^ 1]
             _, nec, _ = boundary(nfid)
-            stop = dfs(nfid, nec[d ^ 1], start_anchor)
+            yield from dfs(nfid, nec[d ^ 1], start_anchor)
             path.pop()
             remaining[cid] += 1
             crossed_segs.discard(s)
             if entry_coord is not None:
                 mychords.pop()
-            if stop:
-                return True
-        return False
 
     if isinstance(source, tuple) and source[0] == "face":
-        if dfs(source[1], None, ("face", source[1])) and first_only:
-            yield results[0]
-            return
+        yield from dfs(source[1], None, ("face", source[1]))
     else:
         for g in m.vdarts[source]:
             fid = m.face_of_gap(g)
-            _, _, gap_coord = _boundary(m, fid)
-            if dfs(fid, gap_coord[g], ("gap", g)) and first_only:
-                yield results[0]
-                return
-    yield from results
+            _, _, gap_coord = boundary(fid)
+            yield from dfs(fid, gap_coord[g], ("gap", g))
 
 
 def min_cost_route(
@@ -192,8 +172,6 @@ def min_cost_route(
         for d in sorted(m.faces[fid]):
             s = d >> 1
             w = cost_of_curve(m.scurve[s])
-            if w is None:
-                continue
             nfid = face_of[d ^ 1]
             nlabel = (cost + w, nsteps + 1, faceseq + (nfid,), g0)
             if nfid not in best or nlabel < best[nfid]:
@@ -313,8 +291,6 @@ def find_witness(m: CombinatorialMap, e):
     endpoints.  Returns ``(new_map, witness_curve_id)`` or ``None``.
     Raises :class:`InputError` when the map fails :func:`validate_map`.
     """
-    from .rotation import edge_key
-
     require_valid_map(m)
     e = edge_key(*e)
     eid = None
@@ -334,6 +310,7 @@ def find_witness(m: CombinatorialMap, e):
         budget[cid] = 0 if barred else 1
     u_vid = m.real_by_label[e[0]]
     v_vid = m.real_by_label[e[1]]
-    for route in iter_routes(m, u_vid, v_vid, budget, first_only=True):
-        return with_route(m, WITNESS, e[0], e[1], route)
-    return None
+    route = next(iter_routes(m, u_vid, v_vid, budget), None)
+    if route is None:
+        return None
+    return with_route(m, WITNESS, e[0], e[1], route)

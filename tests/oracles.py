@@ -20,6 +20,7 @@ from sepdraw.cmap import (
     MapBuilder,
 )
 from sepdraw.errors import InputError
+from sepdraw.routing import Route, _boundary, _chord_ok
 from sepdraw.rotation import (
     K4_UNREALIZABLE,
     RotationSystem,
@@ -164,6 +165,101 @@ def exhaustive_min_route_cost(m, u_label: int, v_label: int, cost_of_curve):
     for fid in sorted(start_faces):
         dfs(fid, 0, frozenset({fid}))
     return best[0]
+
+
+# ---------------------------------------------------------------------------
+# Reference route enumeration: ``routing.iter_routes`` as it was when it
+# collected every route of the depth-first search before yielding and cut
+# the search short with ``first_only``, kept verbatim so the lazy version
+# can be compared with it route for route.
+
+
+def reference_iter_routes(
+    m: CombinatorialMap,
+    source,
+    target_vid: int,
+    budget,
+    first_only: bool = False,
+):
+    """Yield routes from ``source`` to ``target_vid``.
+
+    ``source`` is a real vertex id (all its gaps are tried) or
+    ``('face', fid)`` for a source point inside a face (a dartless new
+    vertex).  ``budget`` maps curve id -> max crossings (0 = barred);
+    missing ids default to 0.
+    """
+    sigma = m.sigma
+    face_of = m.face_of
+    bcache: dict[int, tuple] = {}
+
+    def boundary(fid):
+        if fid not in bcache:
+            bcache[fid] = _boundary(m, fid)
+        return bcache[fid]
+
+    remaining = dict(budget)
+    chords: dict[int, list] = {}
+    crossed_segs: set[int] = set()
+    path: list[tuple[int, int]] = []
+    results: list[Route] = []
+
+    def dfs(fid, entry_coord, start_anchor):
+        orbit, edge_coord, gap_coord = boundary(fid)
+        size = 2 * len(orbit)
+        mychords = chords.setdefault(fid, [])
+        # terminal corners of the target on this face
+        for g, gc in sorted(gap_coord.items()):
+            if m.dvert[g] != target_vid:
+                continue
+            if not _chord_ok(mychords, entry_coord, gc, size):
+                continue
+            if entry_coord is not None:
+                mychords.append((entry_coord, gc))
+            results.append(Route(start_anchor, tuple(path), g))
+            if entry_coord is not None:
+                mychords.pop()
+            if first_only:
+                return True
+        # crossing moves
+        for d in orbit:
+            s = d >> 1
+            if s in crossed_segs:
+                continue
+            cid = m.scurve[s]
+            if remaining.get(cid, 0) <= 0:
+                continue
+            p = edge_coord[d]
+            if not _chord_ok(mychords, entry_coord, p, size):
+                continue
+            if entry_coord is not None:
+                mychords.append((entry_coord, p))
+            crossed_segs.add(s)
+            remaining[cid] -= 1
+            path.append((s, d))
+            nfid = face_of[d ^ 1]
+            _, nec, _ = boundary(nfid)
+            stop = dfs(nfid, nec[d ^ 1], start_anchor)
+            path.pop()
+            remaining[cid] += 1
+            crossed_segs.discard(s)
+            if entry_coord is not None:
+                mychords.pop()
+            if stop:
+                return True
+        return False
+
+    if isinstance(source, tuple) and source[0] == "face":
+        if dfs(source[1], None, ("face", source[1])) and first_only:
+            yield results[0]
+            return
+    else:
+        for g in m.vdarts[source]:
+            fid = m.face_of_gap(g)
+            _, _, gap_coord = _boundary(m, fid)
+            if dfs(fid, gap_coord[g], ("gap", g)) and first_only:
+                yield results[0]
+                return
+    yield from results
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ from sepdraw.cmap import (
     CombinatorialMap,
     MapBuilder,
     crossing_pairs_of_map,
-    dual,
-    dual_connected,
     extract_rotation_system,
     from_two_page,
     parse_cmap,
@@ -41,12 +39,6 @@ class TestTriangle:
         assert len(m.faces) == 2
         assert len(m.vkind) == 3 and len(m.scurve) == 3
 
-    def test_dual_two_nodes_three_parallel_arcs(self):
-        nf, arcs = dual(triangle_map())
-        assert nf == 2
-        assert len(arcs) == 3
-        assert all({a, b} == {0, 1} for a, b, _, _ in arcs)
-
 
 class TestConvexK4Map:
     def test_counts_match_euler(self):
@@ -58,10 +50,6 @@ class TestConvexK4Map:
     def test_crossings(self):
         m, _ = two_page_convex(4)
         assert crossing_pairs_of_map(m) == {((1, 3), (2, 4))}
-
-    def test_dual_connected(self):
-        m, _ = two_page_convex(4)
-        assert dual_connected(m)
 
 
 class TestExtractRotationSystem:
