@@ -10,7 +10,11 @@ rather than fully separable.
 The constructions assume a realizable system: on one that is not, they
 can return crossing edges.  So :func:`ham_path`, :func:`ham_cycle` and
 :func:`plane_matching` raise :class:`RealizabilityError` on it, from
-the realizability verdict memoized on the system.
+the realizability verdict memoized on the system.  Each sub-instance is
+an induced subsystem, which inherits that verdict from
+:func:`subrotation` instead of sweeping its own 5-tuples, so its
+separator-edge tests run the same pruned flip validation as the top
+level.
 """
 from __future__ import annotations
 

@@ -210,7 +210,13 @@ def mirror(rs: RotationSystem) -> RotationSystem:
 
 def subrotation(rs: RotationSystem, subset) -> RotationSystem:
     """Induced rotation system on a vertex subset, relabeled
-    order-preservingly to 1..|subset|."""
+    order-preservingly to 1..|subset|.
+
+    A realizable verdict memoized on ``rs`` carries over, for the same
+    tables object: every 5-subsystem of the induced system is one of
+    ``rs``, so by Kynčl's 5-tuple criterion the induced system is
+    realizable too.  An unrealizable verdict does not carry over: a
+    subsystem of an unrealizable system may be realizable."""
     sub = sorted(set(subset))
     if not sub:
         raise InputError("vertex subset must be non-empty")
@@ -221,7 +227,10 @@ def subrotation(rs: RotationSystem, subset) -> RotationSystem:
     rows = [
         tuple(new[x] for x in rs.rows[v - 1] if x in keep) for v in sub
     ]
-    return RotationSystem(len(sub), rows)
+    out = RotationSystem(len(sub), rows)
+    if rs._realizable is not None and rs._realizable[1]:
+        out._realizable = rs._realizable
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +503,14 @@ def pair_crossing(
 def crossings_of_edge(
     tables: RealizabilityTables, rs: RotationSystem, e
 ) -> frozenset[Edge]:
-    """All edges crossing ``e``."""
+    """All edges crossing ``e``: the :func:`crossing_sets` entry when
+    those are memoized on ``rs`` for ``tables``, else a sweep of ``e``
+    alone.  The memo exists only when no quad is unrealizable, so it
+    never hides a raise."""
     v, w = _checked_edge(rs, e)
+    memo = rs._crossings
+    if memo is not None and memo[0] is tables:
+        return memo[1][(v, w)]
     rest = [x for x in range(1, rs.n + 1) if x != v and x != w]
     return frozenset(
         _crossing_edges(tables, rs, (v, w), itertools.combinations(rest, 2))
@@ -517,17 +532,16 @@ def crossing_pairs(
     """The unordered pairs of independent edges that cross, each in
     :func:`pair_key` order.
 
-    One sweep over the sorted quads (a, b, c, d), with offset rows built
-    per minimum vertex a: a's rotation counted from b, every later one
-    counted from a.  Each bit of :func:`k4_index` is then one
+    One sweep over the sorted quads (a, b, c, d), reading per minimum
+    vertex a the offset rows :func:`_rows_from` counts from a, and a's
+    rotation counted from b.  Each bit of :func:`k4_index` is then one
     comparison.  Raises on the first unrealizable quad in sorted order.
     """
     n = rs.n
     k4 = tables.k4
     pairs = []
     for a in range(1, n - 2):
-        rows = [None] * (a + 1)
-        rows += [_anchored(rs, u, a) for u in range(a + 1, n + 1)]
+        rows = _rows_from(rs, a)
         for b in range(a + 1, n - 1):
             A = _anchored(rs, a, b)
             B = rows[b]
@@ -584,8 +598,8 @@ def crossing_sets(
 def is_realizable(tables: RealizabilityTables, rs: RotationSystem) -> bool:
     """Realizability via the 5-vertex criterion (table lookups for n <= 4).
 
-    The verdict is memoized on ``rs`` per tables object; see
-    :func:`known_realizable`.
+    The verdict is memoized on ``rs`` per tables object, and a True one
+    is inherited by :func:`subrotation`.
     """
     memo = rs._realizable
     if memo is None or memo[0] is not tables:
@@ -601,15 +615,13 @@ def is_realizable(tables: RealizabilityTables, rs: RotationSystem) -> bool:
 
 def _all_quints_realizable(tables: RealizabilityTables, rs) -> bool:
     """Every sorted quintuple (a, b, c, d, e) in ``k5``, in sorted order,
-    with offset rows built per minimum vertex a as in
-    :func:`crossing_pairs`; digit i of :func:`k5_index` is three
-    comparisons."""
+    reading offset rows per minimum vertex a as :func:`crossing_pairs`
+    does; digit i of :func:`k5_index` is three comparisons."""
     n = rs.n
     member = tables.k5_reads[0]
     D0, D1, D2, D3, D4 = _DIGIT
     for a in range(1, n - 3):
-        rows = [None] * (a + 1)
-        rows += [_anchored(rs, u, a) for u in range(a + 1, n + 1)]
+        rows = _rows_from(rs, a)
         for b in range(a + 1, n - 2):
             A = _anchored(rs, a, b)
             B = rows[b]
@@ -636,13 +648,6 @@ def _all_quints_realizable(tables: RealizabilityTables, rs) -> bool:
                         ]:
                             return False
     return True
-
-
-def known_realizable(tables: RealizabilityTables, rs: RotationSystem) -> bool:
-    """Whether :func:`is_realizable` has already found ``rs`` realizable
-    under ``tables``.  Never computes anything."""
-    memo = rs._realizable
-    return memo is not None and memo[0] is tables and memo[1]
 
 
 def is_realizable_touching(

@@ -10,15 +10,17 @@ edge sets.  Candidate repositionings come from a linear parity scan of
 the two endpoint rotations.  They are generated lazily, nearest first,
 and :func:`is_separator_edge` stops at the first valid one.
 
-Every candidate is validated the same way: a realizability recheck of
-the 5-tuples through the edge, then a lookup of the old crossing edges
-in the flipped system.  Each quad those lookups read lies in a 5-tuple
-through the edge, which the recheck has found realizable, so by
-Kynčl's 5-tuple criterion none of them can fail, and the answer is
-that of comparing the full old and new crossing sets, whether or not
-the system is known to be realizable.  On a system that
-:func:`is_realizable` has already found realizable, the set of
-vertices the edge is moved across prunes both steps exactly.
+Every entry point requires a realizable system and raises
+:class:`RealizabilityError` otherwise, from the verdict memoized on the
+system (or inherited from the system it was induced from, see
+:func:`subrotation`).  Every candidate is then validated the same way,
+pruned exactly by the set of vertices the edge is moved across: a
+realizability recheck of the 5-tuples through the edge, then a lookup
+of the old crossing edges in the flipped system.  Each quad those
+lookups read lies in a 5-tuple through the edge, which the recheck has
+found realizable, so by Kynčl's 5-tuple criterion none of them can
+fail, and the answer is that of comparing the full old and new
+crossing sets.
 
 Both steps read the other vertices' rotations counted from v, the
 smaller endpoint.  A flip leaves those rotations unchanged, so the
@@ -35,14 +37,13 @@ from .rotation import (
     RealizabilityTables,
     RotationSystem,
     _checked_edge,
+    _require_realizable,
     _rows_from,
     crossing_sets,
     crosses_any,
     crossings_of_edge,
     edge_key,
-    is_realizable,
     is_realizable_touching,
-    known_realizable,
 )
 
 
@@ -70,9 +71,7 @@ class FlipCandidate:
 @dataclass(frozen=True)
 class Flip:
     """A validated flip: ``new_rs`` is realizable and the flipped edge
-    crosses an edge set disjoint from the original's.  The realizability
-    promise holds when the system flipped was realizable: validation
-    rechecks only the 5-tuples through the flipped edge."""
+    crosses an edge set disjoint from the original's."""
 
     edge: tuple[int, int]
     swept: frozenset[int]
@@ -178,19 +177,9 @@ def flip_candidates(rs: RotationSystem, e) -> list[FlipCandidate]:
     return list(_candidates(rs, v, w))
 
 
-def _old_crossings(tables, rs, e):
-    """Whether ``rs`` is known to be realizable, and the edges crossing
-    ``e`` in it.  The memoized crossing sets are used only on known
-    realizable systems: elsewhere a query may raise, and it must raise
-    for the same edge as before."""
-    if known_realizable(tables, rs):
-        return True, crossing_sets(tables, rs)[e]
-    return False, crossings_of_edge(tables, rs, e)
-
-
-def _is_valid_flip(tables, e, cand: FlipCandidate, old_cross, known) -> bool:
+def _is_valid_flip(tables, e, cand: FlipCandidate, old_cross) -> bool:
     """Whether ``cand.new_rs`` is realizable and ``e`` crosses none of
-    ``old_cross`` in it.
+    ``old_cross`` in it, given that ``cand.rs`` is realizable.
 
     A flip changes only the rotations of v and w, so realizability is
     rechecked on the 5-tuples through e = {v,w} only.  The old and new
@@ -202,8 +191,8 @@ def _is_valid_flip(tables, e, cand: FlipCandidate, old_cross, known) -> bool:
     5-tuple is realizable under ``k4`` (the first condition of
     ``check_tables``, which shipped, built and loaded tables meet).
 
-    When the system before the flip is known to be realizable, the test
-    is pruned by the swept set S, exactly.  In the rotations of v and w
+    The test is pruned by the swept set S, exactly, since the system
+    before the flip is realizable.  In the rotations of v and w
     the other endpoint moves only past members of S, so every quad or
     5-tuple whose vertices other than v, w avoid S keeps its table entry.
     Hence an edge crossing ``e`` with no endpoint in S still crosses it
@@ -211,11 +200,10 @@ def _is_valid_flip(tables, e, cand: FlipCandidate, old_cross, known) -> bool:
     flipped system is built; and only the 5-tuples {v,w,a,b,c} with
     {a,b,c} meeting S are rechecked.
     """
-    swept = cand.swept if known else None
-    if known and any(swept.isdisjoint(f) for f in old_cross):
+    if any(cand.swept.isdisjoint(f) for f in old_cross):
         return False
     new_rs = cand.new_rs
-    if not is_realizable_touching(tables, new_rs, e, swept=swept):
+    if not is_realizable_touching(tables, new_rs, e, swept=cand.swept):
         return False
     return not crosses_any(tables, new_rs, e, old_cross)
 
@@ -227,16 +215,16 @@ def valid_flips(
     disjointness of the old and new crossing sets of ``e``.  Descriptions
     of the same repositioning are merged (smallest swept set reported).
 
-    Realizability of each flipped system is decided by the 5-tuples
-    through ``e`` alone, so it is exact only for a realizable ``rs``; the
-    CLI rejects unrealizable input before calling this."""
+    Raises :class:`RealizabilityError` unless ``rs`` is realizable, so
+    every flipped system returned is realizable."""
     e = _checked_edge(rs, e)
-    known, old_cross = _old_crossings(tables, rs, e)
+    _require_realizable(tables, rs)
+    old_cross = crossings_of_edge(tables, rs, e)
     out: list[Flip] = []
     for cand in flip_candidates(rs, e):
         if any(cand.new_rs == f.new_rs for f in out):
             continue
-        if _is_valid_flip(tables, e, cand, old_cross, known):
+        if _is_valid_flip(tables, e, cand, old_cross):
             out.append(Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs))
     return out
 
@@ -246,17 +234,17 @@ def is_separator_edge(
 ) -> SeparatorEvidence | None:
     """Evidence that ``e`` is a separator edge, or None.
 
+    Raises :class:`RealizabilityError` unless ``rs`` is realizable.
     Uncrossed edges short-circuit; otherwise the candidates are walked
-    nearest first, and the first valid flip wins.  Flip validation is
-    pruned when :func:`is_realizable` has already found ``rs``
-    realizable.
+    nearest first, and the first valid flip wins.
     """
     e = _checked_edge(rs, e)
-    known, old_cross = _old_crossings(tables, rs, e)
+    _require_realizable(tables, rs)
+    old_cross = crossings_of_edge(tables, rs, e)
     if not old_cross:
         return SeparatorEvidence(edge=e, uncrossed=True, flip=None)
     for cand in _candidates(rs, *e):
-        if _is_valid_flip(tables, e, cand, old_cross, known):
+        if _is_valid_flip(tables, e, cand, old_cross):
             return SeparatorEvidence(
                 edge=e,
                 uncrossed=False,
@@ -270,12 +258,13 @@ def is_separable(
 ) -> SeparabilityResult:
     """Whether every edge is a separator edge (with a certificate).
 
-    Establishes realizability first (memoized on ``rs``), so that flip
-    validation can be pruned; on unrealizable input it runs unpruned.
+    Raises :class:`RealizabilityError` unless ``rs`` is realizable.
+    The crossing sets are memoized once, and each edge reads its own.
     Stops at the first failing edge; the certificate covers the edges
     examined so far.
     """
-    is_realizable(tables, rs)
+    _require_realizable(tables, rs)
+    crossing_sets(tables, rs)
     entries = []
     for e in rs.edges():
         ev = is_separator_edge(tables, rs, e)

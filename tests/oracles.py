@@ -25,8 +25,9 @@ from sepdraw.rotation import (
     K4_UNREALIZABLE,
     RotationSystem,
     _checked_edge,
+    _require_realizable,
+    crossings_of_edge,
     edge_key,
-    is_realizable,
     k4_index,
     k5_system,
     pair_crossing,
@@ -37,7 +38,6 @@ from sepdraw.separability import (
     SeparatorCertificate,
     SeparatorEvidence,
     _is_valid_flip,
-    _old_crossings,
     certificate_json,
 )
 
@@ -705,16 +705,18 @@ def reference_certificate_json(tables, rs) -> dict | None:
     or None when some edge has no separator evidence, by the eager path:
     per edge, every candidate of :func:`reference_flip_candidates` listed
     at once, and the first that passes the library's flip validation
-    taken.  The flipped systems inherit no offset rows from ``rs``."""
-    is_realizable(tables, rs)
+    taken.  The flipped systems inherit no offset rows from ``rs``, and
+    the old crossings of each edge come from a sweep of that edge unless
+    the crossing sets are memoized on ``rs``."""
+    _require_realizable(tables, rs)
     entries = []
     for e in rs.edges():
-        known, old_cross = _old_crossings(tables, rs, e)
+        old_cross = crossings_of_edge(tables, rs, e)
         if not old_cross:
             entries.append(SeparatorEvidence(edge=e, uncrossed=True, flip=None))
             continue
         for cand in reference_flip_candidates(rs, e):
-            if _is_valid_flip(tables, e, cand, old_cross, known):
+            if _is_valid_flip(tables, e, cand, old_cross):
                 flip = Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs)
                 entries.append(
                     SeparatorEvidence(edge=e, uncrossed=False, flip=flip)

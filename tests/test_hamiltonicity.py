@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -14,10 +15,18 @@ from sepdraw.hamiltonicity import (
     plane_matching,
     verify_crossing_free,
 )
-from sepdraw.rotation import convex
+from sepdraw.rotation import RotationSystem, convex
 from sepdraw.separability import is_separable
 
+from oracles import random_points, rotation_system_from_points
 from test_separability import LOW_DEGREE_K6
+
+# sha256 of every ham_path (all ordered pairs), ham_cycle and
+# plane_matching answer, or exception type and message, on the 102 K6
+# orbits and on straight-line K8-K10; see test_outputs_pinned.
+HAMILTONICITY_DIGEST = (
+    "1c5f25ddb3193b1cb53406a2224d9867fb102d923f858178ecab33a7ef51ab97"
+)
 
 
 def _check_path(tables, rs, p, v, w):
@@ -139,3 +148,30 @@ class TestVerifyCrossingFree:
 
     def test_single_edge(self, tables):
         assert verify_crossing_free(tables, convex(5), [(1, 3)])
+
+
+def _answer(call) -> str:
+    try:
+        return repr(call())
+    except (InputError, SeparatorNotFoundError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_outputs_pinned(tables, enum6):
+    """The constructions' answers, including every negative one, pinned
+    on fresh copies of the K6 orbits and of straight-line K8-K10."""
+    systems = [rep.rs for rep in enum6]
+    systems += [
+        rotation_system_from_points(random_points(n, random.Random(n)))
+        for n in (8, 9, 10)
+    ]
+    h = hashlib.sha256()
+    for base in systems:
+        rs = RotationSystem(base.n, base.rows)
+        for v, w in itertools.permutations(range(1, rs.n + 1), 2):
+            got = _answer(lambda: ham_path(tables, rs, v, w).vertices)
+            h.update(f"path {v} {w}: {got}\n".encode())
+        h.update(f"cycle: {_answer(lambda: ham_cycle(tables, rs).vertices)}\n".encode())
+        h.update(f"matching: {_answer(lambda: plane_matching(tables, rs).edges)}\n".encode())
+    assert len(systems) == 105
+    assert h.hexdigest() == HAMILTONICITY_DIGEST

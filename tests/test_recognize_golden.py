@@ -1,16 +1,18 @@
 """Golden output of ``recognize --certificate --json`` and exactness of
-flip validation on systems whose realizability is already known.
+the pruned flip validation.
 
 The corpus is generated here from fixed seeds.  The digests in
 ``GOLDEN`` were recorded before flip validation learned to prune by the
 swept set, so any change to certificates, tie-breaks or exit codes shows
-up as a mismatch.  The exactness test compares, edge by edge, a copy on
-which ``is_realizable`` was called (pruned validation) with a fresh copy
-(unpruned validation).  Both run the same lookup of the old crossing
-edges, so the fresh copy is also compared with a reference that lists
+up as a mismatch.  The exactness test compares, edge by edge, the
+separability answers on realizable systems with a reference that lists
 the candidates eagerly (``oracles.reference_flip_candidates``, each
 flipped system built in full), reads the flipped systems off the
-rotations and compares full crossing sets.
+rotations and compares full crossing sets with no pruning.  It does so
+on a fresh copy, on a copy whose verdict is already known, and on
+induced subsystems of a known copy, which inherit the verdict as the
+hamiltonicity recursion's sub-instances do.  On unrealizable systems
+every separability entry point raises.
 """
 from __future__ import annotations
 
@@ -28,22 +30,31 @@ from oracles import (
     reference_k5_index,
     rotation_system_from_points,
 )
+import pytest
+
 from sepdraw.cli import main
 from sepdraw.cmap import extract_rotation_system, from_two_page
 from sepdraw.generators import all_edges
 from sepdraw.rotation import (
     K4_UNREALIZABLE,
+    RealizabilityTables,
     RotationSystem,
     convex,
+    crossing_sets,
     crossings_of_edge,
     is_realizable,
     relabel,
     serialize_crs,
+    subrotation,
 )
+from sepdraw.errors import RealizabilityError
 from sepdraw.separability import (
     Flip,
     SeparatorEvidence,
+    find_any_separator_edge,
+    is_separable,
     is_separator_edge,
+    separator_edges_at,
     valid_flips,
 )
 
@@ -226,19 +237,67 @@ def _reference_per_edge(tables, rs):
     }
 
 
-def test_pruned_flip_validation_is_exact(tables, enum6):
-    systems = list(golden_corpus(tables, enum6).values())
-    rng = random.Random(11)
-    for n in (5, 5, 6, 6, 7, 7):
-        systems.append(_unrealizable(n, rng, tables))
-    realizable = 0
-    for rs in systems:
-        fresh = RotationSystem(rs.n, rs.rows)
-        known = RotationSystem(rs.n, rs.rows)
-        realizable += is_realizable(tables, known)
-        got = _per_edge(tables, fresh)
-        assert _per_edge(tables, known) == got
-        reference = RotationSystem(rs.n, rs.rows)
-        assert _reference_per_edge(tables, reference) == got
-    assert 0 < realizable < len(systems)
+def _separability_calls(tables, rs):
+    """Every call of each separability entry point on ``rs``."""
+    calls = [
+        lambda: is_separable(tables, rs),
+        lambda: find_any_separator_edge(tables, rs),
+    ]
+    for e in rs.edges():
+        calls.append(lambda e=e: is_separator_edge(tables, rs, e))
+        calls.append(lambda e=e: valid_flips(tables, rs, e))
+    for v in range(1, rs.n + 1):
+        calls.append(lambda v=v: separator_edges_at(tables, rs, v))
+    return calls
 
+
+def test_pruned_flip_validation_is_exact(tables, enum6):
+    corpus = golden_corpus(tables, enum6)
+    rng = random.Random(11)
+    realizable = [rs for rs in corpus.values() if is_realizable(tables, rs)]
+    assert len(realizable) == len(corpus) - 1
+    subsystems = 0
+    for rs in realizable:
+        want = _reference_per_edge(tables, RotationSystem(rs.n, rs.rows))
+        assert _per_edge(tables, RotationSystem(rs.n, rs.rows)) == want
+        known = RotationSystem(rs.n, rs.rows)
+        assert is_realizable(tables, known)
+        assert _per_edge(tables, known) == want
+        for k in range(4, rs.n):
+            subset = rng.sample(range(1, rs.n + 1), k)
+            sub = subrotation(known, subset)
+            reference = subrotation(RotationSystem(rs.n, rs.rows), subset)
+            assert _per_edge(tables, sub) == _reference_per_edge(
+                tables, reference
+            )
+            subsystems += 1
+    assert subsystems == 61
+    unrealizable = [corpus["unrealizable-6"]]
+    for n in (5, 5, 6, 6, 7, 7):
+        unrealizable.append(_unrealizable(n, rng, tables))
+    for rs in unrealizable:
+        for call in _separability_calls(tables, RotationSystem(rs.n, rs.rows)):
+            with pytest.raises(RealizabilityError, match="not realizable"):
+                call()
+
+
+def test_crossings_of_edge_reads_memo_unchanged(tables, enum6):
+    """Each edge's crossings, swept alone and read from the memoized
+    crossing sets, and the error on unrealizable input, agree.  The memo
+    answers only for its own tables object."""
+    no_k4 = RealizabilityTables(k4=(K4_UNREALIZABLE,) * 16, k5=tables.k5)
+    for rs in golden_corpus(tables, enum6).values():
+        rs = RotationSystem(rs.n, rs.rows)
+        before = [
+            _outcome(lambda e=e: crossings_of_edge(tables, rs, e), sorted)
+            for e in rs.edges()
+        ]
+        memoized = _outcome(lambda: crossing_sets(tables, rs), len)
+        after = [
+            _outcome(lambda e=e: crossings_of_edge(tables, rs, e), sorted)
+            for e in rs.edges()
+        ]
+        assert after == before
+        if memoized[0] == "ok":
+            with pytest.raises(RealizabilityError):
+                crossings_of_edge(no_k4, rs, (1, 2))

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import sepdraw.rotation as rotation
 from sepdraw.errors import (
     AdjacentEdgesError,
     InputError,
@@ -29,7 +30,6 @@ from sepdraw.rotation import (
     k4_index_of,
     k4_system,
     k5_index_of,
-    known_realizable,
     k5_system,
     labeled_encoding,
     mirror,
@@ -469,15 +469,69 @@ class TestRealizability:
         non = min(set(range(6**5)) - set(tables.k5))
         assert not is_realizable(tables, k5_system(non))
 
-    def test_verdict_is_memoized_per_tables(self, tables):
+    @staticmethod
+    def _count_sweeps(monkeypatch) -> list:
+        """The tables of each 5-tuple sweep :func:`is_realizable` runs."""
+        sweeps = []
+        sweep = rotation._all_quints_realizable
+
+        def counted(tables, rs):
+            sweeps.append(tables)
+            return sweep(tables, rs)
+
+        monkeypatch.setattr(rotation, "_all_quints_realizable", counted)
+        return sweeps
+
+    def test_verdict_is_memoized_per_tables(self, tables, monkeypatch):
+        sweeps = self._count_sweeps(monkeypatch)
         rs = convex(6)
         no_k5 = RealizabilityTables(k4=tables.k4, k5=frozenset())
-        assert not known_realizable(tables, rs)
         assert is_realizable(tables, rs)
-        assert known_realizable(tables, rs)
+        assert is_realizable(tables, rs)
+        assert sweeps == [tables]
         assert not is_realizable(no_k5, rs)
-        assert not known_realizable(no_k5, rs)
+        assert not is_realizable(no_k5, rs)
+        assert sweeps == [tables, no_k5]
+        # one tables object is memoized at a time
         assert is_realizable(tables, rs)
+        assert sweeps == [tables, no_k5, tables]
+
+    def test_subrotation_inherits_true_verdict(self, tables, monkeypatch):
+        sweeps = self._count_sweeps(monkeypatch)
+        rs = convex(8)
+        assert is_realizable(tables, rs)
+        sub = subrotation(rs, (1, 3, 4, 6, 7, 8))
+        assert is_realizable(tables, sub)
+        assert is_realizable(tables, subrotation(sub, range(1, 6)))
+        assert sweeps == [tables]
+        # an equal tables object is another object: it sweeps
+        same = RealizabilityTables(k4=tables.k4, k5=tables.k5)
+        assert is_realizable(same, subrotation(rs, range(1, 7)))
+        assert sweeps == [tables, same]
+        # no verdict on the parent, none to inherit
+        assert is_realizable(tables, subrotation(convex(8), range(1, 7)))
+        assert sweeps == [tables, same, tables]
+
+    def test_subrotation_of_unrealizable_computes_its_verdict(
+        self, tables, monkeypatch
+    ):
+        """A realizable 5-subset of an unrealizable K6 (convex K5 plus a
+        sixth vertex placed at random) sweeps and finds itself
+        realizable."""
+        rng = random.Random(5)
+        while True:
+            rows = [list(r) for r in convex(5).rows]
+            for row in rows:
+                row.insert(rng.randrange(5), 6)
+            rows.append(rng.sample(range(1, 6), 5))
+            k6 = RotationSystem(6, rows)
+            if not is_realizable(tables, k6):
+                break
+        sweeps = self._count_sweeps(monkeypatch)
+        sub = subrotation(k6, range(1, 6))
+        assert sub == convex(5)
+        assert is_realizable(tables, sub)
+        assert sweeps == [tables]
 
     def test_k5_index_round_trip(self):
         for idx in range(6**5):

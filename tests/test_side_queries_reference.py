@@ -41,6 +41,13 @@ from sepdraw.rotation import (
     same_triangle_side,
     triangle_sides,
 )
+from sepdraw.separability import (
+    find_any_separator_edge,
+    is_separable,
+    is_separator_edge,
+    separator_edges_at,
+    valid_flips,
+)
 from test_rotation import REROUTED_K5
 
 
@@ -146,9 +153,9 @@ def test_verify_crossing_free_matches_reference(tables, corpus):
 
 def test_entry_points_reject_k4_consistent_unrealizable_k5(tables):
     """On the 72 unrealizable K5 systems whose 4-subsystems are all
-    realizable, the constructions and ``is_g_convex`` raise instead of
-    answering (without the check, ``ham_cycle`` returned a crossing
-    cycle on 60 of them)."""
+    realizable, the constructions, ``is_g_convex`` and the separability
+    entry points raise instead of answering (without the check,
+    ``ham_cycle`` returned a crossing cycle on 60 of them)."""
     systems = k4_consistent_unrealizable_k5(tables)
     assert len(systems) == 72
     calls = [
@@ -156,8 +163,14 @@ def test_entry_points_reject_k4_consistent_unrealizable_k5(tables):
         lambda rs: ham_cycle(tables, rs),
         lambda rs: plane_matching(tables, rs),
         lambda rs: is_g_convex(tables, rs),
+        lambda rs: is_separable(tables, rs),
+        lambda rs: is_separator_edge(tables, rs, (2, 4)),
+        lambda rs: valid_flips(tables, rs, (1, 5)),
+        lambda rs: separator_edges_at(tables, rs, 3),
+        lambda rs: find_any_separator_edge(tables, rs),
     ]
     for rs in systems:
         for call in calls:
+            # a fresh copy: no call reads another's memoized verdict
             with pytest.raises(RealizabilityError, match="not realizable"):
-                call(rs)
+                call(RotationSystem(rs.n, rs.rows))
