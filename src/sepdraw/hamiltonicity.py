@@ -29,7 +29,11 @@ from .rotation import (
     edge_key,
     subrotation,
 )
-from .separability import evidence_partition, is_separator_edge
+from .separability import (
+    evidence_partition,
+    find_any_separator_edge,
+    is_separator_edge,
+)
 
 
 @dataclass(frozen=True)
@@ -137,19 +141,17 @@ def ham_cycle(
     if rs.n < 3:
         raise InputError("a cycle needs at least 3 vertices")
     _require_realizable(tables, rs)
-    for e in rs.edges():
-        ev = is_separator_edge(tables, rs, e)
-        if ev is None:
-            continue
-        v, w = ev.edge
-        s1, s2 = evidence_partition(rs, ev)
-        p1 = _ham_path_rec(tables, rs, sorted(s1), v, w)
-        p2 = _ham_path_rec(tables, rs, sorted(s2), v, w)
-        return PlaneCycle(tuple(p1 + list(reversed(p2))[1:-1]))
-    raise SeparatorNotFoundError(
-        "no separator edge in the drawing",
-        vertices=tuple(range(1, rs.n + 1)),
-    )
+    ev = find_any_separator_edge(tables, rs)
+    if ev is None:
+        raise SeparatorNotFoundError(
+            "no separator edge in the drawing",
+            vertices=tuple(range(1, rs.n + 1)),
+        )
+    v, w = ev.edge
+    s1, s2 = evidence_partition(rs, ev)
+    p1 = _ham_path_rec(tables, rs, sorted(s1), v, w)
+    p2 = _ham_path_rec(tables, rs, sorted(s2), v, w)
+    return PlaneCycle(tuple(p1 + list(reversed(p2))[1:-1]))
 
 
 def plane_matching(
@@ -169,19 +171,17 @@ def _matching_rec(tables, rs, labels) -> list[tuple[int, int]]:
         return []
     sub = subrotation(rs, labels)
     back = {i + 1: x for i, x in enumerate(labels)}
-    for le in sub.edges():
-        ev = is_separator_edge(tables, sub, le)
-        if ev is None:
-            continue
-        v, w = ev.edge
-        s1, s2 = evidence_partition(sub, ev)
-        side1 = sorted(back[x] for x in s1 if x not in (v, w))
-        side2 = sorted(back[x] for x in s2 if x not in (v, w))
-        out = [edge_key(back[v], back[w])]
-        out += _matching_rec(tables, rs, side1)
-        out += _matching_rec(tables, rs, side2)
-        return out
-    raise SeparatorNotFoundError(
-        f"no separator edge in the sub-instance on {labels}",
-        vertices=tuple(labels),
-    )
+    ev = find_any_separator_edge(tables, sub)
+    if ev is None:
+        raise SeparatorNotFoundError(
+            f"no separator edge in the sub-instance on {labels}",
+            vertices=tuple(labels),
+        )
+    v, w = ev.edge
+    s1, s2 = evidence_partition(sub, ev)
+    side1 = sorted(back[x] for x in s1 if x not in (v, w))
+    side2 = sorted(back[x] for x in s2 if x not in (v, w))
+    out = [edge_key(back[v], back[w])]
+    out += _matching_rec(tables, rs, side1)
+    out += _matching_rec(tables, rs, side2)
+    return out

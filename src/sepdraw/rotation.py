@@ -8,6 +8,9 @@ complete graphs reduce to lookups in two machine-derived tables: the
 crosses, if any) and the set of realizable labeled 5-vertex systems.
 Both tables are produced by the exhaustive small-drawing enumerator, so
 no orientation or sign convention is hand-coded anywhere in this module.
+
+Only this module builds the offset rows the sweeps read: :func:`_rows_from`
+memoizes them per system and anchor, and :func:`_flipped` hands them on.
 """
 from __future__ import annotations
 
@@ -78,7 +81,7 @@ class RotationSystem:
     equality and hashing compare cyclic orders, not linearizations.
     Answers that depend on a tables object (the realizability verdict and
     the crossing sets) are memoized per system together with that object.
-    The offset rows counted from one vertex are memoized too (see
+    The offset rows counted from each vertex asked are memoized too (see
     :func:`_rows_from`).
     """
 
@@ -101,31 +104,7 @@ class RotationSystem:
         self._norm = None
         self._realizable = None
         self._crossings = None
-        self._rows = None
-
-    def _replaced(self, changed) -> RotationSystem:
-        """This system with the rotations in ``changed`` (vertex -> row)
-        replaced.  Only the new rows are validated.  The offset rows
-        memoized by :func:`_rows_from` carry over: an entry depends only
-        on its own vertex's rotation, so only the changed vertices'
-        entries are rebuilt."""
-        n = self.n
-        rows = list(self.rows)
-        full = frozenset(range(1, n + 1))
-        for v, row in changed.items():
-            row = tuple(row)
-            _check_rotation(n, v, row, full)
-            rows[v - 1] = row
-        new = RotationSystem.__new__(RotationSystem)
-        new._set(n, tuple(rows))
-        if self._rows is not None:
-            x, offsets = self._rows
-            offsets = list(offsets)
-            for u in changed:
-                if u != x:
-                    offsets[u] = _anchored(new, u, x)
-            new._rows = (x, offsets)
-        return new
+        self._rows = {}
 
     def rotation(self, v: int) -> tuple[int, ...]:
         if not 1 <= v <= self.n:
@@ -347,17 +326,44 @@ def _rows_from(rs: RotationSystem, x: int) -> list:
     """Offset rows counted from x, indexed by label: entry u is
     ``_anchored(rs, u, x)`` for every u != x (entries 0 and x are None).
 
-    Memoized on ``rs`` for the last x asked.  The lists are shared with
-    the memo and with the systems :meth:`RotationSystem._replaced` builds
-    from ``rs``, so callers only read them."""
-    memo = rs._rows
-    if memo is None or memo[0] != x:
+    Memoized on ``rs`` per x, built on first ask and never evicted.  The
+    lists are shared with the memo and with the systems :func:`_flipped`
+    builds from ``rs``, so callers only read them."""
+    rows = rs._rows.get(x)
+    if rows is None:
         rows = [None] * (rs.n + 1)
         for u in range(1, rs.n + 1):
             if u != x:
                 rows[u] = _anchored(rs, u, x)
-        memo = rs._rows = (x, rows)
-    return memo[1]
+        rs._rows[x] = rows
+    return rows
+
+
+def _flipped(rs: RotationSystem, a: int, b: int, t: int) -> RotationSystem:
+    """``rs`` with b moved forward by t slots in the ccw rotation of a,
+    and a forward by t slots in the cw rotation of b.  The new rotations
+    are permutations by construction, so nothing is revalidated, and the
+    others are unchanged, so the new system carries the rows ``rs``
+    counts from min(a, b), with only the other endpoint's entry rebuilt."""
+    n = rs.n
+    ccw_a = list(reversed(rs.rows[a - 1]))
+    j = ccw_a.index(b)
+    del ccw_a[j]
+    ccw_a.insert((j + t) % (n - 2), b)
+    cw_b = list(rs.rows[b - 1])
+    j = cw_b.index(a)
+    del cw_b[j]
+    cw_b.insert((j + t) % (n - 2), a)
+    rows = list(rs.rows)
+    rows[a - 1] = tuple(reversed(ccw_a))
+    rows[b - 1] = tuple(cw_b)
+    new = RotationSystem.__new__(RotationSystem)
+    new._set(n, tuple(rows))
+    v, w = (a, b) if a < b else (b, a)
+    offsets = list(_rows_from(rs, v))
+    offsets[w] = _anchored(new, w, v)
+    new._rows[v] = offsets
+    return new
 
 
 def k4_index(rs: RotationSystem, quad: tuple[int, int, int, int]) -> int:
@@ -446,9 +452,7 @@ def _crossing_edges(
     The one reader of edge-by-edge crossing queries.  Each quad is read
     as (v, w, c, d), from v's rotation counted from w and the others
     counted from v, against ``tables.k4_reads``.  The rows counted from
-    v are :func:`_rows_from`'s: ``is_separator_edge`` tries the
-    candidate flips of an edge lazily, nearest first, and every flipped
-    system shares the rows from v of the system it was flipped from.  An
+    v are :func:`_rows_from`'s, which a flipped system inherits.  An
     edge that is not independent of ``e`` raises :class:`InputError` or
     :class:`AdjacentEdgesError`, and an unrealizable quad raises
     :class:`RealizabilityError`, when the sweep reaches it.
@@ -532,10 +536,10 @@ def crossing_pairs(
     """The unordered pairs of independent edges that cross, each in
     :func:`pair_key` order.
 
-    One sweep over the sorted quads (a, b, c, d), reading per minimum
-    vertex a the offset rows :func:`_rows_from` counts from a, and a's
-    rotation counted from b.  Each bit of :func:`k4_index` is then one
-    comparison.  Raises on the first unrealizable quad in sorted order.
+    One sweep over the sorted quads (a, b, c, d), reading the offset
+    rows :func:`_rows_from` counts from a, and a's rotation counted from
+    b.  Each bit of :func:`k4_index` is then one comparison.  Raises on
+    the first unrealizable quad in sorted order.
     """
     n = rs.n
     k4 = tables.k4
@@ -543,7 +547,7 @@ def crossing_pairs(
     for a in range(1, n - 2):
         rows = _rows_from(rs, a)
         for b in range(a + 1, n - 1):
-            A = _anchored(rs, a, b)
+            A = _rows_from(rs, b)[a]
             B = rows[b]
             for c in range(b + 1, n):
                 C = rows[c]
@@ -615,15 +619,15 @@ def is_realizable(tables: RealizabilityTables, rs: RotationSystem) -> bool:
 
 def _all_quints_realizable(tables: RealizabilityTables, rs) -> bool:
     """Every sorted quintuple (a, b, c, d, e) in ``k5``, in sorted order,
-    reading offset rows per minimum vertex a as :func:`crossing_pairs`
-    does; digit i of :func:`k5_index` is three comparisons."""
+    reading offset rows as :func:`crossing_pairs` does; digit i of
+    :func:`k5_index` is three comparisons."""
     n = rs.n
     member = tables.k5_reads[0]
     D0, D1, D2, D3, D4 = _DIGIT
     for a in range(1, n - 3):
         rows = _rows_from(rs, a)
         for b in range(a + 1, n - 2):
-            A = _anchored(rs, a, b)
+            A = _rows_from(rs, b)[a]
             B = rows[b]
             for c in range(b + 1, n - 1):
                 C = rows[c]

@@ -24,9 +24,8 @@ crossing sets.
 
 Both steps read the other vertices' rotations counted from v, the
 smaller endpoint.  A flip leaves those rotations unchanged, so the
-system builds these offset rows once per v, every flipped system
-inherits them, and only w's row is rebuilt; :func:`is_separable` visits
-the edges in lexicographic order, so all edges at v share them.
+system builds these offset rows once per v and every flipped system
+inherits them (see :mod:`sepdraw.rotation`).
 """
 from __future__ import annotations
 
@@ -37,8 +36,8 @@ from .rotation import (
     RealizabilityTables,
     RotationSystem,
     _checked_edge,
+    _flipped,
     _require_realizable,
-    _rows_from,
     crossing_sets,
     crosses_any,
     crossings_of_edge,
@@ -55,8 +54,8 @@ class FlipCandidate:
 
     The flipped system ``new_rs`` is built on first access: most
     candidates are rejected by the swept-set rule without it.  ``move``
-    is the ``(a, b, t)`` of the :func:`_reposition` call that builds it
-    from ``rs``."""
+    is the ``(a, b, t)`` of the ``_flipped`` call that builds it from
+    ``rs``."""
 
     edge: tuple[int, int]
     swept: frozenset[int]
@@ -65,7 +64,7 @@ class FlipCandidate:
 
     @cached_property
     def new_rs(self) -> RotationSystem:
-        return _reposition(self.rs, *self.move)
+        return _flipped(self.rs, *self.move)
 
 
 @dataclass(frozen=True)
@@ -99,26 +98,6 @@ class SeparabilityResult:
     separable: bool
     certificate: SeparatorCertificate
     failed_edge: tuple[int, int] | None
-
-
-def _reposition(rs: RotationSystem, v: int, w: int, t: int) -> RotationSystem:
-    """Move w forward by t slots in the ccw rotation of v, and v forward
-    by t slots in the cw rotation of w.
-
-    ``rs`` builds its offset rows from the smaller endpoint first, so
-    the flipped system inherits them, and the candidates of every edge
-    at that endpoint share them."""
-    n = rs.n
-    ccw_v = list(reversed(rs.rows[v - 1]))
-    j = ccw_v.index(w)
-    del ccw_v[j]
-    ccw_v.insert((j + t) % (n - 2), w)
-    cw_w = list(rs.rows[w - 1])
-    j = cw_w.index(v)
-    del cw_w[j]
-    cw_w.insert((j + t) % (n - 2), v)
-    _rows_from(rs, min(v, w))
-    return rs._replaced({v: tuple(reversed(ccw_v)), w: tuple(cw_w)})
 
 
 def _candidates(rs: RotationSystem, v: int, w: int):
@@ -222,9 +201,9 @@ def valid_flips(
     old_cross = crossings_of_edge(tables, rs, e)
     out: list[Flip] = []
     for cand in flip_candidates(rs, e):
-        if any(cand.new_rs == f.new_rs for f in out):
-            continue
-        if _is_valid_flip(tables, e, cand, old_cross):
+        if _is_valid_flip(tables, e, cand, old_cross) and not any(
+            cand.new_rs == f.new_rs for f in out
+        ):
             out.append(Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs))
     return out
 

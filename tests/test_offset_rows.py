@@ -1,12 +1,13 @@
 """Flip candidates and the offset rows flipped systems inherit.
 
 A flipped system is built from its base system by replacing two rows
-(``RotationSystem._replaced``), and it inherits the base's offset rows
-counted from the smaller endpoint (``_rows_from``), with only the
-changed vertices' entries rebuilt.  These tests compare the candidates
-with the eager reference in ``oracles`` (every flipped system built in
-full) and the inherited rows, and the answers read from them, with a
-system built afresh from the same rows.
+(``rotation._flipped``), and it inherits the base's offset rows counted
+from the smaller endpoint (``_rows_from``), with only the other
+endpoint's entry rebuilt.  These tests compare the candidates with the
+eager reference in ``oracles`` (every flipped system built in full and
+validated) and the inherited rows, and the answers read from them, with
+a system built afresh from the same rows.  They also check that a
+system builds each of its offset rows at most once.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from oracles import (
     reference_flip_candidates,
     rotation_system_from_points,
 )
-from sepdraw.errors import InputError
 from sepdraw.rotation import (
     RotationSystem,
     _anchored,
@@ -28,6 +28,7 @@ from sepdraw.rotation import (
     convex,
     crosses_any,
     crossings_of_edge,
+    is_realizable,
     is_realizable_touching,
     relabel,
 )
@@ -114,14 +115,13 @@ class TestInheritedOffsetRows:
                 for cand in flip_candidates(rs, e):
                     new_rs = cand.new_rs
                     fresh = _fresh(new_rs)
-                    x, rows = new_rs._rows
-                    assert x == v
+                    rows = new_rs._rows[v]
                     assert rows[0] is None and rows[v] is None
                     for u in range(1, n + 1):
                         if u != v:
                             assert rows[u] == _anchored(fresh, u, v), (rs, e, u)
                     # the base keeps its own rows
-                    base = rs._rows[1]
+                    base = rs._rows[v]
                     for u in range(1, n + 1):
                         if u != v:
                             assert base[u] == _anchored(rs, u, v), (rs, e, u)
@@ -155,8 +155,7 @@ class TestInheritedOffsetRows:
             for again in flip_candidates(cand.new_rs, (2, 7)):
                 new_rs = again.new_rs
                 fresh = _fresh(new_rs)
-                x, rows = new_rs._rows
-                assert x == 2
+                rows = new_rs._rows[2]
                 for u in range(1, 10):
                     if u != 2:
                         assert rows[u] == _anchored(fresh, u, 2)
@@ -164,32 +163,50 @@ class TestInheritedOffsetRows:
                     tables, new_rs, (2, 7)
                 ) == is_realizable_touching(tables, fresh, (2, 7))
 
-    def test_memo_holds_the_last_vertex_asked(self):
+    def test_memo_holds_every_vertex_asked(self):
         rs = convex(6)
         rows3 = _rows_from(rs, 3)
-        assert _rows_from(rs, 3) is rows3
         assert rows3[0] is None and rows3[3] is None
         assert rows3[5] == _anchored(rs, 5, 3)
-        assert _rows_from(rs, 4)[1] == _anchored(rs, 1, 4)
-        assert rs._rows[0] == 4
+        rows4 = _rows_from(rs, 4)
+        assert rows4[1] == _anchored(rs, 1, 4)
+        assert _rows_from(rs, 3) is rows3 and _rows_from(rs, 4) is rows4
+        assert rs._rows == {3: rows3, 4: rows4}
 
+
+def _count_input_rows(monkeypatch, rs: RotationSystem) -> dict:
+    """Count, per (u, x), the calls of ``_anchored(rs, u, x)`` on ``rs``
+    itself (not on the systems flipped from it) while the test runs."""
+    import sepdraw.rotation as rot
+
+    counts: dict[tuple[int, int], int] = {}
+    anchored = rot._anchored
+
+    def counting(system, u, x):
+        if system is rs:
+            counts[u, x] = counts.get((u, x), 0) + 1
+        return anchored(system, u, x)
+
+    monkeypatch.setattr(rot, "_anchored", counting)
+    return counts
+
+
+class TestRowsBuiltOnce:
     @pytest.mark.parametrize(
-        "row",
-        [(1, 3, 4, 5, 5), (1, 2, 3, 4, 5), (1, 3, 4, 5), (1, 3, 4, 5, 6, 7),
-         (0, 3, 4, 5, 6), (1, 3, 4, 5, 9)],
+        "make",
+        [
+            lambda: convex(12),
+            lambda: rotation_system_from_points(
+                random_points(12, random.Random(12))
+            ),
+        ],
+        ids=["convex-k12", "straight-line-k12"],
     )
-    def test_replaced_rejects_a_row_that_is_not_a_permutation(self, row):
-        rs = convex(6)
-        _rows_from(rs, 2)
-        with pytest.raises(InputError, match="rotation of vertex 2"):
-            rs._replaced({2: row, 4: rs.rows[3]})
-        with pytest.raises(InputError, match="rotation of vertex 2"):
-            rs._replaced({4: rs.rows[3], 2: row})
-
-    def test_replaced_keeps_the_other_rows(self):
-        rs = convex(6)
-        new = rs._replaced({2: (1, 4, 3, 5, 6)})
-        assert new.rows[1] == (1, 4, 3, 5, 6)
-        assert new.rows[2:] == rs.rows[2:] and new.rows[0] == rs.rows[0]
-        assert new == RotationSystem(6, new.rows)
-        assert new._rows is None
+    def test_recognition_builds_each_row_once(self, tables, monkeypatch, make):
+        # the full 5-tuple sweep, the crossing-pair sweep and the flips
+        # of the edges at each vertex all read one memo per anchor
+        rs = make()
+        counts = _count_input_rows(monkeypatch, rs)
+        assert is_realizable(tables, rs)
+        assert is_separable(tables, rs).separable
+        assert counts and max(counts.values()) == 1

@@ -30,6 +30,7 @@ from sepdraw.separability import (
     valid_flips,
 )
 
+from oracles import random_points, rotation_system_from_points
 from test_rotation import REROUTED_K5
 
 # an enumerated K6 drawing whose vertices 1 and 6 have only {1,6} as
@@ -45,6 +46,27 @@ LOW_DEGREE_K6 = RotationSystem(
         (1, 3, 5, 4, 2),
     ),
 )
+
+
+def _count_builds_and_rechecks(monkeypatch) -> dict[str, int]:
+    """Count the flipped systems built and the realizability rechecks
+    run by ``sepdraw.separability`` while the test runs."""
+    import sepdraw.separability as sep
+
+    counts = {"built": 0, "checked": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sep, "_flipped", counting("built", sep._flipped))
+    monkeypatch.setattr(
+        sep, "is_realizable_touching",
+        counting("checked", sep.is_realizable_touching),
+    )
+    return counts
 
 
 class TestFlipCandidates:
@@ -80,25 +102,30 @@ class TestFlipCandidates:
     def test_swept_rule_rejects_before_building(self, tables, monkeypatch):
         # on a known-realizable system every flipped system that is built
         # gets exactly one realizability recheck
-        import sepdraw.separability as sep
-
-        counts = {"built": 0, "checked": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(
-            sep, "_reposition", counting("built", sep._reposition)
-        )
-        monkeypatch.setattr(
-            sep, "is_realizable_touching",
-            counting("checked", sep.is_realizable_touching),
-        )
+        counts = _count_builds_and_rechecks(monkeypatch)
         assert is_separable(tables, convex(9)).separable
         assert 0 < counts["built"] == counts["checked"]
+
+    def test_valid_flips_builds_only_systems_it_rechecks(
+        self, tables, monkeypatch
+    ):
+        # the dedup of valid_flips compares flipped systems only once the
+        # swept-set rule has passed, so it builds no system it does not
+        # recheck.  On convex K9 the rule rejects no candidate (each swept
+        # set is one side of the edge, which every crossing edge meets);
+        # on the straight-line K9 it rejects some.
+        systems = (
+            convex(9),
+            rotation_system_from_points(random_points(9, random.Random(9))),
+        )
+        candidates = sum(
+            len(flip_candidates(rs, e)) for rs in systems for e in rs.edges()
+        )
+        counts = _count_builds_and_rechecks(monkeypatch)
+        for rs in systems:
+            for e in rs.edges():
+                valid_flips(tables, rs, e)
+        assert 0 < counts["built"] == counts["checked"] < candidates
 
     def test_k3_single_candidate(self):
         cands = flip_candidates(convex(3), (1, 2))
