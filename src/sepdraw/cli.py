@@ -1,5 +1,11 @@
 """Command-line interface.
 
+:func:`build_parser` declares what each subcommand reads: nothing, a
+rotation system with its tables (``--input``, ``--tables``) or a map
+(``--input``).  :func:`main` loads it, so an unreadable or malformed
+input maps to exit code 2 in one place, and each ``cmd_<name>``
+function only computes and emits.
+
 Exit codes: 0 success/affirmative, 1 well-formed negative answer,
 2 input or format error, 3 internal invariant violation (a bug).
 With ``--json`` a single JSON document goes to stdout; human-readable
@@ -86,7 +92,8 @@ def _load_rs(args):
 
 
 def _load_map(args):
-    return parse_cmap(Path(args.input).read_text())
+    """The map of ``--input``, as a 1-tuple."""
+    return (parse_cmap(Path(args.input).read_text()),)
 
 
 def _parse_edge(text: str):
@@ -100,8 +107,17 @@ def _parse_edge(text: str):
     return u, v
 
 
-def cmd_recognize(args) -> int:
-    tables, rs = _load_rs(args)
+def _verified(args, tables, rs, edges, violated: str) -> bool | None:
+    """``--verify``: None when not asked, True when ``edges`` are pairwise
+    crossing-free; raises ``violated`` as a bug when they are not."""
+    if not args.verify:
+        return None
+    if not verify_crossing_free(tables, rs, edges):
+        raise InternalInvariantError(violated)
+    return True
+
+
+def cmd_recognize(args, tables, rs) -> int:
     res = is_separable(tables, rs)
     payload: dict = {"separable": res.separable, "n": rs.n}
     if not res.separable:
@@ -114,8 +130,7 @@ def cmd_recognize(args) -> int:
     return _emit(args, payload, human, OK if res.separable else NEGATIVE)
 
 
-def cmd_flips(args) -> int:
-    tables, rs = _load_rs(args)
+def cmd_flips(args, tables, rs) -> int:
     e = _parse_edge(args.edge)
     cands = flip_candidates(rs, e)
     flips = valid_flips(tables, rs, e)
@@ -139,51 +154,41 @@ def cmd_flips(args) -> int:
     return _emit(args, payload, human, OK)
 
 
-def _verified(args, tables, rs, edges) -> bool | None:
-    if not args.verify:
-        return None
-    return verify_crossing_free(tables, rs, edges)
-
-
-def cmd_hampath(args) -> int:
-    tables, rs = _load_rs(args)
+def cmd_hampath(args, tables, rs) -> int:
     path = ham_path(tables, rs, args.src, args.dst)
-    ver = _verified(args, tables, rs, path.edges)
+    ver = _verified(
+        args, tables, rs, path.edges, "constructed path has a crossing"
+    )
     payload = {"path": list(path.vertices), "verified": ver}
     human = "path: " + " ".join(str(v) for v in path.vertices)
-    if ver is False:
-        raise InternalInvariantError("constructed path has a crossing")
     return _emit(args, payload, human, OK)
 
 
-def cmd_hamcycle(args) -> int:
-    tables, rs = _load_rs(args)
+def cmd_hamcycle(args, tables, rs) -> int:
     cyc = ham_cycle(tables, rs)
-    ver = _verified(args, tables, rs, cyc.edges)
+    ver = _verified(
+        args, tables, rs, cyc.edges, "constructed cycle has a crossing"
+    )
     payload = {"cycle": list(cyc.vertices), "verified": ver}
-    if ver is False:
-        raise InternalInvariantError("constructed cycle has a crossing")
     return _emit(args, payload, "cycle: " + " ".join(map(str, cyc.vertices)), OK)
 
 
-def cmd_matching(args) -> int:
-    tables, rs = _load_rs(args)
+def cmd_matching(args, tables, rs) -> int:
     mt = plane_matching(tables, rs)
-    ver = _verified(args, tables, rs, mt.edges)
+    ver = _verified(args, tables, rs, mt.edges, "matching contract violated")
+    if len(mt.edges) < rs.n // 4:
+        raise InternalInvariantError("matching contract violated")
     payload = {
         "matching": [list(e) for e in mt.edges],
         "size": len(mt.edges),
         "lower_bound": rs.n // 4,
         "verified": ver,
     }
-    if ver is False or len(mt.edges) < rs.n // 4:
-        raise InternalInvariantError("matching contract violated")
     human = "matching: " + " ".join(f"{u}-{v}" for u, v in mt.edges)
     return _emit(args, payload, human, OK)
 
 
-def cmd_gconvex(args) -> int:
-    tables, rs = _load_rs(args)
+def cmd_gconvex(args, tables, rs) -> int:
     ans = is_g_convex(tables, rs)
     return _emit(
         args,
@@ -217,8 +222,7 @@ def cmd_tables(args) -> int:
     return _emit(args, payload, f"wrote {out}", OK)
 
 
-def cmd_witness(args) -> int:
-    m = _load_map(args)
+def cmd_witness(args, m) -> int:
     e = _parse_edge(args.edge)
     found = find_witness(m, e)
     if found is None:
@@ -239,8 +243,7 @@ def cmd_witness(args) -> int:
     return _emit(args, payload, f"witness found ({len(segs)} segment(s))", OK)
 
 
-def cmd_verify(args) -> int:
-    m = _load_map(args)
+def cmd_verify(args, m) -> int:
     violations = validate_map(m)
     payload = {"valid": not violations, "violations": violations}
     human = "valid" if not violations else "invalid:\n  " + "\n  ".join(
@@ -249,8 +252,7 @@ def cmd_verify(args) -> int:
     return _emit(args, payload, human, OK if not violations else NEGATIVE)
 
 
-def cmd_extend(args) -> int:
-    m = _load_map(args)
+def cmd_extend(args, m) -> int:
     if args.mode == "separable":
         res = extend_to_complete_separable(m)
     else:
@@ -286,81 +288,61 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, tables=True):
-        p.add_argument("--json", action="store_true")
-        if tables:
-            p.add_argument("--tables", help="realizability tables file (.tbl)")
+    def command(fn, help, load=None):
+        """Subcommand ``fn`` (``cmd_<name>``): :func:`main` runs
+        ``fn(args, *load(args))``, with ``load`` None (no input),
+        :func:`_load_rs` or :func:`_load_map`."""
+        p = sub.add_parser(fn.__name__.removeprefix("cmd_"), help=help)
+        if load:
+            p.add_argument("--input", required=True)
+        p.set_defaults(fn=fn, load=load)
+        return p
 
-    p = sub.add_parser("recognize", help="decide separability of a .crs input")
-    p.add_argument("--input", required=True)
+    p = command(cmd_recognize, "decide separability of a .crs input", _load_rs)
     p.add_argument("--certificate", action="store_true")
-    common(p)
-    p.set_defaults(fn=cmd_recognize)
 
-    p = sub.add_parser("flips", help="candidate and valid flips of one edge")
-    p.add_argument("--input", required=True)
+    p = command(cmd_flips, "candidate and valid flips of one edge", _load_rs)
     p.add_argument("--edge", required=True, metavar="u,v")
-    common(p)
-    p.set_defaults(fn=cmd_flips)
 
-    p = sub.add_parser("hampath", help="crossing-free Hamiltonian path")
-    p.add_argument("--input", required=True)
+    p = command(cmd_hampath, "crossing-free Hamiltonian path", _load_rs)
     p.add_argument("--from", dest="src", type=int, required=True)
     p.add_argument("--to", dest="dst", type=int, required=True)
     p.add_argument("--verify", action="store_true")
-    common(p)
-    p.set_defaults(fn=cmd_hampath)
 
-    p = sub.add_parser("hamcycle", help="crossing-free Hamiltonian cycle")
-    p.add_argument("--input", required=True)
+    p = command(cmd_hamcycle, "crossing-free Hamiltonian cycle", _load_rs)
     p.add_argument("--verify", action="store_true")
-    common(p)
-    p.set_defaults(fn=cmd_hamcycle)
 
-    p = sub.add_parser("matching", help="crossing-free matching")
-    p.add_argument("--input", required=True)
+    p = command(cmd_matching, "crossing-free matching", _load_rs)
     p.add_argument("--verify", action="store_true")
-    common(p)
-    p.set_defaults(fn=cmd_matching)
 
-    p = sub.add_parser("gconvex", help="generalized-convexity test")
-    p.add_argument("--input", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_gconvex)
+    command(cmd_gconvex, "generalized-convexity test", _load_rs)
 
-    p = sub.add_parser("enumerate", help="enumerate small good drawings")
+    p = command(cmd_enumerate, "enumerate small good drawings")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--extended", action="store_true")
     p.add_argument("--out")
-    common(p, tables=False)
-    p.set_defaults(fn=cmd_enumerate)
 
-    p = sub.add_parser("tables", help="regenerate the realizability tables")
+    p = command(cmd_tables, "regenerate the realizability tables")
     p.add_argument("--out", required=True, help="output directory")
-    common(p, tables=False)
-    p.set_defaults(fn=cmd_tables)
 
-    p = sub.add_parser("witness", help="search a witness arc in a .cmap")
-    p.add_argument("--input", required=True)
+    p = command(cmd_witness, "search a witness arc in a .cmap", _load_map)
     p.add_argument("--edge", required=True, metavar="u,v")
     p.add_argument("--out")
-    common(p, tables=False)
-    p.set_defaults(fn=cmd_witness)
 
-    p = sub.add_parser("verify", help="validate a .cmap drawing")
-    p.add_argument("--input", required=True)
-    common(p, tables=False)
-    p.set_defaults(fn=cmd_verify)
+    command(cmd_verify, "validate a .cmap drawing", _load_map)
 
-    p = sub.add_parser("extend", help="complete a drawing to K_n")
-    p.add_argument("--input", required=True)
+    p = command(cmd_extend, "complete a drawing to K_n", _load_map)
     p.add_argument(
         "--mode", choices=("separable", "crossmin"), default="separable"
     )
     p.add_argument("--out")
     p.add_argument("--log-potential", action="store_true")
-    common(p, tables=False)
-    p.set_defaults(fn=cmd_extend)
+
+    # after each subcommand's own options, as --help lists them
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
+        if p.get_default("load") is _load_rs:
+            p.add_argument("--tables", help="realizability tables file (.tbl)")
     return ap
 
 
@@ -373,7 +355,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     t0 = time.perf_counter()
     try:
-        code = args.fn(args)
+        code = args.fn(args, *(args.load(args) if args.load else ()))
     except SeparatorNotFoundError as exc:
         print(f"negative: {exc}", file=sys.stderr)
         return NEGATIVE

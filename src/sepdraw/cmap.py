@@ -239,29 +239,12 @@ class CombinatorialMap:
         )
 
 
-def _connected(n: int, links) -> bool:
-    """Whether the graph on nodes 0..n-1 with edges ``links`` (pairs) is
-    connected."""
-    if n <= 1:
-        return True
-    adj = {i: set() for i in range(n)}
-    for a, b in links:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == n
-
-
 def is_connected(m: CombinatorialMap) -> bool:
-    dv = m.dvert
-    ends = ((dv[2 * s], dv[2 * s + 1]) for s in range(len(m.scurve)))
-    return _connected(len(m.vkind), ends)
+    """Whether the planarization of ``m`` is connected, which ``m`` must
+    pass :func:`validate_map` for: each component of a valid map is a
+    sphere map with V - E + F = 2, so the sums over c components give
+    2c."""
+    return len(m.vkind) - len(m.scurve) + len(m.faces) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ from importlib import resources
 from .cmap import (
     EDGE,
     CombinatorialMap,
-    MapBuilder,
     crossing_pairs_of_map,
     drawn_rotation,
     extract_rotation_system,
+    from_two_page,
 )
 from .errors import InputError, InternalInvariantError, NotRealizableError
 from .rotation import (
@@ -62,33 +62,14 @@ class EnumeratedDrawing:
 
 def triangle_map() -> CombinatorialMap:
     """The unique (up to reflection) drawing of K3."""
-    b = MapBuilder()
-    vids = {lab: b.new_vertex("real", lab) for lab in (1, 2, 3)}
-    darts = {}
-    for u, v in ((1, 2), (1, 3), (2, 3)):
-        cid = b.new_curve(EDGE, u, v)
-        s = b.new_segment(cid)
-        b.csegs[cid] = [s]
-        b.dvert[2 * s] = vids[u]
-        b.dvert[2 * s + 1] = vids[v]
-        darts[(u, v)] = 2 * s
-        darts[(v, u)] = 2 * s + 1
-    b.set_rotation(vids[1], (darts[(1, 2)], darts[(1, 3)]))
-    b.set_rotation(vids[2], (darts[(2, 3)], darts[(2, 1)]))
-    b.set_rotation(vids[3], (darts[(3, 1)], darts[(3, 2)]))
-    return b.freeze()
+    return from_two_page(
+        (1, 2, 3), ((1, 2), (1, 3), (2, 3)), ("upper",) * 3, witnesses=False
+    )[0]
 
 
 def path_k2_map() -> CombinatorialMap:
-    b = MapBuilder()
-    v1 = b.new_vertex("real", 1)
-    v2 = b.new_vertex("real", 2)
-    cid = b.new_curve(EDGE, 1, 2)
-    s = b.new_segment(cid)
-    b.csegs[cid] = [s]
-    b.attach_sole_dart(v1, 2 * s)
-    b.attach_sole_dart(v2, 2 * s + 1)
-    return b.freeze()
+    """The drawing of K2."""
+    return from_two_page((1, 2), ((1, 2),), ("upper",), witnesses=False)[0]
 
 
 def extend_by_vertex(m: CombinatorialMap, new_label: int, prune=None):

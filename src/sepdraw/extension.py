@@ -236,21 +236,10 @@ def _excise_one_loop(b: MapBuilder, cid: int) -> bool:
         b.remove_dart(2 * s)
         b.remove_dart(2 * s + 1)
         b.kill_segment(s)
-    chain = [s for s in b.csegs[cid] if s not in loopset]
-    b.csegs[cid] = chain
-    x = pts[i]
-    _smooth_junction(b, cid, x)
+    b.csegs[cid] = [s for s in b.csegs[cid] if s not in loopset]
+    # the loop gone, the junction holds just this curve's two darts
+    _smooth(b, pts[i])
     return True
-
-
-def _smooth_junction(b: MapBuilder, cid: int, x: int):
-    """Merge the two chain segments of ``cid`` meeting at the now
-    passage-free vertex ``x``."""
-    chain = b.csegs[cid]
-    for sa, sb in zip(chain, chain[1:]):
-        if _merge_step(b, cid, sa, sb, x):
-            return
-    raise InternalInvariantError(f"junction vertex {x} not on curve {cid}")
 
 
 def _common_points(b, c1: int, c2: int) -> list[int]:

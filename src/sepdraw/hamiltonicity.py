@@ -14,7 +14,10 @@ the realizability verdict memoized on the system.  Each sub-instance is
 an induced subsystem, which inherits that verdict from
 :func:`subrotation` instead of sweeping its own 5-tuples, so its
 separator-edge tests run the same pruned flip validation as the top
-level.
+level.  An instance on every vertex (the top level of :func:`ham_path`
+and :func:`plane_matching`, and in :func:`ham_cycle` the side of an
+uncrossed separator edge) is the caller's system itself, so it reads
+the offset rows and crossing sets already memoized there.
 """
 from __future__ import annotations
 

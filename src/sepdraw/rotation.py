@@ -189,7 +189,8 @@ def mirror(rs: RotationSystem) -> RotationSystem:
 
 def subrotation(rs: RotationSystem, subset) -> RotationSystem:
     """Induced rotation system on a vertex subset, relabeled
-    order-preservingly to 1..|subset|.
+    order-preservingly to 1..|subset|; ``rs`` itself, with its memos,
+    when the subset is every vertex (a system is immutable).
 
     A realizable verdict memoized on ``rs`` carries over, for the same
     tables object: every 5-subsystem of the induced system is one of
@@ -201,6 +202,8 @@ def subrotation(rs: RotationSystem, subset) -> RotationSystem:
         raise InputError("vertex subset must be non-empty")
     if sub[0] < 1 or sub[-1] > rs.n:
         raise InputError(f"subset {sub} contains labels outside 1..{rs.n}")
+    if len(sub) == rs.n:
+        return rs
     new = {x: i + 1 for i, x in enumerate(sub)}
     keep = set(sub)
     rows = [
@@ -678,10 +681,8 @@ def is_realizable_touching(
     """
     v, w = _checked_edge(rs, e)
     n = rs.n
-    if n <= 3:
-        return True
-    if n == 4:
-        return tables.k4[k4_index(rs, (1, 2, 3, 4))] != K4_UNREALIZABLE
+    if n <= 4:
+        return is_realizable(tables, rs)
     reads = tables.k5_reads
     D0, D1, D2, D3, D4 = _DIGIT
     rows = _rows_from(rs, v)

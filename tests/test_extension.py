@@ -14,6 +14,7 @@ from sepdraw.cmap import (
     crossing_pairs_of_map,
     extract_rotation_system,
     from_two_page,
+    serialize_cmap,
     validate_map,
 )
 from sepdraw.errors import InputError, WitnessError
@@ -383,6 +384,56 @@ class TestFixupSurgery:
             if hit:
                 break
         assert hit, "no order-permuted triple crossing found"
+
+
+def _looped_map_builder():
+    """Edge 1-2 drawn with a self-loop: it crosses itself at x and runs
+    round a loop through y, which edge 3-4 crosses from vertex 3 inside
+    the loop; edge 2-4 closes the drawing outside.  Segments 0-3 are the
+    edge 1-2 (1-x, x-y, y-x, x-2), 4-5 the edge 3-4 (3-y, y-4) and 6 the
+    edge 2-4."""
+    b = MapBuilder()
+    v1, v2, v3, v4 = (b.new_vertex("real", lab) for lab in (1, 2, 3, 4))
+    x, y = b.new_vertex("cross"), b.new_vertex("cross")
+    for u, v, nseg in ((1, 2, 4), (3, 4, 2), (2, 4, 1)):
+        cid = b.new_curve(EDGE, u, v)
+        b.csegs[cid] = [b.new_segment(cid) for _ in range(nseg)]
+    for vid, darts in (
+        (v1, [0]),
+        (x, [2, 6, 1, 5]),
+        (y, [10, 3, 9, 4]),
+        (v2, [7, 12]),
+        (v3, [8]),
+        (v4, [11, 13]),
+    ):
+        b.set_rotation(vid, darts)
+    return b
+
+
+class TestLoopExcision:
+    def test_excises_loop_crossed_by_another_curve(self):
+        b = _looped_map_builder()
+        # the self-crossing at x is the drawing's only fault
+        assert reference_validate_map(b.freeze(), strict=False) == [
+            "cross vertex 4 lacks two alternating distinct curves: "
+            "[0, 0, 0, 0]"
+        ]
+        assert b.curve_points(0) == [0, 4, 5, 4, 1]
+        assert ext._excise_one_loop(b, 0)
+        assert not ext._excise_one_loop(b, 0)
+        m = b.freeze()
+        assert reference_validate_map(m) == []
+        assert serialize_cmap(m) == (
+            "cmap v1\nreal 4\n"
+            "vertex 0 real 1 : 0\n"
+            "vertex 1 real 2 : 1 4\n"
+            "vertex 2 real 3 : 2\n"
+            "vertex 3 real 4 : 3 5\n"
+            "segment 0 1 curve 0 idx 0\n"
+            "segment 2 3 curve 1 idx 0\n"
+            "segment 4 5 curve 2 idx 0\n"
+            "curve 0 edge 1-2\ncurve 1 edge 3-4\ncurve 2 edge 2-4\n"
+        )
 
 
 # Crossmin inputs whose completion runs fix-up steps (3, 3, 5 and 7 when
