@@ -35,6 +35,9 @@ from .rotation import (
     RotationSystem,
     _roll_min,
     canonical_key,
+    crossing_masks,
+    edge_index,
+    is_realizable,
     k4_index,
     k4_index_of,
     k4_system,
@@ -47,6 +50,7 @@ from .rotation import (
     subrotation,
 )
 from .routing import iter_routes, with_route
+from .separability import _candidates, _flip_fault
 
 import itertools
 
@@ -265,11 +269,12 @@ def check_tables(tables: RealizabilityTables) -> None:
     """Raise :class:`InputError` unless ``tables`` is internally
     consistent: every realizable labeled 5-vertex system has only
     realizable 4-vertex subsystems, the k5 set is closed under
-    relabeling and mirroring, and the k4 table maps to itself under
-    relabeling (with its pair codes relabeled) and mirroring.  Closure
-    is checked on the generators (1 2) and (1 2 ... k) of S_k and on
-    ``mirror``; a finite set closed under generators is closed under the
-    group they generate."""
+    relabeling and mirroring, the k4 table maps to itself under
+    relabeling (with its pair codes relabeled) and mirroring, and the
+    two flip-validation rules of :mod:`sepdraw.separability` hold.
+    Closure is checked on the generators (1 2) and (1 2 ... k) of S_k
+    and on ``mirror``; a finite set closed under generators is closed
+    under the group they generate."""
     quads = list(itertools.combinations(range(1, 6), 4))
     swap = {1: 2, 2: 1, 3: 3, 4: 4, 5: 5}
     cycle = {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}
@@ -309,6 +314,51 @@ def check_tables(tables: RealizabilityTables) -> None:
                     f"inconsistent tables: k4 entry {idx} maps to entry "
                     f"{j} under {name}, which holds {tables.k4[j]}, not "
                     f"{want}"
+                )
+    _check_flip_rules(tables)
+
+
+def _check_flip_rules(tables: RealizabilityTables) -> None:
+    """Raise :class:`InputError` unless rules (a) and (b) of
+    :mod:`sepdraw.separability` decide every candidate flip of every
+    edge of every realizable labeled K4 and K5 as the tables do: the
+    flip is valid iff the flipped system is realizable and the edge
+    crosses none of its old crossing edges.
+
+    On a larger system, the flip restricted to a quad or 5-tuple through
+    the edge that it changes is one of these candidates, so the rules
+    hold there too.  Assumes the checks before it in
+    :func:`check_tables`: the crossing masks of a realizable K5 then
+    read only realizable quads."""
+    systems = [
+        (k4_system(idx), f"k4 entry {idx}")
+        for idx, entry in enumerate(tables.k4)
+        if entry != K4_UNREALIZABLE
+    ]
+    systems += [(k5_system(idx), f"k5 entry {idx}") for idx in sorted(tables.k5)]
+    for rs, name in systems:
+        masks = crossing_masks(tables, rs)
+        index = edge_index(rs.n).index
+        for v, w in rs.edges():
+            old = masks[index[v][w]]
+            for cand in _candidates(rs, v, w):
+                fault = _flip_fault(rs.n, (v, w), cand.swept, masks)
+                new = cand.new_rs
+                realizable = is_realizable(tables, new)
+                valid = realizable and not (
+                    crossing_masks(tables, new)[index[v][w]] & old
+                )
+                if (fault is None) == valid:
+                    continue
+                if len(fault or ()) == 5 or (not realizable and rs.n == 5):
+                    rule = "(b), realizability"
+                else:
+                    rule = "(a), crossings"
+                raise InputError(
+                    f"inconsistent tables: flipping edge {(v, w)} of {name} "
+                    f"across {sorted(cand.swept)} breaks flip rule {rule}: "
+                    f"the rules call it {'valid' if fault is None else 'invalid'}, "
+                    f"the tables {'valid' if valid else 'invalid'}"
                 )
 
 

@@ -10,14 +10,16 @@ rather than fully separable.
 The constructions assume a realizable system: on one that is not, they
 can return crossing edges.  So :func:`ham_path`, :func:`ham_cycle` and
 :func:`plane_matching` raise :class:`RealizabilityError` on it, from
-the realizability verdict memoized on the system.  Each sub-instance is
-an induced subsystem, which inherits that verdict from
-:func:`subrotation` instead of sweeping its own 5-tuples, so its
-separator-edge tests run the same pruned flip validation as the top
-level.  An instance on every vertex (the top level of :func:`ham_path`
-and :func:`plane_matching`, and in :func:`ham_cycle` the side of an
-uncrossed separator edge) is the caller's system itself, so it reads
-the offset rows and crossing sets already memoized there.
+the realizability verdict memoized on the system.  Separator-edge
+tests read the crossing masks of the system they run on, which the
+caller's system sweeps once (:func:`crossing_masks`).  Each
+sub-instance is an induced subsystem, which inherits both the verdict
+and those masks, restricted to its vertices, from :func:`subrotation`,
+so it sweeps neither its 5-tuples nor its quads.  An instance on every
+vertex (the top level of :func:`ham_path` and :func:`plane_matching`,
+and in :func:`ham_cycle` the side of an uncrossed separator edge) is
+the caller's system itself, so it reads the offset rows and crossing
+masks already memoized there.
 """
 from __future__ import annotations
 

@@ -11,10 +11,15 @@ no orientation or sign convention is hand-coded anywhere in this module.
 
 Only this module builds the offset rows the sweeps read: :func:`_rows_from`
 memoizes them per system and anchor, and :func:`_flipped` hands them on.
+Crossings are memoized as one integer bitmask per edge
+(:func:`crossing_masks`, indexed by :func:`edge_index`), which
+:func:`subrotation` hands down to induced subsystems.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,7 +85,7 @@ class RotationSystem:
     Rotations are stored as linear sequences with an arbitrary anchor;
     equality and hashing compare cyclic orders, not linearizations.
     Answers that depend on a tables object (the realizability verdict and
-    the crossing sets) are memoized per system together with that object.
+    the crossing masks) are memoized per system together with that object.
     The offset rows counted from each vertex asked are memoized too (see
     :func:`_rows_from`).
     """
@@ -196,7 +201,10 @@ def subrotation(rs: RotationSystem, subset) -> RotationSystem:
     tables object: every 5-subsystem of the induced system is one of
     ``rs``, so by Kynčl's 5-tuple criterion the induced system is
     realizable too.  An unrealizable verdict does not carry over: a
-    subsystem of an unrealizable system may be realizable."""
+    subsystem of an unrealizable system may be realizable.
+
+    Crossing masks memoized on ``rs`` carry over too, restricted to the
+    subset and re-indexed (:func:`_restricted_masks`)."""
     sub = sorted(set(subset))
     if not sub:
         raise InputError("vertex subset must be non-empty")
@@ -212,6 +220,9 @@ def subrotation(rs: RotationSystem, subset) -> RotationSystem:
     out = RotationSystem(len(sub), rows)
     if rs._realizable is not None and rs._realizable[1]:
         out._realizable = rs._realizable
+    if rs._crossings is not None:
+        tables, masks = rs._crossings
+        out._crossings = (tables, _restricted_masks(masks, rs.n, sub))
     return out
 
 
@@ -229,8 +240,8 @@ class RealizabilityTables:
     an entry of ``PAIR_BY_CODE``.  ``k5`` holds indices per
     :func:`k5_index` of all realizable labeled 5-vertex systems.
 
-    The flip queries :func:`is_realizable_touching` and
-    :func:`crosses_any` read a tuple with the flipped edge {v, w}, v < w,
+    The edge queries :func:`is_realizable_touching` and
+    :func:`crosses_any` read a tuple with the queried edge {v, w}, v < w,
     first and the other vertices after it in increasing order: (v, w,
     a, b, c) or (v, w, c, d).  That reading is a relabeling of the
     sorted tuple, fixed by where v and w fall among the sorted
@@ -503,21 +514,22 @@ def pair_crossing(
     The single-pair wrapper of the edge-by-edge reader: a caller with
     many pairs that share an edge asks :func:`crosses_any` or
     :func:`crossings_of_edge` once per edge instead, and one that knows
-    the system is realizable reads :func:`crossing_sets`."""
+    the system is realizable reads :func:`crossing_masks`."""
     return any(_crossing_edges(tables, rs, e, (f,)))
 
 
 def crossings_of_edge(
     tables: RealizabilityTables, rs: RotationSystem, e
 ) -> frozenset[Edge]:
-    """All edges crossing ``e``: the :func:`crossing_sets` entry when
+    """All edges crossing ``e``: its :func:`crossing_masks` entry when
     those are memoized on ``rs`` for ``tables``, else a sweep of ``e``
     alone.  The memo exists only when no quad is unrealizable, so it
     never hides a raise."""
     v, w = _checked_edge(rs, e)
     memo = rs._crossings
     if memo is not None and memo[0] is tables:
-        return memo[1][(v, w)]
+        index = edge_index(rs.n)
+        return frozenset(_edges_of(memo[1][index.index[v][w]], index.edges))
     rest = [x for x in range(1, rs.n + 1) if x != v and x != w]
     return frozenset(
         _crossing_edges(tables, rs, (v, w), itertools.combinations(rest, 2))
@@ -580,26 +592,113 @@ def crossing_pairs(
     return frozenset(pairs)
 
 
+@dataclass(frozen=True)
+class EdgeIndex:
+    """The edges of K_n in :meth:`RotationSystem.edges` order: bit i of a
+    crossing mask stands for ``edges[i]``.  ``index[u][v]`` is the index
+    of {u, v} for u != v, in either order, and ``star[x]`` the mask of
+    the edges at x (row and entry 0 are unused)."""
+
+    edges: tuple[Edge, ...]
+    index: tuple[tuple[int, ...], ...]
+    star: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=64)
+def edge_index(n: int) -> EdgeIndex:
+    """The :class:`EdgeIndex` of K_n, kept for the 64 sizes used last
+    (each holds O(n²) entries)."""
+    edges = tuple(itertools.combinations(range(1, n + 1), 2))
+    index = [[-1] * (n + 1) for _ in range(n + 1)]
+    star = [0] * (n + 1)
+    for i, (u, v) in enumerate(edges):
+        index[u][v] = index[v][u] = i
+        star[u] |= 1 << i
+        star[v] |= 1 << i
+    return EdgeIndex(edges, tuple(map(tuple, index)), tuple(star))
+
+
+# bytes.translate table turning the digits of ``bin`` into false/true bytes
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _edges_of(mask: int, edges):
+    """The members of ``edges`` whose bits are set in ``mask``, in order."""
+    return itertools.compress(
+        edges, bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
+    )
+
+
+def _mask_of(bits, width: int) -> int:
+    """The mask with the given bit indices set, all below ``width``."""
+    if not bits:
+        return 0
+    digits = bytearray(b"0") * width
+    for i in bits:
+        digits[width - 1 - i] = 49  # ord("1")
+    return int(digits, 2)
+
+
+def crossing_masks(
+    tables: RealizabilityTables, rs: RotationSystem
+) -> tuple[int, ...]:
+    """Per edge, in :func:`edge_index` order, the mask of the edges that
+    cross it, from one :func:`crossing_pairs` sweep.
+
+    Memoized on ``rs`` per tables object, and handed down by
+    :func:`subrotation`.  A sweep that raises memoizes nothing."""
+    memo = rs._crossings
+    if memo is None or memo[0] is not tables:
+        index = edge_index(rs.n).index
+        width = rs.n * (rs.n - 1) // 2
+        bits = [[] for _ in range(width)]
+        for (a, b), (c, d) in crossing_pairs(tables, rs):
+            i, j = index[a][b], index[c][d]
+            bits[i].append(j)
+            bits[j].append(i)
+        memo = rs._crossings = (
+            tables,
+            tuple(_mask_of(b, width) for b in bits),
+        )
+    return memo[1]
+
+
+def _restricted_masks(masks, n: int, sub) -> tuple[int, ...]:
+    """The crossing masks of the subsystem of an n-vertex system induced
+    on the sorted labels ``sub``, from the system's ``masks``.
+
+    Relabeling order-preservingly keeps the edge order, and it keeps the
+    order in which each quad is read, so each pair of sub-edges gets the
+    table entry it has in the system.  A sub-edge's mask is therefore
+    its edge's mask with only the bits of sub-edges kept and packed
+    together: the binary digits at those bits, gathered in one C call."""
+    index = edge_index(n).index
+    kept = [index[a][b] for a, b in itertools.combinations(sub, 2)]
+    if len(sub) < 4:
+        return (0,) * len(kept)
+    width = len(masks)
+    among = _mask_of(kept, width)
+    # bit i is digit width - 1 - i of the zero-padded binary string
+    gather = operator.itemgetter(*[width - 1 - i for i in reversed(kept)])
+    out = []
+    for i in kept:
+        mask = masks[i] & among
+        out.append(
+            int("".join(gather(f"{mask:0{width}b}")), 2) if mask else 0
+        )
+    return tuple(out)
+
+
 def crossing_sets(
     tables: RealizabilityTables, rs: RotationSystem
 ) -> dict[Edge, frozenset[Edge]]:
-    """The edges crossing each edge, from one :func:`crossing_pairs`
-    sweep; memoized on ``rs`` per tables object."""
-    memo = rs._crossings
-    if memo is None or memo[0] is not tables:
-        edges = rs.edges()
-        sets: dict[Edge, set[Edge]] = {e: set() for e in edges}
-        # the memo keeps one tuple per edge, not one per crossing
-        own = dict(zip(edges, edges))
-        for e, f in crossing_pairs(tables, rs):
-            e, f = own[e], own[f]
-            sets[e].add(f)
-            sets[f].add(e)
-        memo = rs._crossings = (
-            tables,
-            {e: frozenset(s) for e, s in sets.items()},
-        )
-    return memo[1]
+    """The edges crossing each edge, read off :func:`crossing_masks` (the
+    masks are memoized; each call builds a new dict)."""
+    edges = edge_index(rs.n).edges
+    return {
+        e: frozenset(_edges_of(mask, edges))
+        for e, mask in zip(edges, crossing_masks(tables, rs))
+    }
 
 
 def is_realizable(tables: RealizabilityTables, rs: RotationSystem) -> bool:
@@ -661,7 +760,10 @@ def is_realizable_touching(
     tables: RealizabilityTables, rs: RotationSystem, e, swept=None
 ) -> bool:
     """Realizability recheck of ``rs`` after edge ``e`` = {v,w} was
-    repositioned.
+    repositioned: the reference check.  Flip validation in
+    :mod:`sepdraw.separability` decides the same question from the
+    crossing masks of the system before the flip, and does not call
+    this; the tests compare the two.
 
     Only the rotations of v and w changed, so only the 5-tuples containing
     both endpoints are checked.  By Kynčl's 5-tuple criterion (a system is
@@ -812,7 +914,7 @@ def is_g_convex(tables: RealizabilityTables, rs: RotationSystem) -> bool:
     has both endpoints in that side and T; such an edge is independent
     of the triangle edge it crosses, so at most one of its endpoints is
     on T.  Each triple reads the three crossing sets of T's edges from
-    the memoized :func:`crossing_sets`."""
+    one :func:`crossing_sets` call, read off the memoized masks."""
     n = rs.n
     if n <= 3:
         return True

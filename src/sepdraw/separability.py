@@ -13,19 +13,34 @@ and :func:`is_separator_edge` stops at the first valid one.
 Every entry point requires a realizable system and raises
 :class:`RealizabilityError` otherwise, from the verdict memoized on the
 system (or inherited from the system it was induced from, see
-:func:`subrotation`).  Every candidate is then validated the same way,
-pruned exactly by the set of vertices the edge is moved across: a
-realizability recheck of the 5-tuples through the edge, then a lookup
-of the old crossing edges in the flipped system.  Each quad those
-lookups read lies in a 5-tuple through the edge, which the recheck has
-found realizable, so by Kynčl's 5-tuple criterion none of them can
-fail, and the answer is that of comparing the full old and new
-crossing sets.
+:func:`subrotation`).  Every candidate is then decided from the
+crossing masks of the system before the flip (:func:`crossing_masks`),
+so no flipped system is built or read to validate it; only the
+accepted candidate's is built, for the certificate.  Write e = {v, w},
+S for the swept set and R for the other vertices outside S.
 
-Both steps read the other vertices' rotations counted from v, the
-smaller endpoint.  A flip leaves those rotations unchanged, so the
-system builds these offset rows once per v and every flipped system
-inherits them (see :mod:`sepdraw.rotation`).
+- Rule (a), crossings.  In the rotations of v and w the other endpoint
+  moves past exactly the members of S.  So the flip changes the 4-vertex
+  subsystem {v, w, c, d} only when one of c, d is in S, and then, by
+  the entries of the k4 table, it turns a crossing of e and {c, d}
+  into none.  Hence the old and new crossing sets of e are disjoint iff
+  every edge crossing e has exactly one endpoint in S.
+- Rule (b), realizability.  Given (a), the flipped system is
+  unrealizable iff for some vertex x and edge {b, c} with b, c both on
+  the other side from x (both in R if x is in S, both in S if x is in
+  R), {b, c} crosses both {x, v} and {x, w}, and {b, w} crosses
+  {c, v} or {b, v} crosses {c, w}.  By Kynčl's 5-tuple criterion only
+  the 5-tuples {v, w, a, b, c} meeting both S and R matter, as the
+  others are unchanged; on one of those the flip is a parity candidate
+  of that K5 that meets (a), and over all realizable labeled K5 systems
+  the flips that leave ``k5`` are exactly those with the pattern.
+
+Both rules are facts about the table contents, so
+:func:`sepdraw.enumeration.check_tables` verifies them on every
+realizable labeled K4 and K5, for every edge and candidate.  The
+realizability recheck of the flipped system they replace,
+:func:`is_realizable_touching`, stays as the reference the tests
+compare them with.
 """
 from __future__ import annotations
 
@@ -38,11 +53,9 @@ from .rotation import (
     _checked_edge,
     _flipped,
     _require_realizable,
-    crossing_sets,
-    crosses_any,
-    crossings_of_edge,
+    crossing_masks,
+    edge_index,
     edge_key,
-    is_realizable_touching,
 )
 
 
@@ -52,10 +65,10 @@ class FlipCandidate:
     checked).  ``swept`` is the vertex set the edge moves across, as seen
     from the scan direction that produced it.
 
-    The flipped system ``new_rs`` is built on first access: most
-    candidates are rejected by the swept-set rule without it.  ``move``
-    is the ``(a, b, t)`` of the ``_flipped`` call that builds it from
-    ``rs``."""
+    The flipped system ``new_rs`` is built on first access: validation
+    does not read it, so only an accepted candidate's is built.
+    ``move`` is the ``(a, b, t)`` of the ``_flipped`` call that builds
+    it from ``rs``."""
 
     edge: tuple[int, int]
     swept: frozenset[int]
@@ -156,52 +169,68 @@ def flip_candidates(rs: RotationSystem, e) -> list[FlipCandidate]:
     return list(_candidates(rs, v, w))
 
 
-def _is_valid_flip(tables, e, cand: FlipCandidate, old_cross) -> bool:
-    """Whether ``cand.new_rs`` is realizable and ``e`` crosses none of
-    ``old_cross`` in it, given that ``cand.rs`` is realizable.
+def _flip_fault(n: int, e, swept, masks):
+    """Why flipping the edge ``e`` = (v, w) of a realizable n-vertex
+    system across ``swept`` is invalid, or None when it is valid, read
+    off the system's :func:`crossing_masks` ``masks``.
 
-    A flip changes only the rotations of v and w, so realizability is
-    rechecked on the 5-tuples through e = {v,w} only.  The old and new
-    crossing sets of ``e`` meet iff ``e`` still crosses some old crossing
-    edge, so only those edges are looked up in the flipped system.  No
-    lookup can fail once the recheck has passed: a quad {v,w,c,d} lies in
-    a checked 5-tuple {v,w,c,d,x} (at n = 4 the recheck covers the whole
-    K4, and n <= 3 has no quads), and every 4-subsystem of a realizable
-    5-tuple is realizable under ``k4`` (the first condition of
-    ``check_tables``, which shipped, built and loaded tables meet).
+    Rule (a) fails with an edge crossing ``e`` that has no or both
+    endpoints in ``swept``, which the flipped edge still crosses; it is
+    returned as (c, d).  Rule (b) fails with a sorted 5-tuple
+    {v, w, x, b, c} that the flip makes unrealizable.  See the module
+    docstring for both rules."""
+    index = edge_index(n)
+    ix, star, edges = index.index, index.star, index.edges
+    v, w = e
+    cut = touched = 0
+    for x in swept:
+        cut ^= star[x]
+        touched |= star[x]
+    # cut: edges with one endpoint in S; edges at v or w never cross e
+    kept = masks[ix[v][w]] & ~cut
+    if kept:
+        return edges[(kept & -kept).bit_length() - 1]
+    in_s = touched & ~cut
+    in_r = ((1 << len(edges)) - 1) & ~(touched | star[v] | star[w])
+    for x in range(1, n + 1):
+        if x == v or x == w:
+            continue
+        row = ix[x]
+        pairs = masks[row[v]] & masks[row[w]] & (in_r if x in swept else in_s)
+        while pairs:
+            low = pairs & -pairs
+            b, c = edges[low.bit_length() - 1]
+            if (
+                masks[ix[b][w]] >> ix[c][v] & 1
+                or masks[ix[b][v]] >> ix[c][w] & 1
+            ):
+                return tuple(sorted((v, w, x, b, c)))
+            pairs ^= low
+    return None
 
-    The test is pruned by the swept set S, exactly, since the system
-    before the flip is realizable.  In the rotations of v and w
-    the other endpoint moves only past members of S, so every quad or
-    5-tuple whose vertices other than v, w avoid S keeps its table entry.
-    Hence an edge crossing ``e`` with no endpoint in S still crosses it
-    after the flip, and the candidate is rejected at once, before its
-    flipped system is built; and only the 5-tuples {v,w,a,b,c} with
-    {a,b,c} meeting S are rechecked.
-    """
-    if any(cand.swept.isdisjoint(f) for f in old_cross):
-        return False
-    new_rs = cand.new_rs
-    if not is_realizable_touching(tables, new_rs, e, swept=cand.swept):
-        return False
-    return not crosses_any(tables, new_rs, e, old_cross)
+
+def _is_valid_flip(e, cand: FlipCandidate, masks) -> bool:
+    """Whether ``cand`` is a valid flip of ``e``, by rules (a) and (b)
+    on the crossing masks of the realizable system ``cand.rs``."""
+    return _flip_fault(cand.rs.n, e, cand.swept, masks) is None
 
 
 def valid_flips(
     tables: RealizabilityTables, rs: RotationSystem, e
 ) -> list[Flip]:
     """Candidates filtered by realizability of the flipped system and by
-    disjointness of the old and new crossing sets of ``e``.  Descriptions
-    of the same repositioning are merged (smallest swept set reported).
+    disjointness of the old and new crossing sets of ``e``, both decided
+    by rules (a) and (b).  Descriptions of the same repositioning are
+    merged (smallest swept set reported).
 
     Raises :class:`RealizabilityError` unless ``rs`` is realizable, so
     every flipped system returned is realizable."""
     e = _checked_edge(rs, e)
     _require_realizable(tables, rs)
-    old_cross = crossings_of_edge(tables, rs, e)
+    masks = crossing_masks(tables, rs)
     out: list[Flip] = []
     for cand in flip_candidates(rs, e):
-        if _is_valid_flip(tables, e, cand, old_cross) and not any(
+        if _is_valid_flip(e, cand, masks) and not any(
             cand.new_rs == f.new_rs for f in out
         ):
             out.append(Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs))
@@ -219,11 +248,12 @@ def is_separator_edge(
     """
     e = _checked_edge(rs, e)
     _require_realizable(tables, rs)
-    old_cross = crossings_of_edge(tables, rs, e)
-    if not old_cross:
+    masks = crossing_masks(tables, rs)
+    v, w = e
+    if not masks[edge_index(rs.n).index[v][w]]:
         return SeparatorEvidence(edge=e, uncrossed=True, flip=None)
-    for cand in _candidates(rs, *e):
-        if _is_valid_flip(tables, e, cand, old_cross):
+    for cand in _candidates(rs, v, w):
+        if _is_valid_flip(e, cand, masks):
             return SeparatorEvidence(
                 edge=e,
                 uncrossed=False,
@@ -238,12 +268,11 @@ def is_separable(
     """Whether every edge is a separator edge (with a certificate).
 
     Raises :class:`RealizabilityError` unless ``rs`` is realizable.
-    The crossing sets are memoized once, and each edge reads its own.
-    Stops at the first failing edge; the certificate covers the edges
-    examined so far.
+    Every edge reads the crossing masks memoized on ``rs``.  Stops at
+    the first failing edge; the certificate covers the edges examined
+    so far.
     """
     _require_realizable(tables, rs)
-    crossing_sets(tables, rs)
     entries = []
     for e in rs.edges():
         ev = is_separator_edge(tables, rs, e)

@@ -26,8 +26,10 @@ from sepdraw.rotation import (
     RotationSystem,
     _checked_edge,
     _require_realizable,
+    crosses_any,
     crossings_of_edge,
     edge_key,
+    is_realizable_touching,
     k4_index,
     k5_system,
     pair_crossing,
@@ -37,7 +39,6 @@ from sepdraw.separability import (
     Flip,
     SeparatorCertificate,
     SeparatorEvidence,
-    _is_valid_flip,
     certificate_json,
 )
 
@@ -722,14 +723,34 @@ def reference_flip_candidates(rs: RotationSystem, e) -> list[ReferenceCandidate]
     ]
 
 
+def reference_is_valid_flip(tables, e, cand, old_cross) -> bool:
+    """Whether ``cand.new_rs`` is realizable and ``e`` crosses none of
+    ``old_cross`` in it, given that ``cand.rs`` is realizable: flip
+    validation by rechecking the flipped system.
+
+    A flip changes only the rotations of v and w, and in them the other
+    endpoint moves only past members of the swept set S.  So an edge
+    crossing ``e`` with no endpoint in S still crosses it (rejected at
+    once), and only the 5-tuples {v,w,a,b,c} with {a,b,c} meeting S are
+    rechecked (``is_realizable_touching``).  Once they pass, every quad
+    {v,w,c,d} of the flipped system is realizable, and the old crossing
+    edges are looked up in it (``crosses_any``)."""
+    if any(cand.swept.isdisjoint(f) for f in old_cross):
+        return False
+    new_rs = cand.new_rs
+    if not is_realizable_touching(tables, new_rs, e, swept=cand.swept):
+        return False
+    return not crosses_any(tables, new_rs, e, old_cross)
+
+
 def reference_certificate_json(tables, rs) -> dict | None:
     """``certificate_json`` of :func:`is_separable` on a separable ``rs``,
     or None when some edge has no separator evidence, by the eager path:
     per edge, every candidate of :func:`reference_flip_candidates` listed
-    at once, and the first that passes the library's flip validation
+    at once, and the first that passes :func:`reference_is_valid_flip`
     taken.  The flipped systems inherit no offset rows from ``rs``, and
     the old crossings of each edge come from a sweep of that edge unless
-    the crossing sets are memoized on ``rs``."""
+    the crossing masks are memoized on ``rs``."""
     _require_realizable(tables, rs)
     entries = []
     for e in rs.edges():
@@ -738,7 +759,7 @@ def reference_certificate_json(tables, rs) -> dict | None:
             entries.append(SeparatorEvidence(edge=e, uncrossed=True, flip=None))
             continue
         for cand in reference_flip_candidates(rs, e):
-            if _is_valid_flip(tables, e, cand, old_cross):
+            if reference_is_valid_flip(tables, e, cand, old_cross):
                 flip = Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs)
                 entries.append(
                     SeparatorEvidence(edge=e, uncrossed=False, flip=flip)

@@ -1,0 +1,207 @@
+"""Flip validation by rules (a) and (b) against the flipped-system recheck.
+
+``separability._is_valid_flip`` decides each candidate from the crossing
+masks of the system before the flip.  ``reference_is_valid_flip`` in
+``oracles`` builds the flipped system afresh and rechecks it (swept-set
+rule, ``is_realizable_touching``, ``crosses_any``).  Tier-1 compares the
+two on every labeled K4 and K5, on the K6 orbits and on seeded walks
+along valid flips at n = 7-10; the weekly ``recognize-scale`` CI job
+calls :func:`check_flip_walk` at n = 11-16.  This module imports no
+pytest, so that job can import it from a plain install.
+"""
+from __future__ import annotations
+
+import random
+
+import sepdraw.rotation as rot
+from oracles import (
+    random_points,
+    reference_flip_candidates,
+    reference_is_valid_flip,
+    rotation_system_from_points,
+)
+from sepdraw.enumeration import (
+    build_tables,
+    check_tables,
+    default_tables,
+    parse_tables,
+    serialize_tables,
+)
+from sepdraw.cli import main
+from sepdraw.errors import InputError
+from sepdraw.hamiltonicity import ham_cycle, ham_path, plane_matching
+from sepdraw.rotation import (
+    K4_UNREALIZABLE,
+    RealizabilityTables,
+    RotationSystem,
+    canonical_key,
+    convex,
+    crossing_masks,
+    crossings_of_edge,
+    is_realizable,
+    k4_system,
+    k5_system,
+    relabel,
+    serialize_crs,
+    subrotation,
+)
+from sepdraw.separability import _flip_fault, _is_valid_flip, flip_candidates
+
+
+def compare_verdicts(tables, rs, counts: dict[str, int]) -> list:
+    """Assert that every candidate of every edge of the realizable ``rs``
+    gets the same verdict from the rules as from the reference, and
+    return the valid candidates.
+
+    The reference reads a fresh copy of ``rs``, which shares no memo
+    with it: each edge's old crossings come from a sweep of that edge,
+    and each flipped system is built by the oracle.  ``counts`` gains
+    the candidates seen, and those the rules reject by rule (a) and by
+    rule (b)."""
+    fresh = RotationSystem(rs.n, rs.rows)
+    assert is_realizable(tables, fresh)
+    masks = crossing_masks(tables, rs)
+    valid = []
+    for e in rs.edges():
+        old = crossings_of_edge(tables, fresh, e)
+        cands = flip_candidates(rs, e)
+        refs = reference_flip_candidates(fresh, e)
+        assert [(c.swept, c.move) for c in cands] == [
+            (r.swept, r.move) for r in refs
+        ], (rs, e)
+        for cand, ref in zip(cands, refs):
+            fault = _flip_fault(rs.n, e, cand.swept, masks)
+            want = reference_is_valid_flip(tables, e, ref, old)
+            assert _is_valid_flip(e, cand, masks) is (fault is None) is want, (
+                rs, e, sorted(cand.swept), fault,
+            )
+            counts["candidates"] += 1
+            if fault is None:
+                valid.append(cand)
+            else:
+                counts["rule (a)" if len(fault) == 2 else "rule (b)"] += 1
+    return valid
+
+
+def check_flip_walk(tables, n: int, seed: int, steps: int) -> dict[str, int]:
+    """From a seeded straight-line K_n, take ``steps`` valid flips chosen
+    at random, comparing the verdicts of every candidate of every edge
+    (:func:`compare_verdicts`) before each; return the counts.  The
+    systems walked through are realizable but mostly not straight-line."""
+    rng = random.Random(f"walk:{n}:{seed}")
+    rs = rotation_system_from_points(random_points(n, rng))
+    counts = {"candidates": 0, "rule (a)": 0, "rule (b)": 0}
+    for _ in range(steps):
+        valid = compare_verdicts(tables, rs, counts)
+        proper = [c for c in valid if c.new_rs != rs]
+        rs = rng.choice(proper).new_rs
+    return counts
+
+
+def _realizable_small_systems(tables):
+    """Every realizable labeled K4 and K5 under ``tables``."""
+    out = [
+        k4_system(idx)
+        for idx, entry in enumerate(tables.k4)
+        if entry != K4_UNREALIZABLE
+    ]
+    return out + [k5_system(idx) for idx in sorted(tables.k5)]
+
+
+def test_rules_hold_on_every_labeled_k4_and_k5():
+    for tables in (default_tables(), build_tables()):
+        check_tables(tables)
+        counts = {"candidates": 0, "rule (a)": 0, "rule (b)": 0}
+        for rs in _realizable_small_systems(tables):
+            compare_verdicts(tables, rs, counts)
+        assert counts["rule (a)"] and counts["rule (b)"], counts
+
+
+def _drop_one_k5_orbit(tables):
+    """The tables made by removing one orbit of K5 drawings from ``k5``,
+    one per orbit: each is closed under relabeling and mirroring and
+    passes every check but the flip rules."""
+    orbits: dict[bytes, set[int]] = {}
+    for idx in tables.k5:
+        orbits.setdefault(canonical_key(k5_system(idx)), set()).add(idx)
+    assert len(orbits) == 5
+    return [
+        RealizabilityTables(tables.k4, tables.k5 - orbits[key])
+        for key in sorted(orbits)
+    ]
+
+
+def test_check_tables_rejects_dropped_k5_orbit(tables):
+    for bad in _drop_one_k5_orbit(tables):
+        try:
+            check_tables(bad)
+        except InputError as exc:
+            assert "inconsistent tables" in str(exc)
+            assert "rule (b)" in str(exc), exc
+        else:
+            raise AssertionError("a dropped K5 orbit passed check_tables")
+
+
+def test_cli_rejects_dropped_k5_orbit(tables, tmp_path, capsys):
+    crs = tmp_path / "convex7.crs"
+    crs.write_text(serialize_crs(convex(7)))
+    for i, bad in enumerate(_drop_one_k5_orbit(tables)):
+        tbl = tmp_path / f"drop{i}.tbl"
+        tbl.write_text(serialize_tables(bad))
+        assert parse_tables(tbl.read_text()) == bad
+        capsys.readouterr()
+        code = main(["recognize", "--input", str(crs), "--tables", str(tbl)])
+        assert code == 2
+        assert "inconsistent tables" in capsys.readouterr().err
+
+
+def test_rules_match_reference_on_k6_orbits(tables, enum6):
+    rng = random.Random(6)
+    counts = {"candidates": 0, "rule (a)": 0, "rule (b)": 0}
+    for rep in enum6:
+        for _ in range(3):
+            perm = list(range(1, 7))
+            rng.shuffle(perm)
+            compare_verdicts(tables, relabel(rep.rs, perm), counts)
+    assert counts["rule (a)"] and counts["rule (b)"], counts
+
+
+def test_rules_match_reference_on_flip_walks(tables):
+    for n in range(7, 11):
+        counts = {"candidates": 0, "rule (a)": 0, "rule (b)": 0}
+        for seed in range(3):
+            for key, k in check_flip_walk(tables, n, seed, 25).items():
+                counts[key] += k
+        assert counts["rule (a)"] and counts["rule (b)"], (n, counts)
+
+
+def test_subrotation_hands_down_masks(tables):
+    rng = random.Random(12)
+    rs = rotation_system_from_points(random_points(12, rng))
+    masks = crossing_masks(tables, rs)
+    for size in list(range(1, 12)) * 3:
+        subset = rng.sample(range(1, 13), size)
+        sub = subrotation(rs, subset)
+        assert sub._crossings is not None and sub._crossings[0] is tables
+        fresh = RotationSystem(sub.n, sub.rows)
+        assert sub._crossings[1] == crossing_masks(tables, fresh), subset
+    assert subrotation(rs, range(1, 13))._crossings[1] is masks
+
+
+def test_all_pairs_ham_path_sweeps_crossings_once(tables, monkeypatch):
+    calls = []
+    sweep = rot.crossing_pairs
+
+    def counting(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(rot, "crossing_pairs", counting)
+    rs = rotation_system_from_points(random_points(10, random.Random(10)))
+    for v in range(1, 11):
+        for w in range(1, 11):
+            if v != w:
+                ham_path(tables, rs, v, w)
+    ham_cycle(tables, rs)
+    plane_matching(tables, rs)
+    assert len(calls) == 1

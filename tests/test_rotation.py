@@ -19,6 +19,7 @@ from sepdraw.rotation import (
     RealizabilityTables,
     PAIR_BY_CODE,
     crosses_any,
+    crossing_masks,
     crossing_pairs,
     crossing_sets,
     crossings_of_edge,
@@ -249,8 +250,9 @@ class TestCrossingPairs:
 
     def test_crossing_sets_match_crossings_of_edge(self, tables):
         rs = rotation_system_from_points(random_points(8, random.Random(4)))
+        masks = crossing_masks(tables, rs)
+        assert masks is crossing_masks(tables, rs)
         sets = crossing_sets(tables, rs)
-        assert sets is crossing_sets(tables, rs)
         assert sorted(sets) == rs.edges()
         for e in rs.edges():
             assert sets[e] == crossings_of_edge(tables, rs, e)

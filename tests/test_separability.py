@@ -30,7 +30,12 @@ from sepdraw.separability import (
     valid_flips,
 )
 
-from oracles import random_points, rotation_system_from_points
+from oracles import (
+    random_points,
+    reference_flip_candidates,
+    reference_is_valid_flip,
+    rotation_system_from_points,
+)
 from test_rotation import REROUTED_K5
 
 # an enumerated K6 drawing whose vertices 1 and 6 have only {1,6} as
@@ -48,24 +53,19 @@ LOW_DEGREE_K6 = RotationSystem(
 )
 
 
-def _count_builds_and_rechecks(monkeypatch) -> dict[str, int]:
-    """Count the flipped systems built and the realizability rechecks
-    run by ``sepdraw.separability`` while the test runs."""
+def _count_builds(monkeypatch) -> dict[str, int]:
+    """Count the flipped systems built by ``sepdraw.separability`` while
+    the test runs."""
     import sepdraw.separability as sep
 
-    counts = {"built": 0, "checked": 0}
+    counts = {"built": 0}
+    flipped = sep._flipped
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counting(*args):
+        counts["built"] += 1
+        return flipped(*args)
 
-    monkeypatch.setattr(sep, "_flipped", counting("built", sep._flipped))
-    monkeypatch.setattr(
-        sep, "is_realizable_touching",
-        counting("checked", sep.is_realizable_touching),
-    )
+    monkeypatch.setattr(sep, "_flipped", counting)
     return counts
 
 
@@ -99,33 +99,44 @@ class TestFlipCandidates:
         assert cand.new_rs is first
         assert first.rotation(2) != convex(7).rotation(2)
 
-    def test_swept_rule_rejects_before_building(self, tables, monkeypatch):
-        # on a known-realizable system every flipped system that is built
-        # gets exactly one realizability recheck
-        counts = _count_builds_and_rechecks(monkeypatch)
-        assert is_separable(tables, convex(9)).separable
-        assert 0 < counts["built"] == counts["checked"]
-
-    def test_valid_flips_builds_only_systems_it_rechecks(
+    def test_is_separable_builds_one_system_per_crossed_edge(
         self, tables, monkeypatch
     ):
-        # the dedup of valid_flips compares flipped systems only once the
-        # swept-set rule has passed, so it builds no system it does not
-        # recheck.  On convex K9 the rule rejects no candidate (each swept
-        # set is one side of the edge, which every crossing edge meets);
-        # on the straight-line K9 it rejects some.
+        # candidates are validated without their flipped systems, so
+        # only the accepted flip of each crossed edge builds one
+        counts = _count_builds(monkeypatch)
+        for rs in (
+            convex(9),
+            rotation_system_from_points(random_points(9, random.Random(9))),
+        ):
+            crossed = sum(
+                1 for e in rs.edges() if crossings_of_edge(tables, rs, e)
+            )
+            counts["built"] = 0
+            assert is_separable(tables, rs).separable
+            assert 0 < counts["built"] == crossed
+
+    def test_valid_flips_builds_only_valid_systems(self, tables, monkeypatch):
+        # the dedup of valid_flips compares the flipped systems of valid
+        # candidates only, so no other candidate's system is built.  The
+        # valid candidates are counted first, by the reference validation,
+        # on flipped systems the oracle builds itself.
         systems = (
             convex(9),
             rotation_system_from_points(random_points(9, random.Random(9))),
         )
-        candidates = sum(
-            len(flip_candidates(rs, e)) for rs in systems for e in rs.edges()
-        )
-        counts = _count_builds_and_rechecks(monkeypatch)
+        candidates = valid = 0
+        for rs in systems:
+            for e in rs.edges():
+                old = crossings_of_edge(tables, rs, e)
+                for cand in reference_flip_candidates(rs, e):
+                    candidates += 1
+                    valid += reference_is_valid_flip(tables, e, cand, old)
+        counts = _count_builds(monkeypatch)
         for rs in systems:
             for e in rs.edges():
                 valid_flips(tables, rs, e)
-        assert 0 < counts["built"] == counts["checked"] < candidates
+        assert 0 < counts["built"] == valid < candidates
 
     def test_k3_single_candidate(self):
         cands = flip_candidates(convex(3), (1, 2))
