@@ -45,7 +45,13 @@ from .extension import extend_to_complete_crossmin, extend_to_complete_separable
 from .hamiltonicity import ham_cycle, ham_path, plane_matching, verify_crossing_free
 from .rotation import is_g_convex, is_realizable, parse_crs, serialize_crs
 from .routing import find_witness
-from .separability import certificate_json, is_separable, flip_candidates, valid_flips
+from .separability import (
+    certificate_json,
+    flip_candidates,
+    flip_json,
+    is_separable,
+    valid_flips,
+)
 
 OK, NEGATIVE, BAD_INPUT, BUG = 0, 1, 2, 3
 
@@ -137,15 +143,7 @@ def cmd_flips(args, tables, rs) -> int:
     payload = {
         "edge": sorted(e),
         "candidates": [sorted(c.swept) for c in cands],
-        "valid_flips": [
-            {
-                "swept": sorted(f.swept),
-                "new_rotations": {
-                    str(v): list(f.new_rs.rotation(v)) for v in sorted(e)
-                },
-            }
-            for f in flips
-        ],
+        "valid_flips": [flip_json(f) for f in flips],
     }
     human = (
         f"{len(cands)} candidate(s), {len(flips)} valid flip(s): "

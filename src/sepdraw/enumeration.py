@@ -50,7 +50,7 @@ from .rotation import (
     subrotation,
 )
 from .routing import iter_routes, with_route
-from .separability import _candidates, _flip_fault
+from .separability import _flip_fault, flip_candidates
 
 import itertools
 
@@ -341,7 +341,7 @@ def _check_flip_rules(tables: RealizabilityTables) -> None:
         index = edge_index(rs.n).index
         for v, w in rs.edges():
             old = masks[index[v][w]]
-            for cand in _candidates(rs, v, w):
+            for cand in flip_candidates(rs, (v, w)):
                 fault = _flip_fault(rs.n, (v, w), cand.swept, masks)
                 new = cand.new_rs
                 realizable = is_realizable(tables, new)

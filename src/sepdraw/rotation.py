@@ -10,10 +10,10 @@ Both tables are produced by the exhaustive small-drawing enumerator, so
 no orientation or sign convention is hand-coded anywhere in this module.
 
 Only this module builds the offset rows the sweeps read: :func:`_rows_from`
-memoizes them per system and anchor, and :func:`_flipped` hands them on.
-Crossings are memoized as one integer bitmask per edge
-(:func:`crossing_masks`, indexed by :func:`edge_index`), which
-:func:`subrotation` hands down to induced subsystems.
+memoizes them per system and anchor.  Crossings are memoized as one
+integer bitmask per edge (:func:`crossing_masks`, indexed by
+:func:`edge_index`), which :func:`subrotation` hands down to induced
+subsystems.
 """
 from __future__ import annotations
 
@@ -341,8 +341,7 @@ def _rows_from(rs: RotationSystem, x: int) -> list:
     ``_anchored(rs, u, x)`` for every u != x (entries 0 and x are None).
 
     Memoized on ``rs`` per x, built on first ask and never evicted.  The
-    lists are shared with the memo and with the systems :func:`_flipped`
-    builds from ``rs``, so callers only read them."""
+    lists are shared with the memo, so callers only read them."""
     rows = rs._rows.get(x)
     if rows is None:
         rows = [None] * (rs.n + 1)
@@ -353,12 +352,12 @@ def _rows_from(rs: RotationSystem, x: int) -> list:
     return rows
 
 
-def _flipped(rs: RotationSystem, a: int, b: int, t: int) -> RotationSystem:
-    """``rs`` with b moved forward by t slots in the ccw rotation of a,
-    and a forward by t slots in the cw rotation of b.  The new rotations
-    are permutations by construction, so nothing is revalidated, and the
-    others are unchanged, so the new system carries the rows ``rs``
-    counts from min(a, b), with only the other endpoint's entry rebuilt."""
+def _flipped_rotations(
+    rs: RotationSystem, a: int, b: int, t: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rotations of a and b after b moves forward by t slots in the
+    ccw rotation of a, and a forward by t slots in the cw rotation of b.
+    They are permutations by construction."""
     n = rs.n
     ccw_a = list(reversed(rs.rows[a - 1]))
     j = ccw_a.index(b)
@@ -368,15 +367,17 @@ def _flipped(rs: RotationSystem, a: int, b: int, t: int) -> RotationSystem:
     j = cw_b.index(a)
     del cw_b[j]
     cw_b.insert((j + t) % (n - 2), a)
+    return tuple(reversed(ccw_a)), tuple(cw_b)
+
+
+def _flipped(rs: RotationSystem, a: int, b: int, t: int) -> RotationSystem:
+    """``rs`` with the rotations of a and b replaced by
+    :func:`_flipped_rotations`; nothing is revalidated, and no memo of
+    ``rs`` is handed on."""
     rows = list(rs.rows)
-    rows[a - 1] = tuple(reversed(ccw_a))
-    rows[b - 1] = tuple(cw_b)
+    rows[a - 1], rows[b - 1] = _flipped_rotations(rs, a, b, t)
     new = RotationSystem.__new__(RotationSystem)
-    new._set(n, tuple(rows))
-    v, w = (a, b) if a < b else (b, a)
-    offsets = list(_rows_from(rs, v))
-    offsets[w] = _anchored(new, w, v)
-    new._rows[v] = offsets
+    new._set(rs.n, tuple(rows))
     return new
 
 
@@ -466,10 +467,10 @@ def _crossing_edges(
     The one reader of edge-by-edge crossing queries.  Each quad is read
     as (v, w, c, d), from v's rotation counted from w and the others
     counted from v, against ``tables.k4_reads``.  The rows counted from
-    v are :func:`_rows_from`'s, which a flipped system inherits.  An
-    edge that is not independent of ``e`` raises :class:`InputError` or
-    :class:`AdjacentEdgesError`, and an unrealizable quad raises
-    :class:`RealizabilityError`, when the sweep reaches it.
+    v are :func:`_rows_from`'s.  An edge that is not independent of
+    ``e`` raises :class:`InputError` or :class:`AdjacentEdgesError`, and
+    an unrealizable quad raises :class:`RealizabilityError`, when the
+    sweep reaches it.
     """
     v, w = _checked_edge(rs, e)
     n = rs.n
@@ -545,53 +546,6 @@ def crosses_any(
     return any(_crossing_edges(tables, rs, e, edges))
 
 
-def crossing_pairs(
-    tables: RealizabilityTables, rs: RotationSystem
-) -> frozenset[tuple[Edge, Edge]]:
-    """The unordered pairs of independent edges that cross, each in
-    :func:`pair_key` order.
-
-    One sweep over the sorted quads (a, b, c, d), reading the offset
-    rows :func:`_rows_from` counts from a, and a's rotation counted from
-    b.  Each bit of :func:`k4_index` is then one comparison.  Raises on
-    the first unrealizable quad in sorted order.
-    """
-    n = rs.n
-    k4 = tables.k4
-    pairs = []
-    for a in range(1, n - 2):
-        rows = _rows_from(rs, a)
-        for b in range(a + 1, n - 1):
-            A = _rows_from(rs, b)[a]
-            B = rows[b]
-            for c in range(b + 1, n):
-                C = rows[c]
-                Ac, Bc, Cb = A[c], B[c], C[b]
-                for d in range(c + 1, n + 1):
-                    D = rows[d]
-                    entry = k4[
-                        (Ac > A[d]) + 2 * (Bc > B[d]) + 4 * (Cb > C[d])
-                        + 8 * (D[b] > D[c])
-                    ]
-                    if entry < 0:
-                        if entry == K4_UNREALIZABLE:
-                            quad = (a, b, c, d)
-                            raise RealizabilityError(
-                                f"4-vertex subsystem on {quad} is not "
-                                "realizable",
-                                quad,
-                            )
-                        continue
-                    # PAIR_BY_CODE on the quad, each pair in pair_key order
-                    if entry == 0:
-                        pairs.append(((a, b), (c, d)))
-                    elif entry == 1:
-                        pairs.append(((a, c), (b, d)))
-                    else:
-                        pairs.append(((a, d), (b, c)))
-    return frozenset(pairs)
-
-
 @dataclass(frozen=True)
 class EdgeIndex:
     """The edges of K_n in :meth:`RotationSystem.edges` order: bit i of a
@@ -639,28 +593,88 @@ def _mask_of(bits, width: int) -> int:
     return int(digits, 2)
 
 
+def _crossing_sweep(
+    tables: RealizabilityTables, rs: RotationSystem
+) -> list[int]:
+    """Per edge, in :func:`edge_index` order, the mask of the edges that
+    cross it: one sweep over the sorted quads (a, b, c, d).
+
+    Each quad reads the offset rows :func:`_rows_from` counts from a,
+    and a's rotation counted from b, so each bit of :func:`k4_index` is
+    one comparison.  A crossing pair sets its two bits directly.  Raises
+    on the first unrealizable quad in sorted order."""
+    n = rs.n
+    k4 = tables.k4
+    index = edge_index(n).index
+    bit = [1 << i for i in range(n * (n - 1) // 2)]
+    masks = [0] * len(bit)
+    for a in range(1, n - 2):
+        rows = _rows_from(rs, a)
+        Ia = index[a]
+        for b in range(a + 1, n - 1):
+            A = _rows_from(rs, b)[a]
+            B = rows[b]
+            Ib = index[b]
+            ab = Ia[b]
+            for c in range(b + 1, n):
+                C = rows[c]
+                Ac, Bc, Cb = A[c], B[c], C[b]
+                Ic = index[c]
+                ac, bc = Ia[c], Ib[c]
+                for d in range(c + 1, n + 1):
+                    D = rows[d]
+                    entry = k4[
+                        (Ac > A[d]) + 2 * (Bc > B[d]) + 4 * (Cb > C[d])
+                        + 8 * (D[b] > D[c])
+                    ]
+                    if entry < 0:
+                        if entry == K4_UNREALIZABLE:
+                            quad = (a, b, c, d)
+                            raise RealizabilityError(
+                                f"4-vertex subsystem on {quad} is not "
+                                "realizable",
+                                quad,
+                            )
+                        continue
+                    # the crossing pair of PAIR_BY_CODE on the quad
+                    if entry == 0:
+                        i, j = ab, Ic[d]
+                    elif entry == 1:
+                        i, j = ac, Ib[d]
+                    else:
+                        i, j = Ia[d], bc
+                    masks[i] |= bit[j]
+                    masks[j] |= bit[i]
+    return masks
+
+
 def crossing_masks(
     tables: RealizabilityTables, rs: RotationSystem
 ) -> tuple[int, ...]:
     """Per edge, in :func:`edge_index` order, the mask of the edges that
-    cross it, from one :func:`crossing_pairs` sweep.
+    cross it, from one :func:`_crossing_sweep`.
 
     Memoized on ``rs`` per tables object, and handed down by
     :func:`subrotation`.  A sweep that raises memoizes nothing."""
     memo = rs._crossings
     if memo is None or memo[0] is not tables:
-        index = edge_index(rs.n).index
-        width = rs.n * (rs.n - 1) // 2
-        bits = [[] for _ in range(width)]
-        for (a, b), (c, d) in crossing_pairs(tables, rs):
-            i, j = index[a][b], index[c][d]
-            bits[i].append(j)
-            bits[j].append(i)
-        memo = rs._crossings = (
-            tables,
-            tuple(_mask_of(b, width) for b in bits),
-        )
+        memo = rs._crossings = (tables, tuple(_crossing_sweep(tables, rs)))
     return memo[1]
+
+
+def crossing_pairs(
+    tables: RealizabilityTables, rs: RotationSystem
+) -> frozenset[tuple[Edge, Edge]]:
+    """The unordered pairs of independent edges that cross, each in
+    :func:`pair_key` order, read off :func:`crossing_masks` (so it
+    raises on the first unrealizable quad in sorted order)."""
+    edges = edge_index(rs.n).edges
+    return frozenset(
+        (e, f)
+        for e, mask in zip(edges, crossing_masks(tables, rs))
+        for f in _edges_of(mask, edges)
+        if e < f
+    )
 
 
 def _restricted_masks(masks, n: int, sub) -> tuple[int, ...]:
@@ -721,7 +735,7 @@ def is_realizable(tables: RealizabilityTables, rs: RotationSystem) -> bool:
 
 def _all_quints_realizable(tables: RealizabilityTables, rs) -> bool:
     """Every sorted quintuple (a, b, c, d, e) in ``k5``, in sorted order,
-    reading offset rows as :func:`crossing_pairs` does; digit i of
+    reading offset rows as :func:`_crossing_sweep` does; digit i of
     :func:`k5_index` is three comparisons."""
     n = rs.n
     member = tables.k5_reads[0]
@@ -779,7 +793,7 @@ def is_realizable_touching(
     Only the triples a < b < c that meet S are enumerated.  Each 5-tuple
     is read as (v, w, a, b, c), from v's rotation counted from w and the
     others counted from v, against ``tables.k5_reads``.  The rows counted
-    from v are :func:`_rows_from`'s, which a flipped system inherits.
+    from v are :func:`_rows_from`'s.
     """
     v, w = _checked_edge(rs, e)
     n = rs.n

@@ -14,10 +14,14 @@ Every entry point requires a realizable system and raises
 :class:`RealizabilityError` otherwise, from the verdict memoized on the
 system (or inherited from the system it was induced from, see
 :func:`subrotation`).  Every candidate is then decided from the
-crossing masks of the system before the flip (:func:`crossing_masks`),
-so no flipped system is built or read to validate it; only the
-accepted candidate's is built, for the certificate.  Write e = {v, w},
-S for the swept set and R for the other vertices outside S.
+crossing masks of the system before the flip (:func:`crossing_masks`)
+and from two masks of its swept set, which the parity scan carries, so
+no flipped system is built or read to validate it.  None is built to
+certify it either: a :class:`Flip` records the move, builds its
+flipped system only when a caller reads ``new_rs``, and
+:func:`certificate_json` reads the two rotations the move changes
+(:func:`flip_json`).  Write e = {v, w}, S for the swept set and R for
+the other vertices outside S.
 
 - Rule (a), crossings.  In the rotations of v and w the other endpoint
   moves past exactly the members of S.  So the flip changes the 4-vertex
@@ -48,10 +52,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .rotation import (
+    EdgeIndex,
     RealizabilityTables,
     RotationSystem,
     _checked_edge,
     _flipped,
+    _flipped_rotations,
     _require_realizable,
     crossing_masks,
     edge_index,
@@ -63,12 +69,12 @@ from .rotation import (
 class FlipCandidate:
     """A repositioning emitted by the parity scan (realizability not yet
     checked).  ``swept`` is the vertex set the edge moves across, as seen
-    from the scan direction that produced it.
+    from the scan direction that produced it, and ``move`` is the
+    ``(a, b, t)`` of the ``_flipped`` call that builds the flipped system
+    from ``rs``.
 
     The flipped system ``new_rs`` is built on first access: validation
-    does not read it, so only an accepted candidate's is built.
-    ``move`` is the ``(a, b, t)`` of the ``_flipped`` call that builds
-    it from ``rs``."""
+    and certificates do not read it."""
 
     edge: tuple[int, int]
     swept: frozenset[int]
@@ -80,14 +86,9 @@ class FlipCandidate:
         return _flipped(self.rs, *self.move)
 
 
-@dataclass(frozen=True)
-class Flip:
+class Flip(FlipCandidate):
     """A validated flip: ``new_rs`` is realizable and the flipped edge
     crosses an edge set disjoint from the original's."""
-
-    edge: tuple[int, int]
-    swept: frozenset[int]
-    new_rs: RotationSystem
 
 
 @dataclass(frozen=True)
@@ -113,52 +114,57 @@ class SeparabilityResult:
     failed_edge: tuple[int, int] | None
 
 
-def _candidates(rs: RotationSystem, v: int, w: int):
+def _candidates(rs: RotationSystem, v: int, w: int, star):
     """Yield the candidate repositionings of the edge {v, w}, v < w,
-    nearest first.
+    nearest first, each as (seq, a, b, t, cut, touched): the move is
+    ``_flipped(rs, a, b, t)``, the swept set S is ``seq[:t]``, and
+    ``cut`` and ``touched`` are the XOR and the OR of ``star`` (the
+    :class:`EdgeIndex` stars) over S, that is the masks of the edges
+    with exactly one and with at least one endpoint in S.
 
     Two parity scans run side by side: direction 0 along the ccw
     rotation of v and the cw rotation of w, direction 1 along the ccw
     rotation of w and the cw rotation of v, each starting right after
-    the other endpoint.  At step t a scan yields when its odd-parity
-    counter returns to zero, direction 0 before direction 1.  Both
-    counters return to zero at t = n - 2, the full sweep across all
-    other vertices, which leaves the rotation system unchanged (the edge
-    is redrawn around the back); it is yielded, from direction 0, only
-    when no proper repositioning exists, where it is the candidate that
-    certifies uncrossed edges."""
+    the other endpoint.  At step t a scan adds one vertex to its swept
+    prefix and yields when its odd-parity counter returns to zero,
+    direction 0 before direction 1.  Both counters return to zero at
+    t = n - 2, the full sweep across all other vertices, which leaves
+    the rotation system unchanged (the edge is redrawn around the back);
+    it is yielded, from direction 0, only when no proper repositioning
+    exists, where it is the candidate that certifies uncrossed edges."""
     n = rs.n
     if n < 3:
         return
-    m = n - 1
     row_v = rs.rows[v - 1]
     row_w = rs.rows[w - 1]
     iv = row_v.index(w)
     iw = row_w.index(v)
-    # ccw successor of position i in a cw-stored row is position i-1
-    ccw_v = [row_v[(iv - 1 - k) % m] for k in range(n - 2)]
-    cw_v = [row_v[(iv + 1 + k) % m] for k in range(n - 2)]
-    ccw_w = [row_w[(iw - 1 - k) % m] for k in range(n - 2)]
-    cw_w = [row_w[(iw + 1 + k) % m] for k in range(n - 2)]
-    scans = ((ccw_v, cw_w, v, w, set()), (ccw_w, cw_v, w, v, set()))
+    # each rotation read cw from right after the other endpoint
+    cw_v = row_v[iv + 1 :] + row_v[:iv]
+    cw_w = row_w[iw + 1 :] + row_w[:iw]
+    ccw_v = cw_v[::-1]
+    ccw_w = cw_w[::-1]
+    scans = ((ccw_v, cw_w, v, w), (ccw_w, cw_v, w, v))
+    odds = (set(), set())
+    cut = [0, 0]
+    touched = [0, 0]
     found = False
     for t in range(1, n - 2):
-        for a_seq, b_seq, a, b, odd in scans:
-            for x in (a_seq[t - 1], b_seq[t - 1]):
-                if x in odd:
-                    odd.discard(x)
-                else:
-                    odd.add(x)
-            if not odd:
+        for d in (0, 1):
+            a_seq, b_seq, a, b = scans[d]
+            x = a_seq[t - 1]
+            y = b_seq[t - 1]
+            cut[d] ^= star[x]
+            touched[d] |= star[x]
+            # toggle x and y in the odd-parity counter (a no-op if x == y)
+            if x != y:
+                odds[d].symmetric_difference_update((x, y))
+            if not odds[d]:
                 found = True
-                yield FlipCandidate(
-                    edge=(v, w), swept=frozenset(a_seq[:t]), rs=rs,
-                    move=(a, b, t),
-                )
+                yield a_seq, a, b, t, cut[d], touched[d]
     if not found:
-        yield FlipCandidate(
-            edge=(v, w), swept=frozenset(ccw_v), rs=rs, move=(v, w, n - 2)
-        )
+        last = star[ccw_v[-1]]
+        yield ccw_v, v, w, n - 2, cut[0] ^ last, touched[0] | last
 
 
 def flip_candidates(rs: RotationSystem, e) -> list[FlipCandidate]:
@@ -166,37 +172,41 @@ def flip_candidates(rs: RotationSystem, e) -> list[FlipCandidate]:
     from both endpoints, ordered nearest-first (see :func:`_candidates`,
     which :func:`is_separator_edge` walks lazily)."""
     v, w = _checked_edge(rs, e)
-    return list(_candidates(rs, v, w))
+    return [
+        FlipCandidate(
+            edge=(v, w), swept=frozenset(seq[:t]), rs=rs, move=(a, b, t)
+        )
+        for seq, a, b, t, _, _ in _candidates(rs, v, w, edge_index(rs.n).star)
+    ]
 
 
-def _flip_fault(n: int, e, swept, masks):
-    """Why flipping the edge ``e`` = (v, w) of a realizable n-vertex
-    system across ``swept`` is invalid, or None when it is valid, read
-    off the system's :func:`crossing_masks` ``masks``.
+def _fault(index: EdgeIndex, e, cut: int, touched: int, masks):
+    """Why flipping the edge ``e`` = (v, w) of a realizable system across
+    a swept set S is invalid, or None when it is valid, read off the
+    system's :func:`crossing_masks` ``masks``.  S is given by two masks
+    over ``index``: ``cut``, the edges with exactly one endpoint in S,
+    and ``touched``, those with at least one.  As v is not in S, another
+    vertex x is in S iff {x, v} is in ``cut``.
 
     Rule (a) fails with an edge crossing ``e`` that has no or both
-    endpoints in ``swept``, which the flipped edge still crosses; it is
-    returned as (c, d).  Rule (b) fails with a sorted 5-tuple
-    {v, w, x, b, c} that the flip makes unrealizable.  See the module
-    docstring for both rules."""
-    index = edge_index(n)
+    endpoints in S, which the flipped edge still crosses; it is returned
+    as (c, d).  Rule (b) fails with a sorted 5-tuple {v, w, x, b, c}
+    that the flip makes unrealizable.  See the module docstring for both
+    rules."""
     ix, star, edges = index.index, index.star, index.edges
     v, w = e
-    cut = touched = 0
-    for x in swept:
-        cut ^= star[x]
-        touched |= star[x]
-    # cut: edges with one endpoint in S; edges at v or w never cross e
+    # edges at v or w never cross e
     kept = masks[ix[v][w]] & ~cut
     if kept:
         return edges[(kept & -kept).bit_length() - 1]
     in_s = touched & ~cut
-    in_r = ((1 << len(edges)) - 1) & ~(touched | star[v] | star[w])
-    for x in range(1, n + 1):
+    in_r = ((1 << len(edges)) - 1) ^ (touched | star[v] | star[w])
+    for x in range(1, len(ix)):
         if x == v or x == w:
             continue
         row = ix[x]
-        pairs = masks[row[v]] & masks[row[w]] & (in_r if x in swept else in_s)
+        xv = row[v]
+        pairs = masks[xv] & masks[row[w]] & (in_r if cut >> xv & 1 else in_s)
         while pairs:
             low = pairs & -pairs
             b, c = edges[low.bit_length() - 1]
@@ -209,10 +219,16 @@ def _flip_fault(n: int, e, swept, masks):
     return None
 
 
-def _is_valid_flip(e, cand: FlipCandidate, masks) -> bool:
-    """Whether ``cand`` is a valid flip of ``e``, by rules (a) and (b)
-    on the crossing masks of the realizable system ``cand.rs``."""
-    return _flip_fault(cand.rs.n, e, cand.swept, masks) is None
+def _flip_fault(n: int, e, swept, masks):
+    """:func:`_fault` of flipping the edge ``e`` of a realizable n-vertex
+    system across the vertex set ``swept``."""
+    index = edge_index(n)
+    star = index.star
+    cut = touched = 0
+    for x in swept:
+        cut ^= star[x]
+        touched |= star[x]
+    return _fault(index, e, cut, touched, masks)
 
 
 def valid_flips(
@@ -221,20 +237,42 @@ def valid_flips(
     """Candidates filtered by realizability of the flipped system and by
     disjointness of the old and new crossing sets of ``e``, both decided
     by rules (a) and (b).  Descriptions of the same repositioning are
-    merged (smallest swept set reported).
+    merged (smallest swept set reported), by comparing the flipped
+    systems of valid candidates.
 
     Raises :class:`RealizabilityError` unless ``rs`` is realizable, so
     every flipped system returned is realizable."""
     e = _checked_edge(rs, e)
     _require_realizable(tables, rs)
-    masks = crossing_masks(tables, rs)
     out: list[Flip] = []
-    for cand in flip_candidates(rs, e):
-        if _is_valid_flip(e, cand, masks) and not any(
-            cand.new_rs == f.new_rs for f in out
-        ):
-            out.append(Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs))
+    for flip in _flips(rs, edge_index(rs.n), crossing_masks(tables, rs), e):
+        if not any(flip.new_rs == f.new_rs for f in out):
+            out.append(flip)
     return out
+
+
+def _flips(rs: RotationSystem, index: EdgeIndex, masks, e):
+    """Yield the valid flips of the checked edge ``e`` of the realizable
+    ``rs``, nearest first, given ``edge_index(rs.n)`` and the crossing
+    masks of ``rs``."""
+    v, w = e
+    for seq, a, b, t, cut, touched in _candidates(rs, v, w, index.star):
+        if _fault(index, e, cut, touched, masks) is None:
+            yield Flip(edge=e, swept=frozenset(seq[:t]), rs=rs, move=(a, b, t))
+
+
+def _evidence(
+    rs: RotationSystem, index: EdgeIndex, masks, e
+) -> SeparatorEvidence | None:
+    """:func:`is_separator_edge` of the checked edge ``e`` of the
+    realizable ``rs``, with :func:`_flips`' arguments."""
+    v, w = e
+    if not masks[index.index[v][w]]:
+        return SeparatorEvidence(edge=e, uncrossed=True, flip=None)
+    flip = next(_flips(rs, index, masks, e), None)
+    if flip is None:
+        return None
+    return SeparatorEvidence(edge=e, uncrossed=False, flip=flip)
 
 
 def is_separator_edge(
@@ -248,18 +286,7 @@ def is_separator_edge(
     """
     e = _checked_edge(rs, e)
     _require_realizable(tables, rs)
-    masks = crossing_masks(tables, rs)
-    v, w = e
-    if not masks[edge_index(rs.n).index[v][w]]:
-        return SeparatorEvidence(edge=e, uncrossed=True, flip=None)
-    for cand in _candidates(rs, v, w):
-        if _is_valid_flip(e, cand, masks):
-            return SeparatorEvidence(
-                edge=e,
-                uncrossed=False,
-                flip=Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs),
-            )
-    return None
+    return _evidence(rs, edge_index(rs.n), crossing_masks(tables, rs), e)
 
 
 def is_separable(
@@ -273,9 +300,11 @@ def is_separable(
     so far.
     """
     _require_realizable(tables, rs)
+    index = edge_index(rs.n)
+    masks = crossing_masks(tables, rs)
     entries = []
     for e in rs.edges():
-        ev = is_separator_edge(tables, rs, e)
+        ev = _evidence(rs, index, masks, e)
         if ev is None:
             return SeparabilityResult(
                 separable=False,
@@ -338,20 +367,22 @@ def find_any_separator_edge(
     return None
 
 
+def flip_json(flip: Flip) -> dict:
+    """JSON payload of one flip: its swept set and the new rotations of
+    the edge's endpoints, read without building the flipped system."""
+    a, b, t = flip.move
+    new = dict(zip((a, b), _flipped_rotations(flip.rs, a, b, t)))
+    return {
+        "swept": sorted(flip.swept),
+        "new_rotations": {str(x): list(new[x]) for x in flip.edge},
+    }
+
+
 def certificate_json(cert: SeparatorCertificate) -> dict:
-    """JSON payload: per edge either "uncrossed" or the flip data."""
-    out = {}
-    for ev in cert.entries:
-        key = f"{ev.edge[0]},{ev.edge[1]}"
-        if ev.uncrossed:
-            out[key] = "uncrossed"
-        else:
-            v, w = ev.edge
-            out[key] = {
-                "swept": sorted(ev.flip.swept),
-                "new_rotations": {
-                    str(v): list(ev.flip.new_rs.rotation(v)),
-                    str(w): list(ev.flip.new_rs.rotation(w)),
-                },
-            }
-    return out
+    """JSON payload: per edge either "uncrossed" or :func:`flip_json`."""
+    return {
+        f"{ev.edge[0]},{ev.edge[1]}": (
+            "uncrossed" if ev.uncrossed else flip_json(ev.flip)
+        )
+        for ev in cert.entries
+    }

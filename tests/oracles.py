@@ -35,12 +35,6 @@ from sepdraw.rotation import (
     pair_crossing,
     pair_key,
 )
-from sepdraw.separability import (
-    Flip,
-    SeparatorCertificate,
-    SeparatorEvidence,
-    certificate_json,
-)
 
 
 def rotation_system_from_points(pts: dict[int, tuple[float, float]]):
@@ -748,26 +742,30 @@ def reference_certificate_json(tables, rs) -> dict | None:
     or None when some edge has no separator evidence, by the eager path:
     per edge, every candidate of :func:`reference_flip_candidates` listed
     at once, and the first that passes :func:`reference_is_valid_flip`
-    taken.  The flipped systems inherit no offset rows from ``rs``, and
-    the old crossings of each edge come from a sweep of that edge unless
-    the crossing masks are memoized on ``rs``."""
+    taken.  Each entry is written from that candidate's own flipped
+    system, which inherits nothing from ``rs``, and the old crossings of
+    each edge come from a sweep of that edge unless the crossing masks
+    are memoized on ``rs``."""
     _require_realizable(tables, rs)
-    entries = []
+    out = {}
     for e in rs.edges():
+        v, w = e
         old_cross = crossings_of_edge(tables, rs, e)
         if not old_cross:
-            entries.append(SeparatorEvidence(edge=e, uncrossed=True, flip=None))
+            out[f"{v},{w}"] = "uncrossed"
             continue
         for cand in reference_flip_candidates(rs, e):
             if reference_is_valid_flip(tables, e, cand, old_cross):
-                flip = Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs)
-                entries.append(
-                    SeparatorEvidence(edge=e, uncrossed=False, flip=flip)
-                )
+                out[f"{v},{w}"] = {
+                    "swept": sorted(cand.swept),
+                    "new_rotations": {
+                        str(x): list(cand.new_rs.rotation(x)) for x in e
+                    },
+                }
                 break
         else:
             return None
-    return certificate_json(SeparatorCertificate(tuple(entries)))
+    return out
 
 
 def k4_consistent_unrealizable_k5(tables) -> list[RotationSystem]:

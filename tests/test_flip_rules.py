@@ -1,6 +1,6 @@
 """Flip validation by rules (a) and (b) against the flipped-system recheck.
 
-``separability._is_valid_flip`` decides each candidate from the crossing
+``separability._flip_fault`` decides each candidate from the crossing
 masks of the system before the flip.  ``reference_is_valid_flip`` in
 ``oracles`` builds the flipped system afresh and rechecks it (swept-set
 rule, ``is_realizable_touching``, ``crosses_any``).  Tier-1 compares the
@@ -18,6 +18,7 @@ from oracles import (
     random_points,
     reference_flip_candidates,
     reference_is_valid_flip,
+    reference_reposition,
     rotation_system_from_points,
 )
 from sepdraw.enumeration import (
@@ -34,10 +35,13 @@ from sepdraw.rotation import (
     K4_UNREALIZABLE,
     RealizabilityTables,
     RotationSystem,
+    _flipped,
+    _flipped_rotations,
     canonical_key,
     convex,
     crossing_masks,
     crossings_of_edge,
+    edge_index,
     is_realizable,
     k4_system,
     k5_system,
@@ -45,7 +49,12 @@ from sepdraw.rotation import (
     serialize_crs,
     subrotation,
 )
-from sepdraw.separability import _flip_fault, _is_valid_flip, flip_candidates
+from sepdraw.separability import (
+    _candidates,
+    _fault,
+    _flip_fault,
+    flip_candidates,
+)
 
 
 def compare_verdicts(tables, rs, counts: dict[str, int]) -> list:
@@ -72,9 +81,7 @@ def compare_verdicts(tables, rs, counts: dict[str, int]) -> list:
         for cand, ref in zip(cands, refs):
             fault = _flip_fault(rs.n, e, cand.swept, masks)
             want = reference_is_valid_flip(tables, e, ref, old)
-            assert _is_valid_flip(e, cand, masks) is (fault is None) is want, (
-                rs, e, sorted(cand.swept), fault,
-            )
+            assert (fault is None) is want, (rs, e, sorted(cand.swept), fault)
             counts["candidates"] += 1
             if fault is None:
                 valid.append(cand)
@@ -96,6 +103,52 @@ def check_flip_walk(tables, n: int, seed: int, steps: int) -> dict[str, int]:
         proper = [c for c in valid if c.new_rs != rs]
         rs = rng.choice(proper).new_rs
     return counts
+
+
+def check_scan(tables, rs) -> dict[str, int]:
+    """Assert, for every candidate of every edge of the realizable
+    ``rs``, that the masks the parity scan carries are the XOR and the
+    OR of the stars over the candidate's swept set, that the core rules
+    on them give :func:`_flip_fault`'s verdict, and that
+    ``_flipped_rotations`` gives the two rotations the flipped system
+    has; return the candidates seen and those found valid."""
+    index = edge_index(rs.n)
+    masks = crossing_masks(tables, rs)
+    counts = {"candidates": 0, "valid": 0}
+    for v, w in rs.edges():
+        e = (v, w)
+        scan = list(_candidates(rs, v, w, index.star))
+        cands = flip_candidates(rs, e)
+        assert len(scan) == len(cands), (rs, e)
+        for (seq, a, b, t, cut, touched), cand in zip(scan, cands):
+            assert cand.move == (a, b, t) and cand.swept == frozenset(seq[:t])
+            want_cut = want_touched = 0
+            for x in cand.swept:
+                want_cut ^= index.star[x]
+                want_touched |= index.star[x]
+            assert (cut, touched) == (want_cut, want_touched), (rs, e, t)
+            fault = _fault(index, e, cut, touched, masks)
+            assert fault == _flip_fault(rs.n, e, cand.swept, masks), (rs, e)
+            new = _flipped(rs, a, b, t)
+            ref = reference_reposition(rs, a, b, t)
+            rotations = (new.rotation(a), new.rotation(b))
+            assert _flipped_rotations(rs, a, b, t) == rotations, (rs, e)
+            assert rotations == (ref.rotation(a), ref.rotation(b)), (rs, e)
+            counts["candidates"] += 1
+            counts["valid"] += fault is None
+    return counts
+
+
+def test_scan_masks_core_and_rotations(tables, enum5, enum6):
+    systems = [rep.rs for rep in enum5[5]] + [rep.rs for rep in enum6]
+    for n in range(8, 13):
+        pts = random_points(n, random.Random(f"scan:{n}"))
+        systems.append(rotation_system_from_points(pts))
+    counts = {"candidates": 0, "valid": 0}
+    for rs in systems:
+        for key, k in check_scan(tables, rs).items():
+            counts[key] += k
+    assert 0 < counts["valid"] < counts["candidates"], counts
 
 
 def _realizable_small_systems(tables):
@@ -190,13 +243,13 @@ def test_subrotation_hands_down_masks(tables):
 
 def test_all_pairs_ham_path_sweeps_crossings_once(tables, monkeypatch):
     calls = []
-    sweep = rot.crossing_pairs
+    sweep = rot._crossing_sweep
 
     def counting(*args):
         calls.append(args)
         return sweep(*args)
 
-    monkeypatch.setattr(rot, "crossing_pairs", counting)
+    monkeypatch.setattr(rot, "_crossing_sweep", counting)
     rs = rotation_system_from_points(random_points(10, random.Random(10)))
     for v in range(1, 11):
         for w in range(1, 11):

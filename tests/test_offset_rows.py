@@ -1,13 +1,9 @@
-"""Flip candidates and the offset rows flipped systems inherit.
+"""Flip candidates and the offset rows a system memoizes.
 
-A flipped system is built from its base system by replacing two rows
-(``rotation._flipped``), and it inherits the base's offset rows counted
-from the smaller endpoint (``_rows_from``), with only the other
-endpoint's entry rebuilt.  These tests compare the candidates with the
-eager reference in ``oracles`` (every flipped system built in full and
-validated) and the inherited rows, and the answers read from them, with
-a system built afresh from the same rows.  They also check that a
-system builds each of its offset rows at most once.
+These tests compare the candidates and the certificates with the eager
+reference in ``oracles`` (every flipped system built in full and
+validated).  They also check that a system builds each of its offset
+rows (``rotation._rows_from``) at most once.
 """
 from __future__ import annotations
 
@@ -26,20 +22,12 @@ from sepdraw.rotation import (
     _anchored,
     _rows_from,
     convex,
-    crosses_any,
-    crossings_of_edge,
     is_realizable,
-    is_realizable_touching,
     relabel,
 )
 from sepdraw.separability import certificate_json, flip_candidates, is_separable
 
-from test_recognize_golden import (
-    NON_SEPARABLE_K6,
-    _outcome,
-    _random_rows,
-    golden_corpus,
-)
+from test_recognize_golden import NON_SEPARABLE_K6, _random_rows
 
 
 def _relabeled(rs: RotationSystem, rng: random.Random) -> RotationSystem:
@@ -104,79 +92,9 @@ class TestCandidatesMatchReference:
         assert separable == 7
 
 
-class TestInheritedOffsetRows:
-    def test_golden_corpus(self, tables, enum6):
-        checked = 0
-        for rs in golden_corpus(tables, enum6).values():
-            n = rs.n
-            for e in rs.edges():
-                v, w = e
-                old = _outcome(lambda: crossings_of_edge(tables, _fresh(rs), e), sorted)
-                for cand in flip_candidates(rs, e):
-                    new_rs = cand.new_rs
-                    fresh = _fresh(new_rs)
-                    rows = new_rs._rows[v]
-                    assert rows[0] is None and rows[v] is None
-                    for u in range(1, n + 1):
-                        if u != v:
-                            assert rows[u] == _anchored(fresh, u, v), (rs, e, u)
-                    # the base keeps its own rows
-                    base = rs._rows[v]
-                    for u in range(1, n + 1):
-                        if u != v:
-                            assert base[u] == _anchored(rs, u, v), (rs, e, u)
-                    for swept in (None, cand.swept):
-                        assert is_realizable_touching(
-                            tables, new_rs, e, swept=swept
-                        ) == is_realizable_touching(
-                            tables, _fresh(new_rs), e, swept=swept
-                        ), (rs, e, swept)
-                    if n >= 4:
-                        assert _outcome(
-                            lambda: crossings_of_edge(tables, new_rs, e), sorted
-                        ) == _outcome(
-                            lambda: crossings_of_edge(tables, _fresh(new_rs), e),
-                            sorted,
-                        ), (rs, e)
-                    if old[0] == "ok":
-                        assert _outcome(
-                            lambda: crosses_any(tables, new_rs, e, old[1]), bool
-                        ) == _outcome(
-                            lambda: crosses_any(tables, _fresh(new_rs), e, old[1]),
-                            bool,
-                        ), (rs, e)
-                    checked += 1
-        assert checked == 1142
-
-    def test_flipped_twice(self, tables):
-        # a flipped system passes its rows on to the systems flipped from it
-        rs = convex(9)
-        for cand in flip_candidates(rs, (2, 6)):
-            for again in flip_candidates(cand.new_rs, (2, 7)):
-                new_rs = again.new_rs
-                fresh = _fresh(new_rs)
-                rows = new_rs._rows[2]
-                for u in range(1, 10):
-                    if u != 2:
-                        assert rows[u] == _anchored(fresh, u, 2)
-                assert is_realizable_touching(
-                    tables, new_rs, (2, 7)
-                ) == is_realizable_touching(tables, fresh, (2, 7))
-
-    def test_memo_holds_every_vertex_asked(self):
-        rs = convex(6)
-        rows3 = _rows_from(rs, 3)
-        assert rows3[0] is None and rows3[3] is None
-        assert rows3[5] == _anchored(rs, 5, 3)
-        rows4 = _rows_from(rs, 4)
-        assert rows4[1] == _anchored(rs, 1, 4)
-        assert _rows_from(rs, 3) is rows3 and _rows_from(rs, 4) is rows4
-        assert rs._rows == {3: rows3, 4: rows4}
-
-
 def _count_input_rows(monkeypatch, rs: RotationSystem) -> dict:
     """Count, per (u, x), the calls of ``_anchored(rs, u, x)`` on ``rs``
-    itself (not on the systems flipped from it) while the test runs."""
+    itself while the test runs."""
     import sepdraw.rotation as rot
 
     counts: dict[tuple[int, int], int] = {}
@@ -203,10 +121,20 @@ class TestRowsBuiltOnce:
         ids=["convex-k12", "straight-line-k12"],
     )
     def test_recognition_builds_each_row_once(self, tables, monkeypatch, make):
-        # the full 5-tuple sweep, the crossing-pair sweep and the flips
-        # of the edges at each vertex all read one memo per anchor
+        # the full 5-tuple sweep and the crossing-pair sweep read one
+        # memo per anchor, and flips read no offset row
         rs = make()
         counts = _count_input_rows(monkeypatch, rs)
         assert is_realizable(tables, rs)
         assert is_separable(tables, rs).separable
         assert counts and max(counts.values()) == 1
+
+    def test_memo_holds_every_vertex_asked(self):
+        rs = convex(6)
+        rows3 = _rows_from(rs, 3)
+        assert rows3[0] is None and rows3[3] is None
+        assert rows3[5] == _anchored(rs, 5, 3)
+        rows4 = _rows_from(rs, 4)
+        assert rows4[1] == _anchored(rs, 1, 4)
+        assert _rows_from(rs, 3) is rows3 and _rows_from(rs, 4) is rows4
+        assert rs._rows == {3: rows3, 4: rows4}

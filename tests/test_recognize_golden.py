@@ -49,7 +49,6 @@ from sepdraw.rotation import (
 )
 from sepdraw.errors import RealizabilityError
 from sepdraw.separability import (
-    Flip,
     SeparatorEvidence,
     find_any_separator_edge,
     is_separable,
@@ -208,8 +207,8 @@ def _reference_separator_edge(tables, rs, e):
         return SeparatorEvidence(edge=e, uncrossed=True, flip=None)
     for cand in reference_flip_candidates(rs, e):
         if _reference_valid(tables, e, cand, old_cross):
-            flip = Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs)
-            return SeparatorEvidence(edge=e, uncrossed=False, flip=flip)
+            # the flip is the oracle's candidate, with its own new_rs
+            return SeparatorEvidence(edge=e, uncrossed=False, flip=cand)
     return None
 
 
@@ -220,7 +219,7 @@ def _reference_flips(tables, rs, e):
         if any(cand.new_rs == f.new_rs for f in out):
             continue
         if _reference_valid(tables, e, cand, old_cross):
-            out.append(Flip(edge=e, swept=cand.swept, new_rs=cand.new_rs))
+            out.append(cand)
     return out
 
 

@@ -248,6 +248,21 @@ class TestCrossingPairs:
         rs = convex(7)
         assert crossing_pairs(tables, mirror(rs)) == crossing_pairs(tables, rs)
 
+    def test_reads_the_memoized_masks(self, tables):
+        # the pairs are read off crossing_masks, which memoizes per tables
+        # object; a sweep that raises memoizes nothing
+        rs = rotation_system_from_points(random_points(7, random.Random(7)))
+        no_k4 = RealizabilityTables(k4=(-2,) * 16, k5=tables.k5)
+        with pytest.raises(RealizabilityError, match=r"\(1, 2, 3, 4\)"):
+            crossing_pairs(no_k4, rs)
+        assert rs._crossings is None
+        pairs = crossing_pairs(tables, rs)
+        assert rs._crossings == (tables, crossing_masks(tables, rs))
+        with pytest.raises(RealizabilityError):
+            crossing_pairs(no_k4, rs)
+        assert rs._crossings[0] is tables
+        assert crossing_pairs(tables, rs) == pairs
+
     def test_crossing_sets_match_crossings_of_edge(self, tables):
         rs = rotation_system_from_points(random_points(8, random.Random(4)))
         masks = crossing_masks(tables, rs)

@@ -99,26 +99,26 @@ class TestFlipCandidates:
         assert cand.new_rs is first
         assert first.rotation(2) != convex(7).rotation(2)
 
-    def test_is_separable_builds_one_system_per_crossed_edge(
+    def test_is_separable_and_certificate_build_no_system(
         self, tables, monkeypatch
     ):
-        # candidates are validated without their flipped systems, so
-        # only the accepted flip of each crossed edge builds one
+        # candidates are validated from the input system's masks, and
+        # certificates read the two new rotations of each accepted flip
         counts = _count_builds(monkeypatch)
         for rs in (
             convex(9),
             rotation_system_from_points(random_points(9, random.Random(9))),
         ):
-            crossed = sum(
-                1 for e in rs.edges() if crossings_of_edge(tables, rs, e)
-            )
-            counts["built"] = 0
-            assert is_separable(tables, rs).separable
-            assert 0 < counts["built"] == crossed
+            res = is_separable(tables, rs)
+            assert res.separable
+            cert = certificate_json(res.certificate)
+            assert any(entry != "uncrossed" for entry in cert.values())
+        assert counts["built"] == 0
 
     def test_valid_flips_builds_only_valid_systems(self, tables, monkeypatch):
         # the dedup of valid_flips compares the flipped systems of valid
-        # candidates only, so no other candidate's system is built.  The
+        # candidates only, so no other candidate's system is built, and
+        # the first valid flip of an edge is compared with nothing.  The
         # valid candidates are counted first, by the reference validation,
         # on flipped systems the oracle builds itself.
         systems = (
@@ -136,7 +136,7 @@ class TestFlipCandidates:
         for rs in systems:
             for e in rs.edges():
                 valid_flips(tables, rs, e)
-        assert 0 < counts["built"] == valid < candidates
+        assert 0 < counts["built"] <= valid < candidates
 
     def test_k3_single_candidate(self):
         cands = flip_candidates(convex(3), (1, 2))
