@@ -19,7 +19,9 @@ so it sweeps neither its 5-tuples nor its quads.  An instance on every
 vertex (the top level of :func:`ham_path` and :func:`plane_matching`,
 and in :func:`ham_cycle` the side of an uncrossed separator edge) is
 the caller's system itself, so it reads the offset rows and crossing
-masks already memoized there.
+masks already memoized there.  :func:`verify_crossing_free` reads the
+same masks, so checking a result on the system it was built from
+sweeps nothing more.
 """
 from __future__ import annotations
 
@@ -29,8 +31,10 @@ from .errors import InputError, SeparatorNotFoundError
 from .rotation import (
     RealizabilityTables,
     RotationSystem,
+    _checked_edge,
     _require_realizable,
-    crosses_any,
+    crossing_masks,
+    edge_index,
     edge_key,
     subrotation,
 )
@@ -76,15 +80,17 @@ def verify_crossing_free(
 ) -> bool:
     """Whether no two of the given edges cross (adjacent pairs never do).
 
-    One reader call per edge over the later edges independent of it, so
-    pairs are tested, and a bad pair raises, in the order of
-    ``itertools.combinations(edges, 2)``."""
-    edges = [edge_key(*e) for e in edges]
-    for i, (v, w) in enumerate(edges):
-        later = [f for f in edges[i + 1 :] if v not in f and w not in f]
-        if later and crosses_any(tables, rs, (v, w), later):
-            return False
-    return True
+    Every edge is checked first: the first one with a label outside
+    1..n or equal endpoints raises :class:`InputError`.  Then each
+    edge's :func:`crossing_masks` entry is tested against the bits of
+    all of them; a mask never holds an edge adjacent to its own."""
+    index = edge_index(rs.n).index
+    ids = [index[v][w] for v, w in (_checked_edge(rs, e) for e in edges)]
+    masks = crossing_masks(tables, rs)
+    listed = 0
+    for i in ids:
+        listed |= 1 << i
+    return not any(masks[i] & listed for i in ids)
 
 
 def ham_path(

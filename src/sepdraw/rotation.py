@@ -13,7 +13,10 @@ Only this module builds the offset rows the sweeps read: :func:`_rows_from`
 memoizes them per system and anchor.  Crossings are memoized as one
 integer bitmask per edge (:func:`crossing_masks`, indexed by
 :func:`edge_index`), which :func:`subrotation` hands down to induced
-subsystems.
+subsystems.  Every crossing query reads those masks: the first query on
+a system pays for one sweep over all its quads, later ones read bits,
+and on a system with an unrealizable quad every query raises the
+sweep's :class:`RealizabilityError`.
 """
 from __future__ import annotations
 
@@ -240,16 +243,16 @@ class RealizabilityTables:
     an entry of ``PAIR_BY_CODE``.  ``k5`` holds indices per
     :func:`k5_index` of all realizable labeled 5-vertex systems.
 
-    The edge queries :func:`is_realizable_touching` and
-    :func:`crosses_any` read a tuple with the queried edge {v, w}, v < w,
-    first and the other vertices after it in increasing order: (v, w,
-    a, b, c) or (v, w, c, d).  That reading is a relabeling of the
-    sorted tuple, fixed by where v and w fall among the sorted
-    vertices.  ``k5_reads`` and ``k4_reads`` hold both tables per
-    placement, derived on first use, so the readings are exact for any
-    tables, closed under relabeling or not.  A placement is keyed by
-    ``4*i + j`` for i of the other vertices below v and j below w; key
-    0 is the sorted reading itself.
+    ``k4`` is read in sorted quad order only.
+    The edge query :func:`is_realizable_touching` reads a 5-tuple with
+    the queried edge {v, w}, v < w, first and the other vertices after
+    it in increasing order: (v, w, a, b, c).  That reading is a
+    relabeling of the sorted tuple, fixed by where v and w fall among
+    the sorted vertices.  ``k5_reads`` holds ``k5`` per placement,
+    derived on first use, so the reading is exact for any tables,
+    closed under relabeling or not.  A placement is keyed by ``4*i + j``
+    for i of the other vertices below v and j below w; key 0 is the
+    sorted reading itself.
     """
 
     k4: tuple[int, ...]
@@ -282,22 +285,6 @@ class RealizabilityTables:
             for ds in digits:
                 row[sum(map(list.__getitem__, term, ds))] = 1
             out[key] = bytes(row)
-        return tuple(out)
-
-    @cached_property
-    def k4_reads(self) -> tuple[tuple[int, ...] | None, ...]:
-        """Per placement key, ``k4`` indexed by :func:`k4_index` of the
-        (v, w, c, d) reading, with pair codes relabeled to that reading:
-        code 0 means that {v, w} crosses {c, d}.  Keys no placement has
-        hold None."""
-        systems = [k4_system(idx) for idx in range(16)]
-        out = [None] * 16
-        for key, order in _reading_orders(4).items():
-            label = {x: i + 1 for i, x in enumerate(order)}
-            entries = [K4_UNREALIZABLE] * 16
-            for rs4, entry in zip(systems, self.k4):
-                entries[k4_index(rs4, order)] = relabel_pair_code(entry, label)
-            out[key] = tuple(entries)
         return tuple(out)
 
 
@@ -388,9 +375,8 @@ def k4_index(rs: RotationSystem, quad: tuple[int, int, int, int]) -> int:
     do not occur in the order a, b, c around ``quad[i]``.
 
     The reference kernel, one lookup per call: :func:`k4_index_of`,
-    ``check_tables``, :func:`is_realizable` at n = 4 and the derivation
-    of ``k4_reads`` use it.  The sweeps read offset rows built once per
-    call instead."""
+    ``check_tables`` and :func:`is_realizable` at n = 4 use it.  The
+    crossing sweep reads offset rows built once per call instead."""
     idx = 0
     for bit, v in enumerate(quad):
         a, b, c = (x for x in quad if x != v)
@@ -458,92 +444,50 @@ def k5_system(index: int) -> RotationSystem:
     return RotationSystem(5, rows)
 
 
-def _crossing_edges(
-    tables: RealizabilityTables, rs: RotationSystem, e, edges
-):
-    """Yield, in input order, each of ``edges`` that crosses ``e``, as
-    (c, d) with c < d, per the 4-vertex table.
-
-    The one reader of edge-by-edge crossing queries.  Each quad is read
-    as (v, w, c, d), from v's rotation counted from w and the others
-    counted from v, against ``tables.k4_reads``.  The rows counted from
-    v are :func:`_rows_from`'s.  An edge that is not independent of
-    ``e`` raises :class:`InputError` or :class:`AdjacentEdgesError`, and
-    an unrealizable quad raises :class:`RealizabilityError`, when the
-    sweep reaches it.
-    """
+def _independent_bits(rs: RotationSystem, e, edges) -> tuple[int, int]:
+    """The :func:`edge_index` position of ``e`` and the mask of
+    ``edges``, once each edge is checked: a label outside 1..n or a
+    degenerate edge raises :class:`InputError`, and one of ``edges``
+    that shares an endpoint with ``e`` raises
+    :class:`AdjacentEdgesError`, at the first such edge in order."""
     v, w = _checked_edge(rs, e)
-    n = rs.n
-    reads = tables.k4_reads
-    V = _anchored(rs, v, w)
-    rows = _rows_from(rs, v)
-    W = rows[w]
+    index = edge_index(rs.n).index
+    bits = 0
     for f in edges:
-        c, d = f
-        if c > d:
-            c, d = d, c
-        if c == d or c == v or c == w or d == v or d == w or c < 1 or d > n:
-            f = _checked_edge(rs, f)
+        c, d = _checked_edge(rs, f)
+        if c == v or c == w or d == v or d == w:
             raise AdjacentEdgesError(
-                f"edges {(v, w)} and {f} share an endpoint; adjacent edges "
-                "never cross"
+                f"edges {(v, w)} and {(c, d)} share an endpoint; adjacent "
+                "edges never cross"
             )
-        C = rows[c]
-        D = rows[d]
-        # placement: a vertex below v moves both v and w up one place
-        key = (5 if c < v else 1 if c < w else 0) + (
-            5 if d < v else 1 if d < w else 0
-        )
-        entry = reads[key][
-            (V[c] > V[d]) + 2 * (W[c] > W[d]) + 4 * (C[w] > C[d])
-            + 8 * (D[w] > D[c])
-        ]
-        if entry == 0:
-            yield c, d
-        elif entry == K4_UNREALIZABLE:
-            quad = tuple(sorted((v, w, c, d)))
-            raise RealizabilityError(
-                f"4-vertex subsystem on {quad} is not realizable", quad
-            )
+        bits |= 1 << index[c][d]
+    return index[v][w], bits
 
 
 def pair_crossing(
     tables: RealizabilityTables, rs: RotationSystem, e, f
 ) -> bool:
-    """Whether two independent edges cross, per the 4-vertex table.
-
-    The single-pair wrapper of the edge-by-edge reader: a caller with
-    many pairs that share an edge asks :func:`crosses_any` or
-    :func:`crossings_of_edge` once per edge instead, and one that knows
-    the system is realizable reads :func:`crossing_masks`."""
-    return any(_crossing_edges(tables, rs, e, (f,)))
+    """Whether two independent edges cross: :func:`crosses_any` of one."""
+    return crosses_any(tables, rs, e, (f,))
 
 
 def crossings_of_edge(
     tables: RealizabilityTables, rs: RotationSystem, e
 ) -> frozenset[Edge]:
-    """All edges crossing ``e``: its :func:`crossing_masks` entry when
-    those are memoized on ``rs`` for ``tables``, else a sweep of ``e``
-    alone.  The memo exists only when no quad is unrealizable, so it
-    never hides a raise."""
+    """All edges crossing ``e``: its :func:`crossing_masks` entry."""
     v, w = _checked_edge(rs, e)
-    memo = rs._crossings
-    if memo is not None and memo[0] is tables:
-        index = edge_index(rs.n)
-        return frozenset(_edges_of(memo[1][index.index[v][w]], index.edges))
-    rest = [x for x in range(1, rs.n + 1) if x != v and x != w]
-    return frozenset(
-        _crossing_edges(tables, rs, (v, w), itertools.combinations(rest, 2))
-    )
+    index = edge_index(rs.n)
+    mask = crossing_masks(tables, rs)[index.index[v][w]]
+    return frozenset(_edges_of(mask, index.edges))
 
 
 def crosses_any(
     tables: RealizabilityTables, rs: RotationSystem, e, edges
 ) -> bool:
-    """Whether ``e`` crosses any of ``edges``: the answer of
-    ``any(pair_crossing(tables, rs, e, f) for f in edges)``, raising for
-    the same first edge f."""
-    return any(_crossing_edges(tables, rs, e, edges))
+    """Whether ``e`` crosses any of ``edges``, each of which is checked
+    first: its :func:`crossing_masks` entry against their bits."""
+    i, bits = _independent_bits(rs, e, edges)
+    return bool(crossing_masks(tables, rs)[i] & bits)
 
 
 @dataclass(frozen=True)
@@ -856,8 +800,8 @@ def same_triangle_side(
     """Whether u and v lie on the same side of the triangle on T.
 
     Decided by the parity of crossings between edge {u,v} and the three
-    triangle edges: a simple arc switches sides once per crossing with the
-    closed triangle curve.
+    triangle edges, read off :func:`crossing_masks`: a simple arc
+    switches sides once per crossing with the closed triangle curve.
     """
     T = tuple(sorted(set(T)))
     if len(T) != 3:
@@ -869,8 +813,8 @@ def same_triangle_side(
     for x in (u, v) + T:
         if not 1 <= x <= rs.n:
             raise InputError(f"vertex {x} out of range 1..{rs.n}")
-    crossed = _crossing_edges(tables, rs, (u, v), itertools.combinations(T, 2))
-    return sum(1 for _ in crossed) % 2 == 0
+    i, bits = _independent_bits(rs, (u, v), itertools.combinations(T, 2))
+    return (crossing_masks(tables, rs)[i] & bits).bit_count() % 2 == 0
 
 
 def _triangle_side_of(cross, n: int, T) -> list[int]:

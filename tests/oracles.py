@@ -19,20 +19,18 @@ from sepdraw.cmap import (
     CombinatorialMap,
     MapBuilder,
 )
-from sepdraw.errors import InputError
+from sepdraw.errors import InputError, RealizabilityError
 from sepdraw.routing import Route, _boundary, _chord_ok
 from sepdraw.rotation import (
     K4_UNREALIZABLE,
+    PAIR_BY_CODE,
     RotationSystem,
     _checked_edge,
     _require_realizable,
-    crosses_any,
-    crossings_of_edge,
     edge_key,
     is_realizable_touching,
     k4_index,
     k5_system,
-    pair_crossing,
     pair_key,
 )
 
@@ -72,6 +70,34 @@ def reference_k4_index(rs: RotationSystem, quad) -> int:
         if _cyclic_sequence(rs.rotation(v), others) != others:
             idx |= 1 << bit
     return idx
+
+
+def reference_pair_crossing(tables, rs: RotationSystem, e, f) -> bool:
+    """Whether two independent edges, given as label pairs in 1..n,
+    cross: ``tables.k4`` at the reference index of their sorted quad,
+    whose pair code names the crossing pair.  An unrealizable quad
+    raises :class:`RealizabilityError`."""
+    quad = tuple(sorted((*e, *f)))
+    entry = tables.k4[reference_k4_index(rs, quad)]
+    if entry == K4_UNREALIZABLE:
+        raise RealizabilityError(
+            f"4-vertex subsystem on {quad} is not realizable", quad
+        )
+    if entry < 0:
+        return False
+    local = tuple(sorted(quad.index(x) + 1 for x in e))
+    return local in PAIR_BY_CODE[entry]
+
+
+def reference_crossings_of_edge(tables, rs: RotationSystem, e):
+    """The edges crossing ``e``, one :func:`reference_pair_crossing`
+    per independent edge."""
+    rest = [x for x in range(1, rs.n + 1) if x not in e]
+    return frozenset(
+        f
+        for f in combinations(rest, 2)
+        if reference_pair_crossing(tables, rs, e, f)
+    )
 
 
 def reference_k5_index(rs: RotationSystem, quint) -> int:
@@ -545,8 +571,8 @@ def reference_violating_pair(m: CombinatorialMap):
 
 # ---------------------------------------------------------------------------
 # Per-pair references for the triangle-side, g-convexity and crossing-free
-# queries: each pair of edges is one ``pair_crossing`` call, with no
-# crossing sets and no reader shared across pairs.
+# queries: each pair of edges is one ``reference_pair_crossing`` call, with
+# no crossing masks and no reader shared across pairs.
 
 
 def reference_same_triangle_side(tables, rs, T, u: int, v: int) -> bool:
@@ -563,7 +589,7 @@ def reference_same_triangle_side(tables, rs, T, u: int, v: int) -> bool:
             raise InputError(f"vertex {x} out of range 1..{rs.n}")
     count = 0
     for a, b in itertools.combinations(T, 2):
-        if pair_crossing(tables, rs, (u, v), (a, b)):
+        if reference_pair_crossing(tables, rs, (u, v), (a, b)):
             count += 1
     return count % 2 == 0
 
@@ -603,7 +629,7 @@ def reference_is_g_convex(tables, rs) -> bool:
                 for te in t_edges:
                     if x in te or y in te:
                         continue
-                    if pair_crossing(tables, rs, (x, y), te):
+                    if reference_pair_crossing(tables, rs, (x, y), te):
                         good = False
                         break
                 if not good:
@@ -617,12 +643,13 @@ def reference_is_g_convex(tables, rs) -> bool:
 
 
 def reference_verify_crossing_free(tables, rs, edges) -> bool:
-    """Whether no two of the given edges cross (adjacent pairs never do)."""
-    edges = [edge_key(*e) for e in edges]
+    """Whether no two of the given edges cross (adjacent pairs never do),
+    once every edge is checked as the library checks it."""
+    edges = [_checked_edge(rs, e) for e in edges]
     for e, f in itertools.combinations(edges, 2):
         if set(e) & set(f):
             continue
-        if pair_crossing(tables, rs, e, f):
+        if reference_pair_crossing(tables, rs, e, f):
             return False
     return True
 
@@ -728,13 +755,15 @@ def reference_is_valid_flip(tables, e, cand, old_cross) -> bool:
     once), and only the 5-tuples {v,w,a,b,c} with {a,b,c} meeting S are
     rechecked (``is_realizable_touching``).  Once they pass, every quad
     {v,w,c,d} of the flipped system is realizable, and the old crossing
-    edges are looked up in it (``crosses_any``)."""
+    edges are looked up in it (:func:`reference_pair_crossing`)."""
     if any(cand.swept.isdisjoint(f) for f in old_cross):
         return False
     new_rs = cand.new_rs
     if not is_realizable_touching(tables, new_rs, e, swept=cand.swept):
         return False
-    return not crosses_any(tables, new_rs, e, old_cross)
+    return not any(
+        reference_pair_crossing(tables, new_rs, e, f) for f in old_cross
+    )
 
 
 def reference_certificate_json(tables, rs) -> dict | None:
@@ -744,13 +773,12 @@ def reference_certificate_json(tables, rs) -> dict | None:
     at once, and the first that passes :func:`reference_is_valid_flip`
     taken.  Each entry is written from that candidate's own flipped
     system, which inherits nothing from ``rs``, and the old crossings of
-    each edge come from a sweep of that edge unless the crossing masks
-    are memoized on ``rs``."""
+    each edge come from :func:`reference_crossings_of_edge`."""
     _require_realizable(tables, rs)
     out = {}
     for e in rs.edges():
         v, w = e
-        old_cross = crossings_of_edge(tables, rs, e)
+        old_cross = reference_crossings_of_edge(tables, rs, e)
         if not old_cross:
             out[f"{v},{w}"] = "uncrossed"
             continue

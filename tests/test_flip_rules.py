@@ -3,11 +3,12 @@
 ``separability._flip_fault`` decides each candidate from the crossing
 masks of the system before the flip.  ``reference_is_valid_flip`` in
 ``oracles`` builds the flipped system afresh and rechecks it (swept-set
-rule, ``is_realizable_touching``, ``crosses_any``).  Tier-1 compares the
-two on every labeled K4 and K5, on the K6 orbits and on seeded walks
-along valid flips at n = 7-10; the weekly ``recognize-scale`` CI job
-calls :func:`check_flip_walk` at n = 11-16.  This module imports no
-pytest, so that job can import it from a plain install.
+rule, ``is_realizable_touching``, ``reference_pair_crossing``).  Tier-1
+compares the two on every labeled K4 and K5, on the K6 orbits and on
+seeded walks along valid flips at n = 7-10; the weekly
+``recognize-scale`` CI job calls :func:`check_flip_walk` at n = 11-16.
+This module imports no pytest, so that job can import it from a plain
+install.
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ def compare_verdicts(tables, rs, counts: dict[str, int]) -> list:
     return the valid candidates.
 
     The reference reads a fresh copy of ``rs``, which shares no memo
-    with it: each edge's old crossings come from a sweep of that edge,
+    with it: each edge's old crossings come from the copy's own sweep,
     and each flipped system is built by the oracle.  ``counts`` gains
     the candidates seen, and those the rules reject by rule (a) and by
     rule (b)."""

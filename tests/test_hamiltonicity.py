@@ -149,6 +149,15 @@ class TestVerifyCrossingFree:
     def test_single_edge(self, tables):
         assert verify_crossing_free(tables, convex(5), [(1, 3)])
 
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 99)], [(5, 7)], [(1, 3), (3, 9)]],
+        ids=["both-out", "one-out", "adjacent-to-out"],
+    )
+    def test_every_edge_checked(self, tables, edges):
+        with pytest.raises(InputError, match="outside 1..6"):
+            verify_crossing_free(tables, convex(6), edges)
+
 
 def _answer(call) -> str:
     try:

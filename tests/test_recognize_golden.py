@@ -281,9 +281,10 @@ def test_pruned_flip_validation_is_exact(tables, enum6):
 
 
 def test_crossings_of_edge_reads_memo_unchanged(tables, enum6):
-    """Each edge's crossings, swept alone and read from the memoized
-    crossing sets, and the error on unrealizable input, agree.  The memo
-    answers only for its own tables object."""
+    """Each edge's crossings, read on a fresh copy (whose first query
+    sweeps it) and again after ``crossing_sets``, and the error on
+    unrealizable input, agree.  The memo answers only for its own tables
+    object."""
     no_k4 = RealizabilityTables(k4=(K4_UNREALIZABLE,) * 16, k5=tables.k5)
     for rs in golden_corpus(tables, enum6).values():
         rs = RotationSystem(rs.n, rs.rows)

@@ -12,6 +12,7 @@ from sepdraw.errors import (
     InputError,
     RealizabilityError,
 )
+from sepdraw.hamiltonicity import verify_crossing_free
 from sepdraw.rotation import (
     RotationSystem,
     canonical_key,
@@ -47,8 +48,10 @@ from oracles import (
     convex_points,
     crossing_pairs_from_points,
     random_points,
+    reference_crossings_of_edge,
     reference_k4_index,
     reference_k5_index,
+    reference_pair_crossing,
     rotation_system_from_points,
 )
 
@@ -157,6 +160,7 @@ class TestPairCrossing:
             lambda t, rs: crosses_any(t, rs, (0, 3), [(4, 5)]),
             lambda t, rs: crosses_any(t, rs, (1, 3), [(4, 5), (2, 7)]),
             lambda t, rs: crosses_any(t, rs, (1, 3), [(0, 5)]),
+            lambda t, rs: crosses_any(t, rs, (1, 4), [(2, 5), (3, 7)]),
             lambda t, rs: is_realizable_touching(t, rs, (2, 9)),
             lambda t, rs: is_realizable_touching(t, rs, (0, 1), swept={3}),
         ],
@@ -165,6 +169,7 @@ class TestPairCrossing:
             "pair_crossing-f-high", "crossings_of_edge-high",
             "crossings_of_edge-negative", "crosses_any-e-zero",
             "crosses_any-f-high", "crosses_any-f-zero",
+            "crosses_any-after-crossing",
             "is_realizable_touching-high", "is_realizable_touching-zero",
         ],
     )
@@ -175,14 +180,26 @@ class TestPairCrossing:
     def test_unrealizable_subsystem_reported(self, tables):
         # flip one entry of a single rotation of convex K4: breaks the quad
         rs = RotationSystem(4, [(2, 4, 3), (3, 4, 1), (4, 1, 2), (1, 2, 3)])
-        if tables.k4[0] != -2:  # guard: rs must genuinely be unrealizable
-            try:
-                ok = is_realizable(tables, rs)
-            except RealizabilityError:
-                ok = False
-            if not ok:
-                with pytest.raises(RealizabilityError):
-                    pair_crossing(tables, rs, (1, 3), (2, 4))
+        with pytest.raises(RealizabilityError):
+            pair_crossing(tables, rs, (1, 3), (2, 4))
+
+    def test_edge_queries_sweep_once(self, tables, monkeypatch):
+        """The five edge queries read one sweep of a fresh system."""
+        calls = []
+        sweep = rotation._crossing_sweep
+
+        def counting(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(rotation, "_crossing_sweep", counting)
+        rs = rotation_system_from_points(random_points(12, random.Random(12)))
+        pair_crossing(tables, rs, (1, 2), (3, 4))
+        crossings_of_edge(tables, rs, (5, 9))
+        crosses_any(tables, rs, (2, 7), [(1, 3), (4, 12)])
+        same_triangle_side(tables, rs, (1, 6, 11), 2, 10)
+        verify_crossing_free(tables, rs, [(1, 2), (2, 3), (3, 4)])
+        assert len(calls) == 1
 
 
 class TestCrossingPairs:
@@ -335,43 +352,36 @@ def _reference_crossing_pairs(tables, k4_ref):
     return frozenset(pairs)
 
 
-def _reference_crosses_any(tables, k4_ref, e, edges):
-    for f in edges:
-        quad = tuple(sorted(e + f))
-        entry = tables.k4[k4_ref[quad]]
-        if entry == -2:
-            raise RealizabilityError(
-                f"4-vertex subsystem on {quad} is not realizable", quad
-            )
-        if entry >= 0:
-            local = tuple(sorted(quad.index(x) + 1 for x in e))
-            if local in PAIR_BY_CODE[entry]:
-                return True
-    return False
+def _reference_crosses_any(tables, rs, e, edges):
+    return any(reference_pair_crossing(tables, rs, e, f) for f in edges)
 
 
-def _reference_crossings_of_edge(tables, k4_ref, e, n):
-    rest = [x for x in range(1, n + 1) if x not in e]
-    return frozenset(
-        f
-        for f in itertools.combinations(rest, 2)
-        if _reference_crosses_any(tables, k4_ref, e, [f])
-    )
+def _sorted_error(tables, k4_ref):
+    """The error :func:`_reference_crossing_pairs` raises, or None."""
+    try:
+        _reference_crossing_pairs(tables, k4_ref)
+    except RealizabilityError as exc:
+        return exc
+    return None
 
 
 def _same_error(got, want) -> bool:
     return (str(got), got.subset) == (str(want), want.subset)
 
 
-def _assert_same_answer(got, want):
-    """``got()`` returns what ``want()`` returns, or raises the same
-    :class:`RealizabilityError`, message and subset included."""
-    try:
-        expected = want()
-    except RealizabilityError as exc:
+def _assert_same_answer(got, want, error=None):
+    """``got()`` raises ``error`` when one is given, else it returns what
+    ``want()`` returns, or raises the same :class:`RealizabilityError`,
+    message and subset included."""
+    if error is None:
+        try:
+            expected = want()
+        except RealizabilityError as exc:
+            error = exc
+    if error is not None:
         with pytest.raises(RealizabilityError) as raised:
             got()
-        assert _same_error(raised.value, exc)
+        assert _same_error(raised.value, error)
     else:
         assert got() == expected
 
@@ -397,10 +407,12 @@ def _reference_tables(tables):
 
 
 class TestOffsetSweeps:
-    """The sweeps read tuples from offset rows, in (v, w, ...) order for
-    the flip queries and every edge-by-edge crossing query; they must
-    answer as the sorted-order reference definitions do, on any tables,
-    closed under relabeling or not."""
+    """The sweeps read tuples from offset rows, in sorted order for the
+    crossing masks and in (v, w, ...) order for the flip recheck; they
+    must answer as the sorted-order reference definitions do, on any
+    tables, closed under relabeling or not.  Every edge-by-edge crossing
+    query reads the masks, so on a system with an unrealizable quad it
+    raises the sorted sweep's first error."""
 
     def test_derived_tables_are_not_closed(self, tables):
         from sepdraw.enumeration import check_tables
@@ -424,6 +436,7 @@ class TestOffsetSweeps:
             for tab in _reference_tables(tables):
                 want = all(idx in tab.k5 for idx in k5_ref.values())
                 assert is_realizable(tab, rs) == want
+                error = _sorted_error(tab, k4_ref)
                 _assert_same_answer(
                     lambda: crossing_pairs(tab, rs),
                     lambda: _reference_crossing_pairs(tab, k4_ref),
@@ -450,26 +463,33 @@ class TestOffsetSweeps:
                     for c, d in edges:
                         _assert_same_answer(
                             lambda: pair_crossing(tab, rs, (w, v), (d, c)),
-                            lambda: _reference_crosses_any(
-                                tab, k4_ref, (v, w), [(c, d)]
+                            lambda: reference_pair_crossing(
+                                tab, rs, (v, w), (c, d)
                             ),
+                            error,
                         )
                     _assert_same_answer(
                         lambda: crossings_of_edge(tab, rs, (w, v)),
-                        lambda: _reference_crossings_of_edge(
-                            tab, k4_ref, (v, w), n
+                        lambda: reference_crossings_of_edge(
+                            tab, rs, (v, w)
                         ),
+                        error,
                     )
                     _assert_same_answer(
                         lambda: crosses_any(tab, rs, (v, w), edges),
                         lambda: _reference_crosses_any(
-                            tab, k4_ref, (v, w), edges
+                            tab, rs, (v, w), edges
                         ),
+                        error,
                     )
 
     def test_crosses_any_rejects_adjacent_edges(self, tables):
         with pytest.raises(AdjacentEdgesError):
             crosses_any(tables, convex(6), (1, 3), [(3, 4), (2, 5)])
+        # every edge is checked, also after one that crosses (1, 3)
+        assert crosses_any(tables, convex(6), (1, 3), [(2, 5)])
+        with pytest.raises(AdjacentEdgesError):
+            crosses_any(tables, convex(6), (1, 3), [(2, 5), (3, 4)])
 
     def test_k4_system_round_trip(self):
         for idx in range(16):

@@ -2,12 +2,12 @@
 per-pair references in ``oracles``, plus the realizability check at the
 library entry points.
 
-The library reads the memoized crossing sets (``triangle_sides``,
-``is_g_convex``) or one reader call per edge (``same_triangle_side``,
-``verify_crossing_free``); the references make one ``pair_crossing``
-call per pair of edges.  On realizable systems the answers must agree,
-and ``verify_crossing_free`` must also raise the same error for the
-same first bad pair on any system.
+The library reads the memoized crossing masks; the references make one
+``reference_pair_crossing`` call per pair of edges.  On realizable
+systems the answers must agree.  ``verify_crossing_free`` must also
+raise the same error for the same first bad edge on any system, and on
+a system with an unrealizable quad the error of the first such quad in
+sorted order.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from oracles import (
     k4_consistent_unrealizable_k5,
     random_points,
     reference_is_g_convex,
+    reference_k4_index,
     reference_same_triangle_side,
     reference_triangle_sides,
     reference_verify_crossing_free,
@@ -48,7 +49,7 @@ from sepdraw.separability import (
     separator_edges_at,
     valid_flips,
 )
-from test_rotation import REROUTED_K5
+from test_rotation import REROUTED_K5, _sorted_error
 
 
 def _two_page(n: int, rng: random.Random) -> RotationSystem:
@@ -128,12 +129,17 @@ def test_verify_crossing_free_matches_reference(tables, corpus):
     """Seeded edge lists with crossings, duplicates, adjacent pairs,
     degenerate edges and labels outside 1..n, on realizable systems and
     on random ones with unrealizable quads: same answer, or the same
-    exception type, message and subset."""
+    exception type, message and subset.  Past the edge checks, a system
+    with an unrealizable quad raises the sorted reference's first
+    error."""
     rng = random.Random(11)
     systems = corpus[::7] + [_random_system(n, rng) for n in (5, 6, 8, 10)]
     kinds = set()
     for rs in systems:
         n = rs.n
+        quads = itertools.combinations(range(1, n + 1), 4)
+        k4_ref = {q: reference_k4_index(rs, q) for q in quads}
+        error = _sorted_error(tables, k4_ref)
         for trial in range(30):
             hi = n + 1 if trial % 3 == 0 else n
             lo = 0 if trial % 5 == 0 else 1
@@ -145,6 +151,8 @@ def test_verify_crossing_free_matches_reference(tables, corpus):
                 edges = [e for e in edges if e[0] != e[1]]
             got = _outcome(verify_crossing_free, tables, rs, edges)
             want = _outcome(reference_verify_crossing_free, tables, rs, edges)
+            if error is not None and want[0] is not InputError:
+                want = (type(error), str(error), error.subset)
             assert got == want, (rs, edges)
             kinds.add(got[0] if got[0] != "ok" else got)
     want_kinds = {("ok", True), ("ok", False), InputError, RealizabilityError}
