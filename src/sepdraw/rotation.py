@@ -17,6 +17,18 @@ subsystems.  Every crossing query reads those masks: the first query on
 a system pays for one sweep over all its quads, later ones read bits,
 and on a system with an unrealizable quad every query raises the
 sweep's :class:`RealizabilityError`.
+
+The same sweep decides realizability (:func:`is_realizable`).  Once
+every quad is realizable, whether a 5-tuple is in ``k5`` depends, for
+the shipped tables, only on the k4 entries of its five quads: the 36
+*suspect patterns* those entries take on the labeled K5 systems outside
+``k5`` (all with five crossings) are taken by no realizable one.  The
+tables derive their suspect patterns on first use
+(:attr:`RealizabilityTables.suspects`), and the sweep looks up in
+``k5`` only the 5-tuples that have one, found bit-parallel from masks
+of the quads per triple.  So the answer is the 5-tuple criterion's for
+any tables whose ``k5`` members have only realizable quads, closed
+under relabeling or not, with no loop over all 5-tuples.
 """
 from __future__ import annotations
 
@@ -243,7 +255,12 @@ class RealizabilityTables:
     an entry of ``PAIR_BY_CODE``.  ``k5`` holds indices per
     :func:`k5_index` of all realizable labeled 5-vertex systems.
 
-    ``k4`` is read in sorted quad order only.
+    ``k4`` is read in sorted quad order only.  The k4 entries of the
+    five sorted quads of a 5-tuple are its *pattern*.
+    :func:`is_realizable` reads ``k5`` only for the 5-tuples whose
+    pattern is one of ``suspects``, derived on first use (about 6 ms);
+    the shipped tables have 36, each with five crossings.
+
     The edge query :func:`is_realizable_touching` reads a 5-tuple with
     the queried edge {v, w}, v < w, first and the other vertices after
     it in increasing order: (v, w, a, b, c).  That reading is a
@@ -252,7 +269,8 @@ class RealizabilityTables:
     derived on first use, so the reading is exact for any tables,
     closed under relabeling or not.  A placement is keyed by ``4*i + j``
     for i of the other vertices below v and j below w; key 0 is the
-    sorted reading itself.
+    sorted reading itself.  Only that reference recheck reads
+    ``k5_reads``.
     """
 
     k4: tuple[int, ...]
@@ -261,6 +279,74 @@ class RealizabilityTables:
     def __post_init__(self):
         if len(self.k4) != 16:
             raise InputError("k4 table must have exactly 16 entries")
+
+    @cached_property
+    def suspects(self) -> frozenset[tuple[int, ...]]:
+        """The suspect patterns: for each labeled 5-vertex system outside
+        ``k5`` whose five quads are all realizable under ``k4``, the k4
+        entries of its quads in sorted order, (1, 2, 3, 4) first and
+        (2, 3, 4, 5) last.  A 5-tuple of a system whose quads are all
+        realizable and whose pattern is not suspect is in ``k5``.
+
+        A digit of :func:`k5_index` fixes one rotation, so each bit of
+        the k4 index of a quad is read off one digit; the quad (1, 2, 3,
+        4), which the digit of vertex 5 does not touch, prunes first."""
+        # 1555 is 11111 in base 6
+        uniform = [k5_system(r * 1555) for r in range(6)]
+        quads = list(itertools.combinations(range(1, 6), 4))
+        # term[q][x - 1][r]: the bit vertex x with digit r sets in the k4
+        # index of quad q (0 when x is not on q)
+        term = [
+            [
+                [k4_index(u, q) & 1 << q.index(x) for u in uniform]
+                if x in q
+                else [0] * 6
+                for x in range(1, 6)
+            ]
+            for q in quads
+        ]
+        k4, k5 = self.k4, self.k5
+        first, rest = term[0], term[1:]
+        found = set()
+        for r1, r2, r3, r4 in itertools.product(range(6), repeat=4):
+            e0 = k4[first[0][r1] + first[1][r2] + first[2][r3] + first[3][r4]]
+            if e0 == K4_UNREALIZABLE:
+                continue
+            base = r1 + 6 * r2 + 36 * r3 + 216 * r4
+            part = [t[0][r1] + t[1][r2] + t[2][r3] + t[3][r4] for t in rest]
+            for r5 in range(6):
+                if base + 1296 * r5 in k5:
+                    continue
+                pattern = (e0,) + tuple(
+                    k4[s + t[4][r5]] for s, t in zip(part, rest)
+                )
+                if K4_UNREALIZABLE not in pattern:
+                    found.add(pattern)
+        return frozenset(found)
+
+    @cached_property
+    def suspects_cross(self) -> bool:
+        """Whether every quad of every suspect pattern crosses."""
+        return all(K4_NO_CROSSING not in p for p in self.suspects)
+
+    @cached_property
+    def suspect_tree(self) -> tuple:
+        """``suspects`` as a tree: each level a tuple of (entry, subtree)
+        pairs in increasing entry order, one level per quad, and each
+        leaf the tuple of last entries."""
+
+        def grow(patterns, level):
+            if level == 4:
+                return tuple(sorted(p[4] for p in patterns))
+            groups = {}
+            for p in patterns:
+                groups.setdefault(p[level], []).append(p)
+            return tuple(
+                (key, grow(group, level + 1))
+                for key, group in sorted(groups.items())
+            )
+
+        return grow(self.suspects, 0)
 
     @cached_property
     def k5_reads(self) -> tuple[bytes | None, ...]:
@@ -341,20 +427,22 @@ def _rows_from(rs: RotationSystem, x: int) -> list:
 
 def _flipped_rotations(
     rs: RotationSystem, a: int, b: int, t: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The rotations of a and b after b moves forward by t slots in the
-    ccw rotation of a, and a forward by t slots in the cw rotation of b.
-    They are permutations by construction."""
-    n = rs.n
-    ccw_a = list(reversed(rs.rows[a - 1]))
-    j = ccw_a.index(b)
-    del ccw_a[j]
-    ccw_a.insert((j + t) % (n - 2), b)
-    cw_b = list(rs.rows[b - 1])
-    j = cw_b.index(a)
-    del cw_b[j]
-    cw_b.insert((j + t) % (n - 2), a)
-    return tuple(reversed(ccw_a)), tuple(cw_b)
+) -> tuple[list[int], list[int]]:
+    """The rotations of a and b, as new lists, after b moves forward by
+    t slots in the ccw rotation of a, and a forward by t slots in the cw
+    rotation of b.  They are permutations by construction."""
+    m = rs.n - 2
+    row_a = list(rs.rows[a - 1])
+    i = row_a.index(b)
+    del row_a[i]
+    # b was ccw slot m - i of a's rotation; it lands on ccw slot
+    # (m - i + t) % m of the m + 1, which is cw slot m minus that
+    row_a.insert(m - (t - i) % m, b)
+    row_b = list(rs.rows[b - 1])
+    j = row_b.index(a)
+    del row_b[j]
+    row_b.insert((j + t) % m, a)
+    return row_a, row_b
 
 
 def _flipped(rs: RotationSystem, a: int, b: int, t: int) -> RotationSystem:
@@ -362,7 +450,7 @@ def _flipped(rs: RotationSystem, a: int, b: int, t: int) -> RotationSystem:
     :func:`_flipped_rotations`; nothing is revalidated, and no memo of
     ``rs`` is handed on."""
     rows = list(rs.rows)
-    rows[a - 1], rows[b - 1] = _flipped_rotations(rs, a, b, t)
+    rows[a - 1], rows[b - 1] = map(tuple, _flipped_rotations(rs, a, b, t))
     new = RotationSystem.__new__(RotationSystem)
     new._set(rs.n, tuple(rows))
     return new
@@ -375,8 +463,8 @@ def k4_index(rs: RotationSystem, quad: tuple[int, int, int, int]) -> int:
     do not occur in the order a, b, c around ``quad[i]``.
 
     The reference kernel, one lookup per call: :func:`k4_index_of`,
-    ``check_tables`` and :func:`is_realizable` at n = 4 use it.  The
-    crossing sweep reads offset rows built once per call instead."""
+    ``check_tables`` and the derivation of the suspect patterns use it.
+    The crossing sweep reads offset rows built once per call instead."""
     idx = 0
     for bit, v in enumerate(quad):
         a, b, c = (x for x in quad if x != v)
@@ -402,8 +490,9 @@ def k5_index(rs: RotationSystem, quint: tuple[int, ...]) -> int:
     order.
 
     The reference kernel, one lookup per call: :func:`k5_index_of`,
-    ``check_tables`` and the derivation of ``k5_reads`` use it.  The
-    realizability sweeps read offset rows built once per call instead.
+    ``check_tables``, the derivation of ``k5_reads`` and the suspect
+    5-tuples of :func:`is_realizable` use it.  The flip recheck reads
+    offset rows built once per call instead.
     """
     idx = 0
     for i, v in enumerate(quint):
@@ -539,19 +628,28 @@ def _mask_of(bits, width: int) -> int:
 
 def _crossing_sweep(
     tables: RealizabilityTables, rs: RotationSystem
-) -> list[int]:
+) -> tuple[list[int], bool]:
     """Per edge, in :func:`edge_index` order, the mask of the edges that
-    cross it: one sweep over the sorted quads (a, b, c, d).
+    cross it, and whether ``rs`` is realizable: one sweep over the sorted
+    quads (a, b, c, d), in two passes.
 
-    Each quad reads the offset rows :func:`_rows_from` counts from a,
-    and a's rotation counted from b, so each bit of :func:`k4_index` is
-    one comparison.  A crossing pair sets its two bits directly.  Raises
-    on the first unrealizable quad in sorted order."""
+    The first pass reads each quad from the offset rows
+    :func:`_rows_from` counts from a, and a's rotation counted from b,
+    so each bit of :func:`k4_index` is one comparison.  A crossing pair
+    sets its two bits directly.  It raises on the first unrealizable
+    quad in sorted order, and it also records, per sorted triple
+    (a, b, c), the d > c by the k4 entry of (a, b, c, d).  The second
+    pass reads those records (:func:`_suspects_in_k5`)."""
     n = rs.n
     k4 = tables.k4
     index = edge_index(n).index
-    bit = [1 << i for i in range(n * (n - 1) // 2)]
-    masks = [0] * len(bit)
+    bit = [1 << i for i in range(max(n + 1, n * (n - 1) // 2))]
+    masks = [0] * (n * (n - 1) // 2)
+    # per edge {a, b} and c > b: for the quads (a, b, c, d), the masks of
+    # the d with pair code 0, 1 and 2, their union, and the d with no
+    # crossing, so that a k4 entry 0..2 or -1 picks its own mask
+    by_entry = [None] * len(masks)
+    full = (1 << n + 1) - 1
     for a in range(1, n - 2):
         rows = _rows_from(rs, a)
         Ia = index[a]
@@ -560,11 +658,13 @@ def _crossing_sweep(
             B = rows[b]
             Ib = index[b]
             ab = Ia[b]
+            by_entry[ab] = by_c = [None] * n
             for c in range(b + 1, n):
                 C = rows[c]
                 Ac, Bc, Cb = A[c], B[c], C[b]
                 Ic = index[c]
                 ac, bc = Ia[c], Ib[c]
+                m0 = m1 = m2 = 0
                 for d in range(c + 1, n + 1):
                     D = rows[d]
                     entry = k4[
@@ -583,13 +683,98 @@ def _crossing_sweep(
                     # the crossing pair of PAIR_BY_CODE on the quad
                     if entry == 0:
                         i, j = ab, Ic[d]
+                        m0 |= bit[d]
                     elif entry == 1:
                         i, j = ac, Ib[d]
+                        m1 |= bit[d]
                     else:
                         i, j = Ia[d], bc
+                        m2 |= bit[d]
                     masks[i] |= bit[j]
                     masks[j] |= bit[i]
-    return masks
+                crossed = m0 | m1 | m2
+                # the d > c that cross none
+                none = full >> (c + 1) << (c + 1) ^ crossed
+                by_c[c] = (m0, m1, m2, crossed, none)
+    return masks, _suspects_in_k5(tables, rs, by_entry)
+
+
+def _suspects_in_k5(
+    tables: RealizabilityTables, rs: RotationSystem, by_entry
+) -> bool:
+    """Whether every sorted 5-tuple (a, b, c, d, e) of ``rs`` whose
+    pattern is suspect (``tables.suspects``) is in ``tables.k5``, given
+    the first pass's ``by_entry`` records, so every quad is realizable.
+
+    For each quad (a, b, c, d) with d < n, the e > d of each pattern are
+    found by ANDing the masks of the triples (a, b, c), (a, b, d),
+    (a, c, d) and (b, c, d), level by level of ``tables.suspect_tree``.
+    When no suspect pattern has an uncrossed quad, a quad whose four
+    triples share no e with all four quads crossing is skipped at once.
+    Each e found is looked up in ``k5`` by :func:`k5_index`."""
+    n = rs.n
+    tree = tables.suspect_tree
+    k5 = tables.k5
+    all_cross = tables.suspects_cross
+    index = edge_index(n).index
+    below_n = (1 << n) - 1
+    for a in range(1, n - 3):
+        Ia = index[a]
+        for b in range(a + 1, n - 2):
+            ab = by_entry[Ia[b]]
+            Ib = index[b]
+            for c in range(b + 1, n - 1):
+                abc = ab[c]
+                if all_cross and not abc[3]:
+                    continue
+                ac = by_entry[Ia[c]]
+                bc = by_entry[Ib[c]]
+                for p0, sub in tree:
+                    ds = abc[p0] & below_n
+                    if not ds:
+                        continue
+                    firsts = [(abc[p1], s1) for p1, s1 in sub if abc[p1]]
+                    if not firsts:
+                        continue
+                    while ds:
+                        low = ds & -ds
+                        ds ^= low
+                        d = low.bit_length() - 1
+                        abd, acd, bcd = ab[d], ac[d], bc[d]
+                        if all_cross and not (
+                            abc[3] & abd[3] & acd[3] & bcd[3]
+                        ):
+                            continue
+                        for m1, s1 in firsts:
+                            for p2, s2 in s1:
+                                m2 = m1 & abd[p2]
+                                if not m2:
+                                    continue
+                                for p3, s3 in s2:
+                                    m3 = m2 & acd[p3]
+                                    if not m3:
+                                        continue
+                                    for p4 in s3:
+                                        hits = m3 & bcd[p4]
+                                        while hits:
+                                            low = hits & -hits
+                                            hits ^= low
+                                            quint = (
+                                                a, b, c, d,
+                                                low.bit_length() - 1,
+                                            )
+                                            if k5_index(rs, quint) not in k5:
+                                                return False
+    return True
+
+
+def _sweep(tables: RealizabilityTables, rs: RotationSystem) -> None:
+    """Memoize on ``rs`` the crossing masks and the realizability verdict
+    of one :func:`_crossing_sweep`; a sweep that raises memoizes
+    nothing."""
+    masks, realizable = _crossing_sweep(tables, rs)
+    rs._crossings = (tables, tuple(masks))
+    rs._realizable = (tables, realizable)
 
 
 def crossing_masks(
@@ -602,7 +787,8 @@ def crossing_masks(
     :func:`subrotation`.  A sweep that raises memoizes nothing."""
     memo = rs._crossings
     if memo is None or memo[0] is not tables:
-        memo = rs._crossings = (tables, tuple(_crossing_sweep(tables, rs)))
+        _sweep(tables, rs)
+        memo = rs._crossings
     return memo[1]
 
 
@@ -660,58 +846,24 @@ def crossing_sets(
 
 
 def is_realizable(tables: RealizabilityTables, rs: RotationSystem) -> bool:
-    """Realizability via the 5-vertex criterion (table lookups for n <= 4).
+    """Realizability via Kynčl's 5-tuple criterion: every quad realizable
+    and every 5-tuple with a suspect pattern in ``k5``, from the same
+    :func:`_crossing_sweep` as :func:`crossing_masks`.  This equals
+    "every 5-tuple in ``k5``" for any tables whose ``k5`` members have
+    only realizable quads, which :func:`sepdraw.enumeration.check_tables`
+    checks; on other tables an unrealizable quad answers False.
 
     The verdict is memoized on ``rs`` per tables object, and a True one
     is inherited by :func:`subrotation`.
     """
     memo = rs._realizable
     if memo is None or memo[0] is not tables:
-        if rs.n <= 3:
-            verdict = True
-        elif rs.n == 4:
-            verdict = tables.k4[k4_index(rs, (1, 2, 3, 4))] != K4_UNREALIZABLE
-        else:
-            verdict = _all_quints_realizable(tables, rs)
-        memo = rs._realizable = (tables, verdict)
+        try:
+            _sweep(tables, rs)
+        except RealizabilityError:
+            rs._realizable = (tables, False)
+        memo = rs._realizable
     return memo[1]
-
-
-def _all_quints_realizable(tables: RealizabilityTables, rs) -> bool:
-    """Every sorted quintuple (a, b, c, d, e) in ``k5``, in sorted order,
-    reading offset rows as :func:`_crossing_sweep` does; digit i of
-    :func:`k5_index` is three comparisons."""
-    n = rs.n
-    member = tables.k5_reads[0]
-    D0, D1, D2, D3, D4 = _DIGIT
-    for a in range(1, n - 3):
-        rows = _rows_from(rs, a)
-        for b in range(a + 1, n - 2):
-            A = _rows_from(rs, b)[a]
-            B = rows[b]
-            for c in range(b + 1, n - 1):
-                C = rows[c]
-                Ac, Bc, Cb = A[c], B[c], C[b]
-                for d in range(c + 1, n):
-                    D = rows[d]
-                    Ad, Bd, Cd, Db, Dc = A[d], B[d], C[d], D[b], D[c]
-                    ka = 4 * (Ac < Ad)
-                    kb = 4 * (Bc < Bd)
-                    kc = 4 * (Cb < Cd)
-                    kd = 4 * (Db < Dc)
-                    for e in range(d + 1, n + 1):
-                        E = rows[e]
-                        Ae, Be, Ce, De = A[e], B[e], C[e], D[e]
-                        Eb, Ec, Ed = E[b], E[c], E[d]
-                        if not member[
-                            D0[ka + 2 * (Ac < Ae) + (Ad < Ae)]
-                            + D1[kb + 2 * (Bc < Be) + (Bd < Be)]
-                            + D2[kc + 2 * (Cb < Ce) + (Cd < Ce)]
-                            + D3[kd + 2 * (Db < De) + (Dc < De)]
-                            + D4[4 * (Eb < Ec) + 2 * (Eb < Ed) + (Ec < Ed)]
-                        ]:
-                            return False
-    return True
 
 
 def is_realizable_touching(

@@ -145,7 +145,8 @@ def _candidates(rs: RotationSystem, v: int, w: int, star):
     ccw_v = cw_v[::-1]
     ccw_w = cw_w[::-1]
     scans = ((ccw_v, cw_w, v, w), (ccw_w, cw_v, w, v))
-    odds = (set(), set())
+    # per direction, the bits of the labels seen an odd number of times
+    odd = [0, 0]
     cut = [0, 0]
     touched = [0, 0]
     found = False
@@ -157,9 +158,8 @@ def _candidates(rs: RotationSystem, v: int, w: int, star):
             cut[d] ^= star[x]
             touched[d] |= star[x]
             # toggle x and y in the odd-parity counter (a no-op if x == y)
-            if x != y:
-                odds[d].symmetric_difference_update((x, y))
-            if not odds[d]:
+            odd[d] ^= (1 << x) ^ (1 << y)
+            if not odd[d]:
                 found = True
                 yield a_seq, a, b, t, cut[d], touched[d]
     if not found:
@@ -374,7 +374,7 @@ def flip_json(flip: Flip) -> dict:
     new = dict(zip((a, b), _flipped_rotations(flip.rs, a, b, t)))
     return {
         "swept": sorted(flip.swept),
-        "new_rotations": {str(x): list(new[x]) for x in flip.edge},
+        "new_rotations": {str(x): new[x] for x in flip.edge},
     }
 
 

@@ -25,8 +25,10 @@ from sepdraw.rotation import (
     K4_UNREALIZABLE,
     PAIR_BY_CODE,
     RotationSystem,
+    _DIGIT,
     _checked_edge,
     _require_realizable,
+    _rows_from,
     edge_key,
     is_realizable_touching,
     k4_index,
@@ -112,6 +114,56 @@ def reference_k5_index(rs: RotationSystem, quint) -> int:
         seq = tuple(_cyclic_sequence(rs.rotation(v), others)[1:])
         idx += list(permutations(others[1:])).index(seq) * 6**i
     return idx
+
+
+def reference_is_realizable(tables, rs: RotationSystem) -> bool:
+    """Kynčl's 5-tuple criterion as a plain membership sweep: every
+    sorted 5-tuple (a, b, c, d, e) in ``tables.k5``, in sorted order (at
+    n = 4, the K4 itself realizable under ``tables.k4``).
+
+    Digit i of the k5 index is three comparisons in the offset rows the
+    library's quad sweep reads (``rotation._rows_from``); the index kernels
+    are checked against :func:`reference_k5_index` in tier-1.  This is
+    the sweep the library ran before it read only the 5-tuples with a
+    suspect crossing pattern."""
+    n = rs.n
+    if n <= 3:
+        return True
+    if n == 4:
+        entry = tables.k4[reference_k4_index(rs, (1, 2, 3, 4))]
+        return entry != K4_UNREALIZABLE
+    member = bytearray(6**5)
+    for idx in tables.k5:
+        member[idx] = 1
+    D0, D1, D2, D3, D4 = _DIGIT
+    for a in range(1, n - 3):
+        rows = _rows_from(rs, a)
+        for b in range(a + 1, n - 2):
+            A = _rows_from(rs, b)[a]
+            B = rows[b]
+            for c in range(b + 1, n - 1):
+                C = rows[c]
+                Ac, Bc, Cb = A[c], B[c], C[b]
+                for d in range(c + 1, n):
+                    D = rows[d]
+                    Ad, Bd, Cd, Db, Dc = A[d], B[d], C[d], D[b], D[c]
+                    ka = 4 * (Ac < Ad)
+                    kb = 4 * (Bc < Bd)
+                    kc = 4 * (Cb < Cd)
+                    kd = 4 * (Db < Dc)
+                    for e in range(d + 1, n + 1):
+                        E = rows[e]
+                        Ae, Be, Ce, De = A[e], B[e], C[e], D[e]
+                        Eb, Ec, Ed = E[b], E[c], E[d]
+                        if not member[
+                            D0[ka + 2 * (Ac < Ae) + (Ad < Ae)]
+                            + D1[kb + 2 * (Bc < Be) + (Bd < Be)]
+                            + D2[kc + 2 * (Cb < Ce) + (Cd < Ce)]
+                            + D3[kd + 2 * (Db < De) + (Dc < De)]
+                            + D4[4 * (Eb < Ec) + 2 * (Eb < Ed) + (Ec < Ed)]
+                        ]:
+                            return False
+    return True
 
 
 def _orient(a, b, c) -> float:

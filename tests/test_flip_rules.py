@@ -17,7 +17,9 @@ import random
 import sepdraw.rotation as rot
 from oracles import (
     random_points,
+    reference_crossings_of_edge,
     reference_flip_candidates,
+    reference_is_realizable,
     reference_is_valid_flip,
     reference_reposition,
     rotation_system_from_points,
@@ -41,9 +43,7 @@ from sepdraw.rotation import (
     canonical_key,
     convex,
     crossing_masks,
-    crossings_of_edge,
     edge_index,
-    is_realizable,
     k4_system,
     k5_system,
     relabel,
@@ -64,16 +64,16 @@ def compare_verdicts(tables, rs, counts: dict[str, int]) -> list:
     return the valid candidates.
 
     The reference reads a fresh copy of ``rs``, which shares no memo
-    with it: each edge's old crossings come from the copy's own sweep,
-    and each flipped system is built by the oracle.  ``counts`` gains
-    the candidates seen, and those the rules reject by rule (a) and by
-    rule (b)."""
+    with it: its verdict and each edge's old crossings come from the
+    oracle readers, and each flipped system is built by the oracle.
+    ``counts`` gains the candidates seen, and those the rules reject by
+    rule (a) and by rule (b)."""
     fresh = RotationSystem(rs.n, rs.rows)
-    assert is_realizable(tables, fresh)
+    assert reference_is_realizable(tables, fresh)
     masks = crossing_masks(tables, rs)
     valid = []
     for e in rs.edges():
-        old = crossings_of_edge(tables, fresh, e)
+        old = reference_crossings_of_edge(tables, fresh, e)
         cands = flip_candidates(rs, e)
         refs = reference_flip_candidates(fresh, e)
         assert [(c.swept, c.move) for c in cands] == [
@@ -133,7 +133,8 @@ def check_scan(tables, rs) -> dict[str, int]:
             new = _flipped(rs, a, b, t)
             ref = reference_reposition(rs, a, b, t)
             rotations = (new.rotation(a), new.rotation(b))
-            assert _flipped_rotations(rs, a, b, t) == rotations, (rs, e)
+            got = tuple(map(tuple, _flipped_rotations(rs, a, b, t)))
+            assert got == rotations, (rs, e)
             assert rotations == (ref.rotation(a), ref.rotation(b)), (rs, e)
             counts["candidates"] += 1
             counts["valid"] += fault is None

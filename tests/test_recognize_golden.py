@@ -8,7 +8,8 @@ up as a mismatch.  The exactness test compares, edge by edge, the
 separability answers on realizable systems with a reference that lists
 the candidates eagerly (``oracles.reference_flip_candidates``, each
 flipped system built in full), reads the flipped systems off the
-rotations and compares full crossing sets with no pruning.  It does so
+rotations and compares full crossing sets, read by the oracle
+(``oracles.reference_crossings_of_edge``), with no pruning.  It does so
 on a fresh copy, on a copy whose verdict is already known, and on
 induced subsystems of a known copy, which inherit the verdict as the
 hamiltonicity recursion's sub-instances do.  On unrealizable systems
@@ -25,6 +26,7 @@ from itertools import combinations
 
 from oracles import (
     random_points,
+    reference_crossings_of_edge,
     reference_flip_candidates,
     reference_k4_index,
     reference_k5_index,
@@ -198,11 +200,11 @@ def _reference_valid(tables, e, cand, old_cross) -> bool:
         )
     if not realizable:
         return False
-    return not old_cross & crossings_of_edge(tables, new_rs, e)
+    return not old_cross & reference_crossings_of_edge(tables, new_rs, e)
 
 
 def _reference_separator_edge(tables, rs, e):
-    old_cross = crossings_of_edge(tables, rs, e)
+    old_cross = reference_crossings_of_edge(tables, rs, e)
     if not old_cross:
         return SeparatorEvidence(edge=e, uncrossed=True, flip=None)
     for cand in reference_flip_candidates(rs, e):
@@ -213,7 +215,7 @@ def _reference_separator_edge(tables, rs, e):
 
 
 def _reference_flips(tables, rs, e):
-    old_cross = crossings_of_edge(tables, rs, e)
+    old_cross = reference_crossings_of_edge(tables, rs, e)
     out = []
     for cand in reference_flip_candidates(rs, e):
         if any(cand.new_rs == f.new_rs for f in out):

@@ -14,6 +14,8 @@ from sepdraw.errors import (
 )
 from sepdraw.hamiltonicity import verify_crossing_free
 from sepdraw.rotation import (
+    K4_NO_CROSSING,
+    K4_UNREALIZABLE,
     RotationSystem,
     canonical_key,
     convex,
@@ -47,8 +49,10 @@ from sepdraw.rotation import (
 from oracles import (
     convex_points,
     crossing_pairs_from_points,
+    k4_consistent_unrealizable_k5,
     random_points,
     reference_crossings_of_edge,
+    reference_is_realizable,
     reference_k4_index,
     reference_k5_index,
     reference_pair_crossing,
@@ -510,15 +514,15 @@ class TestRealizability:
 
     @staticmethod
     def _count_sweeps(monkeypatch) -> list:
-        """The tables of each 5-tuple sweep :func:`is_realizable` runs."""
+        """The tables of each quad sweep :func:`is_realizable` runs."""
         sweeps = []
-        sweep = rotation._all_quints_realizable
+        sweep = rotation._crossing_sweep
 
         def counted(tables, rs):
             sweeps.append(tables)
             return sweep(tables, rs)
 
-        monkeypatch.setattr(rotation, "_all_quints_realizable", counted)
+        monkeypatch.setattr(rotation, "_crossing_sweep", counted)
         return sweeps
 
     def test_verdict_is_memoized_per_tables(self, tables, monkeypatch):
@@ -572,6 +576,13 @@ class TestRealizability:
         assert is_realizable(tables, sub)
         assert sweeps == [tables]
 
+    def test_unrealizable_quad_memoizes_verdict_not_masks(self, tables):
+        rs = RotationSystem(4, [(2, 4, 3), (3, 4, 1), (4, 1, 2), (1, 2, 3)])
+        assert not is_realizable(tables, rs)
+        assert rs._realizable == (tables, False) and rs._crossings is None
+        with pytest.raises(RealizabilityError):
+            crossing_masks(tables, rs)
+
     def test_k5_index_round_trip(self):
         for idx in range(6**5):
             assert k5_index_of(k5_system(idx)) == idx
@@ -594,6 +605,128 @@ class TestRealizability:
 
     def test_touching_degenerates_to_k4_lookup(self, tables):
         assert is_realizable_touching(tables, convex(4), (1, 3))
+
+
+def _pattern_tables(tables):
+    """:func:`_reference_tables` plus tables with an empty ``k5``, under
+    which every k4-consistent labeled K5 has a suspect pattern, some with
+    an uncrossed quad.  The ``k5`` members of each have only realizable
+    quads."""
+    return _reference_tables(tables) + [
+        RealizabilityTables(k4=tables.k4, k5=frozenset())
+    ]
+
+
+def _extended(tables, rs: RotationSystem, rng) -> RotationSystem | None:
+    """A seeded one-vertex extension of ``rs`` whose quads through the new
+    vertex m are all realizable under ``tables.k4``, or None: m gets a
+    random rotation, then is inserted into the rotations of 1..m-1 in
+    turn at random slots, backtracking from a slot as soon as a quad
+    (x, y, v, m) it completes is unrealizable."""
+    m = rs.n + 1
+    rows = [list(r) for r in rs.rows] + [rng.sample(range(1, m), m - 1)]
+    # the rows as they grow, for ``reference_k4_index`` to read
+    partial = RotationSystem.__new__(RotationSystem)
+    partial.n = m
+    partial.rows = rows
+
+    def place(v: int) -> bool:
+        if v == m:
+            return True
+        row = rows[v - 1]
+        for k in rng.sample(range(len(row)), len(row)):
+            row.insert(k, m)
+            if all(
+                tables.k4[reference_k4_index(partial, (x, y, v, m))]
+                != K4_UNREALIZABLE
+                for x, y in itertools.combinations(range(1, v), 2)
+            ) and place(v + 1):
+                return True
+            del row[k]
+        return False
+
+    return RotationSystem(m, rows) if place(1) else None
+
+
+class TestSuspectPatterns:
+    """:func:`is_realizable` reads ``k5`` only on the 5-tuples whose
+    crossing pattern is suspect.  It must answer as the plain 5-tuple
+    membership sweep (``oracles.reference_is_realizable``) on any tables
+    whose ``k5`` members have only realizable quads."""
+
+    def test_patterns_are_the_k4_consistent_non_members(self, tables):
+        quads = list(itertools.combinations(range(1, 6), 4))
+        for tab in _pattern_tables(tables):
+            want = {
+                tuple(tab.k4[reference_k4_index(rs, q)] for q in quads)
+                for rs in k4_consistent_unrealizable_k5(tab)
+            }
+            assert tab.suspects == want
+            assert tab.suspects_cross == all(
+                K4_NO_CROSSING not in p for p in want
+            )
+
+            def leaves(tree, prefix=()):
+                if isinstance(tree[0], int):
+                    return {prefix + (p,) for p in tree}
+                return set().union(
+                    *(leaves(sub, prefix + (p,)) for p, sub in tree)
+                )
+
+            assert leaves(tab.suspect_tree) == want
+
+    def test_shipped_patterns(self, tables):
+        """The 72 k4-consistent unrealizable labeled K5 systems share 36
+        patterns, all with five crossings, and no realizable one has
+        any of them."""
+        assert len(tables.suspects) == 36
+        assert tables.suspects_cross
+        quads = list(itertools.combinations(range(1, 6), 4))
+        members = {
+            tuple(tables.k4[k4_index(k5_system(i), q)] for q in quads)
+            for i in tables.k5
+        }
+        assert not members & tables.suspects
+
+    def test_every_labeled_k5(self, tables):
+        for tab in _pattern_tables(tables):
+            for idx in range(6**5):
+                rs = k5_system(idx)
+                want = reference_is_realizable(tab, rs)
+                assert is_realizable(tab, rs) == want, idx
+
+    @pytest.mark.parametrize("n", (6, 7))
+    def test_quad_realizable_extensions(self, tables, n):
+        """Seeded quad-realizable K6 systems, extended from the
+        quad-realizable K5 ones, and K7 systems extended from those."""
+        rng = random.Random(f"extend:{n}")
+        k5s = [k5_system(i) for i in sorted(tables.k5)]
+        systems = rng.sample(k5s + k4_consistent_unrealizable_k5(tables), 200)
+        for _ in range(6, n + 1):
+            systems = [
+                ext
+                for rs in systems
+                if (ext := _extended(tables, rs, rng)) is not None
+            ]
+            assert len(systems) > 100
+        verdicts = []
+        tabs = _pattern_tables(tables)
+        for rs in systems:
+            for tab in tabs:
+                want = reference_is_realizable(tab, rs)
+                fresh = RotationSystem(n, rs.rows)
+                assert is_realizable(tab, fresh) == want, (rs, tab)
+                if tab is tables:
+                    verdicts.append(want)
+        assert 10 < verdicts.count(False) < len(verdicts) - 10
+
+    def test_unrealizable_quad_answers_false(self, tables):
+        """Contract: on tables whose ``k5`` members have an unrealizable
+        quad (which ``check_tables`` rejects), an unrealizable quad
+        answers False, though every 5-tuple is in ``k5``."""
+        no_k4 = RealizabilityTables(k4=(K4_UNREALIZABLE,) * 16, k5=tables.k5)
+        assert reference_is_realizable(no_k4, convex(6))
+        assert not is_realizable(no_k4, convex(6))
 
 
 class TestTriangleSides:
