@@ -260,17 +260,6 @@ class RealizabilityTables:
     :func:`is_realizable` reads ``k5`` only for the 5-tuples whose
     pattern is one of ``suspects``, derived on first use (about 6 ms);
     the shipped tables have 36, each with five crossings.
-
-    The edge query :func:`is_realizable_touching` reads a 5-tuple with
-    the queried edge {v, w}, v < w, first and the other vertices after
-    it in increasing order: (v, w, a, b, c).  That reading is a
-    relabeling of the sorted tuple, fixed by where v and w fall among
-    the sorted vertices.  ``k5_reads`` holds ``k5`` per placement,
-    derived on first use, so the reading is exact for any tables,
-    closed under relabeling or not.  A placement is keyed by ``4*i + j``
-    for i of the other vertices below v and j below w; key 0 is the
-    sorted reading itself.  Only that reference recheck reads
-    ``k5_reads``.
     """
 
     k4: tuple[int, ...]
@@ -347,41 +336,6 @@ class RealizabilityTables:
             )
 
         return grow(self.suspects, 0)
-
-    @cached_property
-    def k5_reads(self) -> tuple[bytes | None, ...]:
-        """Per placement key, a membership row of length 6**5: byte
-        :func:`k5_index` of the (v, w, a, b, c) reading is 1 iff the
-        quintuple is in ``k5``.  Keys no placement has hold None.
-
-        A digit describes one rotation, so a reading maps each vertex's
-        digit by itself; the maps are read off the six systems whose
-        digits are all equal."""
-        # 1555 is 11111 in base 6
-        uniform = [k5_system(t * 1555) for t in range(6)]
-        digits = [[idx // 6**i % 6 for i in range(5)] for idx in self.k5]
-        out = [None] * 16
-        for key, order in _reading_orders(5).items():
-            reads = [k5_index(rs5, order) for rs5 in uniform]
-            # per sorted position, its digit's term in the reading index
-            term = [None] * 5
-            for k, x in enumerate(order):
-                term[x - 1] = [r // 6**k % 6 * 6**k for r in reads]
-            row = bytearray(6**5)
-            for ds in digits:
-                row[sum(map(list.__getitem__, term, ds))] = 1
-            out[key] = bytes(row)
-        return tuple(out)
-
-
-def _reading_orders(k: int) -> dict[int, tuple[int, ...]]:
-    """Placement key -> the sorted positions 1..k of a k-tuple in the
-    order it is read: v at position i, w at position j, then the rest."""
-    orders = {}
-    for i, j in itertools.combinations(range(1, k + 1), 2):
-        rest = tuple(x for x in range(1, k + 1) if x != i and x != j)
-        orders[4 * (i - 1) + j - 2] = (i, j) + rest
-    return orders
 
 
 def relabel_pair_code(entry: int, perm) -> int:
@@ -490,15 +444,18 @@ def k5_index(rs: RotationSystem, quint: tuple[int, ...]) -> int:
     order.
 
     The reference kernel, one lookup per call: :func:`k5_index_of`,
-    ``check_tables``, the derivation of ``k5_reads`` and the suspect
-    5-tuples of :func:`is_realizable` use it.  The flip recheck reads
-    offset rows built once per call instead.
+    ``check_tables``, the derivation of the suspect patterns, the suspect
+    5-tuples of :func:`is_realizable` and the flip recheck
+    :func:`is_realizable_touching` use it.  A digit reads four positions
+    in one rotation, as offsets mod n - 1 from the first neighbour's.
     """
+    m = rs.n - 1
     idx = 0
     for i, v in enumerate(quint):
         a, b, c, d = (x for x in quint if x != v)
-        off = _anchored(rs, v, a)
-        x, y, z = off[b], off[c], off[d]
+        pos = rs.rows[v - 1].index
+        p = pos(a)
+        x, y, z = (pos(b) - p) % m, (pos(c) - p) % m, (pos(d) - p) % m
         idx += _DIGIT[i][4 * (x < y) + 2 * (x < z) + (y < z)]
     return idx
 
@@ -886,60 +843,20 @@ def is_realizable_touching(
     disjoint from S keeps its table entry, and only the 5-tuples meeting S
     are checked.
 
-    Only the triples a < b < c that meet S are enumerated.  Each 5-tuple
-    is read as (v, w, a, b, c), from v's rotation counted from w and the
-    others counted from v, against ``tables.k5_reads``.  The rows counted
-    from v are :func:`_rows_from`'s.
+    ``swept`` may be any container; only ``x in swept`` is asked.  Each
+    5-tuple is read in sorted order by :func:`k5_index` and looked up in
+    ``tables.k5``, as the criterion states it, sharing no offset rows
+    with the sweeps of :func:`is_realizable`.
     """
     v, w = _checked_edge(rs, e)
-    n = rs.n
-    if n <= 4:
+    if rs.n <= 4:
         return is_realizable(tables, rs)
-    reads = tables.k5_reads
-    D0, D1, D2, D3, D4 = _DIGIT
-    rows = _rows_from(rs, v)
-    V = _anchored(rs, v, w)
-    W = rows[w]
-    rest = [x for x in range(1, n + 1) if x != v and x != w]
-    # placement weight: a vertex below v moves both v and w up one place
-    place = [5 if x < v else 1 if x < w else 0 for x in range(n + 1)]
-    hit = [swept is None or x in swept for x in range(n + 1)]
-    # later[i]: the members of S after rest[i]
-    r = len(rest)
-    later, tail = [None] * r, []
-    for i in range(r - 1, -1, -1):
-        later[i] = tail
-        if hit[rest[i]]:
-            tail = [rest[i]] + tail
-    for ia in range(r - 2):
-        a = rest[ia]
-        A = rows[a]
-        Va, Wa, Aw, pa = V[a], W[a], A[w], place[a]
-        for ib in range(ia + 1, r - 1):
-            b = rest[ib]
-            cs = rest[ib + 1 :] if hit[a] or hit[b] else later[ib]
-            if not cs:
-                continue
-            B = rows[b]
-            Vb, Wb, Ab, Bw, Ba = V[b], W[b], A[b], B[w], B[a]
-            kv = 4 * (Va < Vb)
-            kw = 4 * (Wa < Wb)
-            ka = 4 * (Aw < Ab)
-            kb = 4 * (Bw < Ba)
-            pab = pa + place[b]
-            for c in cs:
-                C = rows[c]
-                Vc, Wc, Ac, Bc = V[c], W[c], A[c], B[c]
-                Cw, Ca, Cb = C[w], C[a], C[b]
-                if not reads[pab + place[c]][
-                    D0[kv + 2 * (Va < Vc) + (Vb < Vc)]
-                    + D1[kw + 2 * (Wa < Wc) + (Wb < Wc)]
-                    + D2[ka + 2 * (Aw < Ac) + (Ab < Ac)]
-                    + D3[kb + 2 * (Bw < Bc) + (Ba < Bc)]
-                    + D4[4 * (Cw < Ca) + 2 * (Cw < Cb) + (Ca < Cb)]
-                ]:
-                    return False
-    return True
+    rest = [x for x in range(1, rs.n + 1) if x != v and x != w]
+    return all(
+        k5_index(rs, tuple(sorted((v, w) + t))) in tables.k5
+        for t in itertools.combinations(rest, 3)
+        if swept is None or any(x in swept for x in t)
+    )
 
 
 # ---------------------------------------------------------------------------

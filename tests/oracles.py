@@ -65,11 +65,15 @@ def _cyclic_sequence(row, members) -> list[int]:
 def reference_k4_index(rs: RotationSystem, quad) -> int:
     """The documented k4 index of a sorted quad, read off the rotations:
     bit i is set when the other three vertices a < b < c do not occur in
-    the order a, b, c around ``quad[i]``."""
+    the order a, b, c around ``quad[i]``.  They do when their positions
+    pa, pb, pc in the rotation are in increasing order up to a cyclic
+    shift."""
     idx = 0
     for bit, v in enumerate(quad):
-        others = [x for x in quad if x != v]
-        if _cyclic_sequence(rs.rotation(v), others) != others:
+        a, b, c = (x for x in quad if x != v)
+        pos = rs.rotation(v).index
+        pa, pb, pc = pos(a), pos(b), pos(c)
+        if not (pa < pb < pc or pb < pc < pa or pc < pa < pb):
             idx |= 1 << bit
     return idx
 

@@ -344,7 +344,18 @@ class TestFixupSurgery:
         assert ext._violating_pair(m6) is None
         assert ext._potential(m6, ext.SEPARABLE) < pot0
 
-    def test_exchange_with_loop_excision(self):
+    def test_exchange_with_loop_excision(self, monkeypatch):
+        # the first exchange in the search whose fix-up excises a loop
+        excised = []
+        excise = ext._excise_one_loop
+
+        def counting(b, cid):
+            """Records whether each excision found a loop."""
+            found = excise(b, cid)
+            excised.append(found)
+            return found
+
+        monkeypatch.setattr(ext, "_excise_one_loop", counting)
         base_edges = [(1, 4), (2, 5), (3, 6), (1, 3), (4, 6)]
         m0, _ = from_two_page(
             [1, 2, 3, 4, 5, 6], base_edges, ["upper"] * 5, witnesses=False
@@ -375,7 +386,10 @@ class TestFixupSurgery:
                     continue
                 pot0 = ext._potential(m2, ext.SEPARABLE)
                 b = MapBuilder.from_map(m2)
+                excised.clear()
                 ext._exchange(b, c1, c2, common1[0], common1[1])
+                if True not in excised:
+                    continue
                 m3 = b.freeze()
                 assert validate_map(m3, strict=False) == []
                 assert ext._potential(m3, ext.SEPARABLE) < pot0
@@ -383,7 +397,7 @@ class TestFixupSurgery:
                 break
             if hit:
                 break
-        assert hit, "no order-permuted triple crossing found"
+        assert hit, "no exchange of an order-permuted triple crossing excises a loop"
 
 
 def _looped_map_builder():

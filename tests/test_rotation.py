@@ -411,10 +411,10 @@ def _reference_tables(tables):
 
 
 class TestOffsetSweeps:
-    """The sweeps read tuples from offset rows, in sorted order for the
-    crossing masks and in (v, w, ...) order for the flip recheck; they
-    must answer as the sorted-order reference definitions do, on any
-    tables, closed under relabeling or not.  Every edge-by-edge crossing
+    """The crossing sweep reads sorted tuples from offset rows and the
+    flip recheck reads sorted 5-tuples through ``k5_index``; both must
+    answer as the sorted-order reference definitions do, on any tables,
+    closed under relabeling or not.  Every edge-by-edge crossing
     query reads the masks, so on a system with an unrealizable quad it
     raises the sorted sweep's first error."""
 
@@ -460,6 +460,12 @@ class TestOffsetSweeps:
                     assert (
                         is_realizable_touching(tab, rs, (w, v), swept) == want
                     )
+                    if swept is not None:
+                        # any container that answers ``x in swept``
+                        got = is_realizable_touching(
+                            tab, rs, (w, v), sorted(swept)
+                        )
+                        assert got == want
                     edges = [
                         tuple(sorted(rng.sample(rest, 2)))
                         for _ in range(rng.randrange(1, 8))
