@@ -33,8 +33,10 @@ from .rotation import (
     PAIR_BY_CODE,
     RealizabilityTables,
     RotationSystem,
+    _flipped,
     _roll_min,
     canonical_key,
+    convex,
     crossing_masks,
     edge_index,
     is_realizable,
@@ -50,7 +52,7 @@ from .rotation import (
     subrotation,
 )
 from .routing import iter_routes, with_route
-from .separability import _flip_fault, flip_candidates
+from .separability import _candidates, _fault
 
 import itertools
 
@@ -270,8 +272,9 @@ def check_tables(tables: RealizabilityTables) -> None:
     consistent: every realizable labeled 5-vertex system has only
     realizable 4-vertex subsystems, the k5 set is closed under
     relabeling and mirroring, the k4 table maps to itself under
-    relabeling (with its pair codes relabeled) and mirroring, and the
-    two flip-validation rules of :mod:`sepdraw.separability` hold.
+    relabeling (with its pair codes relabeled) and mirroring, the two
+    flip-validation rules of :mod:`sepdraw.separability` hold, and the
+    convex K5 is in ``k5`` (so ``k5`` is not empty).
     Closure is checked on the generators (1 2) and (1 2 ... k) of S_k
     and on ``mirror``; a finite set closed under generators is closed
     under the group they generate."""
@@ -316,6 +319,11 @@ def check_tables(tables: RealizabilityTables) -> None:
                     f"{want}"
                 )
     _check_flip_rules(tables)
+    convex5 = k5_index_of(convex(5))
+    if convex5 not in tables.k5:
+        raise InputError(
+            f"inconsistent tables: k5 lacks entry {convex5}, the convex K5"
+        )
 
 
 def _check_flip_rules(tables: RealizabilityTables) -> None:
@@ -338,15 +346,16 @@ def _check_flip_rules(tables: RealizabilityTables) -> None:
     systems += [(k5_system(idx), f"k5 entry {idx}") for idx in sorted(tables.k5)]
     for rs, name in systems:
         masks = crossing_masks(tables, rs)
-        index = edge_index(rs.n).index
+        index = edge_index(rs.n)
         for v, w in rs.edges():
-            old = masks[index[v][w]]
-            for cand in flip_candidates(rs, (v, w)):
-                fault = _flip_fault(rs.n, (v, w), cand.swept, masks)
-                new = cand.new_rs
+            i = index.index[v][w]
+            scan = _candidates(rs, v, w, index.star)
+            for seq, a, b, t, cut, touched in scan:
+                fault = _fault(index, (v, w), cut, touched, masks)
+                new = _flipped(rs, a, b, t)
                 realizable = is_realizable(tables, new)
                 valid = realizable and not (
-                    crossing_masks(tables, new)[index[v][w]] & old
+                    crossing_masks(tables, new)[i] & masks[i]
                 )
                 if (fault is None) == valid:
                     continue
@@ -356,7 +365,7 @@ def _check_flip_rules(tables: RealizabilityTables) -> None:
                     rule = "(a), crossings"
                 raise InputError(
                     f"inconsistent tables: flipping edge {(v, w)} of {name} "
-                    f"across {sorted(cand.swept)} breaks flip rule {rule}: "
+                    f"across {sorted(seq[:t])} breaks flip rule {rule}: "
                     f"the rules call it {'valid' if fault is None else 'invalid'}, "
                     f"the tables {'valid' if valid else 'invalid'}"
                 )

@@ -18,8 +18,8 @@ and those masks, restricted to its vertices, from :func:`subrotation`,
 so it sweeps neither its 5-tuples nor its quads.  An instance on every
 vertex (the top level of :func:`ham_path` and :func:`plane_matching`,
 and in :func:`ham_cycle` the side of an uncrossed separator edge) is
-the caller's system itself, so it reads the offset rows and crossing
-masks already memoized there.  :func:`verify_crossing_free` reads the
+the caller's system itself, so it reads the crossing masks already
+memoized there.  :func:`verify_crossing_free` reads the
 same masks, so checking a result on the system it was built from
 sweeps nothing more.
 """

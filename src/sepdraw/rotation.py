@@ -9,14 +9,15 @@ crosses, if any) and the set of realizable labeled 5-vertex systems.
 Both tables are produced by the exhaustive small-drawing enumerator, so
 no orientation or sign convention is hand-coded anywhere in this module.
 
-Only this module builds the offset rows the sweeps read: :func:`_rows_from`
-memoizes them per system and anchor.  Crossings are memoized as one
-integer bitmask per edge (:func:`crossing_masks`, indexed by
-:func:`edge_index`), which :func:`subrotation` hands down to induced
-subsystems.  Every crossing query reads those masks: the first query on
-a system pays for one sweep over all its quads, later ones read bits,
-and on a system with an unrealizable quad every query raises the
-sweep's :class:`RealizabilityError`.
+Crossings are memoized as one integer bitmask per edge
+(:func:`crossing_masks`, indexed by :func:`edge_index`), in one memo per
+system together with the realizability verdict, which
+:func:`subrotation` hands down to induced subsystems of a realizable
+system.  Every crossing query reads those masks: the first query on a
+system pays for one sweep over all its quads, later ones read bits, and
+on a system with an unrealizable quad every query raises the sweep's
+:class:`RealizabilityError`.  The sweep builds the offset rows it reads
+(:func:`_rows_from`) once each and drops them when it returns.
 
 The same sweep decides realizability (:func:`is_realizable`).  Once
 every quad is realizable, whether a 5-tuple is in ``k5`` depends, for
@@ -99,13 +100,12 @@ class RotationSystem:
 
     Rotations are stored as linear sequences with an arbitrary anchor;
     equality and hashing compare cyclic orders, not linearizations.
-    Answers that depend on a tables object (the realizability verdict and
-    the crossing masks) are memoized per system together with that object.
-    The offset rows counted from each vertex asked are memoized too (see
-    :func:`_rows_from`).
+    The answers of one sweep with a tables object are memoized per
+    system in one slot, ``(tables, masks, verdict)``: the crossing masks
+    (None when the sweep raised) and the realizability verdict.
     """
 
-    __slots__ = ("n", "rows", "_norm", "_realizable", "_crossings", "_rows")
+    __slots__ = ("n", "rows", "_norm", "_memo")
 
     def __init__(self, n: int, rows):
         if n < 1:
@@ -122,9 +122,7 @@ class RotationSystem:
         self.n = n
         self.rows = rows
         self._norm = None
-        self._realizable = None
-        self._crossings = None
-        self._rows = {}
+        self._memo = None
 
     def rotation(self, v: int) -> tuple[int, ...]:
         if not 1 <= v <= self.n:
@@ -209,17 +207,16 @@ def mirror(rs: RotationSystem) -> RotationSystem:
 
 def subrotation(rs: RotationSystem, subset) -> RotationSystem:
     """Induced rotation system on a vertex subset, relabeled
-    order-preservingly to 1..|subset|; ``rs`` itself, with its memos,
+    order-preservingly to 1..|subset|; ``rs`` itself, with its memo,
     when the subset is every vertex (a system is immutable).
 
-    A realizable verdict memoized on ``rs`` carries over, for the same
-    tables object: every 5-subsystem of the induced system is one of
-    ``rs``, so by Kynčl's 5-tuple criterion the induced system is
-    realizable too.  An unrealizable verdict does not carry over: a
-    subsystem of an unrealizable system may be realizable.
-
-    Crossing masks memoized on ``rs`` carry over too, restricted to the
-    subset and re-indexed (:func:`_restricted_masks`)."""
+    A memo of ``rs`` with a realizable verdict carries over, for the
+    same tables object: every 5-subsystem of the induced system is one
+    of ``rs``, so by Kynčl's 5-tuple criterion the induced system is
+    realizable too, and its crossing masks are those of ``rs``
+    restricted to the subset and re-indexed (:func:`_restricted_masks`).
+    A memo with an unrealizable verdict does not carry over: a subsystem
+    of an unrealizable system may be realizable."""
     sub = sorted(set(subset))
     if not sub:
         raise InputError("vertex subset must be non-empty")
@@ -233,11 +230,9 @@ def subrotation(rs: RotationSystem, subset) -> RotationSystem:
         tuple(new[x] for x in rs.rows[v - 1] if x in keep) for v in sub
     ]
     out = RotationSystem(len(sub), rows)
-    if rs._realizable is not None and rs._realizable[1]:
-        out._realizable = rs._realizable
-    if rs._crossings is not None:
-        tables, masks = rs._crossings
-        out._crossings = (tables, _restricted_masks(masks, rs.n, sub))
+    if rs._memo is not None and rs._memo[2]:
+        tables, masks, _ = rs._memo
+        out._memo = (tables, _restricted_masks(masks, rs.n, sub), True)
     return out
 
 
@@ -366,16 +361,11 @@ def _anchored(rs: RotationSystem, u: int, x: int) -> list[int]:
 def _rows_from(rs: RotationSystem, x: int) -> list:
     """Offset rows counted from x, indexed by label: entry u is
     ``_anchored(rs, u, x)`` for every u != x (entries 0 and x are None).
-
-    Memoized on ``rs`` per x, built on first ask and never evicted.  The
-    lists are shared with the memo, so callers only read them."""
-    rows = rs._rows.get(x)
-    if rows is None:
-        rows = [None] * (rs.n + 1)
-        for u in range(1, rs.n + 1):
-            if u != x:
-                rows[u] = _anchored(rs, u, x)
-        rs._rows[x] = rows
+    Built anew on each call."""
+    rows = [None] * (rs.n + 1)
+    for u in range(1, rs.n + 1):
+        if u != x:
+            rows[u] = _anchored(rs, u, x)
     return rows
 
 
@@ -592,7 +582,9 @@ def _crossing_sweep(
 
     The first pass reads each quad from the offset rows
     :func:`_rows_from` counts from a, and a's rotation counted from b,
-    so each bit of :func:`k4_index` is one comparison.  A crossing pair
+    so each bit of :func:`k4_index` is one comparison.  The rows of each
+    anchor are built on first ask, once per sweep, and dropped when the
+    pass leaves the anchor or the sweep returns.  A crossing pair
     sets its two bits directly.  It raises on the first unrealizable
     quad in sorted order, and it also records, per sorted triple
     (a, b, c), the d > c by the k4 entry of (a, b, c, d).  The second
@@ -607,11 +599,16 @@ def _crossing_sweep(
     # crossing, so that a k4 entry 0..2 or -1 picks its own mask
     by_entry = [None] * len(masks)
     full = (1 << n + 1) - 1
+    # the offset rows counted from each b > a, built when the pass first
+    # reaches b
+    later = {}
     for a in range(1, n - 2):
-        rows = _rows_from(rs, a)
+        rows = later.pop(a, None) or _rows_from(rs, a)
         Ia = index[a]
         for b in range(a + 1, n - 1):
-            A = _rows_from(rs, b)[a]
+            if b not in later:
+                later[b] = _rows_from(rs, b)
+            A = later[b][a]
             B = rows[b]
             Ib = index[b]
             ab = Ia[b]
@@ -725,27 +722,20 @@ def _suspects_in_k5(
     return True
 
 
-def _sweep(tables: RealizabilityTables, rs: RotationSystem) -> None:
-    """Memoize on ``rs`` the crossing masks and the realizability verdict
-    of one :func:`_crossing_sweep`; a sweep that raises memoizes
-    nothing."""
-    masks, realizable = _crossing_sweep(tables, rs)
-    rs._crossings = (tables, tuple(masks))
-    rs._realizable = (tables, realizable)
-
-
 def crossing_masks(
     tables: RealizabilityTables, rs: RotationSystem
 ) -> tuple[int, ...]:
     """Per edge, in :func:`edge_index` order, the mask of the edges that
     cross it, from one :func:`_crossing_sweep`.
 
-    Memoized on ``rs`` per tables object, and handed down by
-    :func:`subrotation`.  A sweep that raises memoizes nothing."""
-    memo = rs._crossings
-    if memo is None or memo[0] is not tables:
-        _sweep(tables, rs)
-        memo = rs._crossings
+    The masks and the verdict of the sweep are memoized on ``rs`` per
+    tables object, and handed down by :func:`subrotation` when the
+    verdict is True.  A sweep that raises memoizes nothing here, so on
+    a memo without masks this sweeps again and raises again."""
+    memo = rs._memo
+    if memo is None or memo[0] is not tables or memo[1] is None:
+        masks, realizable = _crossing_sweep(tables, rs)
+        memo = rs._memo = (tables, tuple(masks), realizable)
     return memo[1]
 
 
@@ -810,17 +800,18 @@ def is_realizable(tables: RealizabilityTables, rs: RotationSystem) -> bool:
     only realizable quads, which :func:`sepdraw.enumeration.check_tables`
     checks; on other tables an unrealizable quad answers False.
 
-    The verdict is memoized on ``rs`` per tables object, and a True one
-    is inherited by :func:`subrotation`.
+    The verdict is memoized on ``rs`` per tables object, with the masks,
+    and a True one is inherited by :func:`subrotation`.  A sweep that
+    raises is memoized as a False verdict with no masks.
     """
-    memo = rs._realizable
+    memo = rs._memo
     if memo is None or memo[0] is not tables:
         try:
-            _sweep(tables, rs)
+            crossing_masks(tables, rs)
         except RealizabilityError:
-            rs._realizable = (tables, False)
-        memo = rs._realizable
-    return memo[1]
+            rs._memo = (tables, None, False)
+        memo = rs._memo
+    return memo[2]
 
 
 def is_realizable_touching(
@@ -886,28 +877,26 @@ def same_triangle_side(
     return (crossing_masks(tables, rs)[i] & bits).bit_count() % 2 == 0
 
 
-def _triangle_side_of(cross, n: int, T) -> list[int]:
-    """Per label 1..n, the side of the sorted triangle T it lies on: 2 on
-    T, 0 on the side of the smallest other vertex (the anchor), 1 on the
-    other side.  ``cross`` is :func:`crossing_sets`.
+def _triangle_sides(masks, index: EdgeIndex, T) -> tuple[list, list]:
+    """The vertices off the sorted triangle T by side, in label order,
+    the side of the smallest of them (the anchor) first, read off the
+    crossing ``masks`` of T's three edges.
 
-    x is on the anchor's side iff edge {anchor, x} lies in an even
-    number of the crossing sets of T's three edges (the parity rule of
-    :func:`same_triangle_side`)."""
+    x is on the anchor's side iff bit {anchor, x} of the XOR of the
+    three masks is 0: edge {anchor, x} crosses an even number of T's
+    edges (the parity rule of :func:`same_triangle_side`)."""
     a, b, c = T
-    X = (cross[(a, b)], cross[(a, c)], cross[(b, c)])
-    side = [2] * (n + 1)
-    anchor = None
-    for x in range(1, n + 1):
-        if x == a or x == b or x == c:
-            continue
-        if anchor is None:
-            anchor = x
-            side[x] = 0
-        else:
-            e = (anchor, x)
-            side[x] = ((e in X[0]) + (e in X[1]) + (e in X[2])) & 1
-    return side
+    ix = index.index
+    odd = masks[ix[a][b]] ^ masks[ix[a][c]] ^ masks[ix[b][c]]
+    others = [x for x in range(1, len(ix)) if x != a and x != b and x != c]
+    if not others:
+        return [], []
+    anchor, *rest = others
+    row = ix[anchor]
+    sides = ([anchor], [])
+    for x in rest:
+        sides[odd >> row[x] & 1].append(x)
+    return sides
 
 
 def triangle_sides(
@@ -916,7 +905,7 @@ def triangle_sides(
     """Bipartition of the vertices off triangle T by side (one part may be
     empty), the part holding the smallest such vertex first.
 
-    Reads :func:`crossing_sets`, so it raises
+    Reads :func:`crossing_masks`, so it raises
     :class:`RealizabilityError` on the first unrealizable quad of ``rs``
     in sorted order."""
     T = tuple(sorted(set(T)))
@@ -925,11 +914,9 @@ def triangle_sides(
     for x in T:
         if not 1 <= x <= rs.n:
             raise InputError(f"vertex {x} out of range 1..{rs.n}")
-    side = _triangle_side_of(crossing_sets(tables, rs), rs.n, T)
-    parts = ([], [], [])
-    for x in range(1, rs.n + 1):
-        parts[side[x]].append(x)
-    return frozenset(parts[0]), frozenset(parts[1])
+    masks = crossing_masks(tables, rs)
+    near, far = _triangle_sides(masks, edge_index(rs.n), T)
+    return frozenset(near), frozenset(far)
 
 
 def is_g_convex(tables: RealizabilityTables, rs: RotationSystem) -> bool:
@@ -937,31 +924,31 @@ def is_g_convex(tables: RealizabilityTables, rs: RotationSystem) -> bool:
     stays inside it (no induced edge crosses the triangle).
 
     Raises :class:`RealizabilityError` on an unrealizable system.  A
-    side of triangle T is good iff no edge crossing one of T's edges
-    has both endpoints in that side and T; such an edge is independent
+    side of triangle T is ruled out iff some edge crossing one of T's
+    edges has no endpoint on the other side (such an edge is independent
     of the triangle edge it crosses, so at most one of its endpoints is
-    on T.  Each triple reads the three crossing sets of T's edges from
-    one :func:`crossing_sets` call, read off the memoized masks."""
+    on T): the OR of T's three crossing masks meets the complement of
+    the OR of the other side's stars.  Both read the memoized masks."""
     n = rs.n
     if n <= 3:
         return True
     _require_realizable(tables, rs)
-    cross = crossing_sets(tables, rs)
+    masks = crossing_masks(tables, rs)
+    index = edge_index(n)
+    ix, star = index.index, index.star
     for T in itertools.combinations(range(1, n + 1), 3):
-        side = _triangle_side_of(cross, n, T)
         a, b, c = T
-        # bit s set once side s is ruled out
-        bad = 0
-        for t in ((a, b), (a, c), (b, c)):
-            for x, y in cross[t]:
-                s, r = side[x], side[y]
-                if s == 2:
-                    s = r
-                elif r != 2 and r != s:
-                    continue
-                bad |= 1 << s
-            if bad == 3:
-                return False
+        crossing = masks[ix[a][b]] | masks[ix[a][c]] | masks[ix[b][c]]
+        # per side, the edges with an endpoint on it: a crossing edge
+        # outside those of one side rules out the other
+        touching = []
+        for side in _triangle_sides(masks, index, T):
+            bits = 0
+            for x in side:
+                bits |= star[x]
+            touching.append(bits)
+        if crossing & ~touching[0] and crossing & ~touching[1]:
+            return False
     return True
 
 

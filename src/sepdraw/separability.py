@@ -219,18 +219,6 @@ def _fault(index: EdgeIndex, e, cut: int, touched: int, masks):
     return None
 
 
-def _flip_fault(n: int, e, swept, masks):
-    """:func:`_fault` of flipping the edge ``e`` of a realizable n-vertex
-    system across the vertex set ``swept``."""
-    index = edge_index(n)
-    star = index.star
-    cut = touched = 0
-    for x in swept:
-        cut ^= star[x]
-        touched |= star[x]
-    return _fault(index, e, cut, touched, masks)
-
-
 def valid_flips(
     tables: RealizabilityTables, rs: RotationSystem, e
 ) -> list[Flip]:

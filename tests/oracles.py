@@ -28,7 +28,6 @@ from sepdraw.rotation import (
     _DIGIT,
     _checked_edge,
     _require_realizable,
-    _rows_from,
     edge_key,
     is_realizable_touching,
     k4_index,
@@ -120,16 +119,33 @@ def reference_k5_index(rs: RotationSystem, quint) -> int:
     return idx
 
 
+def _offset_rows(rs: RotationSystem, x: int) -> list:
+    """Per label u != x, the offsets in the rotation of u counted from x:
+    entry y of row u is the number of steps from x on to y (rows 0 and x
+    are None; entries 0 and u of row u are unused)."""
+    rows = [None] * (rs.n + 1)
+    for u in range(1, rs.n + 1):
+        if u != x:
+            row = rs.rotation(u)
+            start = row.index(x)
+            off = [0] * (rs.n + 1)
+            for k, y in enumerate(row[start:] + row[:start]):
+                off[y] = k
+            rows[u] = off
+    return rows
+
+
 def reference_is_realizable(tables, rs: RotationSystem) -> bool:
     """Kynčl's 5-tuple criterion as a plain membership sweep: every
     sorted 5-tuple (a, b, c, d, e) in ``tables.k5``, in sorted order (at
     n = 4, the K4 itself realizable under ``tables.k4``).
 
-    Digit i of the k5 index is three comparisons in the offset rows the
-    library's quad sweep reads (``rotation._rows_from``); the index kernels
-    are checked against :func:`reference_k5_index` in tier-1.  This is
-    the sweep the library ran before it read only the 5-tuples with a
-    suspect crossing pattern."""
+    Digit i of the k5 index is three comparisons in offset rows of the
+    form the library's quad sweep reads, built here by
+    :func:`_offset_rows`; the index kernels are checked against
+    :func:`reference_k5_index` in tier-1.  This is the sweep the library
+    ran before it read only the 5-tuples with a suspect crossing
+    pattern."""
     n = rs.n
     if n <= 3:
         return True
@@ -140,10 +156,11 @@ def reference_is_realizable(tables, rs: RotationSystem) -> bool:
     for idx in tables.k5:
         member[idx] = 1
     D0, D1, D2, D3, D4 = _DIGIT
+    by_anchor = [None] + [_offset_rows(rs, x) for x in range(1, n - 2)]
     for a in range(1, n - 3):
-        rows = _rows_from(rs, a)
+        rows = by_anchor[a]
         for b in range(a + 1, n - 2):
-            A = _rows_from(rs, b)[a]
+            A = by_anchor[b][a]
             B = rows[b]
             for c in range(b + 1, n - 1):
                 C = rows[c]

@@ -94,6 +94,7 @@ class TestRecognize:
             ("k5 member dropped", "absent"),
             ("k4 entry unreal", "4-vertex"),
             ("k4 pair code changed", "k4 entry 0 "),
+            ("k5 emptied", "the convex K5"),
         ],
     )
     def test_inconsistent_tables_exit_two(
@@ -111,6 +112,9 @@ class TestRecognize:
             i = next(i for i, ln in enumerate(lines) if ln.startswith("k5 "))
             lines[i] = f"k5 {int(lines[i].split()[1]) - 1}"
             del lines[i + 1]
+        elif corrupt == "k5 emptied":
+            i = next(i for i, ln in enumerate(lines) if ln.startswith("k5 "))
+            lines[i:] = ["k5 0"]
         elif corrupt == "k4 pair code changed":
             i = lines.index("k4 0 cross 1")
             lines[i] = "k4 0 cross 2"

@@ -25,6 +25,7 @@ from sepdraw.errors import InputError, NotRealizableError
 from sepdraw.rotation import (
     K4_NO_CROSSING,
     K4_UNREALIZABLE,
+    RealizabilityTables,
     convex,
     crossing_pairs,
     is_realizable,
@@ -147,6 +148,12 @@ class TestTables:
 
     def test_shipped_table_is_consistent(self, tables):
         check_tables(tables)
+
+    def test_empty_k5_rejected(self, tables):
+        # every other check reads k5 members or realizable K5 systems
+        empty = RealizabilityTables(k4=tables.k4, k5=frozenset())
+        with pytest.raises(InputError, match="inconsistent tables: k5 lacks"):
+            check_tables(empty)
 
     def test_parse_errors(self):
         with pytest.raises(InputError):

@@ -1,11 +1,13 @@
 """Flip validation by rules (a) and (b) against the flipped-system recheck.
 
-``separability._flip_fault`` decides each candidate from the crossing
-masks of the system before the flip.  ``reference_is_valid_flip`` in
-``oracles`` builds the flipped system afresh and rechecks it (swept-set
-rule, ``is_realizable_touching``, ``reference_pair_crossing``).  Tier-1
-compares the two on every labeled K4 and K5, on the K6 orbits and on
-seeded walks along valid flips at n = 7-10; the weekly
+``separability._fault`` decides each candidate of the parity scan
+(``separability._candidates``) from the crossing masks of the system
+before the flip and the two swept-set masks the scan carries.
+``reference_is_valid_flip`` in ``oracles`` builds the flipped system
+afresh and rechecks it (swept-set rule, ``is_realizable_touching``,
+``reference_pair_crossing``).  Tier-1 compares the two on every
+labeled K4 and K5, on the K6 orbits and on seeded walks along valid
+flips at n = 7-10; the weekly
 ``recognize-scale`` CI job calls :func:`check_flip_walk` at n = 11-16.
 This module imports no pytest, so that job can import it from a plain
 install.
@@ -50,42 +52,53 @@ from sepdraw.rotation import (
     serialize_crs,
     subrotation,
 )
-from sepdraw.separability import (
-    _candidates,
-    _fault,
-    _flip_fault,
-    flip_candidates,
-)
+from sepdraw.separability import _candidates, _fault, flip_candidates
+
+
+def swept_masks(star, swept) -> tuple[int, int]:
+    """The XOR and the OR of ``star`` over the vertex set ``swept``: the
+    edges with exactly one and with at least one endpoint in it."""
+    cut = touched = 0
+    for x in swept:
+        cut ^= star[x]
+        touched |= star[x]
+    return cut, touched
 
 
 def compare_verdicts(tables, rs, counts: dict[str, int]) -> list:
     """Assert that every candidate of every edge of the realizable ``rs``
     gets the same verdict from the rules as from the reference, and
-    return the valid candidates.
+    return the flipped systems of the valid candidates.
 
-    The reference reads a fresh copy of ``rs``, which shares no memo
-    with it: its verdict and each edge's old crossings come from the
-    oracle readers, and each flipped system is built by the oracle.
-    ``counts`` gains the candidates seen, and those the rules reject by
-    rule (a) and by rule (b)."""
+    The rules read the swept-set masks the parity scan carries, which
+    must be those of the candidate's swept set.  The reference reads a
+    fresh copy of ``rs``, which shares no memo with it: its verdict and
+    each edge's old crossings come from the oracle readers, and each
+    flipped system is built by the oracle.  ``counts`` gains the
+    candidates seen, and those the rules reject by rule (a) and by rule
+    (b)."""
     fresh = RotationSystem(rs.n, rs.rows)
     assert reference_is_realizable(tables, fresh)
     masks = crossing_masks(tables, rs)
+    index = edge_index(rs.n)
     valid = []
-    for e in rs.edges():
+    for v, w in rs.edges():
+        e = (v, w)
         old = reference_crossings_of_edge(tables, fresh, e)
-        cands = flip_candidates(rs, e)
+        scan = list(_candidates(rs, v, w, index.star))
         refs = reference_flip_candidates(fresh, e)
-        assert [(c.swept, c.move) for c in cands] == [
-            (r.swept, r.move) for r in refs
-        ], (rs, e)
-        for cand, ref in zip(cands, refs):
-            fault = _flip_fault(rs.n, e, cand.swept, masks)
+        assert [
+            (frozenset(seq[:t]), (a, b, t)) for seq, a, b, t, _, _ in scan
+        ] == [(r.swept, r.move) for r in refs], (rs, e)
+        for (seq, a, b, t, cut, touched), ref in zip(scan, refs):
+            swept = seq[:t]
+            assert (cut, touched) == swept_masks(index.star, swept), (rs, e, t)
+            fault = _fault(index, e, cut, touched, masks)
             want = reference_is_valid_flip(tables, e, ref, old)
-            assert (fault is None) is want, (rs, e, sorted(cand.swept), fault)
+            assert (fault is None) is want, (rs, e, sorted(swept), fault)
             counts["candidates"] += 1
             if fault is None:
-                valid.append(cand)
+                valid.append(_flipped(rs, a, b, t))
             else:
                 counts["rule (a)" if len(fault) == 2 else "rule (b)"] += 1
     return valid
@@ -101,18 +114,18 @@ def check_flip_walk(tables, n: int, seed: int, steps: int) -> dict[str, int]:
     counts = {"candidates": 0, "rule (a)": 0, "rule (b)": 0}
     for _ in range(steps):
         valid = compare_verdicts(tables, rs, counts)
-        proper = [c for c in valid if c.new_rs != rs]
-        rs = rng.choice(proper).new_rs
+        rs = rng.choice([new for new in valid if new != rs])
     return counts
 
 
 def check_scan(tables, rs) -> dict[str, int]:
     """Assert, for every candidate of every edge of the realizable
-    ``rs``, that the masks the parity scan carries are the XOR and the
-    OR of the stars over the candidate's swept set, that the core rules
-    on them give :func:`_flip_fault`'s verdict, and that
-    ``_flipped_rotations`` gives the two rotations the flipped system
-    has; return the candidates seen and those found valid."""
+    ``rs``, that the parity scan yields the candidates
+    :func:`flip_candidates` lists, that the masks it carries are the
+    XOR and the OR of the stars over the candidate's swept set, and
+    that ``_flipped_rotations`` gives the two rotations the flipped
+    system has; return the candidates seen and those the rules find
+    valid."""
     index = edge_index(rs.n)
     masks = crossing_masks(tables, rs)
     counts = {"candidates": 0, "valid": 0}
@@ -123,13 +136,9 @@ def check_scan(tables, rs) -> dict[str, int]:
         assert len(scan) == len(cands), (rs, e)
         for (seq, a, b, t, cut, touched), cand in zip(scan, cands):
             assert cand.move == (a, b, t) and cand.swept == frozenset(seq[:t])
-            want_cut = want_touched = 0
-            for x in cand.swept:
-                want_cut ^= index.star[x]
-                want_touched |= index.star[x]
-            assert (cut, touched) == (want_cut, want_touched), (rs, e, t)
+            want = swept_masks(index.star, cand.swept)
+            assert (cut, touched) == want, (rs, e)
             fault = _fault(index, e, cut, touched, masks)
-            assert fault == _flip_fault(rs.n, e, cand.swept, masks), (rs, e)
             new = _flipped(rs, a, b, t)
             ref = reference_reposition(rs, a, b, t)
             rotations = (new.rotation(a), new.rotation(b))
@@ -237,10 +246,11 @@ def test_subrotation_hands_down_masks(tables):
     for size in list(range(1, 12)) * 3:
         subset = rng.sample(range(1, 13), size)
         sub = subrotation(rs, subset)
-        assert sub._crossings is not None and sub._crossings[0] is tables
+        assert sub._memo is not None and sub._memo[0] is tables
+        assert sub._memo[2] is True
         fresh = RotationSystem(sub.n, sub.rows)
-        assert sub._crossings[1] == crossing_masks(tables, fresh), subset
-    assert subrotation(rs, range(1, 13))._crossings[1] is masks
+        assert sub._memo[1] == crossing_masks(tables, fresh), subset
+    assert subrotation(rs, range(1, 13))._memo[1] is masks
 
 
 def test_all_pairs_ham_path_sweeps_crossings_once(tables, monkeypatch):

@@ -1,9 +1,10 @@
-"""Flip candidates and the offset rows a system memoizes.
+"""Flip candidates and the offset rows of the quad sweep.
 
 These tests compare the candidates and the certificates with the eager
 reference in ``oracles`` (every flipped system built in full and
-validated).  They also check that a system builds each of its offset
-rows (``rotation._rows_from``) at most once.
+validated).  They also check that recognizing a system builds each of
+its offset rows (``rotation._rows_from``) at most once, and that the
+system keeps none of them afterwards.
 """
 from __future__ import annotations
 
@@ -19,9 +20,8 @@ from oracles import (
 )
 from sepdraw.rotation import (
     RotationSystem,
-    _anchored,
-    _rows_from,
     convex,
+    crossing_masks,
     is_realizable,
     relabel,
 )
@@ -121,20 +121,20 @@ class TestRowsBuiltOnce:
         ids=["convex-k12", "straight-line-k12"],
     )
     def test_recognition_builds_each_row_once(self, tables, monkeypatch, make):
-        # the full 5-tuple sweep and the crossing-pair sweep read one
-        # memo per anchor, and flips read no offset row
+        # the quad sweep builds the rows of each anchor once, and flips
+        # read no offset row
         rs = make()
         counts = _count_input_rows(monkeypatch, rs)
         assert is_realizable(tables, rs)
         assert is_separable(tables, rs).separable
         assert counts and max(counts.values()) == 1
 
-    def test_memo_holds_every_vertex_asked(self):
-        rs = convex(6)
-        rows3 = _rows_from(rs, 3)
-        assert rows3[0] is None and rows3[3] is None
-        assert rows3[5] == _anchored(rs, 5, 3)
-        rows4 = _rows_from(rs, 4)
-        assert rows4[1] == _anchored(rs, 1, 4)
-        assert _rows_from(rs, 3) is rows3 and _rows_from(rs, 4) is rows4
-        assert rs._rows == {3: rows3, 4: rows4}
+    def test_system_keeps_only_the_sweep_memo(self, tables):
+        rs = rotation_system_from_points(random_points(12, random.Random(12)))
+        assert is_separable(tables, rs).separable
+        assert RotationSystem.__slots__ == ("n", "rows", "_norm", "_memo")
+        assert not hasattr(rs, "__dict__")
+        memo_tables, masks, verdict = rs._memo
+        assert memo_tables is tables and verdict is True
+        assert masks == crossing_masks(tables, _fresh(rs))
+        assert all(type(mask) is int for mask in masks)

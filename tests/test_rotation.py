@@ -276,12 +276,12 @@ class TestCrossingPairs:
         no_k4 = RealizabilityTables(k4=(-2,) * 16, k5=tables.k5)
         with pytest.raises(RealizabilityError, match=r"\(1, 2, 3, 4\)"):
             crossing_pairs(no_k4, rs)
-        assert rs._crossings is None
+        assert rs._memo is None
         pairs = crossing_pairs(tables, rs)
-        assert rs._crossings == (tables, crossing_masks(tables, rs))
+        assert rs._memo == (tables, crossing_masks(tables, rs), True)
         with pytest.raises(RealizabilityError):
             crossing_pairs(no_k4, rs)
-        assert rs._crossings[0] is tables
+        assert rs._memo[0] is tables
         assert crossing_pairs(tables, rs) == pairs
 
     def test_crossing_sets_match_crossings_of_edge(self, tables):
@@ -585,9 +585,29 @@ class TestRealizability:
     def test_unrealizable_quad_memoizes_verdict_not_masks(self, tables):
         rs = RotationSystem(4, [(2, 4, 3), (3, 4, 1), (4, 1, 2), (1, 2, 3)])
         assert not is_realizable(tables, rs)
-        assert rs._realizable == (tables, False) and rs._crossings is None
+        assert rs._memo == (tables, None, False)
         with pytest.raises(RealizabilityError):
             crossing_masks(tables, rs)
+        assert rs._memo == (tables, None, False)
+
+    def test_unrealizable_verdict_hands_nothing_down(
+        self, tables, monkeypatch
+    ):
+        """A K5 outside ``k5`` whose quads are all realizable: its sweep
+        finds a suspect 5-tuple and memoizes its masks with a False
+        verdict, and an induced subsystem inherits neither, so the
+        subsystem sweeps once for both."""
+        rs = k4_consistent_unrealizable_k5(tables)[0]
+        masks = crossing_masks(tables, rs)
+        assert rs._memo == (tables, masks, False)
+        assert not is_realizable(tables, rs)
+        sub = subrotation(rs, (1, 2, 4, 5))
+        assert sub._memo is None
+        want = crossing_masks(tables, RotationSystem(sub.n, sub.rows))
+        sweeps = self._count_sweeps(monkeypatch)
+        assert is_realizable(tables, sub)
+        assert crossing_masks(tables, sub) == want
+        assert sweeps == [tables]
 
     def test_k5_index_round_trip(self):
         for idx in range(6**5):
