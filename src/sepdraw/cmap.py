@@ -412,76 +412,80 @@ class MapBuilder:
             b.csegs[cid].append(s)
         for segs in b.csegs:
             segs.sort(key=m.sidx.__getitem__)
-        nd = m.n_darts
-        b.sigma = [-1] * nd
-        b.sprev = [-1] * nd
+        b.sigma = list(m.sigma)
         b.dvert = list(m.dvert)
-        for darts in m.vdarts:
-            for i, d in enumerate(darts):
-                b.sigma[d] = darts[(i + 1) % len(darts)]
-                b.sprev[d] = darts[(i - 1) % len(darts)]
+        # sprev inverts sigma; the spare last slot takes the writes of
+        # unattached darts (sigma -1) and is dropped
+        sprev = [-1] * (m.n_darts + 1)
+        for d, nxt in enumerate(b.sigma):
+            sprev[nxt] = d
+        sprev.pop()
+        b.sprev = sprev
         return b
 
     def freeze(self) -> CombinatorialMap:
-        """Compact to an immutable map with canonical ids."""
-        live_curves = [
-            cid for cid, c in enumerate(self.curves) if c[0] is not None
-        ]
-        cmapid = {cid: i for i, cid in enumerate(live_curves)}
-        seg_order = []
-        for cid in live_curves:
-            seg_order.extend(self.csegs[cid])
-        smapid = {s: i for i, s in enumerate(seg_order)}
+        """Compact to an immutable map with canonical ids.
 
-        def newdart(d):
-            return 2 * smapid[d >> 1] + (d & 1)
+        Live curves keep their order and their chains are numbered
+        segment by segment, so new segment ids run along the chains.
+        Real vertices come first, sorted by label; then the crossing
+        vertices that keep a live dart, sorted by their incident
+        segments.  Every rotation starts at its smallest dart.
+        """
+        vkind = self.vkind
+        dvert = self.dvert
+        sigma = self.sigma
+        live = [cid for cid, c in enumerate(self.curves) if c[0] is not None]
+        # dmap: new dart of each old dart on a live chain, else -1;
+        # anchor: one such dart per vertex, else -1 (the spare last slot
+        # takes the writes of unattached darts)
+        dmap = [-1] * len(dvert)
+        anchor = [-1] * (len(vkind) + 1)
+        scurve = []
+        sidx = []
+        new = 0
+        for i, cid in enumerate(live):
+            segs = self.csegs[cid]
+            for s in segs:
+                d = 2 * s
+                dmap[d] = new
+                dmap[d + 1] = new + 1
+                anchor[dvert[d]] = d
+                anchor[dvert[d + 1]] = d + 1
+                new += 2
+            scurve += [i] * len(segs)
+            sidx += range(len(segs))
 
-        # live darts per vertex in one pass, smallest first
-        at = [[] for _ in self.vkind]
-        for d, v in enumerate(self.dvert):
-            if v >= 0 and self.scurve[d >> 1] >= 0:
-                at[v].append(d)
-
-        # Vertices: real sorted by label, then crossings by incident segments.
-        real = [
-            (self.vlabel[v], v)
-            for v, k in enumerate(self.vkind)
-            if k == "real"
-        ]
-        real.sort()
+        # each vertex's rotation in new darts, walked once
+        rots = []
+        real = []
         cross = []
-        for v, k in enumerate(self.vkind):
-            if k != "real":
-                incid = sorted(
-                    smapid[d >> 1] for d in at[v] if (d >> 1) in smapid
-                )
-                if incid:
-                    cross.append((tuple(incid), v))
+        for v, kind in enumerate(vkind):
+            a = anchor[v]
+            rot = []
+            if a >= 0:
+                rot.append(dmap[a])
+                d = sigma[a]
+                while d != a:
+                    rot.append(dmap[d])
+                    d = sigma[d]
+            rots.append(rot)
+            if kind == "real":
+                real.append((self.vlabel[v], v))
+            elif rot:
+                cross.append((sorted([d >> 1 for d in rot]), v))
+        real.sort()
         cross.sort()
         vorder = [v for _, v in real] + [v for _, v in cross]
 
         vdarts = []
         for v in vorder:
-            if not at[v]:
-                vdarts.append(())
-                continue
-            rot = [newdart(d) for d in self._cycle(at[v][0])]
-            k = rot.index(min(rot))
+            rot = rots[v]
+            k = rot.index(min(rot)) if rot else 0
             vdarts.append(tuple(rot[k:] + rot[:k]))
-
-        scurve = []
-        sidx = []
-        for cid in live_curves:
-            for i, s in enumerate(self.csegs[cid]):
-                assert smapid[s] == len(scurve)
-                scurve.append(cmapid[cid])
-                sidx.append(i)
-        curves = tuple(
-            Curve(self.curves[cid][0], self.curves[cid][1], self.curves[cid][2])
-            for cid in live_curves
-        )
+        curves = tuple(Curve(*self.curves[cid]) for cid in live)
         return CombinatorialMap(
-            [self.vkind[v] for v in vorder],
+            [vkind[v] for v in vorder],
             [self.vlabel[v] for v in vorder],
             vdarts,
             scurve,

@@ -91,10 +91,11 @@ def extend_by_vertex(m: CombinatorialMap, new_label: int, prune=None):
             yield cur
             return
         t = targets[k]
-        budget = {}
-        for cid, c in enumerate(cur.curves):
-            incident = new_label in c.edge() or t in c.edge()
-            budget[cid] = 0 if incident else 1
+        ends = (new_label, t)
+        budget = {
+            cid: 0 if c.u in ends or c.v in ends else 1
+            for cid, c in enumerate(cur.curves)
+        }
         if k == 0:
             sources = [("face", fid) for fid in range(len(cur.faces))]
         else:

@@ -780,18 +780,6 @@ def _restricted_masks(masks, n: int, sub) -> tuple[int, ...]:
     return tuple(out)
 
 
-def crossing_sets(
-    tables: RealizabilityTables, rs: RotationSystem
-) -> dict[Edge, frozenset[Edge]]:
-    """The edges crossing each edge, read off :func:`crossing_masks` (the
-    masks are memoized; each call builds a new dict)."""
-    edges = edge_index(rs.n).edges
-    return {
-        e: frozenset(_edges_of(mask, edges))
-        for e, mask in zip(edges, crossing_masks(tables, rs))
-    }
-
-
 def is_realizable(tables: RealizabilityTables, rs: RotationSystem) -> bool:
     """Realizability via Kynčl's 5-tuple criterion: every quad realizable
     and every 5-tuple with a suspect pattern in ``k5``, from the same
@@ -981,32 +969,42 @@ def canonical_key(rs: RotationSystem) -> bytes:
     orientations), not over all 2·n! relabelings and mirrorings.  Every
     other row then starts at 1, the new label of v, so each candidate is
     the rotations of v's neighbours read from v, relabeled.
+
+    Labels are bytes, so the key exists only for n <= 255; a larger
+    system raises :class:`InputError`.
     """
     n = rs.n
     if n == 1:
         return bytes([1])
+    if n > 255:
+        raise InputError(
+            f"canonical keys hold labels up to 255; the system has n={n}"
+        )
     m = n - 1
+    size = m * m
+    labels = bytes(range(1, n + 1))
     best = None
     for rows in (rs.rows, tuple(r[::-1] for r in rs.rows)):
         for v in range(1, n + 1):
             rot = rows[v - 1]
+            head = bytes([v])
+            around = bytes(rot) * 2
             # rows 2..n for start 0: each neighbour's rotation read from
-            # v; start s rolls this by s rows
+            # v, twice over; start s reads this from row s on
             flat = []
             for w in rot:
                 row = rows[w - 1]
                 i = row.index(v)
                 flat += row[i:] + row[:i]
+            block = bytes(flat) * 2
             for s in range(m):
-                lab = [0] * (n + 1)
-                lab[v] = 1
-                for i, x in enumerate(rot[s:] + rot[:s], start=2):
-                    lab[x] = i
+                # byte x of the table is the label that start s gives x
+                table = bytes.maketrans(head + around[s : s + m], labels)
                 cut = s * m
-                cand = list(map(lab.__getitem__, flat[cut:] + flat[:cut]))
+                cand = block[cut : cut + size].translate(table)
                 if best is None or cand < best:
                     best = cand
-    return bytes([n, *range(2, n + 1), *best])
+    return bytes([n, *range(2, n + 1)]) + best
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from oracles import reference_freeze
+from sepdraw.cmap import MapBuilder
 from sepdraw.enumeration import default_tables, enumerate_good_drawings
 
 
@@ -25,3 +27,23 @@ def enum5():
 def enum6():
     """The n=6 level (a few seconds; shared across tests)."""
     return enumerate_good_drawings(6)
+
+
+@pytest.fixture
+def checked_freeze(monkeypatch):
+    """Makes every ``MapBuilder.freeze`` in the test compare its map, all
+    six fields, with ``reference_freeze`` of the same builder; returns
+    the list of maps checked."""
+    freeze = MapBuilder.freeze
+    checked = []
+
+    def checking(b):
+        """``freeze`` after comparing it with the reference."""
+        want = reference_freeze(b)
+        got = freeze(b)
+        assert got == want  # compares all six fields
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(MapBuilder, "freeze", checking)
+    return checked

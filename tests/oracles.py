@@ -17,6 +17,7 @@ from sepdraw.cmap import (
     INSERTED,
     WITNESS,
     CombinatorialMap,
+    Curve,
     MapBuilder,
 )
 from sepdraw.errors import InputError, RealizabilityError
@@ -604,6 +605,74 @@ def reference_shared_points(m: CombinatorialMap) -> dict[tuple[int, int], int]:
         (a, b): len(pts[a] & pts[b])
         for a, b in combinations(range(len(pts)), 2)
     }
+
+
+# ---------------------------------------------------------------------------
+# Reference compaction: ``MapBuilder.freeze`` as it was when it numbered
+# segments through a dict, listed the live darts of every vertex in a pass
+# over all darts and walked each rotation from the smallest of them, kept
+# so the version numbering darts through one list can be compared with
+# it.
+
+
+def reference_freeze(b: MapBuilder) -> CombinatorialMap:
+    """Compact builder ``b`` to an immutable map with canonical ids."""
+    live_curves = [cid for cid, c in enumerate(b.curves) if c[0] is not None]
+    cmapid = {cid: i for i, cid in enumerate(live_curves)}
+    seg_order = []
+    for cid in live_curves:
+        seg_order.extend(b.csegs[cid])
+    smapid = {s: i for i, s in enumerate(seg_order)}
+
+    def newdart(d):
+        return 2 * smapid[d >> 1] + (d & 1)
+
+    # live darts per vertex in one pass, smallest first
+    at = [[] for _ in b.vkind]
+    for d, v in enumerate(b.dvert):
+        if v >= 0 and b.scurve[d >> 1] >= 0:
+            at[v].append(d)
+
+    # Vertices: real sorted by label, then crossings by incident segments.
+    real = [(b.vlabel[v], v) for v, k in enumerate(b.vkind) if k == "real"]
+    real.sort()
+    cross = []
+    for v, k in enumerate(b.vkind):
+        if k != "real":
+            incid = sorted(smapid[d >> 1] for d in at[v] if (d >> 1) in smapid)
+            if incid:
+                cross.append((tuple(incid), v))
+    cross.sort()
+    vorder = [v for _, v in real] + [v for _, v in cross]
+
+    vdarts = []
+    for v in vorder:
+        if not at[v]:
+            vdarts.append(())
+            continue
+        rot = [newdart(d) for d in b._cycle(at[v][0])]
+        k = rot.index(min(rot))
+        vdarts.append(tuple(rot[k:] + rot[:k]))
+
+    scurve = []
+    sidx = []
+    for cid in live_curves:
+        for i, s in enumerate(b.csegs[cid]):
+            assert smapid[s] == len(scurve)
+            scurve.append(cmapid[cid])
+            sidx.append(i)
+    curves = tuple(
+        Curve(b.curves[cid][0], b.curves[cid][1], b.curves[cid][2])
+        for cid in live_curves
+    )
+    return CombinatorialMap(
+        [b.vkind[v] for v in vorder],
+        [b.vlabel[v] for v in vorder],
+        vdarts,
+        scurve,
+        sidx,
+        curves,
+    )
 
 
 # ---------------------------------------------------------------------------

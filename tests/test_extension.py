@@ -310,6 +310,7 @@ def _conflicted_pair_map():
     return m2, with_route(m2, INSERTED, 2, 3, route_b)[0], aid
 
 
+@pytest.mark.usefixtures("checked_freeze")
 class TestFixupSurgery:
     def test_exchange_removes_double_crossing(self):
         _, m3, _ = _conflicted_pair_map()
@@ -424,6 +425,7 @@ def _looped_map_builder():
     return b
 
 
+@pytest.mark.usefixtures("checked_freeze")
 class TestLoopExcision:
     def test_excises_loop_crossed_by_another_curve(self):
         b = _looped_map_builder()
@@ -456,6 +458,7 @@ class TestLoopExcision:
 FIXUP_KEYS = ("8:0", "10:23", "11:24", "11:34")
 
 
+@pytest.mark.usefixtures("checked_freeze")
 class TestFixupLoop:
     @pytest.mark.parametrize("key", FIXUP_KEYS)
     def test_completion_runs_fixup_steps(self, key):

@@ -42,7 +42,7 @@ from sepdraw.rotation import (
     RealizabilityTables,
     RotationSystem,
     convex,
-    crossing_sets,
+    crossing_pairs,
     crossings_of_edge,
     is_realizable,
     relabel,
@@ -284,7 +284,7 @@ def test_pruned_flip_validation_is_exact(tables, enum6):
 
 def test_crossings_of_edge_reads_memo_unchanged(tables, enum6):
     """Each edge's crossings, read on a fresh copy (whose first query
-    sweeps it) and again after ``crossing_sets``, and the error on
+    sweeps it) and again after ``crossing_pairs``, and the error on
     unrealizable input, agree.  The memo answers only for its own tables
     object."""
     no_k4 = RealizabilityTables(k4=(K4_UNREALIZABLE,) * 16, k5=tables.k5)
@@ -294,7 +294,7 @@ def test_crossings_of_edge_reads_memo_unchanged(tables, enum6):
             _outcome(lambda e=e: crossings_of_edge(tables, rs, e), sorted)
             for e in rs.edges()
         ]
-        memoized = _outcome(lambda: crossing_sets(tables, rs), len)
+        memoized = _outcome(lambda: crossing_pairs(tables, rs), len)
         after = [
             _outcome(lambda e=e: crossings_of_edge(tables, rs, e), sorted)
             for e in rs.edges()

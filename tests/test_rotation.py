@@ -24,7 +24,6 @@ from sepdraw.rotation import (
     crosses_any,
     crossing_masks,
     crossing_pairs,
-    crossing_sets,
     crossings_of_edge,
     is_g_convex,
     is_realizable,
@@ -284,14 +283,14 @@ class TestCrossingPairs:
         assert rs._memo[0] is tables
         assert crossing_pairs(tables, rs) == pairs
 
-    def test_crossing_sets_match_crossings_of_edge(self, tables):
+    def test_crossing_pairs_match_crossings_of_edge(self, tables):
         rs = rotation_system_from_points(random_points(8, random.Random(4)))
         masks = crossing_masks(tables, rs)
         assert masks is crossing_masks(tables, rs)
-        sets = crossing_sets(tables, rs)
-        assert sorted(sets) == rs.edges()
+        pairs = crossing_pairs(tables, rs)
         for e in rs.edges():
-            assert sets[e] == crossings_of_edge(tables, rs, e)
+            partners = {f for p in pairs for f in p if e in p and f != e}
+            assert partners == crossings_of_edge(tables, rs, e)
 
 
 def _rolled_rows(rs: RotationSystem, rng) -> RotationSystem:
@@ -863,6 +862,11 @@ class TestCanonicalKey:
 
     def test_single_vertex(self):
         assert canonical_key(RotationSystem(1, [()])) == bytes([1])
+
+    def test_rejects_labels_above_a_byte(self):
+        # raised before any of the 2·n·(n-1) candidates is built
+        with pytest.raises(InputError, match="up to 255"):
+            canonical_key(convex(256))
 
     def test_collision_free_across_orbits(self, enum5, enum6):
         keys = [r.key for n in (3, 4, 5) for r in enum5[n]]
