@@ -267,7 +267,7 @@ class MapBuilder:
         self.sprev: list[int] = []
         self.dvert: list[int] = []
         self.scurve: list[int] = []
-        self.curves: list[list] = []  # [kind, u, v] ; kind None = dead
+        self.curves: list[Curve] = []
         self.csegs: list[list[int]] = []
 
     # -- construction primitives -------------------------------------------
@@ -278,7 +278,7 @@ class MapBuilder:
         return len(self.vkind) - 1
 
     def new_curve(self, kind: str, u: int, v: int) -> int:
-        self.curves.append([kind, u, v])
+        self.curves.append(Curve(kind, u, v))
         self.csegs.append([])
         return len(self.curves) - 1
 
@@ -405,7 +405,7 @@ class MapBuilder:
         b.vkind = list(m.vkind)
         b.vlabel = list(m.vlabel)
         b.scurve = list(m.scurve)
-        b.curves = [[c.kind, c.u, c.v] for c in m.curves]
+        b.curves = list(m.curves)
         # every curve's chain from one pass: bucket by curve, sort by index
         b.csegs = [[] for _ in m.curves]
         for s, cid in enumerate(m.scurve):
@@ -426,8 +426,8 @@ class MapBuilder:
     def freeze(self) -> CombinatorialMap:
         """Compact to an immutable map with canonical ids.
 
-        Live curves keep their order and their chains are numbered
-        segment by segment, so new segment ids run along the chains.
+        Curves keep their order and their chains are numbered segment
+        by segment, so new segment ids run along the chains.
         Real vertices come first, sorted by label; then the crossing
         vertices that keep a live dart, sorted by their incident
         segments.  Every rotation starts at its smallest dart.
@@ -435,8 +435,7 @@ class MapBuilder:
         vkind = self.vkind
         dvert = self.dvert
         sigma = self.sigma
-        live = [cid for cid, c in enumerate(self.curves) if c[0] is not None]
-        # dmap: new dart of each old dart on a live chain, else -1;
+        # dmap: new dart of each old dart on a chain, else -1;
         # anchor: one such dart per vertex, else -1 (the spare last slot
         # takes the writes of unattached darts)
         dmap = [-1] * len(dvert)
@@ -444,8 +443,7 @@ class MapBuilder:
         scurve = []
         sidx = []
         new = 0
-        for i, cid in enumerate(live):
-            segs = self.csegs[cid]
+        for i, segs in enumerate(self.csegs):
             for s in segs:
                 d = 2 * s
                 dmap[d] = new
@@ -483,14 +481,13 @@ class MapBuilder:
             rot = rots[v]
             k = rot.index(min(rot)) if rot else 0
             vdarts.append(tuple(rot[k:] + rot[:k]))
-        curves = tuple(Curve(*self.curves[cid]) for cid in live)
         return CombinatorialMap(
             [vkind[v] for v in vorder],
             [self.vlabel[v] for v in vorder],
             vdarts,
             scurve,
             sidx,
-            curves,
+            self.curves,
         )
 
 

@@ -45,7 +45,6 @@ from .rotation import (
     k4_system,
     k5_index_of,
     k5_system,
-    labeled_encoding,
     mirror,
     relabel,
     relabel_pair_code,
@@ -85,11 +84,23 @@ def extend_by_vertex(m: CombinatorialMap, new_label: int, prune=None):
     ``prune(partial_map, done_targets)`` may reject partial insertions.
     """
     targets = m.real_labels()
+    for cur, t, route in _star_routes(m, new_label, prune):
+        ext, _ = with_route(cur, EDGE, new_label, t, route)
+        if prune is None or prune(ext, targets):
+            yield ext
+
+
+def _star_routes(m: CombinatorialMap, new_label: int, prune=None):
+    """Yield ``(cur, t, route)`` for every way to draw the star of a new
+    vertex ``new_label`` into ``m``, in the order of
+    :func:`extend_by_vertex`: ``cur`` has every star edge drawn but the
+    last, ``new_label``-``t``, and ``route`` draws that one in ``cur``.
+    Each earlier edge is drawn by :func:`with_route` and filtered by
+    ``prune``; drawing the last is left to the caller."""
+    targets = m.real_labels()
+    last = len(targets) - 1
 
     def rec(cur: CombinatorialMap, k: int):
-        if k == len(targets):
-            yield cur
-            return
         t = targets[k]
         ends = (new_label, t)
         budget = {
@@ -102,12 +113,37 @@ def extend_by_vertex(m: CombinatorialMap, new_label: int, prune=None):
             sources = [cur.real_by_label[new_label]]
         for source in sources:
             for route in iter_routes(cur, source, cur.real_by_label[t], budget):
+                if k == last:
+                    yield cur, t, route
+                    continue
                 nxt, _ = with_route(cur, EDGE, new_label, t, route)
                 if prune is not None and not prune(nxt, targets[: k + 1]):
                     continue
                 yield from rec(nxt, k + 1)
 
     yield from rec(m, 0)
+
+
+def _leaf_rows(cur: CombinatorialMap, rows, new_label: int, t: int, route):
+    """Normalized rows of the drawing ``cur`` with the edge
+    ``new_label``-``t`` drawn along ``route``, a route of
+    :func:`_star_routes` out of a gap at ``new_label``.
+
+    ``rows`` holds the normalized drawn rotations of ``cur`` for labels
+    1..new_label.  The new edge leaves ``new_label`` clockwise after the
+    dart ``route.start[1]`` and enters ``t`` clockwise after
+    ``route.end_gap``; both darts lie on edges at their own vertex
+    (which the route may not cross), and every curve of an enumerated
+    drawing is an edge, so only two rows change: each gains the other
+    end right after the neighbour across its dart."""
+    out = list(rows)
+    ends = ((new_label, t, route.start[1]), (t, new_label, route.end_gap))
+    for v, w, g in ends:
+        c = cur.curves[cur.scurve[g >> 1]]
+        row = rows[v - 1]
+        i = row.index(c.u if c.v == v else c.v) + 1
+        out[v - 1] = _roll_min(row[:i] + (w,) + row[i:])
+    return tuple(out)
 
 
 def enumerate_good_drawings(
@@ -117,6 +153,10 @@ def enumerate_good_drawings(
 
     ``n`` = 7 must be requested explicitly via ``extended`` (the run takes
     far longer than the n <= 6 levels and is excluded from routine use).
+
+    A leaf of :func:`_star_routes` is deduplicated on the rotation system
+    :func:`_leaf_rows` reads off its last route, and its map is built
+    only when it starts a new orbit.
     """
     if not 3 <= n <= 7:
         raise InputError("enumeration supports 3 <= n <= 7")
@@ -128,17 +168,32 @@ def enumerate_good_drawings(
         seen_keys: set[bytes] = set()
         new_reps = []
         for rep in reps:
-            for ext in extend_by_vertex(rep.map, k):
-                rs = extract_rotation_system(ext)
-                enc = labeled_encoding(rs)
+            base = None
+            for cur, t, route in _star_routes(rep.map, k):
+                if cur is not base:
+                    # consecutive leaves share their last partial drawing
+                    base = cur
+                    rows = [
+                        _roll_min(drawn_rotation(cur, v))
+                        for v in range(1, k + 1)
+                    ]
+                leaf = _leaf_rows(cur, rows, k, t, route)
+                enc = b"".join(map(bytes, leaf))
                 if enc in seen_labeled:
                     continue
                 seen_labeled.add(enc)
+                rs = RotationSystem.__new__(RotationSystem)
+                rs._set(k, leaf)
                 key = canonical_key(rs)
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)
-                new_reps.append(EnumeratedDrawing(ext, rs, key))
+                ext, _ = with_route(cur, EDGE, k, t, route)
+                # serialize_crs prints the stored rows, so they are read
+                # off the map rather than taken from the leaf rows
+                new_reps.append(
+                    EnumeratedDrawing(ext, extract_rotation_system(ext), key)
+                )
         new_reps.sort(key=lambda d: d.key)
         reps = new_reps
     return tuple(reps)

@@ -260,7 +260,7 @@ def with_route(
     """``m`` with a new curve threaded along ``route`` by
     :func:`apply_route`; a route that starts in a face starts at a new real
     vertex labelled ``u_label``.  Returns ``(new_map, curve_id)``: the
-    builder copy has no dead curves, so the freeze keeps every curve id."""
+    freeze keeps every curve id."""
     b = MapBuilder.from_map(m)
     if route.start[0] == "face":
         b.new_vertex("real", u_label)

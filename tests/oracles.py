@@ -21,7 +21,13 @@ from sepdraw.cmap import (
     MapBuilder,
 )
 from sepdraw.errors import InputError, RealizabilityError
-from sepdraw.routing import Route, _boundary, _chord_ok
+from sepdraw.routing import (
+    Route,
+    _boundary,
+    _chord_ok,
+    iter_routes,
+    with_route,
+)
 from sepdraw.rotation import (
     K4_UNREALIZABLE,
     PAIR_BY_CODE,
@@ -617,11 +623,9 @@ def reference_shared_points(m: CombinatorialMap) -> dict[tuple[int, int], int]:
 
 def reference_freeze(b: MapBuilder) -> CombinatorialMap:
     """Compact builder ``b`` to an immutable map with canonical ids."""
-    live_curves = [cid for cid, c in enumerate(b.curves) if c[0] is not None]
-    cmapid = {cid: i for i, cid in enumerate(live_curves)}
     seg_order = []
-    for cid in live_curves:
-        seg_order.extend(b.csegs[cid])
+    for segs in b.csegs:
+        seg_order.extend(segs)
     smapid = {s: i for i, s in enumerate(seg_order)}
 
     def newdart(d):
@@ -656,15 +660,12 @@ def reference_freeze(b: MapBuilder) -> CombinatorialMap:
 
     scurve = []
     sidx = []
-    for cid in live_curves:
-        for i, s in enumerate(b.csegs[cid]):
+    for cid, segs in enumerate(b.csegs):
+        for i, s in enumerate(segs):
             assert smapid[s] == len(scurve)
-            scurve.append(cmapid[cid])
+            scurve.append(cid)
             sidx.append(i)
-    curves = tuple(
-        Curve(b.curves[cid][0], b.curves[cid][1], b.curves[cid][2])
-        for cid in live_curves
-    )
+    curves = tuple(Curve(c.kind, c.u, c.v) for c in b.curves)
     return CombinatorialMap(
         [b.vkind[v] for v in vorder],
         [b.vlabel[v] for v in vorder],
@@ -673,6 +674,47 @@ def reference_freeze(b: MapBuilder) -> CombinatorialMap:
         sidx,
         curves,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference vertex extension: ``enumeration.extend_by_vertex`` as it was
+# when its own recursion drew every star edge, the last one included,
+# through ``with_route``, kept so the version that walks the star routes
+# of ``enumeration._star_routes`` can be compared with it.
+
+
+def reference_extend_by_vertex(
+    m: CombinatorialMap, new_label: int, prune=None
+):
+    """Yield every drawing obtained from ``m`` by adding a vertex joined
+    to all present vertices.
+
+    ``prune(partial_map, done_targets)`` may reject partial insertions.
+    """
+    targets = m.real_labels()
+
+    def rec(cur: CombinatorialMap, k: int):
+        if k == len(targets):
+            yield cur
+            return
+        t = targets[k]
+        ends = (new_label, t)
+        budget = {
+            cid: 0 if c.u in ends or c.v in ends else 1
+            for cid, c in enumerate(cur.curves)
+        }
+        if k == 0:
+            sources = [("face", fid) for fid in range(len(cur.faces))]
+        else:
+            sources = [cur.real_by_label[new_label]]
+        for source in sources:
+            for route in iter_routes(cur, source, cur.real_by_label[t], budget):
+                nxt, _ = with_route(cur, EDGE, new_label, t, route)
+                if prune is not None and not prune(nxt, targets[: k + 1]):
+                    continue
+                yield from rec(nxt, k + 1)
+
+    yield from rec(m, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,21 @@ from importlib import resources
 
 import pytest
 
+from oracles import reference_extend_by_vertex
 from sepdraw.cmap import (
     crossing_pairs_of_map,
+    drawn_rotation,
     extract_rotation_system,
     serialize_cmap,
     validate_map,
 )
 from sepdraw.enumeration import (
+    _leaf_rows,
+    _star_routes,
     build_tables,
     check_tables,
     enumerate_good_drawings,
+    extend_by_vertex,
     parse_tables,
     path_k2_map,
     realize,
@@ -26,6 +31,7 @@ from sepdraw.rotation import (
     K4_NO_CROSSING,
     K4_UNREALIZABLE,
     RealizabilityTables,
+    _roll_min,
     convex,
     crossing_pairs,
     is_realizable,
@@ -95,6 +101,38 @@ class TestEnumeration:
             for rep in enum5[n]:
                 crossed = {e for p in crossing_pairs_of_map(rep.map) for e in p}
                 assert len(crossed) < n * (n - 1) // 2
+
+    def test_stored_rows_are_the_map_rows(self, enum5, enum6):
+        """``serialize_crs`` prints linear rows, so a representative keeps
+        the rows its map is read with, not only their cyclic orders."""
+        for reps in (*enum5.values(), enum6):
+            for rep in reps:
+                assert rep.rs.rows == extract_rotation_system(rep.map).rows
+
+    def test_extend_by_vertex_matches_reference(self, enum5):
+        """Every representative of levels 3-5, extended by the next
+        vertex: the same drawings in the same order as the recursion that
+        draws every star edge through ``with_route``, and each leaf's rows
+        read off its last route equal those of its drawing."""
+        leaves = 0
+        for n in (3, 4, 5):
+            for rep in enum5[n]:
+                ref = list(reference_extend_by_vertex(rep.map, n + 1))
+                assert list(extend_by_vertex(rep.map, n + 1)) == ref
+                star = list(_star_routes(rep.map, n + 1))
+                assert len(star) == len(ref)
+                # extend_by_vertex draws each leaf's last route, so ext
+                # is the drawing of (cur, t, route)
+                for (cur, t, route), ext in zip(star, ref):
+                    rows = [
+                        _roll_min(drawn_rotation(cur, v))
+                        for v in range(1, n + 2)
+                    ]
+                    assert _leaf_rows(cur, rows, n + 1, t, route) == (
+                        extract_rotation_system(ext).normalized
+                    )
+                leaves += len(ref)
+        assert leaves == 1893
 
     def test_oracle_agreement(self, tables, enum5):
         for n in (4, 5):
@@ -220,6 +258,16 @@ class TestRealize:
         rng = random.Random(21)
         for idx in rng.sample(sorted(tables.k5), 8):
             rs = k5_system(idx)
+            m = realize(tables, rs)
+            assert extract_rotation_system(m) == rs
+            assert validate_map(m) == []
+
+    def test_round_trip_on_relabeled_k6_orbits(self, tables, enum6):
+        rng = random.Random(6)
+        for rep in enum6:
+            perm = list(range(1, 7))
+            rng.shuffle(perm)
+            rs = relabel(rep.rs, perm)
             m = realize(tables, rs)
             assert extract_rotation_system(m) == rs
             assert validate_map(m) == []

@@ -101,7 +101,7 @@ def test_two_page_witness_budgets(monkeypatch):
 
 
 def test_enumeration_steps(monkeypatch):
-    """Every route search of ``extend_by_vertex`` up to K5, as it runs."""
+    """Every route search of the enumerator up to K5, as it runs."""
     queries = []
 
     def checked(m, source, target_vid, budget):
