@@ -531,54 +531,57 @@ def validate_map(m: CombinatorialMap, strict: bool = True) -> list[str]:
         v.append(f"darts not attached to any vertex: {missing}")
         return v
 
-    # curve chains
-    by_curve: dict[int, list[int]] = {c: [] for c in range(len(m.curves))}
-    for s, c in enumerate(m.scurve):
-        if not 0 <= c < len(m.curves):
-            v.append(f"segment {s} references unknown curve {c}")
-            return v
-        by_curve[c].append(s)
-    for cid, segs in by_curve.items():
-        cur = m.curves[cid]
-        if not segs:
+    # curve chains: each segment sits at its index in its curve's chain,
+    # so a chain keeps a hole exactly when its indices are not 0..k-1
+    scurve, sidx, vkind = m.scurve, m.sidx, m.vkind
+    size = Counter(scurve)
+    unknown = [c for c in size if not 0 <= c < len(m.curves)]
+    if unknown:
+        s = min(map(scurve.index, unknown))
+        v.append(f"segment {s} references unknown curve {scurve[s]}")
+        return v
+    chains = [[-1] * size[c] for c in range(len(m.curves))]
+    for s, (c, i) in enumerate(zip(scurve, sidx)):
+        if 0 <= i < len(chains[c]):
+            chains[c][i] = s
+    ends = set()  # each curve's first tail dart and last head dart
+    for cid, (chain, cur) in enumerate(zip(chains, m.curves)):
+        if not chain:
             v.append(f"curve {cid} has no segments")
             continue
-        segs.sort(key=m.sidx.__getitem__)
-        if [m.sidx[s] for s in segs] != list(range(len(segs))):
+        if -1 in chain:  # ends as if sorted stably by index
+            segs = [s for s, c in enumerate(scurve) if c == cid]
+            ends.add(2 * min(segs, key=sidx.__getitem__))
+            ends.add(2 * max(reversed(segs), key=sidx.__getitem__) + 1)
             v.append(f"curve {cid} has non-consecutive segment indices")
             continue
-        for a, b in zip(segs, segs[1:]):
+        ends.update((2 * chain[0], 2 * chain[-1] + 1))
+        for a, b in zip(chain, chain[1:]):
             mid1, mid2 = owned[2 * a + 1], owned[2 * b]
             if mid1 != mid2:
                 v.append(f"curve {cid} chain broken between {a} and {b}")
-            elif m.vkind[mid1] != "cross":
+            elif vkind[mid1] != "cross":
                 v.append(f"curve {cid} passes through a real vertex {mid1}")
-        t, h = owned[2 * segs[0]], owned[2 * segs[-1] + 1]
+        t, h = owned[2 * chain[0]], owned[2 * chain[-1] + 1]
         for endv, want in ((t, cur.u), (h, cur.v)):
-            if m.vkind[endv] != "real" or m.vlabel[endv] != want:
-                v.append(
-                    f"curve {cid} does not end at real vertex {want}"
-                )
+            if vkind[endv] != "real" or m.vlabel[endv] != want:
+                v.append(f"curve {cid} does not end at real vertex {want}")
 
     # vertices
-    for vid, darts in enumerate(m.vdarts):
-        if m.vkind[vid] == "real":
+    for vid, (kind, darts) in enumerate(zip(vkind, m.vdarts)):
+        if kind == "real":
             if not darts:
                 v.append(f"real vertex {vid} is isolated (unsupported)")
             for d in darts:
-                s = d >> 1
-                cid = m.scurve[s]
-                segs = by_curve[cid]
-                is_end = (d == 2 * segs[0]) or (d == 2 * segs[-1] + 1)
-                if not is_end:
+                if d not in ends:
                     v.append(
                         f"dart {d} at real vertex {vid} is not a curve end"
                     )
-        elif m.vkind[vid] == "cross":
+        elif kind == "cross":
             if len(darts) != 4:
                 v.append(f"cross vertex {vid} has degree {len(darts)} != 4")
                 continue
-            cs = [m.scurve[d >> 1] for d in darts]
+            cs = [scurve[d >> 1] for d in darts]
             if cs[0] != cs[2] or cs[1] != cs[3] or cs[0] == cs[1]:
                 v.append(
                     f"cross vertex {vid} lacks two alternating distinct "
@@ -586,44 +589,41 @@ def validate_map(m: CombinatorialMap, strict: bool = True) -> list[str]:
                 )
                 continue
             for da, db in ((darts[0], darts[2]), (darts[1], darts[3])):
-                ia, ib = m.sidx[da >> 1], m.sidx[db >> 1]
+                ia, ib = sidx[da >> 1], sidx[db >> 1]
                 if abs(ia - ib) != 1:
                     v.append(
-                        f"cross vertex {vid}: curve {m.scurve[da >> 1]} "
+                        f"cross vertex {vid}: curve {scurve[da >> 1]} "
                         f"segments not consecutive ({ia},{ib})"
                     )
         else:
-            v.append(f"vertex {vid} has unknown kind {m.vkind[vid]}")
+            v.append(f"vertex {vid} has unknown kind {kind}")
 
     if v:
         return v
 
-    # Euler formula per connected component (sphere pieces)
-    comp = list(range(len(m.vkind)))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for s in range(nseg):
-        a, b = find(owned[2 * s]), find(owned[2 * s + 1])
+    # Euler formula per connected component (sphere pieces), each named
+    # in the messages by its union-find root
+    comp = list(range(len(vkind)))
+    for a, b in zip(owned[0::2], owned[1::2]):
+        while comp[a] != a:  # path halving
+            comp[a] = a = comp[comp[a]]
+        while comp[b] != b:
+            comp[b] = b = comp[comp[b]]
         if a != b:
             comp[a] = b
-    # point every vertex straight at its root, the vertex that names its
-    # component in the messages
-    for x in range(len(comp)):
-        r = comp[x]
-        while comp[r] != r:
-            r = comp[r]
-        comp[x] = r
-    verts_per = Counter(comp)
-    segs_per = Counter(comp[owned[2 * s]] for s in range(nseg))
-    faces_per = Counter(comp[owned[orbit[0]]] for orbit in m.faces)
-    for r, nv in verts_per.items():
-        ne = segs_per[r]
-        nf = faces_per[r]
+    roots = [x for x, r in enumerate(comp) if x == r]
+    if len(roots) == 1:
+        pieces = {roots[0]: (len(comp), nseg, len(m.faces))}
+    else:
+        for x, r in enumerate(comp):  # point every vertex at its root
+            while comp[r] != r:
+                r = comp[r]
+            comp[x] = r
+        segs_per = Counter(comp[a] for a in owned[0::2])
+        faces_per = Counter(comp[owned[orbit[0]]] for orbit in m.faces)
+        pieces = {r: (nv, segs_per[r], faces_per[r])
+                  for r, nv in Counter(comp).items()}
+    for r, (nv, ne, nf) in pieces.items():
         if nv - ne + nf != 2:
             v.append(
                 f"component at vertex {r} violates the sphere Euler "

@@ -951,11 +951,6 @@ def _require_realizable(tables: RealizabilityTables, rs: RotationSystem):
 # Canonical forms
 
 
-def labeled_encoding(rs: RotationSystem) -> bytes:
-    """Byte encoding of this labeled system (normalized linearization)."""
-    return b"".join(bytes(r) for r in rs.normalized)
-
-
 def canonical_key(rs: RotationSystem) -> bytes:
     """Minimal encoding over all relabelings, mirrorings and cyclic
     re-linearizations; equal keys identify the same orbit.

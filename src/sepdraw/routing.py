@@ -142,60 +142,83 @@ def min_cost_route(
 ):
     """Deterministic least-cost route between two real vertices.
 
-    Cost is summed per crossed segment via ``cost_of_curve(curve_id)``.
-    Ties break by fewer crossings, then by the lexicographically smallest
-    face-id sequence, then by start/end gap ids.  Returns
-    ``(route, cost)`` or ``None`` when the vertices are unreachable
-    (disconnected map).
+    Cost is summed per crossed segment via ``cost_of_curve(curve_id)``,
+    which is called once per curve and so must be pure.  Ties break by
+    fewer crossings, then by the lexicographically smallest face-id
+    sequence, then by start/end gap ids.  Returns ``(route, cost)`` or
+    ``None`` when the vertices are unreachable (disconnected map).
+
+    Phase 1 finds each face's least ``(cost, steps)`` key.  Phase 2 ranks
+    the faces by their least face sequence without building one.  An arc
+    is tight when it attains its head's key, so it climbs one level in
+    steps, and a face's least sequence is that of its smallest-ranked
+    tight predecessor plus the face itself.  Faces of one level therefore
+    rank by (predecessor rank, face id), and the parent arc is the
+    predecessor's first tight dart.
     """
+    faces = m.faces
     face_of = m.face_of
-    nstates = len(m.faces)
-    best: dict[int, tuple] = {}
-    parent: dict[int, tuple] = {}
-    heap = []
+    scurve = m.scurve
+    weight = [cost_of_curve(c) for c in range(len(m.curves))]
+    nfaces = len(faces)
+    cost: list = [None] * nfaces
+    steps = [0] * nfaces
+    start_gap: dict[int, int] = {}
     for g in sorted(m.vdarts[u_vid]):
-        fid = m.face_of_gap(g)
-        label = (0, 0, (fid,), g)
-        if fid not in best or label < best[fid]:
-            best[fid] = label
-            parent[fid] = None
-            heapq.heappush(heap, (label, fid))
-    done = set()
+        start_gap.setdefault(face_of[g ^ 1], g)
+    order = sorted(start_gap)
+    heap = [(0, 0, fid) for fid in order]  # sorted, so a heap
+    for fid in order:
+        cost[fid] = 0
+    done = [False] * nfaces
     while heap:
-        label, fid = heapq.heappop(heap)
-        if fid in done or best.get(fid) != label:
+        c, k, fid = heapq.heappop(heap)
+        if done[fid]:
             continue
-        done.add(fid)
-        if len(done) == nstates:
-            break
-        cost, nsteps, faceseq, g0 = label
-        for d in sorted(m.faces[fid]):
-            s = d >> 1
-            w = cost_of_curve(m.scurve[s])
+        done[fid] = True
+        k += 1
+        for d in faces[fid]:
             nfid = face_of[d ^ 1]
-            nlabel = (cost + w, nsteps + 1, faceseq + (nfid,), g0)
-            if nfid not in best or nlabel < best[nfid]:
-                best[nfid] = nlabel
-                parent[nfid] = (fid, s, d)
-                heapq.heappush(heap, (nlabel, nfid))
-    # choose the best target gap
-    cand = []
-    for g in sorted(m.vdarts[v_vid]):
-        fid = m.face_of_gap(g)
-        if fid in best:
-            cand.append((best[fid], g, fid))
+            nc = c + weight[scurve[d >> 1]]
+            old = cost[nfid]
+            # the key (nc, k) against (old, steps[nfid]), without tuples
+            if old is None or nc < old or (nc == old and k < steps[nfid]):
+                cost[nfid] = nc
+                steps[nfid] = k
+                heapq.heappush(heap, (nc, k, nfid))
+    # phase 2, breadth first from the start faces: ``order`` lists each
+    # level by rank, and grows while it is walked
+    parent: list = [None] * nfaces
+    rank = [0] * nfaces
+    for i, fid in enumerate(order):
+        rank[fid] = i
+        c, k = cost[fid], steps[fid] + 1
+        claimed = []
+        for d in sorted(faces[fid]):
+            nfid = face_of[d ^ 1]
+            if (
+                parent[nfid] is None
+                and steps[nfid] == k
+                and cost[nfid] == c + weight[scurve[d >> 1]]
+            ):
+                parent[nfid] = (fid, d)
+                claimed.append(nfid)
+        claimed.sort()
+        order += claimed
+    cand = [
+        (cost[fid], steps[fid], rank[fid], g, fid)
+        for g in sorted(m.vdarts[v_vid])
+        if cost[fid := face_of[g ^ 1]] is not None
+    ]
     if not cand:
         return None
-    label, end_gap, fid = min(cand)
+    total, _, _, end_gap, fid = min(cand)
     crossings = []
-    cur = fid
-    while parent[cur] is not None:
-        pfid, s, d = parent[cur]
-        crossings.append((s, d))
-        cur = pfid
+    while parent[fid] is not None:
+        fid, d = parent[fid]
+        crossings.append((d >> 1, d))
     crossings.reverse()
-    route = Route(("gap", label[3]), tuple(crossings), end_gap)
-    return route, label[0]
+    return Route(("gap", start_gap[fid]), tuple(crossings), end_gap), total
 
 
 def apply_route(

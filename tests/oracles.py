@@ -6,6 +6,7 @@ the table-driven pipeline under test.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -194,6 +195,12 @@ def reference_is_realizable(tables, rs: RotationSystem) -> bool:
     return True
 
 
+def labeled_encoding(rs: RotationSystem) -> bytes:
+    """Byte encoding of a labeled system: its rows rolled to start at
+    their minimum, so it tells labelings apart but not linearizations."""
+    return b"".join(bytes(r) for r in rs.normalized)
+
+
 def _orient(a, b, c) -> float:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
@@ -266,6 +273,63 @@ def exhaustive_min_route_cost(m, u_label: int, v_label: int, cost_of_curve):
     for fid in sorted(start_faces):
         dfs(fid, 0, frozenset({fid}))
     return best[0]
+
+
+def reference_min_cost_route(
+    m: CombinatorialMap, u_vid: int, v_vid: int, cost_of_curve
+):
+    """``routing.min_cost_route`` as it was when each Dijkstra label
+    carried its whole face-id sequence: labels ``(cost, steps, faces,
+    start gap)`` compare lexicographically, so ties break by fewer
+    crossings, then by the smallest face-id sequence, then by start/end
+    gap ids.  Returns ``(route, cost)`` or ``None``."""
+    face_of = m.face_of
+    nstates = len(m.faces)
+    best: dict[int, tuple] = {}
+    parent: dict[int, tuple] = {}
+    heap = []
+    for g in sorted(m.vdarts[u_vid]):
+        fid = m.face_of_gap(g)
+        label = (0, 0, (fid,), g)
+        if fid not in best or label < best[fid]:
+            best[fid] = label
+            parent[fid] = None
+            heapq.heappush(heap, (label, fid))
+    done = set()
+    while heap:
+        label, fid = heapq.heappop(heap)
+        if fid in done or best.get(fid) != label:
+            continue
+        done.add(fid)
+        if len(done) == nstates:
+            break
+        cost, nsteps, faceseq, g0 = label
+        for d in sorted(m.faces[fid]):
+            s = d >> 1
+            w = cost_of_curve(m.scurve[s])
+            nfid = face_of[d ^ 1]
+            nlabel = (cost + w, nsteps + 1, faceseq + (nfid,), g0)
+            if nfid not in best or nlabel < best[nfid]:
+                best[nfid] = nlabel
+                parent[nfid] = (fid, s, d)
+                heapq.heappush(heap, (nlabel, nfid))
+    cand = []
+    for g in sorted(m.vdarts[v_vid]):
+        fid = m.face_of_gap(g)
+        if fid in best:
+            cand.append((best[fid], g, fid))
+    if not cand:
+        return None
+    label, end_gap, fid = min(cand)
+    crossings = []
+    cur = fid
+    while parent[cur] is not None:
+        pfid, s, d = parent[cur]
+        crossings.append((s, d))
+        cur = pfid
+    crossings.reverse()
+    route = Route(("gap", label[3]), tuple(crossings), end_gap)
+    return route, label[0]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from sepdraw.rotation import (
     k4_system,
     k5_index_of,
     k5_system,
-    labeled_encoding,
     mirror,
     pair_crossing,
     parse_crs,
@@ -49,6 +48,7 @@ from oracles import (
     convex_points,
     crossing_pairs_from_points,
     k4_consistent_unrealizable_k5,
+    labeled_encoding,
     random_points,
     reference_crossings_of_edge,
     reference_is_realizable,

@@ -10,24 +10,35 @@ insertion step of the enumeration up to K5.
 
 The seeded generators pick among crossing-free routes with ``rng.choice``,
 so their outputs pin the route order too.
+
+``routing.min_cost_route`` ranks faces in a second pass instead of
+carrying face sequences in its labels.  It must return the same
+``(route, cost)`` as ``reference_min_cost_route``, which carries them, on
+every insertion of the golden completion corpus, on both directions of
+each missing edge of seeded 2-page and planar maps under both cost modes,
+and on small hand-built maps whose routes tie.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 import random
 
 import sepdraw.enumeration as enumeration
+import sepdraw.extension as extension
 import sepdraw.routing as routing
-from sepdraw.cmap import EDGE, serialize_cmap
+from sepdraw.cmap import EDGE, CombinatorialMap, Curve, serialize_cmap
+from sepdraw.errors import InputError
 from sepdraw.generators import (
     random_planar_map,
     random_two_page,
     random_two_page_minus,
 )
-from sepdraw.routing import iter_routes
+from sepdraw.routing import iter_routes, min_cost_route
 
-from oracles import reference_iter_routes
-from test_map_golden import _probe_maps
+from oracles import reference_iter_routes, reference_min_cost_route
+from test_map_golden import _crossmin_inputs, _probe_maps, _separable_inputs
 from test_validate_reference import _outcome
 
 # sha256 of the serialized random_planar_map outputs for n = 2..12,
@@ -127,3 +138,145 @@ def test_generator_outputs_pinned():
             h.update(serialize_cmap(m).encode())
             h.update(repr(removed).encode())
     assert h.hexdigest() == GENERATOR_DIGEST
+
+
+def _same_route(m, u_vid, v_vid, cost_of_curve):
+    """Both least-cost searches on one query; returns the library's."""
+    got = min_cost_route(m, u_vid, v_vid, cost_of_curve)
+    want = reference_min_cost_route(m, u_vid, v_vid, cost_of_curve)
+    assert got == want, (serialize_cmap(m), u_vid, v_vid)
+    return got
+
+
+def test_min_cost_route_golden_insertions(monkeypatch):
+    """Every insertion of the golden completion corpus, as it runs."""
+    routes = []
+
+    def checked(m, u_vid, v_vid, cost_of_curve):
+        routes.append(_same_route(m, u_vid, v_vid, cost_of_curve))
+        return routes[-1]
+
+    monkeypatch.setattr(extension, "min_cost_route", checked)
+    for m in _separable_inputs():
+        extension.extend_to_complete_separable(m)
+    for m in _crossmin_inputs():
+        try:
+            extension.extend_to_complete_crossmin(m)
+        except InputError:  # the input is not crossing-minimizing
+            pass
+    assert len(routes) >= 136
+
+
+def _missing_edge_routes(m) -> int:
+    """Both directions of each missing edge of ``m`` under the cost of
+    each completion mode; returns the number of routes compared."""
+    drawn = {c.edge() for c in m.curves if c.kind == EDGE}
+    labels = m.real_labels()
+    routes = 0
+    for kinds in extension._COST_KINDS.values():
+        costs = [int(c.kind in kinds) for c in m.curves]
+        for u, v in itertools.permutations(labels, 2):
+            if (min(u, v), max(u, v)) not in drawn:
+                vids = m.real_by_label[u], m.real_by_label[v]
+                routes += _same_route(m, *vids, costs.__getitem__) is not None
+    return routes
+
+
+def test_min_cost_route_seeded_maps():
+    routes = 0
+    for n in range(6, 10):
+        for s in range(4):
+            rng = random.Random(f"{n}:{s}")
+            routes += _missing_edge_routes(random_two_page_minus(n, n, rng)[0])
+    for n in range(5, 11):
+        for s in range(4):
+            routes += _missing_edge_routes(
+                random_planar_map(n, random.Random(f"{n}:{s}"))
+            )
+    assert routes >= 1796
+
+
+def _plane_map(points, edges) -> CombinatorialMap:
+    """The crossing-free straight-line drawing of ``edges`` on the labelled
+    ``points``: one segment per edge, each vertex's darts clockwise."""
+    labels = sorted(points)
+    around = {lab: [] for lab in labels}
+    for s, (u, v) in enumerate(edges):
+        for d, a, b in ((2 * s, u, v), (2 * s + 1, v, u)):
+            (xa, ya), (xb, yb) = points[a], points[b]
+            around[a].append((-math.atan2(yb - ya, xb - xa), d))
+    return CombinatorialMap(
+        ["real"] * len(labels),
+        labels,
+        [[d for _, d in sorted(around[lab])] for lab in labels],
+        range(len(edges)),
+        [0] * len(edges),
+        [Curve(EDGE, u, v) for u, v in edges],
+    )
+
+
+# A triangle 1-2-3 with a pendant vertex inside (4) and one outside (5):
+# the inner and outer face are joined by three parallel segments.
+TRIANGLE = _plane_map(
+    {1: (0, 0), 2: (4, 0), 3: (2, 4), 4: (2, 1), 5: (6, -2)},
+    [(1, 2), (2, 3), (1, 3), (1, 4), (2, 5)],
+)
+
+# A path 1-2-7 inside the 4-cycle 1-3-7-4 and a pendant vertex 8 outside:
+# vertex 2 has corners in two faces, both one crossing away from 8's face.
+DIAMOND = _plane_map(
+    {1: (0, 0), 2: (0, 2), 7: (0, 4), 3: (-2, 2), 4: (2, 2), 8: (-4, 2)},
+    [(1, 2), (2, 7), (1, 3), (3, 7), (7, 4), (4, 1), (3, 8)],
+)
+
+# A wheel: hub 6, rim 1-5, and a pendant vertex in two of its triangles;
+# its faces form a 5-cycle plus the outer face, so a route with more
+# crossings can reach a face at the same cost first.
+WHEEL = _plane_map(
+    {
+        **{i + 1: (math.cos(1.3 * i), math.sin(1.3 * i)) for i in range(5)},
+        6: (0, 0), 7: (0.5, 0.4), 8: (-0.6, -0.2),
+    },
+    [(i, i % 5 + 1) for i in range(1, 6)]
+    + [(6, i) for i in range(1, 6)]
+    + [(1, 7), (3, 8)],
+)
+
+
+def test_min_cost_route_ties():
+    """Routes on the hand-built maps under every cost per curve from a
+    small range: parallel segments of equal and of unequal cost, two
+    start faces at cost 0, both ends on one face, and faces reached at
+    their least cost first along more steps."""
+    assert [len(m.faces) for m in (TRIANGLE, DIAMOND, WHEEL)] == [2, 3, 6]
+    routes = 0
+    for m, top in ((TRIANGLE, 3), (DIAMOND, 2)):
+        for costs in itertools.product(range(top), repeat=len(m.curves)):
+            for u, v in itertools.permutations(range(len(m.vkind)), 2):
+                routes += _same_route(m, u, v, costs.__getitem__) is not None
+    assert routes == 3**5 * 20 + 2**7 * 30
+    # between the wheel's pendants, under every cost of 0 or 1 per rim
+    # and spoke curve
+    vid = WHEEL.real_by_label
+    for costs in itertools.product(range(2), repeat=10):
+        for u, v in ((7, 8), (8, 7)):
+            routes += _same_route(
+                WHEEL, vid[u], vid[v], (costs + (0, 0)).__getitem__
+            ) is not None
+    assert routes == 3**5 * 20 + 2**7 * 30 + 2**10 * 2
+    # pendant to pendant across the triangle: the cheapest segment, and
+    # at equal cost the first dart of the inner face
+    inner, outer = TRIANGLE.real_by_label[4], TRIANGLE.real_by_label[5]
+    for costs, seg in (((1, 1, 1, 0, 0), 0), ((2, 1, 1, 0, 0), 1)):
+        route, cost = min_cost_route(TRIANGLE, inner, outer, costs.__getitem__)
+        assert cost == 1 and [s for s, _ in route.crossings] == [seg]
+    # from the middle of the path: both start faces reach 8's face at cost
+    # 1, and the smaller face id starts the route
+    vid = DIAMOND.real_by_label
+    middle, pendant = vid[2], vid[8]
+    route, cost = min_cost_route(DIAMOND, middle, pendant, lambda c: 1)
+    starts = {DIAMOND.face_of_gap(g) for g in DIAMOND.vdarts[middle]}
+    assert cost == 1 and DIAMOND.face_of_gap(route.start[1]) == min(starts)
+    # 3 and 4 share the outer face: no crossing
+    route, cost = min_cost_route(DIAMOND, vid[3], vid[4], lambda c: 1)
+    assert cost == 0 and route.crossings == ()

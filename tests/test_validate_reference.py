@@ -217,6 +217,55 @@ def _corrupted_maps():
     ]
 
 
+def _disjoint_union(a, b):
+    """The map with ``a`` and ``b`` side by side as two components; the
+    labels of ``b`` shift past those of ``a``."""
+    nseg, nc = len(a.scurve), len(a.curves)
+    shift = max(x for x in a.vlabel if x is not None)
+    return CombinatorialMap(
+        a.vkind + b.vkind,
+        a.vlabel + tuple(x if x is None else x + shift for x in b.vlabel),
+        a.vdarts + tuple(tuple(d + 2 * nseg for d in ds) for ds in b.vdarts),
+        a.scurve + tuple(c + nc for c in b.scurve),
+        a.sidx + b.sidx,
+        a.curves + tuple(Curve(c.kind, c.u + shift, c.v + shift)
+                         for c in b.curves),
+    )
+
+
+def _fidelity_maps():
+    """Edits whose messages depend on how the chains and the components
+    are found: curves whose indices repeat or skip on their first
+    segment, so that their ends are not the segments at their real
+    vertices; segments naming unknown curves; and two-component maps in
+    which a component with a reversed rotation fails the Euler formula,
+    named by its union-find root."""
+    m = _witness_free(6, random.Random(53))
+    fields = (m.vkind, m.vlabel, m.vdarts, m.scurve, m.sidx, m.curves)
+
+    def edit(i, value):
+        return CombinatorialMap(*fields[:i], value, *fields[i + 1:])
+
+    out = []
+    for length in (3, 4):
+        cid = next(c for c in range(len(m.curves))
+                   if m.scurve.count(c) == length)
+        for idx in (2, length + 1):  # repeated, then skipped
+            sidx = list(m.sidx)
+            sidx[m.curve_segments(cid)[0]] = idx
+            out.append(edit(4, sidx))
+    scurve = list(m.scurve)
+    scurve[2], scurve[-2] = len(m.curves) + 3, -1
+    out.append(edit(3, scurve))
+    hub = next(v for v, k in enumerate(m.vkind) if k == "real")
+    twisted = edit(2, m.vdarts[:hub] + (m.vdarts[hub][::-1],)
+                   + m.vdarts[hub + 1:])
+    small = _witness_free(3, random.Random(54))
+    out += [_disjoint_union(small, twisted), _disjoint_union(twisted, small),
+            _disjoint_union(twisted, twisted)]
+    return out
+
+
 def _messages(outcomes):
     """The violation messages of the outcomes that returned."""
     return [msg for o in outcomes if o[0] == "ok" for msg in o[1]]
@@ -242,12 +291,17 @@ def test_pruned_validators_match_reference():
             messages += _messages(want[:2])
     # the edited fields can break the maps' other queries, so only the
     # two validate_map modes are compared there
-    for i, m in enumerate(_corrupted_maps()):
+    for i, m in enumerate(_corrupted_maps() + _fidelity_maps()):
         for strict in (True, False):
             got = _outcome(lambda: validate_map(m, strict))
             assert got == _outcome(lambda: reference_validate_map(m, strict)), i
             messages += _messages([got])
     assert _kinds(messages) == set(MESSAGE_KINDS)
+    fidelity = [msg for m in _fidelity_maps() for msg in validate_map(m)]
+    assert _kinds(fidelity) == {
+        "non-consecutive", "not a curve end", "cross not consecutive",
+        "unknown curve", "euler",
+    }
     share = {
         "repeated edge" if pair[1] == pair[2] else "meeting pair"
         for pair in map(re.compile(r"curves (\(.*?\)) and (\(.*?\)) share").match,
