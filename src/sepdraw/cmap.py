@@ -16,7 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, chain, combinations, compress, repeat
+from operator import eq, itemgetter, ne, sub
 
 from .errors import InputError, InternalInvariantError
 from .rotation import RotationSystem, edge_key
@@ -511,12 +512,94 @@ def validate_map(m: CombinatorialMap, strict: bool = True) -> list[str]:
     arc) can meet another edge f more than once only if f's curve meets
     one of the two.  The simplicity and witness checks visit only those
     pairs, so every check is linear in darts plus meeting pairs.
+
+    Each section but the Euler check first tests the whole map in a few
+    passes over its arrays, as :meth:`MapBuilder.freeze` lays them out.
+    Those passes name nothing: when one finds a fault, or the map is laid
+    out otherwise, the section's per-element loop runs, and it alone
+    names the violations (the ``_check_*`` helpers below, and
+    :func:`_witness_violation` for each witness arc), in the order the
+    loop finds them.
     """
     v = []
-    nseg = len(m.scurve)
-    nd = 2 * nseg
+    owned = _check_darts(m, v)
+    if owned is None:
+        return v
+    ends = _check_chains(m, owned, v)
+    if ends is None:
+        return v
+    _check_vertices(m, ends, v)
+    if v:
+        return v
 
-    # dart bookkeeping
+    # Euler formula per connected component (sphere pieces), each named
+    # in the messages by its union-find root
+    nseg = len(m.scurve)
+    comp = list(range(len(m.vkind)))
+    for a, b in zip(owned[0::2], owned[1::2]):
+        while comp[a] != a:  # path halving
+            comp[a] = a = comp[comp[a]]
+        while comp[b] != b:
+            comp[b] = b = comp[comp[b]]
+        if a != b:
+            comp[a] = b
+    roots = [x for x, r in enumerate(comp) if x == r]
+    if len(roots) == 1:
+        pieces = {roots[0]: (len(comp), nseg, len(m.faces))}
+    else:
+        for x, r in enumerate(comp):  # point every vertex at its root
+            while comp[r] != r:
+                r = comp[r]
+            comp[x] = r
+        segs_per = Counter(comp[a] for a in owned[0::2])
+        faces_per = Counter(comp[owned[orbit[0]]] for orbit in m.faces)
+        pieces = {r: (nv, segs_per[r], faces_per[r])
+                  for r, nv in Counter(comp).items()}
+    for r, (nv, ne, nf) in pieces.items():
+        if nv - ne + nf != 2:
+            v.append(
+                f"component at vertex {r} violates the sphere Euler "
+                f"formula: V={nv} E={ne} F={nf}"
+            )
+
+    # simplicity between drawn curves: meeting pairs and repeated edges
+    curves = m.curves
+    edges = [c.edge() for c in curves]
+    drawn = [c.kind in DRAWN_KINDS for c in curves]
+    edge_curve_of = {}
+    copies: dict[tuple[int, int], list[int]] = {}
+    for cid, e in enumerate(edges):
+        if not drawn[cid]:
+            continue
+        if e in edge_curve_of:
+            v.append(f"edge {e} drawn twice (curves {edge_curve_of[e]},{cid})")
+        edge_curve_of[e] = cid
+        copies.setdefault(e, []).append(cid)
+    _check_simple(m, strict, edges, drawn, copies, v)
+
+    # witness invariants (against original drawn edges)
+    _check_witnesses(m, edges, edge_curve_of, v)
+    return v
+
+
+def _pick(seq, idx) -> tuple:
+    """``tuple(seq[i] for i in idx)`` in one call."""
+    return itemgetter(*idx)(seq) if len(idx) > 1 else tuple(seq[i] for i in idx)
+
+
+def _check_darts(m, v) -> tuple | list | None:
+    """The vertex of each dart, after naming in ``v`` the darts listed out
+    of range or twice; None when a dart is at no vertex.
+
+    When exactly ``m.n_darts`` darts are listed, all in range, and
+    ``m.dvert`` leaves none out, each is listed once and ``m.dvert`` is
+    the table."""
+    nd = m.n_darts
+    listed = list(chain.from_iterable(m.vdarts))
+    if len(listed) == nd and (
+        not listed or min(listed) >= 0 and max(listed) < nd
+    ) and -1 not in m.dvert:
+        return m.dvert
     owned = [-1] * nd
     for vid, darts in enumerate(m.vdarts):
         for d in darts:
@@ -529,47 +612,115 @@ def validate_map(m: CombinatorialMap, strict: bool = True) -> list[str]:
     missing = [d for d in range(nd) if owned[d] == -1]
     if missing:
         v.append(f"darts not attached to any vertex: {missing}")
-        return v
+        return None
+    return owned
 
-    # curve chains: each segment sits at its index in its curve's chain,
-    # so a chain keeps a hole exactly when its indices are not 0..k-1
-    scurve, sidx, vkind = m.scurve, m.sidx, m.vkind
+
+def _check_chains(m, owned, v) -> set | None:
+    """Each curve's first tail dart and last head dart, after naming in
+    ``v`` the faults of the curves' chains; None when a segment names an
+    unknown curve.
+
+    ``freeze`` lays each chain out as one run of segments in index order:
+    a chain's joints pair the head of each segment but its curve's last
+    with the tail of the next, and its ends are the runs' ends."""
+    scurve, sidx, vkind, curves = m.scurve, m.sidx, m.vkind, m.curves
+    nseg, nc = len(scurve), len(curves)
     size = Counter(scurve)
-    unknown = [c for c in size if not 0 <= c < len(m.curves)]
+    unknown = [c for c in size if not 0 <= c < nc]
     if unknown:
         s = min(map(scurve.index, unknown))
         v.append(f"segment {s} references unknown curve {scurve[s]}")
-        return v
-    chains = [[-1] * size[c] for c in range(len(m.curves))]
+        return None
+    sizes = [size[c] for c in range(nc)]
+    if (
+        0 not in sizes
+        and scurve == tuple(chain.from_iterable(map(repeat, range(nc), sizes)))
+        and sidx == tuple(chain.from_iterable(map(range, sizes)))
+    ):
+        starts = list(accumulate(sizes, initial=0))
+        ends = [2 * s for s in starts[:-1]] + [2 * s - 1 for s in starts[1:]]
+        heads = owned[1::2]
+        at = _pick(owned, ends)  # each curve's tail vertex, then head ones
+        if (
+            set(starts).issuperset(
+                compress(range(1, nseg), map(ne, heads, owned[2::2]))
+            )
+            and _pick(vkind, at).count("real") == len(at)
+            and _pick(vkind, heads).count("cross") == nseg - nc
+            and _pick(m.vlabel, at)
+            == tuple(c.u for c in curves) + tuple(c.v for c in curves)
+        ):
+            return set(ends)
+
+    # each segment sits at its index in its curve's chain, so a chain
+    # keeps a hole exactly when its indices are not 0..k-1
+    chains = [[-1] * size[c] for c in range(nc)]
     for s, (c, i) in enumerate(zip(scurve, sidx)):
         if 0 <= i < len(chains[c]):
             chains[c][i] = s
-    ends = set()  # each curve's first tail dart and last head dart
-    for cid, (chain, cur) in enumerate(zip(chains, m.curves)):
-        if not chain:
+    ends = set()
+    for cid, (segs, cur) in enumerate(zip(chains, curves)):
+        if not segs:
             v.append(f"curve {cid} has no segments")
             continue
-        if -1 in chain:  # ends as if sorted stably by index
+        if -1 in segs:  # ends as if sorted stably by index
             segs = [s for s, c in enumerate(scurve) if c == cid]
             ends.add(2 * min(segs, key=sidx.__getitem__))
             ends.add(2 * max(reversed(segs), key=sidx.__getitem__) + 1)
             v.append(f"curve {cid} has non-consecutive segment indices")
             continue
-        ends.update((2 * chain[0], 2 * chain[-1] + 1))
-        for a, b in zip(chain, chain[1:]):
+        ends.update((2 * segs[0], 2 * segs[-1] + 1))
+        for a, b in zip(segs, segs[1:]):
             mid1, mid2 = owned[2 * a + 1], owned[2 * b]
             if mid1 != mid2:
                 v.append(f"curve {cid} chain broken between {a} and {b}")
             elif vkind[mid1] != "cross":
                 v.append(f"curve {cid} passes through a real vertex {mid1}")
-        t, h = owned[2 * chain[0]], owned[2 * chain[-1] + 1]
+        t, h = owned[2 * segs[0]], owned[2 * segs[-1] + 1]
         for endv, want in ((t, cur.u), (h, cur.v)):
             if vkind[endv] != "real" or m.vlabel[endv] != want:
                 v.append(f"curve {cid} does not end at real vertex {want}")
+    return ends
 
-    # vertices
-    for vid, (kind, darts) in enumerate(zip(vkind, m.vdarts)):
+
+def _check_vertices(m, ends, v) -> None:
+    """Name in ``v`` the faults of the vertices, given the curves' end
+    darts ``ends``.
+
+    ``freeze`` puts the real vertices first; each crossing's four darts,
+    gathered once, are checked in stride-4 slices."""
+    scurve, sidx, vkind, vdarts = m.scurve, m.sidx, m.vkind, m.vdarts
+    nreal = vkind.count("real")
+    real, cross = vdarts[:nreal], vdarts[nreal:]
+    if (
+        nreal + vkind.count("cross") == len(vkind)
+        and "real" not in vkind[nreal:]
+        and all(real)
+        and len(set(m.vlabel[:nreal])) == nreal
+        and ends.issuperset(chain.from_iterable(real))
+        and {4}.issuperset(map(len, cross))
+    ):
+        segs = [d >> 1 for d in chain.from_iterable(cross)]
+        cs, ix = _pick(scurve, segs), _pick(sidx, segs)
+        if (
+            cs[0::4] == cs[2::4]
+            and cs[1::4] == cs[3::4]
+            and not any(map(eq, cs[0::4], cs[1::4]))
+            and {1, -1}.issuperset(map(sub, ix[0::4], ix[2::4]))
+            and {1, -1}.issuperset(map(sub, ix[1::4], ix[3::4]))
+        ):
+            return
+
+    first = {}  # label -> the first real vertex carrying it
+    for vid, (kind, darts) in enumerate(zip(vkind, vdarts)):
         if kind == "real":
+            lab = m.vlabel[vid]
+            if first.setdefault(lab, vid) != vid:
+                v.append(
+                    f"real vertex {vid} repeats the label {lab} of real "
+                    f"vertex {first[lab]}"
+                )
             if not darts:
                 v.append(f"real vertex {vid} is isolated (unsupported)")
             for d in darts:
@@ -598,52 +749,25 @@ def validate_map(m: CombinatorialMap, strict: bool = True) -> list[str]:
         else:
             v.append(f"vertex {vid} has unknown kind {kind}")
 
-    if v:
-        return v
 
-    # Euler formula per connected component (sphere pieces), each named
-    # in the messages by its union-find root
-    comp = list(range(len(vkind)))
-    for a, b in zip(owned[0::2], owned[1::2]):
-        while comp[a] != a:  # path halving
-            comp[a] = a = comp[comp[a]]
-        while comp[b] != b:
-            comp[b] = b = comp[comp[b]]
-        if a != b:
-            comp[a] = b
-    roots = [x for x, r in enumerate(comp) if x == r]
-    if len(roots) == 1:
-        pieces = {roots[0]: (len(comp), nseg, len(m.faces))}
-    else:
-        for x, r in enumerate(comp):  # point every vertex at its root
-            while comp[r] != r:
-                r = comp[r]
-            comp[x] = r
-        segs_per = Counter(comp[a] for a in owned[0::2])
-        faces_per = Counter(comp[owned[orbit[0]]] for orbit in m.faces)
-        pieces = {r: (nv, segs_per[r], faces_per[r])
-                  for r, nv in Counter(comp).items()}
-    for r, (nv, ne, nf) in pieces.items():
-        if nv - ne + nf != 2:
-            v.append(
-                f"component at vertex {r} violates the sphere Euler "
-                f"formula: V={nv} E={ne} F={nf}"
-            )
+def _check_simple(m, strict, edges, drawn, copies, v) -> None:
+    """Name in ``v`` the pairs of drawn curves that share two or more
+    points; ``copies`` lists the drawn curves of each edge.
 
-    # simplicity between drawn curves: meeting pairs and repeated edges
-    meet = m.meets
-    curves = m.curves
-    edges = [c.edge() for c in curves]
-    drawn = [c.kind in DRAWN_KINDS for c in curves]
-    edge_curve_of = {}
-    copies: dict[tuple[int, int], list[int]] = {}
-    for cid, e in enumerate(edges):
-        if not drawn[cid]:
-            continue
-        if e in edge_curve_of:
-            v.append(f"edge {e} drawn twice (curves {edge_curve_of[e]},{cid})")
-        edge_curve_of[e] = cid
-        copies.setdefault(e, []).append(cid)
+    With no edge drawn twice, a pair shares two points only if it meets
+    twice, or meets once and shares an endpoint: one read of ``meets``
+    tests that."""
+    curves, meet = m.curves, m.meets
+    if len(copies) == sum(drawn):
+        checked = drawn if strict else [c.kind == EDGE for c in curves]
+        for (a, b), k in meet.items():
+            if a != b and checked[a] and checked[b]:
+                x, y = edges[a]
+                if k > 1 or x in edges[b] or y in edges[b]:
+                    break
+        else:
+            return
+
     pairs = {(a, b) for a, b in meet if a != b and drawn[a] and drawn[b]}
     for group in copies.values():
         pairs.update(combinations(group, 2))
@@ -656,14 +780,56 @@ def validate_map(m: CombinatorialMap, strict: bool = True) -> list[str]:
         if total > 1:
             v.append(f"curves {edges[a]} and {edges[b]} share {total} points")
 
-    # witness invariants (against original drawn edges)
-    for cid, c in enumerate(curves):
-        if c.kind != WITNESS:
-            continue
+
+def _check_witnesses(m, edges, edge_curve_of, v) -> None:
+    """Name in ``v`` the first violation of each witness arc.
+
+    Against a witness arc of edge e, :func:`_witness_violation` counts
+    the edges f for which ``edge_curve_of`` names an edge curve.  The arc
+    holds when e's own curve is one, the arc does not cross it, and each
+    such f meets the two at most once in all.  That is so when every
+    meeting of a named edge curve with another one or with a witness arc
+    is one crossing away from the other's endpoints, and no named edge
+    curve meets both an arc and the arc's own edge: one read of
+    ``meets`` tests that."""
+    curves, meet = m.curves, m.meets
+    wits = [cid for cid, c in enumerate(curves) if c.kind == WITNESS]
+    if not wits:
+        return
+    named = [False] * len(curves)
+    for fid in edge_curve_of.values():
+        named[fid] = curves[fid].kind == EDGE
+    own = [None] * len(curves)  # each witness arc's edge curve
+    for w in wits:
+        eid = edge_curve_of.get(edges[w])
+        if eid is None or not named[eid] or (min(w, eid), max(w, eid)) in meet:
+            break
+        own[w] = eid
+    else:
+        for (a, b), k in meet.items():
+            if a == b:
+                continue
+            if named[a]:
+                f, x = a, b
+            elif named[b]:
+                f, x = b, a
+            else:
+                continue
+            eid = own[x]
+            if eid is None and not named[x]:
+                continue
+            p, q = edges[x]
+            if k > 1 or p in edges[f] or q in edges[f]:
+                break
+            if eid is not None and ((eid, f) if eid < f else (f, eid)) in meet:
+                break
+        else:
+            return
+
+    for cid in wits:
         err = _witness_violation(m, cid, edge_curve_of, edges)
         if err:
             v.append(err)
-    return v
 
 
 def require_valid_map(m: CombinatorialMap, strict: bool = True) -> None:

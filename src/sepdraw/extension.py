@@ -119,19 +119,21 @@ def _check_simple_vs_original(m: CombinatorialMap, cid: int):
     """The curve must share at most one point with every original edge.
 
     Two distinct edges share at most one endpoint, so only an edge curve
-    that meets the curve, or one drawing the same edge (the curve itself
-    included), can share two points with it; the first such edge curve
-    in curve-id order is reported."""
-    e = m.curves[cid].edge()
+    that meets the curve, or one with both endpoints on it (the curve
+    itself included), can share two points with it; the first such edge
+    curve in curve-id order is reported."""
+    curves, meets = m.curves, m.meets
+    target = curves[cid]
+    ends = (target.u, target.v)
     candidates = set(m.meeting[cid])
     candidates.update(
-        fid
-        for fid, c in enumerate(m.curves)
-        if c.kind == EDGE and c.edge() == e
+        fid for fid, c in enumerate(curves) if c.u in ends and c.v in ends
     )
     for fid in sorted(candidates):
-        c = m.curves[fid]
-        if c.kind == EDGE and m.shared_points(cid, fid) > 1:
+        c = curves[fid]
+        if c.kind == EDGE and (c.u in ends) + (c.v in ends) + meets.get(
+            (cid, fid) if cid <= fid else (fid, cid), 0
+        ) > 1:
             return c.edge()
     return None
 

@@ -431,7 +431,9 @@ def reference_iter_routes(
 # Reference map validation: the all-pairs scans that ``cmap.validate_map``,
 # ``cmap.validate_witness`` and ``extension._check_simple_vs_original`` ran
 # before they were restricted to meeting curve pairs, kept verbatim so the
-# pruned versions can be compared with them message for message.
+# pruned versions can be compared with them message for message.  The one
+# addition is the rule that real vertex labels are distinct, named at the
+# later vertex.
 
 
 def reference_is_connected(m: CombinatorialMap) -> bool:
@@ -509,8 +511,17 @@ def reference_validate_map(m: CombinatorialMap, strict: bool = True) -> list[str
                 )
 
     # vertices
+    first_of_label = {}
     for vid, darts in enumerate(m.vdarts):
         if m.vkind[vid] == "real":
+            lab = m.vlabel[vid]
+            if lab in first_of_label:
+                v.append(
+                    f"real vertex {vid} repeats the label {lab} of real "
+                    f"vertex {first_of_label[lab]}"
+                )
+            else:
+                first_of_label[lab] = vid
             if not darts:
                 v.append(f"real vertex {vid} is isolated (unsupported)")
             for d in darts:
@@ -664,6 +675,28 @@ def reference_check_simple_vs_original(m: CombinatorialMap, cid: int):
         if shared + meets.get((min(cid, fid), max(cid, fid)), 0) > 1:
             return c.edge()
     return None
+
+
+def permuted_layout(m: CombinatorialMap, rng) -> CombinatorialMap:
+    """``m`` with its vertex ids and its segment ids shuffled and its
+    darts renamed to match, a layout that ``freeze`` never gives; a dart
+    out of range keeps its number."""
+    nv, nseg = len(m.vkind), len(m.scurve)
+    vorder = rng.sample(range(nv), nv)
+    sorder = rng.sample(range(nseg), nseg)
+    seg = {s: i for i, s in enumerate(sorder)}
+
+    def dart(d):
+        return 2 * seg[d >> 1] + (d & 1) if 0 <= d < 2 * nseg else d
+
+    return CombinatorialMap(
+        [m.vkind[v] for v in vorder],
+        [m.vlabel[v] for v in vorder],
+        [tuple(map(dart, m.vdarts[v])) for v in vorder],
+        [m.scurve[s] for s in sorder],
+        [m.sidx[s] for s in sorder],
+        m.curves,
+    )
 
 
 def reference_shared_points(m: CombinatorialMap) -> dict[tuple[int, int], int]:

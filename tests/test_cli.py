@@ -312,6 +312,24 @@ class TestMapCommands:
         p.write_text(serialize_cmap(m))
         assert main(["extend", "--input", str(p), "--mode", "separable"]) == 2
 
+    def test_repeated_real_label(self, tmp_path, capsys):
+        """Real vertices labelled 1, 2, 3, 1 joined by a path that draws
+        the edges 1-2, 2-3 and 3-1: a path, not a K3."""
+        p = tmp_path / "path.cmap"
+        p.write_text(
+            "cmap v1\nreal 4\n"
+            "vertex 0 real 1 : 0\nvertex 1 real 2 : 1 2\n"
+            "vertex 2 real 3 : 3 4\nvertex 3 real 1 : 5\n"
+            "segment 0 1 curve 0 idx 0\nsegment 2 3 curve 1 idx 0\n"
+            "segment 4 5 curve 2 idx 0\n"
+            "curve 0 edge 1-2\ncurve 1 edge 2-3\ncurve 2 edge 3-1\n"
+        )
+        assert main(["verify", "--input", str(p)]) == 1
+        out = capsys.readouterr().out
+        assert "real vertex 1 repeats the label 1 of real vertex 0" in out
+        assert main(["extend", "--input", str(p), "--mode", "crossmin"]) == 2
+        assert "repeats the label 1" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_two(self):
         assert main(["frobnicate"]) == 2
 

@@ -4,15 +4,19 @@
 ``extension._check_simple_vs_original`` visit only curve pairs that meet
 or draw the same edge.  They must return exactly what the all-pairs scans
 in ``tests/oracles.py`` return (same messages, same order, same
-exceptions) on three map sets: the edited and intermediate maps of the
-golden test, the completions of its inputs, and seeded maps whose
-witness arcs break the rules.  ``validate_map`` is also compared on maps
-whose fields were edited directly.
+exceptions) on four map sets: the edited and intermediate maps of the
+golden test, the completions of its inputs, crossmin insertions before
+their exchanges, and seeded maps whose witness arcs break the rules.
+``validate_map`` is also compared on maps whose fields were edited
+directly, and on a copy of every map laid out as ``freeze`` never lays
+one out, so that both its whole-map passes and the loops that name
+violations run on valid and invalid maps.
 """
 from __future__ import annotations
 
 import random
 import re
+from itertools import chain, islice
 
 import sepdraw.extension as ext
 from sepdraw.cmap import (
@@ -28,15 +32,17 @@ from sepdraw.extension import (
     extend_to_complete_crossmin,
     extend_to_complete_separable,
 )
-from sepdraw.generators import all_edges, random_two_page
+from sepdraw.generators import all_edges, random_planar_map, random_two_page
 from sepdraw.routing import iter_routes, min_cost_route, with_route
 
 from oracles import (
+    permuted_layout,
     reference_check_simple_vs_original,
     reference_shared_points,
     reference_validate_map,
     reference_validate_witness,
 )
+from test_extension import FIXUP_KEYS
 from test_map_golden import (
     _crossmin_inputs,
     _probe_maps,
@@ -55,6 +61,7 @@ MESSAGE_KINDS = {
     "chain broken": r"curve \d+ chain broken between",
     "through real vertex": r"curve \d+ passes through a real vertex",
     "bad end": r"curve \d+ does not end at real vertex",
+    "repeated label": r"real vertex \d+ repeats the label \d+ of real vertex",
     "isolated": r"real vertex \d+ is isolated",
     "not a curve end": r"dart \d+ at real vertex \d+ is not a curve end",
     "cross degree": r"cross vertex \d+ has degree",
@@ -101,10 +108,35 @@ def _with_own_crossing_witness(m, e):
     return with_route(m, WITNESS, e[0], e[1], route)[0]
 
 
+def _with_adjacent_crossing_witness(m):
+    """``m`` plus a second witness arc for some edge e that crosses an
+    edge adjacent to e once and otherwise only witness arcs, so that its
+    closed curve meets that edge twice and nothing else breaks; ``m``
+    itself when no such arc turns up."""
+    budget = {cid: 1 for cid, c in enumerate(m.curves) if c.kind == WITNESS}
+    edges = sorted(c.edge() for c in m.curves if c.kind == EDGE)
+    for fid, f in enumerate(m.curves):
+        if f.kind != EDGE:
+            continue
+        for e in edges:
+            if e == f.edge() or not {f.u, f.v} & set(e):
+                continue
+            routes = iter_routes(m, m.real_by_label[e[0]],
+                                 m.real_by_label[e[1]], {**budget, fid: 1})
+            route = next((r for r in islice(routes, 200)
+                          if any(m.scurve[s] == fid for s, _ in r.crossings)),
+                         None)
+            if route is not None:
+                return with_route(m, WITNESS, e[0], e[1], route)[0]
+    return m
+
+
 def _witness_violating_maps():
     """Two-page drawings, some with a second copy of one edge, given a
     witness arc per edge along randomly costed least-cost routes; in
-    some, one witness arc crosses its own edge instead."""
+    some, one witness arc crosses its own edge instead.  Last, two
+    2-page drawings whose only fault is one witness arc that crosses an
+    edge adjacent to its own."""
     rng = random.Random(48)
     out = []
     for n in (4, 5, 6, 7):
@@ -120,6 +152,10 @@ def _witness_violating_maps():
                 else:
                     m = _with_curve(m, WITNESS, e, rng)
             out.append(m)
+    for n in (4, 5):
+        m = random_two_page(n, rng)[0]
+        out.append(_with_adjacent_crossing_witness(m))
+        assert out[-1] is not m
     return out
 
 
@@ -131,9 +167,18 @@ def _map_sets():
         found = _outcome(lambda: extend_to_complete_crossmin(m).map)
         if found[0] == "ok":
             completions.append(found[1])
+    # crossmin insertions before the exchanges: inserted curves that
+    # share two points, and no edge drawn twice
+    unexchanged = [
+        extend_to_complete_crossmin(
+            random_planar_map(int(key.split(":")[0]), random.Random(key))
+        ).insertions[-1].map
+        for key in FIXUP_KEYS
+    ]
     return {
         "probes": probes,
         "completions": completions,
+        "unexchanged": unexchanged,
         "witness-violating": _witness_violating_maps(),
     }
 
@@ -202,6 +247,8 @@ def _corrupted_maps():
     swapped[s0], swapped[s1] = swapped[s1], swapped[s0]
     moved = list(vd)
     moved[x], moved[y] = vd[x][1:], vd[y] + vd[x][:1]
+    relabeled = list(m.vlabel)
+    relabeled[1] = relabeled[0]
     return [
         edit(2, [vd[0] + (-1,)] + vd[1:]),
         edit(2, [vd[0] + vd[1][:1]] + vd[1:]),
@@ -214,7 +261,56 @@ def _corrupted_maps():
         edit(0, vk[:x] + ["real"] + vk[x + 1:]),
         edit(2, moved),
         edit(4, swapped),
+        edit(1, relabeled),
     ]
+
+
+def _lone_fault_maps():
+    """Edits of one valid map whose fault only one test sees among those
+    that ``validate_map`` runs over a whole section before it names
+    anything: a dart renamed to -1 or to a dart listed elsewhere, a real
+    and a crossing vertex that trade kinds, two crossings merged into
+    one of degree 8, a curve that crosses itself at a crossing vertex,
+    and curves whose last segment skips an index, one crossing each."""
+    m = _witness_free(6, random.Random(57))
+    fields = (m.vkind, m.vlabel, m.vdarts, m.scurve, m.sidx, m.curves)
+
+    def edit(i, value):
+        return CombinatorialMap(*fields[:i], value, *fields[i + 1:])
+
+    vd, vk, nd = list(m.vdarts), list(m.vkind), m.n_darts
+    x, y = [v for v, k in enumerate(vk) if k == "cross"][:2]
+    renamed = list(vd)
+    last = m.dvert[nd - 1]
+    renamed[last] = tuple(-1 if d == nd - 1 else d for d in vd[last])
+    out = [
+        edit(2, renamed),
+        edit(2, [vd[1][:1] + vd[0][1:]] + vd[1:]),
+        edit(0, ["cross"] + vk[1:x] + ["real"] + vk[x + 1:]),
+    ]
+    keep = [v for v in range(len(vk)) if v != y]
+    merged = vd[:x] + [vd[x] + vd[y]] + vd[x + 1:]
+    out.append(CombinatorialMap([vk[v] for v in keep],
+                                [m.vlabel[v] for v in keep],
+                                [merged[v] for v in keep],
+                                m.scurve, m.sidx, m.curves))
+    # a curve's first two joints share one vertex, and the two curves
+    # that crossed it there share the other
+    cid = next(c for c in range(len(m.curves)) if m.scurve.count(c) >= 3)
+    a = m.curve_segments(cid)
+    x, y = m.dvert[2 * a[0] + 1], m.dvert[2 * a[1] + 1]
+    b, c = ([d for d in vd[z] if m.scurve[d >> 1] != cid] for z in (x, y))
+    looped = list(vd)
+    looped[x] = (2 * a[0] + 1, 2 * a[1] + 1, 2 * a[1], 2 * a[2])
+    looped[y] = (b[0], c[0], b[1], c[1])
+    out.append(edit(2, looped))
+    for cid in range(8):
+        segs = m.curve_segments(cid)
+        if len(segs) >= 2:
+            sidx = list(m.sidx)
+            sidx[segs[-1]] += 2
+            out.append(edit(4, sidx))
+    return out
 
 
 def _disjoint_union(a, b):
@@ -290,13 +386,23 @@ def test_pruned_validators_match_reference():
             assert got == want, (name, i)
             messages += _messages(want[:2])
     # the edited fields can break the maps' other queries, so only the
-    # two validate_map modes are compared there
-    for i, m in enumerate(_corrupted_maps() + _fidelity_maps()):
+    # two validate_map modes are compared there, and on a shuffled copy of
+    # every map
+    edited = _corrupted_maps() + _fidelity_maps() + _lone_fault_maps()
+    rng = random.Random(55)
+    shuffled = [permuted_layout(m, rng)
+                for m in [*chain.from_iterable(sets.values()), *edited]]
+    for i, m in enumerate(edited + shuffled):
         for strict in (True, False):
             got = _outcome(lambda: validate_map(m, strict))
             assert got == _outcome(lambda: reference_validate_map(m, strict)), i
             messages += _messages([got])
     assert _kinds(messages) == set(MESSAGE_KINDS)
+    verdicts = {validate_map(m) == [] for m in shuffled}
+    assert verdicts == {True, False}
+    assert _kinds(msg for m in shuffled for msg in validate_map(m)) == set(
+        MESSAGE_KINDS
+    )
     fidelity = [msg for m in _fidelity_maps() for msg in validate_map(m)]
     assert _kinds(fidelity) == {
         "non-consecutive", "not a curve end", "cross not consecutive",
