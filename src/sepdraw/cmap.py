@@ -255,17 +255,17 @@ def is_connected(m: CombinatorialMap) -> bool:
 class MapBuilder:
     """Mutable half-edge structure used to assemble and rewire maps.
 
-    Rotations live in ``sigma``/``sprev`` (clockwise next/previous dart at
-    the same vertex).  Segment s owns darts 2s (tail, toward the curve's
-    start) and 2s+1 (head).  Dead segments keep their ids until
-    :meth:`freeze` compacts everything into canonical order.
+    As in a map, ``rot[v]`` lists the darts at vertex v in clockwise
+    order and ``dvert`` names each dart's vertex (-1 when it is at none).
+    Segment s owns darts 2s (tail, toward the curve's start) and 2s+1
+    (head).  Dead segments keep their ids until :meth:`freeze` compacts
+    everything into canonical order.
     """
 
     def __init__(self):
         self.vkind: list[str] = []
         self.vlabel: list[int | None] = []
-        self.sigma: list[int] = []
-        self.sprev: list[int] = []
+        self.rot: list[list[int]] = []
         self.dvert: list[int] = []
         self.scurve: list[int] = []
         self.curves: list[Curve] = []
@@ -276,6 +276,7 @@ class MapBuilder:
     def new_vertex(self, kind: str, label: int | None = None) -> int:
         self.vkind.append(kind)
         self.vlabel.append(label)
+        self.rot.append([])
         return len(self.vkind) - 1
 
     def new_curve(self, kind: str, u: int, v: int) -> int:
@@ -286,52 +287,33 @@ class MapBuilder:
     def new_segment(self, cid: int) -> int:
         s = len(self.scurve)
         self.scurve.append(cid)
-        self.sigma.extend((-1, -1))
-        self.sprev.extend((-1, -1))
         self.dvert.extend((-1, -1))
         return s
 
     def attach_sole_dart(self, vid: int, d: int):
-        self.dvert[d] = vid
-        self.sigma[d] = d
-        self.sprev[d] = d
+        self.set_rotation(vid, (d,))
 
     def insert_dart_after(self, g: int, d: int):
         """Insert dart d clockwise-after dart g (same vertex)."""
-        self.dvert[d] = self.dvert[g]
-        nxt = self.sigma[g]
-        self.sigma[g] = d
-        self.sprev[d] = g
-        self.sigma[d] = nxt
-        self.sprev[nxt] = d
+        vid = self.dvert[d] = self.dvert[g]
+        rot = self.rot[vid]
+        rot.insert(rot.index(g) + 1, d)
 
     def set_rotation(self, vid: int, darts):
-        darts = list(darts)
-        for i, d in enumerate(darts):
+        self.rot[vid] = darts = list(darts)
+        for d in darts:
             self.dvert[d] = vid
-            self.sigma[d] = darts[(i + 1) % len(darts)]
-            self.sprev[d] = darts[(i - 1) % len(darts)]
 
     def remove_dart(self, d: int):
-        p, nxt = self.sprev[d], self.sigma[d]
-        if nxt != d:
-            self.sigma[p] = nxt
-            self.sprev[nxt] = p
-        self.sigma[d] = self.sprev[d] = self.dvert[d] = -1
+        self.rot[self.dvert[d]].remove(d)
+        self.dvert[d] = -1
 
     def replace_dart(self, old: int, new: int):
         """New dart takes old's angular slot."""
-        vid = self.dvert[old]
-        p, nxt = self.sprev[old], self.sigma[old]
-        if nxt == old:
-            self.attach_sole_dart(vid, new)
-        else:
-            self.dvert[new] = vid
-            self.sigma[p] = new
-            self.sprev[new] = p
-            self.sigma[new] = nxt
-            self.sprev[nxt] = new
-        self.sigma[old] = self.sprev[old] = self.dvert[old] = -1
+        vid = self.dvert[new] = self.dvert[old]
+        rot = self.rot[vid]
+        rot[rot.index(old)] = new
+        self.dvert[old] = -1
 
     def kill_segment(self, s: int):
         self.scurve[s] = -1
@@ -346,18 +328,7 @@ class MapBuilder:
 
     def rotation_of(self, vid: int) -> list[int]:
         """Live darts at ``vid`` clockwise from its smallest one."""
-        for d in range(len(self.dvert)):
-            if self.dvert[d] == vid and self.scurve[d >> 1] >= 0:
-                return self._cycle(d)
-        return []
-
-    def _cycle(self, anchor: int) -> list[int]:
-        out = [anchor]
-        d = self.sigma[anchor]
-        while d != anchor:
-            out.append(d)
-            d = self.sigma[d]
-        return out
+        return list(_from_smallest(self.rot[vid]))
 
     # -- surgery -------------------------------------------------------------
 
@@ -413,15 +384,8 @@ class MapBuilder:
             b.csegs[cid].append(s)
         for segs in b.csegs:
             segs.sort(key=m.sidx.__getitem__)
-        b.sigma = list(m.sigma)
+        b.rot = list(map(list, m.vdarts))
         b.dvert = list(m.dvert)
-        # sprev inverts sigma; the spare last slot takes the writes of
-        # unattached darts (sigma -1) and is dropped
-        sprev = [-1] * (m.n_darts + 1)
-        for d, nxt in enumerate(b.sigma):
-            sprev[nxt] = d
-        sprev.pop()
-        b.sprev = sprev
         return b
 
     def freeze(self) -> CombinatorialMap:
@@ -434,62 +398,45 @@ class MapBuilder:
         segments.  Every rotation starts at its smallest dart.
         """
         vkind = self.vkind
-        dvert = self.dvert
-        sigma = self.sigma
-        # dmap: new dart of each old dart on a chain, else -1;
-        # anchor: one such dart per vertex, else -1 (the spare last slot
-        # takes the writes of unattached darts)
-        dmap = [-1] * len(dvert)
-        anchor = [-1] * (len(vkind) + 1)
+        # dmap: new dart of each old dart on a chain, else -1
+        dmap = [-1] * len(self.dvert)
         scurve = []
         sidx = []
         new = 0
         for i, segs in enumerate(self.csegs):
             for s in segs:
-                d = 2 * s
-                dmap[d] = new
-                dmap[d + 1] = new + 1
-                anchor[dvert[d]] = d
-                anchor[dvert[d + 1]] = d + 1
+                dmap[2 * s] = new
+                dmap[2 * s + 1] = new + 1
                 new += 2
             scurve += [i] * len(segs)
             sidx += range(len(segs))
 
-        # each vertex's rotation in new darts, walked once
-        rots = []
+        # each rotation in new darts, as the map will hold it
+        rots = [_from_smallest([dmap[d] for d in rot]) for rot in self.rot]
         real = []
         cross = []
         for v, kind in enumerate(vkind):
-            a = anchor[v]
-            rot = []
-            if a >= 0:
-                rot.append(dmap[a])
-                d = sigma[a]
-                while d != a:
-                    rot.append(dmap[d])
-                    d = sigma[d]
-            rots.append(rot)
             if kind == "real":
                 real.append((self.vlabel[v], v))
-            elif rot:
-                cross.append((sorted([d >> 1 for d in rot]), v))
+            elif rots[v]:
+                cross.append((sorted([d >> 1 for d in rots[v]]), v))
         real.sort()
         cross.sort()
         vorder = [v for _, v in real] + [v for _, v in cross]
-
-        vdarts = []
-        for v in vorder:
-            rot = rots[v]
-            k = rot.index(min(rot)) if rot else 0
-            vdarts.append(tuple(rot[k:] + rot[:k]))
         return CombinatorialMap(
             [vkind[v] for v in vorder],
             [self.vlabel[v] for v in vorder],
-            vdarts,
+            [rots[v] for v in vorder],
             scurve,
             sidx,
             self.curves,
         )
+
+
+def _from_smallest(rot: list[int]) -> tuple[int, ...]:
+    """``rot`` rolled to start at its smallest dart."""
+    k = rot.index(min(rot)) if rot else 0
+    return (*rot[k:], *rot[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +645,7 @@ def _check_vertices(m, ends, v) -> None:
         and "real" not in vkind[nreal:]
         and all(real)
         and len(set(m.vlabel[:nreal])) == nreal
+        and m.vlabel[nreal:].count(None) == len(vkind) - nreal
         and ends.issuperset(chain.from_iterable(real))
         and {4}.issuperset(map(len, cross))
     ):
@@ -729,6 +677,8 @@ def _check_vertices(m, ends, v) -> None:
                         f"dart {d} at real vertex {vid} is not a curve end"
                     )
         elif kind == "cross":
+            if m.vlabel[vid] is not None:
+                v.append(f"cross vertex {vid} carries label {m.vlabel[vid]}")
             if len(darts) != 4:
                 v.append(f"cross vertex {vid} has degree {len(darts)} != 4")
                 continue
@@ -1031,15 +981,11 @@ def from_two_page(order, edges, pages, witnesses: bool = True):
             ev.reverse()
         segs = [b.new_segment(cid) for _ in range(len(ev) + 1)]
         b.csegs[cid] = segs
-        b.dvert[2 * segs[0]] = vid_of[u]
-        b.dvert[2 * segs[-1] + 1] = vid_of[v]
         end_darts[(cid, u)] = 2 * segs[0]
         end_darts[(cid, v)] = 2 * segs[-1] + 1
         for k, (_, xv, _) in enumerate(ev):
             back = 2 * segs[k] + 1
             fwd = 2 * segs[k + 1]
-            b.dvert[back] = xv
-            b.dvert[fwd] = xv
             if ascending:
                 side_darts[(xv, cid)] = {"small": back, "big": fwd}
             else:
@@ -1213,8 +1159,7 @@ def parse_cmap(text: str) -> CombinatorialMap:
         if not rot:
             raise InputError(f"vertex {vid} has no darts")
         for d in darts:
-            # a dart listed twice would leave a rotation cycle that never
-            # closes, and building the map would not terminate
+            # a dart has one place in one rotation, so it is listed once
             if b.dvert[dmap[d]] != -1:
                 raise InputError(f"dart {d} is listed twice in the rotations")
             b.dvert[dmap[d]] = vmap[vid]

@@ -916,7 +916,15 @@ def is_g_convex(tables: RealizabilityTables, rs: RotationSystem) -> bool:
     edges has no endpoint on the other side (such an edge is independent
     of the triangle edge it crosses, so at most one of its endpoints is
     on T): the OR of T's three crossing masks meets the complement of
-    the OR of the other side's stars.  Both read the memoized masks."""
+    the OR of the other side's stars.  Both read the memoized masks.
+
+    This is closed-side convexity, the convexity of Arroyo, McQuillan,
+    Richter and Salazar (*Convex drawings of the complete graph:
+    topology meets geometry*, Ars Math. Contemp. 2022): the chosen side
+    holds every edge between two of its points, T's vertices included.
+    Whether it equals the generalized convexity of Bergold et al. (SoCG
+    2024), which the source paper's claim 3 is about, is an open
+    question."""
     n = rs.n
     if n <= 3:
         return True

@@ -266,7 +266,7 @@ def apply_route(
         b.insert_dart_after(g, d_start)
     else:
         u_vid = b.vlabel.index(u_label)
-        if u_vid in b.dvert:
+        if b.rot[u_vid]:
             raise InputError(
                 f"route starts in a face but vertex {u_label} has darts"
             )

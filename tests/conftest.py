@@ -31,14 +31,23 @@ def enum6():
 
 @pytest.fixture
 def checked_freeze(monkeypatch):
-    """Makes every ``MapBuilder.freeze`` in the test compare its map, all
-    six fields, with ``reference_freeze`` of the same builder; returns
-    the list of maps checked."""
+    """Makes every ``MapBuilder.freeze`` in the test check the builder's
+    rotation lists and compare its map, all six fields, with
+    ``reference_freeze`` of the same builder; returns the list of maps
+    checked."""
     freeze = MapBuilder.freeze
     checked = []
 
     def checking(b):
-        """``freeze`` after comparing it with the reference."""
+        """``freeze`` after checking that every dart of a segment on a
+        chain is listed once, at its own vertex, and no other dart is,
+        and comparing the map with the reference."""
+        listed = [d for rot in b.rot for d in rot]
+        assert len(set(listed)) == len(listed)
+        assert all(b.dvert[d] == v for v, rot in enumerate(b.rot) for d in rot)
+        on_chains = [d for segs in b.csegs for s in segs
+                     for d in (2 * s, 2 * s + 1)]
+        assert sorted(listed) == sorted(on_chains)
         want = reference_freeze(b)
         got = freeze(b)
         assert got == want  # compares all six fields

@@ -525,15 +525,18 @@ def reference_validate_map(m: CombinatorialMap, strict: bool = True) -> list[str
             if not darts:
                 v.append(f"real vertex {vid} is isolated (unsupported)")
             for d in darts:
-                s = d >> 1
-                cid = m.scurve[s]
-                segs = by_curve[cid]
-                is_end = (d == 2 * segs[0]) or (d == 2 * segs[-1] + 1)
+                # a dart out of range (named above) ends no curve
+                is_end = False
+                if 0 <= d < nd:
+                    segs = by_curve[m.scurve[d >> 1]]
+                    is_end = d in (2 * segs[0], 2 * segs[-1] + 1)
                 if not is_end:
                     v.append(
                         f"dart {d} at real vertex {vid} is not a curve end"
                     )
         elif m.vkind[vid] == "cross":
+            if m.vlabel[vid] is not None:
+                v.append(f"cross vertex {vid} carries label {m.vlabel[vid]}")
             if len(darts) != 4:
                 v.append(f"cross vertex {vid} has degree {len(darts)} != 4")
                 continue
@@ -712,10 +715,10 @@ def reference_shared_points(m: CombinatorialMap) -> dict[tuple[int, int], int]:
 
 # ---------------------------------------------------------------------------
 # Reference compaction: ``MapBuilder.freeze`` as it was when it numbered
-# segments through a dict, listed the live darts of every vertex in a pass
-# over all darts and walked each rotation from the smallest of them, kept
-# so the version numbering darts through one list can be compared with
-# it.
+# segments through a dict and listed the live darts of every vertex in a
+# pass over all darts, reading each rotation from the smallest of them,
+# kept so the version that maps the builder's dart lists through one list
+# can be compared with it.
 
 
 def reference_freeze(b: MapBuilder) -> CombinatorialMap:
@@ -751,7 +754,9 @@ def reference_freeze(b: MapBuilder) -> CombinatorialMap:
         if not at[v]:
             vdarts.append(())
             continue
-        rot = [newdart(d) for d in b._cycle(at[v][0])]
+        r = b.rot[v]
+        k = r.index(at[v][0])
+        rot = [newdart(d) for d in r[k:] + r[:k]]
         k = rot.index(min(rot))
         vdarts.append(tuple(rot[k:] + rot[:k]))
 

@@ -1,10 +1,10 @@
 """``MapBuilder.freeze`` and ``MapBuilder.from_map`` against the
 reference compaction of ``tests/oracles.py``.
 
-``freeze`` numbers darts through one list and walks each rotation once
-from a dart of a live segment; ``reference_freeze`` is the version that
-numbered segments through a dict and listed every vertex's live darts in
-a pass over all darts.  The ``checked_freeze`` fixture compares the two,
+``freeze`` numbers darts through one list and maps each vertex's dart
+list through it; ``reference_freeze`` is the version that numbered
+segments through a dict and listed every vertex's live darts in a pass
+over all darts.  The ``checked_freeze`` fixture compares the two,
 all six fields of the map, on every freeze of a test: here on every
 builder the enumerator routes through and on ``from_map`` copies of the
 golden corpus, and in ``tests/test_extension.py`` on the fix-up surgery
@@ -56,6 +56,6 @@ def test_from_map_round_trips_golden_corpus(checked_freeze):
     for m in maps:
         for mm in (m, test_cmap.TestFromMap.renumber_segments(m, rng)):
             b = MapBuilder.from_map(mm)
-            assert all(b.sprev[b.sigma[d]] == d for d in range(len(b.sigma)))
+            assert b.rot == [list(r) for r in mm.vdarts]
             assert b.freeze() == m
     assert len(checked_freeze) == 2 * len(maps)

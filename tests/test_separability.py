@@ -256,6 +256,17 @@ class TestIsSeparable:
                 if is_g_convex(tables, rep.rs):
                     assert is_separable(tables, rep.rs).separable
 
+    def test_class_counts_of_the_orbits(self, tables, enum5, enum6):
+        """Orbits, separable ones, g-convex ones, and g-convex ones that
+        are not separable, at K5 and K6: claim 3 holds at n <= 6."""
+        counts = {}
+        for n, reps in ((5, enum5[5]), (6, enum6)):
+            sep = [is_separable(tables, r.rs).separable for r in reps]
+            conv = [is_g_convex(tables, r.rs) for r in reps]
+            counts[n] = (len(reps), sum(sep), sum(conv),
+                         sum(c and not s for s, c in zip(sep, conv)))
+        assert counts == {5: (5, 4, 3, 0), 6: (102, 41, 16, 0)}
+
 
 class TestSidePartition:
     def test_fig_style_partition(self, tables):

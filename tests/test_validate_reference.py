@@ -64,6 +64,7 @@ MESSAGE_KINDS = {
     "repeated label": r"real vertex \d+ repeats the label \d+ of real vertex",
     "isolated": r"real vertex \d+ is isolated",
     "not a curve end": r"dart \d+ at real vertex \d+ is not a curve end",
+    "cross label": r"cross vertex \d+ carries label",
     "cross degree": r"cross vertex \d+ has degree",
     "not alternating": r"cross vertex \d+ lacks two alternating",
     "cross not consecutive": r"cross vertex \d+: curve \d+ segments not",
@@ -249,6 +250,8 @@ def _corrupted_maps():
     moved[x], moved[y] = vd[x][1:], vd[y] + vd[x][:1]
     relabeled = list(m.vlabel)
     relabeled[1] = relabeled[0]
+    labelled = list(m.vlabel)
+    labelled[x] = 3
     return [
         edit(2, [vd[0] + (-1,)] + vd[1:]),
         edit(2, [vd[0] + vd[1][:1]] + vd[1:]),
@@ -262,6 +265,7 @@ def _corrupted_maps():
         edit(2, moved),
         edit(4, swapped),
         edit(1, relabeled),
+        edit(1, labelled),
     ]
 
 
@@ -271,7 +275,9 @@ def _lone_fault_maps():
     anything: a dart renamed to -1 or to a dart listed elsewhere, a real
     and a crossing vertex that trade kinds, two crossings merged into
     one of degree 8, a curve that crosses itself at a crossing vertex,
-    and curves whose last segment skips an index, one crossing each."""
+    and curves whose last segment skips an index, one crossing each.
+    Last, a 2-page K6 whose real vertex 0 also lists a dart out of
+    range, which ends no curve."""
     m = _witness_free(6, random.Random(57))
     fields = (m.vkind, m.vlabel, m.vdarts, m.scurve, m.sidx, m.curves)
 
@@ -310,6 +316,10 @@ def _lone_fault_maps():
             sidx = list(m.sidx)
             sidx[segs[-1]] += 2
             out.append(edit(4, sidx))
+    k6 = random_two_page(6, random.Random(1))[0]
+    extra = (*k6.vdarts[0], k6.n_darts + 1)
+    out.append(CombinatorialMap(k6.vkind, k6.vlabel, (extra, *k6.vdarts[1:]),
+                                k6.scurve, k6.sidx, k6.curves))
     return out
 
 
