@@ -17,10 +17,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, compress, repeat
-from operator import eq, itemgetter, ne, sub
+from operator import eq, invert, itemgetter, ne, sub
 
 from .errors import InputError, InternalInvariantError
-from .rotation import RotationSystem, edge_key
+from .rotation import RotationSystem, _roll_min, edge_key
 
 EDGE = "edge"
 WITNESS = "witness"
@@ -50,7 +50,6 @@ class CombinatorialMap:
         "sidx",
         "curves",
         "_dvert",
-        "_sigma",
         "_faces",
         "_face_of",
         "_real_by_label",
@@ -66,7 +65,6 @@ class CombinatorialMap:
         self.sidx = tuple(sidx)
         self.curves = tuple(curves)
         self._dvert = None
-        self._sigma = None
         self._faces = None
         self._face_of = None
         self._real_by_label = None
@@ -88,16 +86,6 @@ class CombinatorialMap:
                     dv[d] = vid
             self._dvert = tuple(dv)
         return self._dvert
-
-    @property
-    def sigma(self):
-        if self._sigma is None:
-            sg = [-1] * self.n_darts
-            for darts in self.vdarts:
-                for i, d in enumerate(darts):
-                    sg[d] = darts[(i + 1) % len(darts)]
-            self._sigma = tuple(sg)
-        return self._sigma
 
     @property
     def real_by_label(self) -> dict[int, int]:
@@ -124,10 +112,6 @@ class CombinatorialMap:
         pts += [self.dvert[2 * s + 1] for s in segs]
         return pts
 
-    def curves_at_cross(self, vid: int) -> tuple[int, int]:
-        darts = self.vdarts[vid]
-        return (self.scurve[darts[0] >> 1], self.scurve[darts[1] >> 1])
-
     @property
     def meets(self) -> dict[tuple[int, int], int]:
         """Number of crossing vertices per unordered curve pair ``(a, b)``
@@ -136,9 +120,10 @@ class CombinatorialMap:
         never mutate it."""
         if self._meets is None:
             meets: dict[tuple[int, int], int] = {}
-            for vid, kind in enumerate(self.vkind):
+            scurve = self.scurve
+            for kind, darts in zip(self.vkind, self.vdarts):
                 if kind == "cross":
-                    a, b = self.curves_at_cross(vid)
+                    a, b = scurve[darts[0] >> 1], scurve[darts[1] >> 1]
                     k = (a, b) if a <= b else (b, a)
                     meets[k] = meets.get(k, 0) + 1
             self._meets = meets
@@ -173,33 +158,40 @@ class CombinatorialMap:
 
     @property
     def faces(self) -> tuple[tuple[int, ...], ...]:
+        """The orbits of sigma o alpha, each from its smallest dart, in
+        order of that dart; the walk fills :attr:`face_of` too."""
         if self._faces is None:
-            sg = self.sigma
-            seen = [False] * self.n_darts
+            # phi[d] = sigma(alpha(d)), the dart after d on its face; the
+            # walk overwrites each dart's entry with ~(its face id), so a
+            # negative entry marks a dart already seen
+            phi = [-1] * self.n_darts
+            for darts in self.vdarts:
+                if darts:
+                    prev = darts[-1]
+                    for d in darts:
+                        phi[prev ^ 1] = d
+                        prev = d
             out = []
             for d0 in range(self.n_darts):
-                if seen[d0]:
+                if phi[d0] < 0:
                     continue
                 orbit = []
+                mark = ~len(out)
                 d = d0
-                while not seen[d]:
-                    seen[d] = True
+                while (nxt := phi[d]) >= 0:
+                    phi[d] = mark
                     orbit.append(d)
-                    d = sg[d ^ 1]
+                    d = nxt
                 out.append(tuple(orbit))
-            # each orbit starts at its smallest dart, so ``out`` is sorted
-            # by smallest dart already
             self._faces = tuple(out)
+            self._face_of = tuple(map(invert, phi))
         return self._faces
 
     @property
     def face_of(self) -> tuple[int, ...]:
+        """The face id of each dart, filled by the :attr:`faces` walk."""
         if self._face_of is None:
-            fo = [-1] * self.n_darts
-            for fid, orbit in enumerate(self.faces):
-                for d in orbit:
-                    fo[d] = fid
-            self._face_of = tuple(fo)
+            self.faces  # its walk fills _face_of
         return self._face_of
 
     def face_of_gap(self, g: int) -> int:
@@ -290,9 +282,6 @@ class MapBuilder:
         self.dvert.extend((-1, -1))
         return s
 
-    def attach_sole_dart(self, vid: int, d: int):
-        self.set_rotation(vid, (d,))
-
     def insert_dart_after(self, g: int, d: int):
         """Insert dart d clockwise-after dart g (same vertex)."""
         vid = self.dvert[d] = self.dvert[g]
@@ -325,10 +314,6 @@ class MapBuilder:
         pts = [self.dvert[2 * segs[0]]]
         pts += [self.dvert[2 * s + 1] for s in segs]
         return pts
-
-    def rotation_of(self, vid: int) -> list[int]:
-        """Live darts at ``vid`` clockwise from its smallest one."""
-        return list(_from_smallest(self.rot[vid]))
 
     # -- surgery -------------------------------------------------------------
 
@@ -412,7 +397,7 @@ class MapBuilder:
             sidx += range(len(segs))
 
         # each rotation in new darts, as the map will hold it
-        rots = [_from_smallest([dmap[d] for d in rot]) for rot in self.rot]
+        rots = [_roll_min([dmap[d] for d in rot]) for rot in self.rot]
         real = []
         cross = []
         for v, kind in enumerate(vkind):
@@ -431,12 +416,6 @@ class MapBuilder:
             sidx,
             self.curves,
         )
-
-
-def _from_smallest(rot: list[int]) -> tuple[int, ...]:
-    """``rot`` rolled to start at its smallest dart."""
-    k = rot.index(min(rot)) if rot else 0
-    return (*rot[k:], *rot[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -1068,6 +1047,7 @@ def parse_cmap(text: str) -> CombinatorialMap:
     verts = {}  # vid -> (kind, label, dart list)
     segs = {}  # file seg position -> (dA, dB, cid, idx)
     curvedefs = {}
+    declared = []  # the counts on 'real' lines
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -1080,7 +1060,7 @@ def parse_cmap(text: str) -> CombinatorialMap:
                     raise InputError(f"unsupported cmap version {toks[1]}")
                 header_seen = True
             elif toks[0] == "real":
-                int(toks[1])
+                declared.append(int(toks[1]))
             elif toks[0] == "vertex":
                 vid = int(toks[1])
                 if toks[2] == "real":
@@ -1122,6 +1102,10 @@ def parse_cmap(text: str) -> CombinatorialMap:
         raise InputError("missing 'cmap v1' header")
     if sorted(curvedefs) != list(range(len(curvedefs))):
         raise InputError("curve ids must be 0..k-1")
+    nreal = sum(kind == "real" for kind, _, _ in verts.values())
+    for k in declared:
+        if k != nreal:
+            raise InputError(f"'real {k}' but {nreal} real vertex lines")
 
     # renumber into builder form; file dart ids are arbitrary but must be
     # consistent between vertex and segment lines

@@ -203,7 +203,7 @@ def _smooth(b: MapBuilder, x: int, dead=()):
     skipping the segments in ``dead`` (strands being deleted).  Each curve
     left at ``x`` must pass straight through it."""
     by_curve: dict[int, list[int]] = {}
-    for d in b.rotation_of(x):
+    for d in b.rot[x]:
         if (d >> 1) not in dead:
             by_curve.setdefault(b.scurve[d >> 1], []).append(d)
     for cid, darts in sorted(by_curve.items()):

@@ -5,7 +5,6 @@ Everything here is deterministic given the seed: generators draw from
 """
 from __future__ import annotations
 
-import itertools
 import random
 
 from .cmap import (
@@ -16,11 +15,12 @@ from .cmap import (
 )
 from .enumeration import path_k2_map
 from .errors import InternalInvariantError
+from .rotation import edge_index
 from .routing import iter_routes, with_route
 
 
 def all_edges(n: int):
-    return list(itertools.combinations(range(1, n + 1), 2))
+    return list(edge_index(n).edges)
 
 
 def random_two_page(n: int, rng: random.Random):

@@ -137,11 +137,7 @@ class RotationSystem:
         return self._norm
 
     def edges(self):
-        return [
-            (u, v)
-            for u in range(1, self.n + 1)
-            for v in range(u + 1, self.n + 1)
-        ]
+        return list(edge_index(self.n).edges)
 
     def __eq__(self, other):
         return (
@@ -167,11 +163,10 @@ def _check_rotation(n: int, v: int, row: tuple, full: frozenset) -> None:
         )
 
 
-def _roll_min(row: tuple[int, ...]) -> tuple[int, ...]:
-    if not row:
-        return row
-    i = row.index(min(row))
-    return row[i:] + row[:i]
+def _roll_min(row) -> tuple[int, ...]:
+    """``row`` as a tuple rolled to start at its smallest entry."""
+    i = row.index(min(row)) if row else 0
+    return (*row[i:], *row[:i])
 
 
 def convex(n: int) -> RotationSystem:
@@ -528,10 +523,11 @@ def crosses_any(
 
 @dataclass(frozen=True)
 class EdgeIndex:
-    """The edges of K_n in :meth:`RotationSystem.edges` order: bit i of a
-    crossing mask stands for ``edges[i]``.  ``index[u][v]`` is the index
-    of {u, v} for u != v, in either order, and ``star[x]`` the mask of
-    the edges at x (row and entry 0 are unused)."""
+    """The edges of K_n in lexicographic order, the order of
+    :meth:`RotationSystem.edges`: bit i of a crossing mask stands for
+    ``edges[i]``.  ``index[u][v]`` is the index of {u, v} for u != v, in
+    either order, and ``star[x]`` the mask of the edges at x (row and
+    entry 0 are unused)."""
 
     edges: tuple[Edge, ...]
     index: tuple[tuple[int, ...], ...]
@@ -885,26 +881,6 @@ def _triangle_sides(masks, index: EdgeIndex, T) -> tuple[list, list]:
     for x in rest:
         sides[odd >> row[x] & 1].append(x)
     return sides
-
-
-def triangle_sides(
-    tables: RealizabilityTables, rs: RotationSystem, T
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Bipartition of the vertices off triangle T by side (one part may be
-    empty), the part holding the smallest such vertex first.
-
-    Reads :func:`crossing_masks`, so it raises
-    :class:`RealizabilityError` on the first unrealizable quad of ``rs``
-    in sorted order."""
-    T = tuple(sorted(set(T)))
-    if len(T) != 3:
-        raise InputError(f"expected a vertex triple, got {T}")
-    for x in T:
-        if not 1 <= x <= rs.n:
-            raise InputError(f"vertex {x} out of range 1..{rs.n}")
-    masks = crossing_masks(tables, rs)
-    near, far = _triangle_sides(masks, edge_index(rs.n), T)
-    return frozenset(near), frozenset(far)
 
 
 def is_g_convex(tables: RealizabilityTables, rs: RotationSystem) -> bool:

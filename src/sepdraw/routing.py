@@ -270,7 +270,7 @@ def apply_route(
             raise InputError(
                 f"route starts in a face but vertex {u_label} has darts"
             )
-        b.attach_sole_dart(u_vid, d_start)
+        b.set_rotation(u_vid, (d_start,))
     ge = route.end_gap
     ge = replaced.get(ge, ge)
     b.insert_dart_after(ge, d_end)

@@ -353,7 +353,6 @@ def reference_iter_routes(
     vertex).  ``budget`` maps curve id -> max crossings (0 = barred);
     missing ids default to 0.
     """
-    sigma = m.sigma
     face_of = m.face_of
     bcache: dict[int, tuple] = {}
 
@@ -700,6 +699,32 @@ def permuted_layout(m: CombinatorialMap, rng) -> CombinatorialMap:
         [m.sidx[s] for s in sorder],
         m.curves,
     )
+
+
+def reference_faces(m: CombinatorialMap):
+    """``(faces, face_of)`` as :attr:`CombinatorialMap.faces` and
+    :attr:`CombinatorialMap.face_of` give them: the orbits of sigma o
+    alpha, each from its smallest dart, in order of that dart, and each
+    dart's orbit number.  Walks its own table of clockwise successors,
+    read off ``m.vdarts``, with a dict for the darts seen."""
+    sigma = {}
+    for darts in m.vdarts:
+        for i, d in enumerate(darts):
+            sigma[d] = darts[(i + 1) % len(darts)]
+    faces: list[tuple[int, ...]] = []
+    face_of: dict[int, int] = {}
+    for start in sorted(sigma):
+        if start in face_of:
+            continue
+        orbit = []
+        d = start
+        while d not in face_of:
+            face_of[d] = len(faces)
+            orbit.append(d)
+            d = sigma[d ^ 1]
+        assert d == start, f"the walk from dart {start} ends in a loop at {d}"
+        faces.append(tuple(orbit))
+    return tuple(faces), tuple(face_of[d] for d in range(m.n_darts))
 
 
 def reference_shared_points(m: CombinatorialMap) -> dict[tuple[int, int], int]:

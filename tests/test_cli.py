@@ -312,6 +312,13 @@ class TestMapCommands:
         p.write_text(serialize_cmap(m))
         assert main(["extend", "--input", str(p), "--mode", "separable"]) == 2
 
+    def test_verify_rejects_a_wrong_real_header(self, tmp_path, capsys):
+        m, _, _, _ = random_two_page(3, random.Random(0))
+        p = tmp_path / "m.cmap"
+        p.write_text(serialize_cmap(m).replace("real 3\n", "real 7\n", 1))
+        assert main(["verify", "--input", str(p)]) == 2
+        assert "'real 7' but 3 real vertex lines" in capsys.readouterr().err
+
     def test_repeated_real_label(self, tmp_path, capsys):
         """Real vertices labelled 1, 2, 3, 1 joined by a path that draws
         the edges 1-2, 2-3 and 3-1: a path, not a K3."""

@@ -185,8 +185,8 @@ curve 1 edge 3-4
         cid = b.new_curve(EDGE, 2, 3)
         s = b.new_segment(cid)
         b.csegs[cid] = [s]
-        b.attach_sole_dart(v2, 2 * s)
-        b.attach_sole_dart(v3, 2 * s + 1)
+        b.set_rotation(v2, (2 * s,))
+        b.set_rotation(v3, (2 * s + 1,))
         bad = validate_map(b.freeze())
         assert any("isolated" in v for v in bad)
 
@@ -258,6 +258,13 @@ class TestCmapFormat:
         good = serialize_cmap(triangle_map())
         with pytest.raises(InputError):
             parse_cmap(good.replace("idx 0", "idx 5", 1))
+
+    def test_real_header_must_count_the_real_vertices(self):
+        # the header used to be read and ignored
+        good = serialize_cmap(two_page_convex(3)[0])
+        assert "real 3\n" in good and parse_cmap(good) == two_page_convex(3)[0]
+        with pytest.raises(InputError, match="'real 7' but 3 real vertex lines"):
+            parse_cmap(good.replace("real 3\n", "real 7\n", 1))
 
     @pytest.mark.parametrize("where", ["other_vertex", "same_vertex"])
     def test_dart_listed_twice_is_rejected(self, where):

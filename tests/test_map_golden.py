@@ -1,4 +1,5 @@
-"""Golden outputs of the map layer, and the per-curve-pair meet counts.
+"""Golden outputs of the map layer, the per-curve-pair meet counts and
+the faces.
 
 Every section below runs a map-layer routine over a corpus generated here
 from fixed seeds and hashes what it returns.  The digests in ``GOLDEN``
@@ -14,8 +15,10 @@ import hashlib
 import random
 
 import sepdraw.extension as ext
+from oracles import permuted_layout, reference_faces
 from sepdraw.cmap import (
     WITNESS,
+    CombinatorialMap,
     crossing_pairs_of_map,
     from_two_page,
     parse_cmap,
@@ -275,3 +278,22 @@ def test_meets_matches_curve_chains():
         assert sum(m.meets.values()) == m.vkind.count("cross")
         crossings += sum(m.meets.values())
     assert crossings > 0
+
+
+def test_faces_match_reference():
+    """``faces`` and ``face_of`` against an independent walk on the
+    golden probe maps, 2-page maps and completions, each as a fresh copy
+    and as a copy with its vertex and segment ids shuffled."""
+    maps = [m for status, m, *_ in _probe_maps() if status == "ok"]
+    maps += _two_page_maps()
+    maps += [extend_to_complete_separable(m).map for m in _separable_inputs()]
+    maps += [extend_to_complete_crossmin(m).map for m in _crossmin_inputs()[:6]]
+    rng = random.Random(48)
+    for i, m in enumerate(maps):
+        fields = (m.vkind, m.vlabel, m.vdarts, m.scurve, m.sidx, m.curves)
+        for copy in (CombinatorialMap(*fields), permuted_layout(m, rng)):
+            faces, face_of = reference_faces(copy)
+            if i % 2:  # either property may run the walk
+                assert copy.face_of == face_of and copy.faces == faces, i
+            else:
+                assert copy.faces == faces and copy.face_of == face_of, i

@@ -21,10 +21,12 @@ from sepdraw.rotation import (
     convex,
     RealizabilityTables,
     PAIR_BY_CODE,
+    _triangle_sides,
     crosses_any,
     crossing_masks,
     crossing_pairs,
     crossings_of_edge,
+    edge_index,
     is_g_convex,
     is_realizable,
     is_realizable_touching,
@@ -41,7 +43,6 @@ from sepdraw.rotation import (
     same_triangle_side,
     serialize_crs,
     subrotation,
-    triangle_sides,
 )
 
 from oracles import (
@@ -771,8 +772,11 @@ class TestTriangleSides:
 
     def test_bipartition_properties(self, tables, enum5):
         for rep in enum5[5]:
+            masks = crossing_masks(tables, rep.rs)
             for t in itertools.combinations(range(1, 6), 3):
-                side_a, side_b = triangle_sides(tables, rep.rs, t)
+                side_a, side_b = map(
+                    set, _triangle_sides(masks, edge_index(5), t)
+                )
                 others = set(range(1, 6)) - set(t)
                 assert side_a | side_b == others
                 assert not side_a & side_b
