@@ -40,7 +40,11 @@ class Curve:
 
 class CombinatorialMap:
     """Immutable planarization.  Build via :class:`MapBuilder` or the
-    parsers/generators; never mutate fields."""
+    parsers/generators; never mutate fields.
+
+    A map made by :meth:`MapBuilder.freeze` is marked as laid out the way
+    ``freeze`` lays maps out, which :func:`routing.with_route` relies on;
+    the mark is not part of the map's value."""
 
     __slots__ = (
         "vkind",
@@ -55,6 +59,7 @@ class CombinatorialMap:
         "_real_by_label",
         "_meets",
         "_meeting",
+        "_frozen",
     )
 
     def __init__(self, vkind, vlabel, vdarts, scurve, sidx, curves):
@@ -70,6 +75,7 @@ class CombinatorialMap:
         self._real_by_label = None
         self._meets = None
         self._meeting = None
+        self._frozen = False
 
     # -- basic accessors ---------------------------------------------------
 
@@ -408,7 +414,7 @@ class MapBuilder:
         real.sort()
         cross.sort()
         vorder = [v for _, v in real] + [v for _, v in cross]
-        return CombinatorialMap(
+        return _frozen_map(
             [vkind[v] for v in vorder],
             [self.vlabel[v] for v in vorder],
             [rots[v] for v in vorder],
@@ -416,6 +422,18 @@ class MapBuilder:
             sidx,
             self.curves,
         )
+
+
+def _frozen_map(vkind, vlabel, vdarts, scurve, sidx, curves):
+    """The map of these fields, marked as laid out the way
+    :meth:`MapBuilder.freeze` lays maps out: curves in order, each curve's
+    segments one run in chain order, real vertices first by label, then
+    the crossings by their incident segments, and every rotation from its
+    smallest dart.  Only ``freeze`` and :func:`routing.with_route`, whose
+    maps are laid out so, call it."""
+    m = CombinatorialMap(vkind, vlabel, vdarts, scurve, sidx, curves)
+    m._frozen = True
+    return m
 
 
 # ---------------------------------------------------------------------------

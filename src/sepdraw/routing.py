@@ -19,14 +19,19 @@ non-interleaving along that face's boundary cycle.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .cmap import (
     EDGE,
     INSERTED,
     WITNESS,
     CombinatorialMap,
+    Curve,
     MapBuilder,
+    _frozen_map,
     require_valid_map,
 )
 from .errors import InputError, InternalInvariantError
@@ -262,33 +267,183 @@ def apply_route(
     d_end = 2 * segs[-1] + 1
     if route.start[0] == "gap":
         g = route.start[1]
-        g = replaced.get(g, g)
-        b.insert_dart_after(g, d_start)
+        d = replaced.get(g, g)
+        _require_gap_at(b, d, "start", g, u_label)
+        b.insert_dart_after(d, d_start)
     else:
         u_vid = b.vlabel.index(u_label)
         if b.rot[u_vid]:
-            raise InputError(
-                f"route starts in a face but vertex {u_label} has darts"
-            )
+            raise _face_start_error(u_label)
         b.set_rotation(u_vid, (d_start,))
     ge = route.end_gap
-    ge = replaced.get(ge, ge)
-    b.insert_dart_after(ge, d_end)
+    d = replaced.get(ge, ge)
+    _require_gap_at(b, d, "end", ge, v_label)
+    b.insert_dart_after(d, d_end)
     return cid
+
+
+def _face_start_error(label: int) -> InputError:
+    return InputError(f"route starts in a face but vertex {label} has darts")
+
+
+def _gap_error(which: str, g: int, label: int) -> InputError:
+    return InputError(f"route {which} gap {g} is not at vertex {label}")
+
+
+def _require_gap_at(b: MapBuilder, d: int, which: str, g: int, label: int):
+    """Raise unless dart ``d``, the builder's dart for the route's gap
+    ``g``, is at the real vertex labelled ``label``."""
+    vid = b.dvert[d] if 0 <= d < len(b.dvert) else -1
+    if vid < 0 or b.vkind[vid] != "real" or b.vlabel[vid] != label:
+        raise _gap_error(which, g, label)
 
 
 def with_route(
     m: CombinatorialMap, kind: str, u_label: int, v_label: int, route: Route
 ):
-    """``m`` with a new curve threaded along ``route`` by
-    :func:`apply_route`; a route that starts in a face starts at a new real
-    vertex labelled ``u_label``.  Returns ``(new_map, curve_id)``: the
-    freeze keeps every curve id."""
+    """``m`` with a new curve threaded along ``route``, as
+    :func:`apply_route` on ``MapBuilder.from_map(m)`` and a freeze give
+    it; a route that starts in a face starts at a new real vertex labelled
+    ``u_label``.  Returns ``(new_map, curve_id)``: every curve keeps its
+    id and the new one is last.  ``m`` must be valid, and the route's
+    gaps must lie at the real vertices labelled ``u_label`` and
+    ``v_label`` (else :class:`InputError`).
+
+    A map laid out by ``freeze`` (every map the library makes) is not
+    copied into a builder: the new map is spliced from its arrays.  Each
+    crossed segment s splits in place, so old segment s becomes s plus
+    the number of crossed segments below it, and the new curve's
+    segments come last.  Two facts make that a splice:
+
+    1. The dart map is increasing, so every old rotation, rolled to
+       start at its smallest dart, keeps its roll, and a row with no dart
+       at or beyond the first crossed segment stays as it is.
+    2. ``freeze`` orders the crossing vertices by their smallest incident
+       segment, and that is the incoming segment whose head is the
+       crossing (its outgoing segment is the next one), so the order is
+       that of each rolled row's first dart.  The new crossings merge
+       into the crossing rows by first dart.
+
+    Any other map (hand-built or shuffled) takes the builder path.
+    """
+    if m._frozen:
+        return _splice(m, kind, u_label, v_label, route)
     b = MapBuilder.from_map(m)
     if route.start[0] == "face":
         b.new_vertex("real", u_label)
     cid = apply_route(b, kind, u_label, v_label, route)
     return b.freeze(), cid
+
+
+def _splice(m: CombinatorialMap, kind, u_label, v_label, route: Route):
+    """:func:`with_route` on a map laid out by ``freeze``."""
+    crossings = route.crossings
+    seen = set()
+    for s, _ in crossings:
+        if s in seen:
+            raise InternalInvariantError(f"route crosses dead segment {s}")
+        seen.add(s)
+    cut = sorted(seen)
+    k = len(cut)
+    nseg = len(m.scurve)
+    base = nseg + k  # the new curve's first segment
+    cid = len(m.curves)
+    real = m.real_by_label
+    nreal = len(real)
+    first = itemgetter(0)
+    vdarts = m.vdarts
+    if k:
+        # dart d of segment s goes to d + 2 * (crossed segments below s),
+        # and 2 more for the head dart of a crossed segment
+        lo = 2 * cut[0]
+        dmap = list(range(lo))
+        for j, s in enumerate(cut):
+            shift = 2 * (j + 1)
+            end = 2 * cut[j + 1] if j + 1 < k else 2 * nseg
+            dmap += (2 * s + 2 * j, 2 * s + 2 * j + 3)
+            dmap += range(2 * s + 2 + shift, end + shift)
+        new = dmap.__getitem__
+        # the crossing rows run by first dart, so from the first one at or
+        # beyond lo on every row moves, four darts each; a row before it
+        # with no dart at or beyond lo stays as it is
+        split = bisect_left(vdarts, lo, nreal, key=first)
+        rows = [
+            r if not r or max(r) < lo else tuple(map(new, r))
+            for r in vdarts[:split]
+        ]
+        moved = map(new, chain.from_iterable(vdarts[split:]))
+        rows += zip(moved, moved, moved, moved)
+    else:
+        dmap = range(2 * nseg)
+        rows = list(vdarts)
+    face_start = route.start[0] != "gap"
+    u_vid = real.get(u_label)
+    if face_start:
+        if u_vid is not None and vdarts[u_vid]:
+            raise _face_start_error(u_label)
+    else:
+        g = route.start[1]
+        if u_vid is None or g not in vdarts[u_vid]:
+            raise _gap_error("start", g, u_label)
+        _insert_after(rows, u_vid, dmap[g], 2 * base)
+    ge = route.end_gap
+    v_vid = real.get(v_label)
+    if v_vid is None or ge not in vdarts[v_vid]:
+        raise _gap_error("end", ge, v_label)
+    _insert_after(rows, v_vid, dmap[ge], 2 * (base + k) + 1)
+    # the new crossings as apply_route turns them, each rolled to start
+    # at its smallest dart: the head of the first half of its segment
+    added = []
+    for i, (s, side) in enumerate(crossings):
+        head = 2 * (s + bisect_left(cut, s)) + 1
+        new_in, new_out = 2 * (base + i) + 1, 2 * (base + i + 1)
+        if side == 2 * s:
+            added.append((head, new_in, head + 1, new_out))
+        else:
+            added.append((head, new_out, head + 1, new_in))
+    for row in added:
+        rows.insert(bisect_left(rows, row[0], nreal, key=first), row)
+    vkind = m.vkind + ("cross",) * k
+    vlabel = m.vlabel + (None,) * k
+    if face_start:
+        # after the real vertices labelled up to u_label, as freeze sorts
+        # (label, vertex id) with the new vertex's id last
+        pos = bisect_right(vlabel, u_label, 0, nreal)
+        if u_vid is None:
+            rows.insert(pos, (2 * base,))
+        else:  # a dartless vertex u_label takes the dart
+            rows[u_vid] = (2 * base,)
+            rows.insert(pos, ())
+        vkind = ("real",) + vkind
+        vlabel = vlabel[:pos] + (u_label,) + vlabel[pos:]
+    # each crossed curve's run grows by its crossed segments, and the new
+    # curve's run comes last
+    scurve, sidx = [], []
+    done = j = 0
+    while j < k:
+        c = m.scurve[cut[j]]
+        end = bisect_right(m.scurve, c, cut[j])
+        grown = bisect_left(cut, end, j) - j
+        length = m.sidx[end - 1] + 1
+        scurve += m.scurve[done:end]
+        scurve += (c,) * grown
+        sidx += m.sidx[done:end]
+        sidx += range(length, length + grown)
+        done = end
+        j += grown
+    scurve += m.scurve[done:]
+    scurve += (cid,) * (k + 1)
+    sidx += m.sidx[done:]
+    sidx += range(k + 1)
+    curves = m.curves + (Curve(kind, u_label, v_label),)
+    return _frozen_map(vkind, vlabel, rows, scurve, sidx, curves), cid
+
+
+def _insert_after(rows: list, vid: int, g: int, d: int):
+    """Put dart ``d`` clockwise after dart ``g`` in ``rows[vid]``."""
+    row = rows[vid]
+    i = row.index(g) + 1
+    rows[vid] = (*row[:i], d, *row[i:])
 
 
 def apply_route_from_bare_vertex(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import sys
 from pathlib import Path
 
@@ -7,7 +8,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import reference_freeze
+import sepdraw.enumeration as enumeration
+import sepdraw.extension as extension
+import sepdraw.generators as generators
+import sepdraw.routing as routing
+from oracles import reference_freeze, reference_with_route
 from sepdraw.cmap import MapBuilder
 from sepdraw.enumeration import default_tables, enumerate_good_drawings
 
@@ -56,3 +61,37 @@ def checked_freeze(monkeypatch):
 
     monkeypatch.setattr(MapBuilder, "freeze", checking)
     return checked
+
+
+@pytest.fixture
+def checked_route(monkeypatch):
+    """Makes every ``with_route`` call that library code or the test
+    makes through ``sepdraw.routing`` compare its map, all six fields,
+    and its curve id with ``reference_with_route`` of the same arguments,
+    or its error with the reference's; returns the path each call took,
+    ``"splice"`` or ``"builder"``, in call order."""
+    with_route = routing.with_route
+    splice = routing._splice
+    paths = []
+
+    def spliced(*args):
+        paths[-1] = "splice"
+        return splice(*args)
+
+    def checking(m, kind, u, v, route):
+        """``with_route`` after checking it against the reference."""
+        paths.append("builder")
+        try:
+            want = reference_with_route(m, kind, u, v, route)
+        except Exception as exc:  # the error is part of the answer
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                with_route(m, kind, u, v, route)
+            raise
+        got = with_route(m, kind, u, v, route)
+        assert got == want  # the map's six fields and the curve id
+        return got
+
+    monkeypatch.setattr(routing, "_splice", spliced)
+    for module in (routing, enumeration, extension, generators):
+        monkeypatch.setattr(module, "with_route", checking)
+    return paths

@@ -26,6 +26,7 @@ from sepdraw.routing import (
     Route,
     _boundary,
     _chord_ok,
+    apply_route,
     iter_routes,
     with_route,
 )
@@ -801,6 +802,18 @@ def reference_freeze(b: MapBuilder) -> CombinatorialMap:
         sidx,
         curves,
     )
+
+
+def reference_with_route(m: CombinatorialMap, kind, u_label, v_label, route):
+    """``routing.with_route`` as it was before it spliced routes into the
+    arrays of a frozen map: the whole map copied into a builder, the
+    route applied there and every array compacted again.  Returns
+    ``(map, curve_id)``."""
+    b = MapBuilder.from_map(m)
+    if route.start[0] == "face":
+        b.new_vertex("real", u_label)
+    cid = apply_route(b, kind, u_label, v_label, route)
+    return reference_freeze(b), cid
 
 
 # ---------------------------------------------------------------------------

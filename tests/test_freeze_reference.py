@@ -5,16 +5,18 @@ reference compaction of ``tests/oracles.py``.
 list through it; ``reference_freeze`` is the version that numbered
 segments through a dict and listed every vertex's live darts in a pass
 over all darts.  The ``checked_freeze`` fixture compares the two,
-all six fields of the map, on every freeze of a test: here on every
-builder the enumerator routes through and on ``from_map`` copies of the
-golden corpus, and in ``tests/test_extension.py`` on the fix-up surgery
-builders (dead segments, removed darts, an excised loop).
+all six fields of the map, on every freeze of a test: here on
+``from_map`` copies of the golden corpus, and in
+``tests/test_extension.py`` on the fix-up surgery builders (dead
+segments, removed darts, an excised loop).  The enumerator builds no
+builder: it splices each route into a frozen map, and the
+``checked_route`` fixture compares every splice with
+``reference_with_route``, whose compaction is ``reference_freeze``.
 """
 from __future__ import annotations
 
 import random
 
-import sepdraw.enumeration as enumeration
 from sepdraw.cmap import MapBuilder
 from sepdraw.enumeration import enumerate_good_drawings
 from sepdraw.generators import random_planar_map
@@ -28,23 +30,14 @@ from test_map_golden import (
 )
 
 
-def test_enumeration_builders(checked_freeze, monkeypatch):
-    routed = []
-    with_route = enumeration.with_route
-
-    def counting(*args):
-        """Counts the copy-route-freeze steps, each one checked freeze."""
-        before = len(checked_freeze)
-        out = with_route(*args)
-        assert len(checked_freeze) == before + 1
-        routed.append(args[1:])
-        return out
-
-    monkeypatch.setattr(enumeration, "with_route", counting)
+def test_enumeration_builders(checked_route, checked_freeze):
     enumerate_good_drawings(5)
     # every inner star edge, and the leaf of each of the 2 + 5 new orbits
-    # (8 and 109 leaves at n = 4 and 5 are deduplicated without a map)
-    assert len(routed) == 164
+    # (8 and 109 leaves at n = 4 and 5 are deduplicated without a map),
+    # each spliced into a frozen map; the one freeze is from_two_page's
+    # triangle
+    assert checked_route == ["splice"] * 164
+    assert len(checked_freeze) == 1
 
 
 def test_from_map_round_trips_golden_corpus(checked_freeze):

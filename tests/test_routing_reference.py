@@ -17,6 +17,13 @@ carrying face sequences in its labels.  It must return the same
 every insertion of the golden completion corpus, on both directions of
 each missing edge of seeded 2-page and planar maps under both cost modes,
 and on small hand-built maps whose routes tie.
+
+``routing.with_route`` splices a route into the arrays of a map that
+``freeze`` made.  The ``checked_route`` fixture compares every call with
+``reference_with_route``, the builder copy, ``apply_route`` and
+``reference_freeze``: on searched and least-cost routes of seeded maps,
+on face starts, on shuffled copies that take the builder path, and on
+the routes both paths refuse.
 """
 from __future__ import annotations
 
@@ -24,20 +31,33 @@ import hashlib
 import itertools
 import math
 import random
+import re
+
+import pytest
 
 import sepdraw.enumeration as enumeration
 import sepdraw.extension as extension
 import sepdraw.routing as routing
-from sepdraw.cmap import EDGE, CombinatorialMap, Curve, serialize_cmap
-from sepdraw.errors import InputError
+from sepdraw.cmap import (
+    EDGE,
+    CombinatorialMap,
+    Curve,
+    MapBuilder,
+    serialize_cmap,
+)
+from sepdraw.errors import InputError, InternalInvariantError
 from sepdraw.generators import (
     random_planar_map,
     random_two_page,
     random_two_page_minus,
 )
-from sepdraw.routing import iter_routes, min_cost_route
+from sepdraw.routing import Route, iter_routes, min_cost_route
 
-from oracles import reference_iter_routes, reference_min_cost_route
+from oracles import (
+    permuted_layout,
+    reference_iter_routes,
+    reference_min_cost_route,
+)
 from test_map_golden import _crossmin_inputs, _probe_maps, _separable_inputs
 from test_validate_reference import _outcome
 
@@ -280,3 +300,136 @@ def test_min_cost_route_ties():
     # 3 and 4 share the outer face: no crossing
     route, cost = min_cost_route(DIAMOND, vid[3], vid[4], lambda c: 1)
     assert cost == 0 and route.crossings == ()
+
+
+# ---------------------------------------------------------------------------
+# ``with_route`` splices a route into the arrays of a map laid out by
+# ``freeze`` and takes the builder path on any other map.  The
+# ``checked_route`` fixture compares every call with
+# ``reference_with_route`` (copy, apply, compact), errors included.
+
+
+def _seeded_maps():
+    """A planar and a 2-page map for n = 5..9, two seeds each."""
+    for n in range(5, 10):
+        for s in range(2):
+            rng = random.Random(f"{n}:{s}")
+            yield random_planar_map(n, rng)
+            yield random_two_page_minus(n, n, rng)[0]
+
+
+def _splice_routes(m, rng):
+    """For six sampled label pairs, the first four routes of the search
+    with budget 1 on a sampled half of the curves, and the least-cost
+    routes of both completion modes; yields ``(u, v, route)``."""
+    curves = range(len(m.curves))
+    budget = dict.fromkeys(rng.sample(curves, len(curves) // 2), 1)
+    pairs = rng.sample(list(itertools.permutations(m.real_labels(), 2)), 6)
+    for u, v in pairs:
+        uv, vv = m.real_by_label[u], m.real_by_label[v]
+        for route in itertools.islice(iter_routes(m, uv, vv, budget), 4):
+            yield u, v, route
+        for kinds in extension._COST_KINDS.values():
+            costs = [int(c.kind in kinds) for c in m.curves]
+            found = min_cost_route(m, uv, vv, costs.__getitem__)
+            if found is not None:
+                yield u, v, found[0]
+
+
+def test_with_route_splices_seeded_routes(checked_route):
+    """Searched and least-cost routes, many with several crossings, among
+    them routes whose start or end gap is a dart of a segment they
+    cross."""
+    rng = random.Random(54)
+    routes = crossing = on_crossed = 0
+    for m in _seeded_maps():
+        for u, v, route in _splice_routes(m, rng):
+            routing.with_route(m, EDGE, u, v, route)
+            crossed = {s for s, _ in route.crossings}
+            routes += 1
+            crossing += len(crossed) > 1
+            on_crossed += bool(
+                {route.start[1] >> 1, route.end_gap >> 1} & crossed
+            )
+    # the seeded generators route their maps through with_route too
+    assert set(checked_route) == {"splice"} and len(checked_route) > routes
+    assert routes >= 580 and crossing >= 250 and on_crossed >= 140
+
+
+def test_with_route_builder_path_on_permuted_layouts(checked_route):
+    """A shuffled copy of a frozen map holds the same drawing in a layout
+    the splice does not read, so it takes the builder path."""
+    rng = random.Random(55)
+    routes = 0
+    for m in _seeded_maps():
+        m = permuted_layout(m, rng)
+        checked_route.clear()
+        for u, v, route in _splice_routes(m, rng):
+            routing.with_route(m, EDGE, u, v, route)
+            routes += 1
+        assert checked_route == ["builder"] * len(checked_route)
+    assert routes >= 550
+
+
+def test_with_route_face_starts(checked_route):
+    """Face-start routes: every star the enumerator draws from K4 to K5
+    (the first edge of each from a face), new labels below, between and
+    above the drawn ones, and a drawn label that has no dart."""
+    rng = random.Random(56)
+    for rep in enumeration.enumerate_good_drawings(4):
+        list(enumeration.extend_by_vertex(rep.map, 5))
+    assert len(checked_route) >= 100
+    starts = 0
+    for m in itertools.islice(_seeded_maps(), 6):
+        labels = m.real_labels()
+        b = MapBuilder.from_map(m)
+        b.new_vertex("real", labels[-1] + 3)  # a real vertex with no dart
+        bare = b.freeze()
+        budget = dict.fromkeys(range(len(bare.curves)), 1)
+        for fid in rng.sample(range(len(bare.faces)), 3):
+            v = rng.choice(labels)
+            found = iter_routes(bare, ("face", fid), bare.real_by_label[v],
+                                budget)
+            for route in itertools.islice(found, 3):
+                for u in (0, labels[-1] + 1, labels[-1] + 3, labels[-1] + 4):
+                    routing.with_route(bare, EDGE, u, v, route)
+                    starts += 1
+    assert starts >= 60 and set(checked_route) == {"splice"}
+
+
+def _error_cases(m):
+    """Routes ``with_route`` refuses on ``m``, each with ``(u, v)`` and
+    the error: a face start at a drawn label, a segment crossed twice,
+    and start and end gaps away from the vertices labelled u and v."""
+    vid = m.real_by_label
+    free = next(iter_routes(m, vid[1], vid[3], {}))
+    face = next(iter_routes(m, ("face", 0), vid[3], {}))
+    budget = dict.fromkeys(range(len(m.curves)), 1)
+    crossing = next(
+        r for r in iter_routes(m, vid[2], vid[5], budget) if r.crossings
+    )
+    twice = Route(crossing.start, crossing.crossings * 2, crossing.end_gap)
+    s = crossing.crossings[0][0]
+    return [
+        ((2, 3), face, InputError,
+         "route starts in a face but vertex 2 has darts"),
+        ((2, 5), twice, InternalInvariantError,
+         f"route crosses dead segment {s}"),
+        ((1, 4), free, InputError,
+         f"route end gap {free.end_gap} is not at vertex 4"),
+        ((2, 3), free, InputError,
+         f"route start gap {free.start[1]} is not at vertex 2"),
+    ]
+
+
+def test_with_route_errors(checked_route):
+    """The errors are the builder path's on both paths.  Before the gaps
+    were checked, the two gap cases drew a curve to the wrong vertex:
+    here curve 1-4 ended at vertex 3."""
+    m = random_planar_map(6, random.Random(3))
+    checked_route.clear()
+    for mm in (m, permuted_layout(m, random.Random(57))):
+        for (u, v), route, error, message in _error_cases(mm):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                routing.with_route(mm, EDGE, u, v, route)
+    assert checked_route == ["splice"] * 4 + ["builder"] * 4
