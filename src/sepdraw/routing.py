@@ -148,26 +148,40 @@ def min_cost_route(
     """Deterministic least-cost route between two real vertices.
 
     Cost is summed per crossed segment via ``cost_of_curve(curve_id)``,
-    which is called once per curve and so must be pure.  Ties break by
+    which is called once per curve and so must be pure and must not be
+    negative (else :class:`InputError` naming the curve).  Ties break by
     fewer crossings, then by the lexicographically smallest face-id
     sequence, then by start/end gap ids.  Returns ``(route, cost)`` or
     ``None`` when the vertices are unreachable (disconnected map).
 
-    Phase 1 finds each face's least ``(cost, steps)`` key.  Phase 2 ranks
-    the faces by their least face sequence without building one.  An arc
-    is tight when it attains its head's key, so it climbs one level in
-    steps, and a face's least sequence is that of its smallest-ranked
-    tight predecessor plus the face itself.  Faces of one level therefore
-    rank by (predecessor rank, face id), and the parent arc is the
-    predecessor's first tight dart.
+    Phase 1 finds each face's least ``(cost, steps)`` key, and stops at
+    the first key it pops above that of the first target face it settles.
+    Phase 2 ranks the settled faces by their least face sequence without
+    building one.  An arc is tight when it attains its head's key, so it
+    climbs one level in steps, and a face's least sequence is that of its
+    smallest-ranked tight predecessor plus the face itself.  Faces of one
+    level therefore rank by (predecessor rank, face id), and the parent
+    arc is the predecessor's first tight dart.
+
+    The stop keeps every tie-break: an arc never lowers a key, so a face
+    on the winning sequence, every tight predecessor of a settled face,
+    and every target face that ties with the winner have keys no greater
+    than the target's and are settled before the stop.  Ranks among the
+    settled faces keep their relative order.
     """
     faces = m.faces
     face_of = m.face_of
     scurve = m.scurve
     weight = [cost_of_curve(c) for c in range(len(m.curves))]
+    if weight and min(weight) < 0:
+        cid = next(c for c, w in enumerate(weight) if w < 0)
+        raise InputError(f"curve {cid} has negative cost {weight[cid]}")
     nfaces = len(faces)
     cost: list = [None] * nfaces
     steps = [0] * nfaces
+    target = [False] * nfaces
+    for g in m.vdarts[v_vid]:
+        target[face_of[g ^ 1]] = True
     start_gap: dict[int, int] = {}
     for g in sorted(m.vdarts[u_vid]):
         start_gap.setdefault(face_of[g ^ 1], g)
@@ -176,11 +190,16 @@ def min_cost_route(
     for fid in order:
         cost[fid] = 0
     done = [False] * nfaces
+    stop = None  # the key of the first target face settled
     while heap:
         c, k, fid = heapq.heappop(heap)
+        if stop is not None and (c > stop[0] or c == stop[0] and k > stop[1]):
+            break
         if done[fid]:
             continue
         done[fid] = True
+        if stop is None and target[fid]:
+            stop = c, k
         k += 1
         for d in faces[fid]:
             nfid = face_of[d ^ 1]
@@ -191,8 +210,8 @@ def min_cost_route(
                 cost[nfid] = nc
                 steps[nfid] = k
                 heapq.heappush(heap, (nc, k, nfid))
-    # phase 2, breadth first from the start faces: ``order`` lists each
-    # level by rank, and grows while it is walked
+    # phase 2, breadth first from the start faces over the settled ones:
+    # ``order`` lists each level by rank, and grows while it is walked
     parent: list = [None] * nfaces
     rank = [0] * nfaces
     for i, fid in enumerate(order):
@@ -202,7 +221,8 @@ def min_cost_route(
         for d in sorted(faces[fid]):
             nfid = face_of[d ^ 1]
             if (
-                parent[nfid] is None
+                done[nfid]
+                and parent[nfid] is None
                 and steps[nfid] == k
                 and cost[nfid] == c + weight[scurve[d >> 1]]
             ):
@@ -213,7 +233,7 @@ def min_cost_route(
     cand = [
         (cost[fid], steps[fid], rank[fid], g, fid)
         for g in sorted(m.vdarts[v_vid])
-        if cost[fid := face_of[g ^ 1]] is not None
+        if done[fid := face_of[g ^ 1]]
     ]
     if not cand:
         return None
@@ -436,7 +456,22 @@ def _splice(m: CombinatorialMap, kind, u_label, v_label, route: Route):
     sidx += m.sidx[done:]
     sidx += range(k + 1)
     curves = m.curves + (Curve(kind, u_label, v_label),)
-    return _frozen_map(vkind, vlabel, rows, scurve, sidx, curves), cid
+    out = _frozen_map(vkind, vlabel, rows, scurve, sidx, curves)
+    # the new curve meets each crossed curve once per crossed segment
+    if m._meets is not None:
+        meets = dict(m._meets)
+        for s in cut:
+            pair = m.scurve[s], cid
+            meets[pair] = meets.get(pair, 0) + 1
+        out._meets = meets
+    if m._meeting is not None:
+        met = sorted({m.scurve[s] for s in cut})
+        meeting = list(m._meeting)
+        for c in met:
+            meeting[c] += (cid,)
+        meeting.append(tuple(met))
+        out._meeting = tuple(meeting)
+    return out, cid
 
 
 def _insert_after(rows: list, vid: int, g: int, d: int):

@@ -12,22 +12,27 @@ The seeded generators pick among crossing-free routes with ``rng.choice``,
 so their outputs pin the route order too.
 
 ``routing.min_cost_route`` ranks faces in a second pass instead of
-carrying face sequences in its labels.  It must return the same
-``(route, cost)`` as ``reference_min_cost_route``, which carries them, on
-every insertion of the golden completion corpus, on both directions of
-each missing edge of seeded 2-page and planar maps under both cost modes,
-and on small hand-built maps whose routes tie.
+carrying face sequences in its labels, and stops once the target's key
+is settled.  It must return the same ``(route, cost)`` as
+``reference_min_cost_route``, which carries them and settles every face,
+on every insertion of the golden completion corpus, on every ordered
+pair of real labels of seeded 2-page and planar maps under four costs
+per curve, and on small hand-built maps whose routes tie.  A count of
+heap pops shows that the stop cuts the search short.
 
 ``routing.with_route`` splices a route into the arrays of a map that
 ``freeze`` made.  The ``checked_route`` fixture compares every call with
 ``reference_with_route``, the builder copy, ``apply_route`` and
-``reference_freeze``: on searched and least-cost routes of seeded maps,
-on face starts, on shuffled copies that take the builder path, and on
-the routes both paths refuse.
+``reference_freeze``, and the ``meets`` and ``meeting`` a splice hands
+down with the reference map's: on searched and least-cost routes of
+seeded maps, on every insertion of the golden completions, on face
+starts, on shuffled copies that take the builder path, and on the
+routes both paths refuse.
 """
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import math
 import random
@@ -187,33 +192,70 @@ def test_min_cost_route_golden_insertions(monkeypatch):
     assert len(routes) >= 136
 
 
-def _missing_edge_routes(m) -> int:
-    """Both directions of each missing edge of ``m`` under the cost of
-    each completion mode; returns the number of routes compared."""
-    drawn = {c.edge() for c in m.curves if c.kind == EDGE}
-    labels = m.real_labels()
-    routes = 0
-    for kinds in extension._COST_KINDS.values():
-        costs = [int(c.kind in kinds) for c in m.curves]
-        for u, v in itertools.permutations(labels, 2):
-            if (min(u, v), max(u, v)) not in drawn:
-                vids = m.real_by_label[u], m.real_by_label[v]
-                routes += _same_route(m, *vids, costs.__getitem__) is not None
-    return routes
+def _cost_lists(m, rng):
+    """Costs per curve: all 1 (the separable mode's on these maps), all
+    0, edges only (the crossmin mode's), and seeded weights from
+    {0, 1, 2, 5}."""
+    return [
+        [1] * len(m.curves),
+        [0] * len(m.curves),
+        [int(c.kind == EDGE) for c in m.curves],
+        [rng.choice((0, 1, 2, 5)) for _ in m.curves],
+    ]
 
 
 def test_min_cost_route_seeded_maps():
+    """Every ordered pair of real labels, drawn edges included, of seeded
+    planar and 2-page maps: the router stops once the target's key is
+    settled, and must still pick the reference's route."""
     routes = 0
-    for n in range(6, 10):
-        for s in range(4):
-            rng = random.Random(f"{n}:{s}")
-            routes += _missing_edge_routes(random_two_page_minus(n, n, rng)[0])
-    for n in range(5, 11):
-        for s in range(4):
-            routes += _missing_edge_routes(
-                random_planar_map(n, random.Random(f"{n}:{s}"))
-            )
-    assert routes >= 1796
+    for n in range(4, 13):
+        for s in range(3):
+            rng = random.Random(f"costs {n}:{s}")
+            for m in (
+                random_planar_map(n, random.Random(f"{n}:{s}")),
+                random_two_page_minus(n, n, random.Random(f"{n}:{s}"))[0],
+            ):
+                vids = m.real_by_label.values()
+                for costs in _cost_lists(m, rng):
+                    for u, v in itertools.permutations(vids, 2):
+                        found = _same_route(m, u, v, costs.__getitem__)
+                        routes += found is not None
+    assert routes == 3 * 2 * 4 * sum(n * (n - 1) for n in range(4, 13))
+
+
+def test_min_cost_route_stops_at_the_target(monkeypatch):
+    """On a separable K9 with missing edges, each route pops fewer heap
+    entries, and so settles fewer faces, than the map has faces."""
+    pops = []
+
+    class CountingHeap:
+        heappush = staticmethod(heapq.heappush)
+
+        @staticmethod
+        def heappop(heap):
+            pops[-1] += 1
+            return heapq.heappop(heap)
+
+    monkeypatch.setattr(routing, "heapq", CountingHeap)
+    m = random_two_page_minus(9, 3, random.Random("9:0"))[0]
+    drawn = {c.edge() for c in m.curves if c.kind == EDGE}
+    costs = [int(c.kind in extension._COST_KINDS["separable"])
+             for c in m.curves]
+    vid = m.real_by_label
+    for u, v in itertools.combinations(m.real_labels(), 2):
+        if (u, v) not in drawn:
+            pops.append(0)
+            assert min_cost_route(m, vid[u], vid[v], costs.__getitem__)
+    assert len(pops) == 2 and max(pops) < len(m.faces)
+
+
+def test_min_cost_route_rejects_negative_costs():
+    m = random_planar_map(6, random.Random(3))
+    costs = [1] * len(m.curves)
+    costs[3] = -1
+    with pytest.raises(InputError, match="^curve 3 has negative cost -1$"):
+        min_cost_route(m, 0, 1, costs.__getitem__)
 
 
 def _plane_map(points, edges) -> CombinatorialMap:
@@ -354,6 +396,47 @@ def test_with_route_splices_seeded_routes(checked_route):
     # the seeded generators route their maps through with_route too
     assert set(checked_route) == {"splice"} and len(checked_route) > routes
     assert routes >= 580 and crossing >= 250 and on_crossed >= 140
+
+
+def test_with_route_hands_down_meets(checked_route):
+    """Routes that cross one curve twice, spliced into seeded maps with
+    ``meets`` and ``meeting`` cached, and every insertion of the golden
+    completion corpus: the input's validation caches ``meets``, and each
+    insertion's simplicity check caches ``meets`` and ``meeting`` of the
+    map the next insertion splices into.  The fixture compares the views
+    handed down with freshly counted ones."""
+    rng = random.Random(58)
+    twice = 0
+    for m in _seeded_maps():
+        m.meeting  # counts meets too
+        curves = range(len(m.curves))
+        budget = dict.fromkeys(rng.sample(curves, len(curves) // 2), 2)
+        pairs = itertools.permutations(m.real_labels(), 2)
+        for u, v in rng.sample(list(pairs), 6):
+            found = iter_routes(m, m.real_by_label[u], m.real_by_label[v],
+                                budget)
+            for route in itertools.islice(found, 8):
+                routing.with_route(m, EDGE, u, v, route)
+                crossed = [m.scurve[s] for s, _ in route.crossings]
+                twice += len(set(crossed)) < len(crossed)
+    assert twice == 69
+
+    runs = [(extension.extend_to_complete_separable, m)
+            for m in _separable_inputs()]
+    runs += [(extension.extend_to_complete_crossmin, m)
+             for m in _crossmin_inputs()]
+    checked_route.clear()  # the generators' own insertions
+    chained = 0
+    for extend, m in runs:
+        try:
+            res = extend(m)
+        except InputError:  # the input is not crossing-minimizing
+            continue
+        chained += max(len(res.insertions) - 1, 0)
+        for ins in res.insertions:
+            assert ins.map._meets is not None
+            assert ins.map._meeting is not None
+    assert checked_route == ["splice"] * 136 and chained == 105
 
 
 def test_with_route_builder_path_on_permuted_layouts(checked_route):
