@@ -47,34 +47,6 @@ class Route:
     end_gap: int
 
 
-def _boundary(m: CombinatorialMap, fid: int):
-    """Boundary items of a face: maps for edge items and corner gaps onto
-    coordinates 0..2L-1 around the cycle.
-
-    The corner clockwise-after dart d sits just before d's edge item on
-    the boundary walk.
-    """
-    orbit = m.faces[fid]
-    edge_coord = {d: 2 * i for i, d in enumerate(orbit)}
-    gap_coord = {(d ^ 1): 2 * i + 1 for i, d in enumerate(orbit)}
-    return orbit, edge_coord, gap_coord
-
-
-def _interleaves(p: int, q: int, r: int, s: int, size: int) -> bool:
-    """Whether chords (p,q) and (r,s) interleave on a cycle of ``size``."""
-
-    def inside(x):
-        return (x - p) % size < (q - p) % size and x != p
-
-    return inside(r) != inside(s)
-
-
-def _chord_ok(chords, p, q, size):
-    if p is None:
-        return True
-    return all(not _interleaves(p, q, r, s, size) for r, s in chords)
-
-
 def iter_routes(m: CombinatorialMap, source, target_vid: int, budget):
     """Yield routes from ``source`` to ``target_vid``, each where the
     depth-first search finds it.
@@ -84,13 +56,27 @@ def iter_routes(m: CombinatorialMap, source, target_vid: int, budget):
     vertex).  ``budget`` maps curve id -> max crossings (0 = barred);
     missing ids default to 0.  A caller that wants one route takes
     ``next(...)``, and the search stops there.
+
+    A face's boundary cycle has coordinates 0..2L-1: the i-th dart of its
+    walk sits at 2i, and the corner clockwise-after dart ``g`` just
+    before ``g ^ 1``, at one more.  The target's corners are grouped by
+    face once, ascending by dart, so a visit reads its face's boundary
+    and that face's corners, and sorts nothing.
     """
+    faces = m.faces
     face_of = m.face_of
+    scurve = m.scurve
+    corners: dict[int, list] = {}
+    for g in sorted(m.vdarts[target_vid]):
+        corners.setdefault(face_of[g ^ 1], []).append(g)
     bcache: dict[int, tuple] = {}
 
     def boundary(fid):
+        """The face's walk, each dart's coordinate, and the cycle's size."""
         if fid not in bcache:
-            bcache[fid] = _boundary(m, fid)
+            orbit = faces[fid]
+            size = 2 * len(orbit)
+            bcache[fid] = orbit, dict(zip(orbit, range(0, size, 2))), size
         return bcache[fid]
 
     remaining = dict(budget)
@@ -98,48 +84,57 @@ def iter_routes(m: CombinatorialMap, source, target_vid: int, budget):
     crossed_segs: set[int] = set()
     path: list[tuple[int, int]] = []
 
-    def dfs(fid, entry_coord, start_anchor):
-        orbit, edge_coord, gap_coord = boundary(fid)
-        size = 2 * len(orbit)
+    def dfs(fid, entry, start_anchor):
+        orbit, coord, size = boundary(fid)
         mychords = chords.setdefault(fid, [])
+        # The chords cut through this face so far, their ends as offsets
+        # from the entry; the visit leaves them as it found them.  A new
+        # chord (entry, x) holds offset y when 0 < y < (x - entry) % size,
+        # and must hold both ends of each of them or neither.
+        if mychords and entry is not None:
+            ends = [((r - entry) % size, (s - entry) % size)
+                    for r, s in mychords]
+        else:
+            ends = ()
         # terminal corners of the target on this face
-        for g, gc in sorted(gap_coord.items()):
-            if m.dvert[g] != target_vid:
-                continue
-            if _chord_ok(mychords, entry_coord, gc, size):
-                yield Route(start_anchor, tuple(path), g)
+        for g in corners.get(fid, ()):
+            if ends:
+                w = (coord[g ^ 1] + 1 - entry) % size
+                if any((0 < a < w) != (0 < b < w) for a, b in ends):
+                    continue
+            yield Route(start_anchor, tuple(path), g)
         # crossing moves
         for d in orbit:
             s = d >> 1
             if s in crossed_segs:
                 continue
-            cid = m.scurve[s]
+            cid = scurve[s]
             if remaining.get(cid, 0) <= 0:
                 continue
-            p = edge_coord[d]
-            if not _chord_ok(mychords, entry_coord, p, size):
-                continue
-            if entry_coord is not None:
-                mychords.append((entry_coord, p))
+            if entry is not None:
+                p = coord[d]
+                if ends:
+                    w = (p - entry) % size
+                    if any((0 < a < w) != (0 < b < w) for a, b in ends):
+                        continue
+                mychords.append((entry, p))
             crossed_segs.add(s)
             remaining[cid] -= 1
             path.append((s, d))
             nfid = face_of[d ^ 1]
-            _, nec, _ = boundary(nfid)
-            yield from dfs(nfid, nec[d ^ 1], start_anchor)
+            yield from dfs(nfid, boundary(nfid)[1][d ^ 1], start_anchor)
             path.pop()
             remaining[cid] += 1
             crossed_segs.discard(s)
-            if entry_coord is not None:
+            if entry is not None:
                 mychords.pop()
 
     if isinstance(source, tuple) and source[0] == "face":
         yield from dfs(source[1], None, ("face", source[1]))
     else:
         for g in m.vdarts[source]:
-            fid = m.face_of_gap(g)
-            _, _, gap_coord = boundary(fid)
-            yield from dfs(fid, gap_coord[g], ("gap", g))
+            fid = face_of[g ^ 1]
+            yield from dfs(fid, boundary(fid)[1][g ^ 1] + 1, ("gap", g))
 
 
 def min_cost_route(

@@ -24,8 +24,6 @@ from sepdraw.cmap import (
 from sepdraw.errors import InputError, RealizabilityError
 from sepdraw.routing import (
     Route,
-    _boundary,
-    _chord_ok,
     apply_route,
     iter_routes,
     with_route,
@@ -337,7 +335,38 @@ def reference_min_cost_route(
 # Reference route enumeration: ``routing.iter_routes`` as it was when it
 # collected every route of the depth-first search before yielding and cut
 # the search short with ``first_only``, kept verbatim so the lazy version
-# can be compared with it route for route.
+# can be compared with it route for route.  Its boundary table (a gap
+# table per face, sorted on every visit) and chord test are the ones the
+# library used then, copied here so that the reference shares no search
+# code with the search it checks.
+
+
+def _boundary(m: CombinatorialMap, fid: int):
+    """Boundary items of a face: maps for edge items and corner gaps onto
+    coordinates 0..2L-1 around the cycle.
+
+    The corner clockwise-after dart d sits just before d's edge item on
+    the boundary walk.
+    """
+    orbit = m.faces[fid]
+    edge_coord = {d: 2 * i for i, d in enumerate(orbit)}
+    gap_coord = {(d ^ 1): 2 * i + 1 for i, d in enumerate(orbit)}
+    return orbit, edge_coord, gap_coord
+
+
+def _interleaves(p: int, q: int, r: int, s: int, size: int) -> bool:
+    """Whether chords (p,q) and (r,s) interleave on a cycle of ``size``."""
+
+    def inside(x):
+        return (x - p) % size < (q - p) % size and x != p
+
+    return inside(r) != inside(s)
+
+
+def _chord_ok(chords, p, q, size):
+    if p is None:
+        return True
+    return all(not _interleaves(p, q, r, s, size) for r, s in chords)
 
 
 def reference_iter_routes(

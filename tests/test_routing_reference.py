@@ -5,8 +5,11 @@ finds it.  It must yield exactly the routes, in the same order, that the
 search collected before yielding (``reference_iter_routes`` in
 ``tests/oracles.py``), and its first route must be the one that search
 returned with ``first_only``.  The maps are the golden probe maps, 2-page
-drawings of K4-K6 under the budgets of the witness search, and every
-insertion step of the enumeration up to K5.
+drawings of K4-K6 under the budgets of the witness search, every
+insertion step of the enumeration up to K6, and small hand-built maps
+queried from every vertex and face to every vertex, on which targets
+have several corners on one face and routes pass through a face more
+than once.
 
 The seeded generators pick among crossing-free routes with ``rng.choice``,
 so their outputs pin the route order too.
@@ -27,7 +30,8 @@ heap pops shows that the stop cuts the search short.
 down with the reference map's: on searched and least-cost routes of
 seeded maps, on every insertion of the golden completions, on face
 starts, on shuffled copies that take the builder path, and on the
-routes both paths refuse.
+routes both paths refuse.  The enumeration's root has no cached views,
+so none of its splices hands one down.
 """
 from __future__ import annotations
 
@@ -137,7 +141,7 @@ def test_two_page_witness_budgets(monkeypatch):
 
 
 def test_enumeration_steps(monkeypatch):
-    """Every route search of the enumerator up to K5, as it runs."""
+    """Every route search of the enumerator up to K6, as it runs."""
     queries = []
 
     def checked(m, source, target_vid, budget):
@@ -145,8 +149,8 @@ def test_enumeration_steps(monkeypatch):
         return iter_routes(m, source, target_vid, budget)
 
     monkeypatch.setattr(enumeration, "iter_routes", checked)
-    enumeration.enumerate_good_drawings(5)
-    assert len(queries) > 0 and sum(queries) > 0
+    enumeration.enumerate_good_drawings(6)
+    assert len(queries) == 2624 and sum(queries) > 0
 
 
 def test_generator_outputs_pinned():
@@ -344,6 +348,56 @@ def test_min_cost_route_ties():
     assert cost == 0 and route.crossings == ()
 
 
+# A tree: the path 1-2-3 with the branch 2-4-5.  It has one face, on
+# which vertex 2 has three corners and vertex 4 two, and every segment
+# leads from that face back into it.
+TREE = _plane_map(
+    {1: (0, 0), 2: (2, 0), 3: (4, 0), 4: (2, 2), 5: (2, 4)},
+    [(1, 2), (2, 3), (2, 4), (4, 5)],
+)
+
+
+def _faces_visited(m, route):
+    """The faces a route passes through, in order, its start face first."""
+    kind, start = route.start
+    out = [start if kind == "face" else m.face_of_gap(start)]
+    out += [m.face_of[d ^ 1] for _, d in route.crossings]
+    return out
+
+
+def test_iter_routes_corner_cases():
+    """Queries whose routes end at the target's corners of the face they
+    reach: every vertex of the hand-built maps as the target, from every
+    vertex, itself included, and from every face, crossing-free and with
+    budget 1 on every curve (on the wheel, on its rim and two spokes).
+    The targets include vertices with two or three corners on one face
+    (cut vertices and bridge ends), and sources share a face with the
+    target; routes through the tree's one face cross back into it, so
+    their pieces there must not interleave."""
+    two = TREE.real_by_label[2]
+    assert [TREE.face_of_gap(g) for g in TREE.vdarts[two]] == [0, 0, 0]
+    routes = []
+    for m, crossable in ((TREE, 4), (TRIANGLE, 5), (DIAMOND, 7), (WHEEL, 7)):
+        vids = range(len(m.vkind))
+        faces = [("face", fid) for fid in range(len(m.faces))]
+        for budget in ({}, dict.fromkeys(range(crossable), 1)):
+            for v in vids:
+                for source in (*vids, *faces):
+                    _check(m, source, v, budget)
+                    for route in iter_routes(m, source, v, budget):
+                        routes.append((m, source == v, route))
+    assert len(routes) == 31124
+    # a route from a vertex to itself, a route without crossings, and
+    # one that enters a face it has passed through
+    assert any(same for _, same, _ in routes)
+    assert any(not route.crossings for _, _, route in routes)
+    revisits = sum(
+        len(set(seq)) < len(seq)
+        for seq in (_faces_visited(m, r) for m, _, r in routes)
+    )
+    assert revisits == 27794
+
+
 # ---------------------------------------------------------------------------
 # ``with_route`` splices a route into the arrays of a map laid out by
 # ``freeze`` and takes the builder path on any other map.  The
@@ -437,6 +491,34 @@ def test_with_route_hands_down_meets(checked_route):
             assert ins.map._meets is not None
             assert ins.map._meeting is not None
     assert checked_route == ["splice"] * 136 and chained == 105
+
+
+# sha256 of the (key, serialized map) pairs of the K6 orbits, recorded
+# when the enumeration's root still had ``meets`` cached
+ENUM6_DIGEST = (
+    "0578d6dea812afe54405f59774a5b7c43de64018631d602444779823ddab6a7c"
+)
+
+
+def test_enumeration_hands_down_no_views(monkeypatch):
+    """The enumeration's root has no cached ``meets`` or ``meeting``, so
+    none of its splices copies one that no search reads; the orbits stay
+    the same."""
+    splice = routing._splice
+    handed = []
+
+    def counting(*args):
+        """``_splice``, recording whether its map carries a view."""
+        out = splice(*args)
+        handed.append(out[0]._meets is not None or
+                      out[0]._meeting is not None)
+        return out
+
+    monkeypatch.setattr(routing, "_splice", counting)
+    reps = enumeration.enumerate_good_drawings(6)
+    assert len(handed) == 2670 and not any(handed)
+    pairs = [(d.key, serialize_cmap(d.map)) for d in reps]
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == ENUM6_DIGEST
 
 
 def test_with_route_builder_path_on_permuted_layouts(checked_route):
