@@ -429,8 +429,8 @@ def _frozen_map(vkind, vlabel, vdarts, scurve, sidx, curves):
     :meth:`MapBuilder.freeze` lays maps out: curves in order, each curve's
     segments one run in chain order, real vertices first by label, then
     the crossings by their incident segments, and every rotation from its
-    smallest dart.  Only ``freeze``, :func:`routing.with_route` and
-    ``enumeration.triangle_map``, whose maps are laid out so, call it."""
+    smallest dart.  Only ``freeze`` and :func:`routing.with_route`, whose
+    maps are laid out so, call it."""
     m = CombinatorialMap(vkind, vlabel, vdarts, scurve, sidx, curves)
     m._frozen = True
     return m

@@ -21,7 +21,6 @@ from importlib import resources
 from .cmap import (
     EDGE,
     CombinatorialMap,
-    _frozen_map,
     crossing_pairs_of_map,
     drawn_rotation,
     extract_rotation_system,
@@ -67,16 +66,10 @@ class EnumeratedDrawing:
 
 
 def triangle_map() -> CombinatorialMap:
-    """The unique (up to reflection) drawing of K3, with no cached views.
-
-    It roots every enumeration and realization.  The validation in
-    ``from_two_page`` caches ``meets``, which ``with_route`` would copy
-    into every map spliced from it and from those maps, and which no
-    search reads; so a fresh copy is returned instead."""
-    m = from_two_page(
+    """The unique (up to reflection) drawing of K3."""
+    return from_two_page(
         (1, 2, 3), ((1, 2), (1, 3), (2, 3)), ("upper",) * 3, witnesses=False
     )[0]
-    return _frozen_map(m.vkind, m.vlabel, m.vdarts, m.scurve, m.sidx, m.curves)
 
 
 def path_k2_map() -> CombinatorialMap:

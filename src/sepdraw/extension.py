@@ -92,8 +92,22 @@ def _insert(m: CombinatorialMap, u: int, v: int, mode: str) -> InsertionResult:
     new = out.curves[new_cid]
     if new.kind != INSERTED or new.edge() != e:
         raise InternalInvariantError("inserted curve id not stable")
-    crossed = Counter(m.curves[m.scurve[s]].kind for s, _ in route.crossings)
-    offender = _check_simple_vs_original(out, new_cid)
+    # The new curve meets curve f once per crossed segment of f.  Two
+    # distinct edges share at most one endpoint, and no edge curve draws
+    # e, so only an edge curve it crosses can share two points with it.
+    curves = m.curves
+    hits = Counter(m.scurve[s] for s, _ in route.crossings)
+    crossed = Counter()
+    offender = None
+    for f in sorted(hits):
+        c = curves[f]
+        crossed[c.kind] += hits[f]
+        if (
+            offender is None
+            and c.kind == EDGE
+            and hits[f] + (c.u in e) + (c.v in e) > 1
+        ):
+            offender = c.edge()
     if offender is not None:
         if mode == SEPARABLE:
             raise InternalInvariantError(
@@ -113,29 +127,6 @@ def _insert(m: CombinatorialMap, u: int, v: int, mode: str) -> InsertionResult:
         edge_crossings=crossed[EDGE],
         inserted_crossings=crossed[INSERTED],
     )
-
-
-def _check_simple_vs_original(m: CombinatorialMap, cid: int):
-    """The curve must share at most one point with every original edge.
-
-    Two distinct edges share at most one endpoint, so only an edge curve
-    that meets the curve, or one with both endpoints on it (the curve
-    itself included), can share two points with it; the first such edge
-    curve in curve-id order is reported."""
-    curves, meets = m.curves, m.meets
-    target = curves[cid]
-    ends = (target.u, target.v)
-    candidates = set(m.meeting[cid])
-    candidates.update(
-        fid for fid, c in enumerate(curves) if c.u in ends and c.v in ends
-    )
-    for fid in sorted(candidates):
-        c = curves[fid]
-        if c.kind == EDGE and (c.u in ends) + (c.v in ends) + meets.get(
-            (cid, fid) if cid <= fid else (fid, cid), 0
-        ) > 1:
-            return c.edge()
-    return None
 
 
 def insert_min_witness_crossings(
@@ -310,18 +301,19 @@ def _violating_pair(m: CombinatorialMap):
     curves draw distinct edges, so two of them share two points only if
     they meet."""
     curves = m.curves
-    for c1, cu in enumerate(curves):
-        if cu.kind != INSERTED:
-            continue
-        for c2 in m.meeting[c1]:
-            if (
-                c2 > c1
-                and curves[c2].kind == INSERTED
-                and m.shared_points(c1, c2) >= 2
-            ):
-                common = _common_points(m, c1, c2)
-                return c1, c2, common[0], common[1]
-    return None
+    pairs = [
+        (a, b)
+        for a, b in m.meets
+        if a != b
+        and curves[a].kind == INSERTED
+        and curves[b].kind == INSERTED
+        and m.shared_points(a, b) >= 2
+    ]
+    if not pairs:
+        return None
+    c1, c2 = min(pairs)
+    common = _common_points(m, c1, c2)
+    return c1, c2, common[0], common[1]
 
 
 def _extend(m: CombinatorialMap, mode: str) -> ExtensionResult:

@@ -288,17 +288,15 @@ def apply_route(
     else:
         u_vid = b.vlabel.index(u_label)
         if b.rot[u_vid]:
-            raise _face_start_error(u_label)
+            raise InputError(
+                f"route starts in a face but vertex {u_label} has darts"
+            )
         b.set_rotation(u_vid, (d_start,))
     ge = route.end_gap
     d = replaced.get(ge, ge)
     _require_gap_at(b, d, "end", ge, v_label)
     b.insert_dart_after(d, d_end)
     return cid
-
-
-def _face_start_error(label: int) -> InputError:
-    return InputError(f"route starts in a face but vertex {label} has darts")
 
 
 def _gap_error(which: str, g: int, label: int) -> InputError:
@@ -319,10 +317,10 @@ def with_route(
     """``m`` with a new curve threaded along ``route``, as
     :func:`apply_route` on ``MapBuilder.from_map(m)`` and a freeze give
     it; a route that starts in a face starts at a new real vertex labelled
-    ``u_label``.  Returns ``(new_map, curve_id)``: every curve keeps its
-    id and the new one is last.  ``m`` must be valid, and the route's
-    gaps must lie at the real vertices labelled ``u_label`` and
-    ``v_label`` (else :class:`InputError`).
+    ``u_label``, which ``m`` must not have.  Returns ``(new_map,
+    curve_id)``: every curve keeps its id and the new one is last.  ``m``
+    must be valid, and the route's gaps must lie at the real vertices
+    labelled ``u_label`` and ``v_label`` (else :class:`InputError`).
 
     A map laid out by ``freeze`` (every map the library makes) is not
     copied into a builder: the new map is spliced from its arrays.  Each
@@ -341,10 +339,15 @@ def with_route(
 
     Any other map (hand-built or shuffled) takes the builder path.
     """
+    face_start = route.start[0] == "face"
+    if face_start and u_label in m.real_by_label:
+        raise InputError(
+            f"route starts in a face but the map has vertex {u_label}"
+        )
     if m._frozen:
         return _splice(m, kind, u_label, v_label, route)
     b = MapBuilder.from_map(m)
-    if route.start[0] == "face":
+    if face_start:
         b.new_vertex("real", u_label)
     cid = apply_route(b, kind, u_label, v_label, route)
     return b.freeze(), cid
@@ -392,12 +395,9 @@ def _splice(m: CombinatorialMap, kind, u_label, v_label, route: Route):
         dmap = range(2 * nseg)
         rows = list(vdarts)
     face_start = route.start[0] != "gap"
-    u_vid = real.get(u_label)
-    if face_start:
-        if u_vid is not None and vdarts[u_vid]:
-            raise _face_start_error(u_label)
-    else:
+    if not face_start:
         g = route.start[1]
+        u_vid = real.get(u_label)
         if u_vid is None or g not in vdarts[u_vid]:
             raise _gap_error("start", g, u_label)
         _insert_after(rows, u_vid, dmap[g], 2 * base)
@@ -421,14 +421,9 @@ def _splice(m: CombinatorialMap, kind, u_label, v_label, route: Route):
     vkind = m.vkind + ("cross",) * k
     vlabel = m.vlabel + (None,) * k
     if face_start:
-        # after the real vertices labelled up to u_label, as freeze sorts
-        # (label, vertex id) with the new vertex's id last
+        # among the real vertices by label, as freeze sorts them
         pos = bisect_right(vlabel, u_label, 0, nreal)
-        if u_vid is None:
-            rows.insert(pos, (2 * base,))
-        else:  # a dartless vertex u_label takes the dart
-            rows[u_vid] = (2 * base,)
-            rows.insert(pos, ())
+        rows.insert(pos, (2 * base,))
         vkind = ("real",) + vkind
         vlabel = vlabel[:pos] + (u_label,) + vlabel[pos:]
     # each crossed curve's run grows by its crossed segments, and the new
@@ -451,22 +446,7 @@ def _splice(m: CombinatorialMap, kind, u_label, v_label, route: Route):
     sidx += m.sidx[done:]
     sidx += range(k + 1)
     curves = m.curves + (Curve(kind, u_label, v_label),)
-    out = _frozen_map(vkind, vlabel, rows, scurve, sidx, curves)
-    # the new curve meets each crossed curve once per crossed segment
-    if m._meets is not None:
-        meets = dict(m._meets)
-        for s in cut:
-            pair = m.scurve[s], cid
-            meets[pair] = meets.get(pair, 0) + 1
-        out._meets = meets
-    if m._meeting is not None:
-        met = sorted({m.scurve[s] for s in cut})
-        meeting = list(m._meeting)
-        for c in met:
-            meeting[c] += (cid,)
-        meeting.append(tuple(met))
-        out._meeting = tuple(meeting)
-    return out, cid
+    return _frozen_map(vkind, vlabel, rows, scurve, sidx, curves), cid
 
 
 def _insert_after(rows: list, vid: int, g: int, d: int):

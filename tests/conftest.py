@@ -68,11 +68,8 @@ def checked_route(monkeypatch):
     """Makes every ``with_route`` call that library code or the test
     makes through ``sepdraw.routing`` compare its map, all six fields,
     and its curve id with ``reference_with_route`` of the same arguments,
-    or its error with the reference's.  A splice must hand down the
-    ``meets`` and ``meeting`` that ``m`` has cached, equal to the
-    reference map's, and no others; the builder path hands none down.
-    Returns the path each call took, ``"splice"`` or ``"builder"``, in
-    call order."""
+    or its error with the reference's.  Returns the path each call took,
+    ``"splice"`` or ``"builder"``, in call order."""
     with_route = routing.with_route
     splice = routing._splice
     paths = []
@@ -84,7 +81,6 @@ def checked_route(monkeypatch):
     def checking(m, kind, u, v, route):
         """``with_route`` after checking it against the reference."""
         paths.append("builder")
-        cached = m._meets, m._meeting
         try:
             want = reference_with_route(m, kind, u, v, route)
         except Exception as exc:  # the error is part of the answer
@@ -93,13 +89,6 @@ def checked_route(monkeypatch):
             raise
         got = with_route(m, kind, u, v, route)
         assert got == want  # the map's six fields and the curve id
-        new, ref = got[0], want[0]
-        for had, name in zip(cached, ("meets", "meeting")):
-            handed = getattr(new, f"_{name}")
-            if had is None or paths[-1] == "builder":
-                assert handed is None, name
-            else:
-                assert handed == getattr(ref, name), name
         return got
 
     monkeypatch.setattr(routing, "_splice", spliced)

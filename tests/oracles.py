@@ -21,10 +21,13 @@ from sepdraw.cmap import (
     Curve,
     MapBuilder,
 )
-from sepdraw.errors import InputError, RealizabilityError
+from sepdraw.errors import (
+    InputError,
+    InternalInvariantError,
+    RealizabilityError,
+)
 from sepdraw.routing import (
     Route,
-    apply_route,
     iter_routes,
     with_route,
 )
@@ -457,12 +460,13 @@ def reference_iter_routes(
 
 
 # ---------------------------------------------------------------------------
-# Reference map validation: the all-pairs scans that ``cmap.validate_map``,
-# ``cmap.validate_witness`` and ``extension._check_simple_vs_original`` ran
-# before they were restricted to meeting curve pairs, kept verbatim so the
-# pruned versions can be compared with them message for message.  The one
-# addition is the rule that real vertex labels are distinct, named at the
-# later vertex.
+# Reference map validation: the all-pairs scans that ``cmap.validate_map``
+# and ``cmap.validate_witness`` ran before they were restricted to meeting
+# curve pairs, kept verbatim so the pruned versions can be compared with
+# them message for message.  The one addition is the rule that real vertex
+# labels are distinct, named at the later vertex.  The all-pairs check of
+# an inserted curve against the original edges is what the verdict an
+# insertion reads off its route is compared with.
 
 
 def reference_is_connected(m: CombinatorialMap) -> bool:
@@ -836,13 +840,98 @@ def reference_freeze(b: MapBuilder) -> CombinatorialMap:
 def reference_with_route(m: CombinatorialMap, kind, u_label, v_label, route):
     """``routing.with_route`` as it was before it spliced routes into the
     arrays of a frozen map: the whole map copied into a builder, the
-    route applied there and every array compacted again.  Returns
-    ``(map, curve_id)``."""
+    route applied there by ``_reference_apply_route`` and every array
+    compacted again.  A route that starts in a face needs a label the
+    map does not have.  Returns ``(map, curve_id)``."""
+    if route.start[0] == "face" and u_label in m.real_by_label:
+        raise InputError(
+            f"route starts in a face but the map has vertex {u_label}"
+        )
     b = MapBuilder.from_map(m)
     if route.start[0] == "face":
         b.new_vertex("real", u_label)
-    cid = apply_route(b, kind, u_label, v_label, route)
+    cid = _reference_apply_route(b, kind, u_label, v_label, route)
     return reference_freeze(b), cid
+
+
+# ``routing.apply_route`` and its gap checks as they were when every
+# insertion copied the map into a builder, kept verbatim so that on the
+# builder path the reference shares no route application with the
+# ``with_route`` it checks.
+
+
+def _reference_apply_route(
+    b: MapBuilder, kind: str, u_label: int, v_label: int, route: Route
+) -> int:
+    """Thread a new curve along a route through the builder's map.
+
+    The route must reference the builder's current segment ids (apply
+    immediately after searching, before other mutations).  The curve is
+    recorded in route direction: from ``u_label`` (the route source) to
+    ``v_label``.  A ``('gap', dart)`` start leaves through that corner; a
+    ``('face', fid)`` start leaves from the real vertex labelled
+    ``u_label``, which the caller must already have placed in the builder
+    without darts, and becomes its sole dart.
+    Returns the new curve id.
+    """
+    cid = b.new_curve(kind, u_label, v_label)
+    nseg = len(route.crossings) + 1
+    segs = [b.new_segment(cid) for _ in range(nseg)]
+    b.csegs[cid] = segs
+    replaced: dict[int, int] = {}
+    for k, (s, side) in enumerate(route.crossings):
+        if b.scurve[s] < 0:
+            raise InternalInvariantError(f"route crosses dead segment {s}")
+        x = b.new_vertex("cross")
+        s1, s2, repl = b.split_segment(s, x)
+        replaced.update(repl)
+        new_in = 2 * segs[k] + 1
+        new_out = 2 * segs[k + 1]
+        toward_tail = 2 * s1 + 1
+        toward_head = 2 * s2
+        # chirality: the strand continuing toward the entry side's far end
+        # precedes the outgoing new dart in clockwise order
+        if side == 2 * s:
+            rot = (toward_head, new_out, toward_tail, new_in)
+        else:
+            rot = (toward_tail, new_out, toward_head, new_in)
+        b.set_rotation(x, rot)
+    # endpoints
+    d_start = 2 * segs[0]
+    d_end = 2 * segs[-1] + 1
+    if route.start[0] == "gap":
+        g = route.start[1]
+        d = replaced.get(g, g)
+        _reference_require_gap_at(b, d, "start", g, u_label)
+        b.insert_dart_after(d, d_start)
+    else:
+        u_vid = b.vlabel.index(u_label)
+        if b.rot[u_vid]:
+            raise _reference_face_start_error(u_label)
+        b.set_rotation(u_vid, (d_start,))
+    ge = route.end_gap
+    d = replaced.get(ge, ge)
+    _reference_require_gap_at(b, d, "end", ge, v_label)
+    b.insert_dart_after(d, d_end)
+    return cid
+
+
+def _reference_face_start_error(label: int) -> InputError:
+    return InputError(f"route starts in a face but vertex {label} has darts")
+
+
+def _reference_gap_error(which: str, g: int, label: int) -> InputError:
+    return InputError(f"route {which} gap {g} is not at vertex {label}")
+
+
+def _reference_require_gap_at(
+    b: MapBuilder, d: int, which: str, g: int, label: int
+):
+    """Raise unless dart ``d``, the builder's dart for the route's gap
+    ``g``, is at the real vertex labelled ``label``."""
+    vid = b.dvert[d] if 0 <= d < len(b.dvert) else -1
+    if vid < 0 or b.vkind[vid] != "real" or b.vlabel[vid] != label:
+        raise _reference_gap_error(which, g, label)
 
 
 # ---------------------------------------------------------------------------

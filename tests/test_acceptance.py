@@ -42,7 +42,10 @@ from sepdraw.rotation import (
 from sepdraw.routing import min_cost_route
 from sepdraw.separability import is_separable, valid_flips
 
-from oracles import exhaustive_min_route_cost
+from oracles import (
+    exhaustive_min_route_cost,
+    reference_check_simple_vs_original,
+)
 from test_rotation import REROUTED_K5, _orbit_encodings
 
 
@@ -320,7 +323,7 @@ def test_criterion_9_separable_completion(tables):
         res = ext.extend_to_complete_separable(m)
         ok = validate_map(res.map) == []
         for ins in res.insertions:
-            if ext._check_simple_vs_original(ins.map, ins.curve_id):
+            if reference_check_simple_vs_original(ins.map, ins.curve_id):
                 ok = False
         for a, b in zip(res.potential_log, res.potential_log[1:]):
             if not b < a:

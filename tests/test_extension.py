@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,12 +13,13 @@ from sepdraw.cmap import (
     CombinatorialMap,
     MapBuilder,
     crossing_pairs_of_map,
+    drawn_edges,
     extract_rotation_system,
     from_two_page,
     serialize_cmap,
     validate_map,
 )
-from sepdraw.errors import InputError, WitnessError
+from sepdraw.errors import InputError, SimplicityError, WitnessError
 from sepdraw.extension import (
     extend_to_complete_crossmin,
     extend_to_complete_separable,
@@ -40,6 +42,7 @@ from sepdraw.routing import (
 
 from oracles import (
     exhaustive_min_route_cost,
+    reference_check_simple_vs_original,
     reference_shared_points,
     reference_validate_map,
     reference_violating_pair,
@@ -238,7 +241,7 @@ class TestExtendSeparable:
                 assert validate_map(res.map) == []
                 for ins in res.insertions:
                     assert (
-                        ext._check_simple_vs_original(
+                        reference_check_simple_vs_original(
                             ins.map, ins.curve_id
                         )
                         is None
@@ -484,3 +487,182 @@ class TestFixupLoop:
             steps += 1
         assert steps == len(log) - 1
         assert cur == res.map
+
+
+# ---------------------------------------------------------------------------
+# An insertion reads its counts and its simplicity verdict off its route:
+# the new curve meets each curve once per crossed segment.  Every
+# insertion below is compared with the meet counts of the map it made and
+# with the all-pairs reference check.
+
+
+def _witness_free_minus(n: int, rng: random.Random):
+    """A 2-page drawing of K_n without witness arcs, minus 1..n random
+    edges that leave no vertex isolated."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    edges = all_edges(n)
+    while True:
+        gone = set(rng.sample(edges, rng.randint(1, n)))
+        kept = [e for e in edges if e not in gone]
+        if {x for e in kept for x in e} == set(order):
+            break
+    pages = [rng.choice(("upper", "lower")) for _ in kept]
+    return from_two_page(order, kept, pages, witnesses=False)[0]
+
+
+# (input index, (inserted edge, edge it meets twice)) of each witness-free
+# input of ``test_witness_free_crossmin`` whose completion an insertion
+# refuses, recorded when the check read the new map's meet counts
+REFUSED = (
+    (33, ((1, 3), (1, 5))),
+    (55, ((1, 4), (1, 6))),
+    (60, ((1, 5), (3, 5))),
+    (103, ((2, 7), (2, 5))),
+    (104, ((1, 6), (1, 3))),
+    (118, ((4, 7), (1, 4))),
+    (134, ((3, 6), (1, 6))),
+    (171, ((5, 6), (5, 9))),
+    (173, ((7, 8), (6, 8))),
+    (182, ((7, 9), (1, 9))),
+    (183, ((3, 6), (2, 3))),
+    (186, ((2, 4), (2, 8))),
+    (192, ((1, 5), (5, 9))),
+    (199, ((6, 8), (2, 8))),
+)
+
+
+@pytest.fixture
+def insertions(monkeypatch):
+    """Records every insertion as ``(map, curve_id, outcome)``: the map
+    and curve id ``with_route`` made for it, and its result or the
+    :class:`SimplicityError` it raised."""
+    with_route, insert = ext.with_route, ext._insert
+    made, log = [], []
+
+    def routed(*args):
+        """``with_route``, keeping what it made."""
+        made.append(with_route(*args))
+        return made[-1]
+
+    def inserting(m, u, v, mode):
+        """``_insert``, logging its outcome."""
+        try:
+            res = insert(m, u, v, mode)
+        except SimplicityError as exc:
+            log.append((*made[-1], exc))
+            raise
+        log.append((*made[-1], res))
+        return res
+
+    monkeypatch.setattr(ext, "with_route", routed)
+    monkeypatch.setattr(ext, "_insert", inserting)
+    return log
+
+
+def _check_insertions(log) -> list:
+    """Compares each insertion's counts with the new curve's meet counts
+    by curve kind, and its verdict with the reference; returns the
+    errors raised."""
+    errors = []
+    for out, cid, outcome in log:
+        kinds = Counter()
+        for (a, b), k in out.meets.items():
+            if cid in (a, b) and a != b:
+                kinds[out.curves[a + b - cid].kind] += k
+        offender = reference_check_simple_vs_original(out, cid)
+        if isinstance(outcome, SimplicityError):
+            assert outcome.pair == (out.curves[cid].edge(), offender)
+            errors.append(outcome)
+            continue
+        assert offender is None
+        assert (
+            outcome.witness_set_crossings,
+            outcome.edge_crossings,
+            outcome.inserted_crossings,
+        ) == (kinds[EDGE] + kinds[WITNESS], kinds[EDGE], kinds[INSERTED])
+    return errors
+
+
+class TestRouteDerivedCheck:
+    def test_separable(self, insertions):
+        rng = random.Random(83)
+        for n in range(5, 10):
+            for _ in range(6):
+                m = random_two_page_minus(n, n, rng)[0]
+                extend_to_complete_separable(m)
+        assert _check_insertions(insertions) == []
+        crossing = [res for *_, res in insertions if res.witness_set_crossings]
+        assert len(insertions) == 132 and len(crossing) == 78
+
+    def test_planar_crossmin(self, insertions):
+        rng = random.Random(84)
+        maps = [
+            random_planar_map(n, rng) for n in range(4, 10) for _ in range(6)
+        ]
+        maps += [
+            random_planar_map(int(key.split(":")[0]), random.Random(key))
+            for key in FIXUP_KEYS
+        ]
+        for m in maps:
+            extend_to_complete_crossmin(m)
+        assert _check_insertions(insertions) == []
+        crossing = [res for *_, res in insertions if res.edge_crossings]
+        assert len(insertions) == 458 and len(crossing) == 237
+
+    def test_witness_free_crossmin(self, insertions):
+        """2-page drawings without witness arcs, 40 per n: they need not
+        be crossing-minimizing, so some insertions raise
+        :class:`SimplicityError`."""
+        rng = random.Random("84")
+        refused = []
+        for i in range(200):
+            m = _witness_free_minus(5 + i // 40, rng)
+            try:
+                extend_to_complete_crossmin(m)
+            except SimplicityError as exc:
+                e, f = exc.pair
+                assert str(exc) == (
+                    f"inserting {e} with minimum crossings meets edge {f} "
+                    f"twice; the input is not crossing-minimizing"
+                )
+                refused.append((i, exc.pair))
+        assert tuple(refused) == REFUSED
+        assert len(_check_insertions(insertions)) == len(REFUSED)
+        assert len(insertions) == 824
+
+    def test_routes_crossing_a_curve_twice(self, insertions, monkeypatch):
+        """Routes the router does not pick: for each missing edge of
+        2-page inputs, the first route the search finds that crosses one
+        curve twice, through witness arcs only, and then through the edge
+        curves that share no end with the new edge too."""
+        allowed = []
+
+        def searched(m, u_vid, v_vid, cost_of_curve):
+            """The first route that crosses a curve of ``allowed`` twice,
+            or None."""
+            budget = dict.fromkeys(allowed, 2)
+            for route in iter_routes(m, u_vid, v_vid, budget):
+                hits = Counter(m.scurve[s] for s, _ in route.crossings)
+                if max(hits.values(), default=0) > 1:
+                    return route, 0
+            return None
+
+        monkeypatch.setattr(ext, "min_cost_route", searched)
+        rng = random.Random(85)
+        for n in (5, 6, 7):
+            for _ in range(2):
+                m = random_two_page_minus(n, n, rng)[0]
+                curves = list(enumerate(m.curves))
+                witnesses = [c for c, cu in curves if cu.kind == WITNESS]
+                for e in sorted(set(all_edges(n)) - drawn_edges(m)):
+                    apart = [c for c, cu in curves if cu.kind == EDGE
+                             and not set(cu.edge()) & set(e)]
+                    for chosen in (witnesses, witnesses + apart):
+                        allowed[:] = chosen
+                        try:
+                            insert_min_crossings(m, *e)
+                        except InputError:  # SimplicityError, or no route
+                            pass
+        assert len(_check_insertions(insertions)) == 9
+        assert len(insertions) == 30

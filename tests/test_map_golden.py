@@ -15,7 +15,11 @@ import hashlib
 import random
 
 import sepdraw.extension as ext
-from oracles import permuted_layout, reference_faces
+from oracles import (
+    permuted_layout,
+    reference_check_simple_vs_original,
+    reference_faces,
+)
 from sepdraw.cmap import (
     WITNESS,
     CombinatorialMap,
@@ -178,7 +182,10 @@ def _queries(m):
         sorted(crossing_pairs_of_map(m)),
         ext._potential(m, ext.SEPARABLE),
         ext._potential(m, ext.CROSSMIN),
-        [ext._check_simple_vs_original(m, c) for c in range(len(m.curves))],
+        [
+            reference_check_simple_vs_original(m, c)
+            for c in range(len(m.curves))
+        ],
     )
 
 

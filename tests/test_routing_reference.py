@@ -25,13 +25,12 @@ heap pops shows that the stop cuts the search short.
 
 ``routing.with_route`` splices a route into the arrays of a map that
 ``freeze`` made.  The ``checked_route`` fixture compares every call with
-``reference_with_route``, the builder copy, ``apply_route`` and
-``reference_freeze``, and the ``meets`` and ``meeting`` a splice hands
-down with the reference map's: on searched and least-cost routes of
-seeded maps, on every insertion of the golden completions, on face
-starts, on shuffled copies that take the builder path, and on the
-routes both paths refuse.  The enumeration's root has no cached views,
-so none of its splices hands one down.
+``reference_with_route``, the builder copy, a copy of ``apply_route``
+and ``reference_freeze``: on searched and least-cost routes of seeded
+maps, on routes that cross one curve twice, on every insertion of the
+golden completions, on face starts, on shuffled copies that take the
+builder path, and on the routes both paths refuse.  The K6 enumeration,
+all splices, keeps its pinned orbits.
 """
 from __future__ import annotations
 
@@ -452,17 +451,13 @@ def test_with_route_splices_seeded_routes(checked_route):
     assert routes >= 580 and crossing >= 250 and on_crossed >= 140
 
 
-def test_with_route_hands_down_meets(checked_route):
-    """Routes that cross one curve twice, spliced into seeded maps with
-    ``meets`` and ``meeting`` cached, and every insertion of the golden
-    completion corpus: the input's validation caches ``meets``, and each
-    insertion's simplicity check caches ``meets`` and ``meeting`` of the
-    map the next insertion splices into.  The fixture compares the views
-    handed down with freshly counted ones."""
+def test_with_route_splices_twice_crossed_and_chained_routes(checked_route):
+    """Routes that cross one curve twice, spliced into seeded maps, and
+    every insertion of the golden completion corpus, each but the first
+    of a completion spliced into the map the one before it made."""
     rng = random.Random(58)
     twice = 0
     for m in _seeded_maps():
-        m.meeting  # counts meets too
         curves = range(len(m.curves))
         budget = dict.fromkeys(rng.sample(curves, len(curves) // 2), 2)
         pairs = itertools.permutations(m.real_labels(), 2)
@@ -487,9 +482,6 @@ def test_with_route_hands_down_meets(checked_route):
         except InputError:  # the input is not crossing-minimizing
             continue
         chained += max(len(res.insertions) - 1, 0)
-        for ins in res.insertions:
-            assert ins.map._meets is not None
-            assert ins.map._meeting is not None
     assert checked_route == ["splice"] * 136 and chained == 105
 
 
@@ -500,23 +492,20 @@ ENUM6_DIGEST = (
 )
 
 
-def test_enumeration_hands_down_no_views(monkeypatch):
-    """The enumeration's root has no cached ``meets`` or ``meeting``, so
-    none of its splices copies one that no search reads; the orbits stay
-    the same."""
+def test_enumeration_k6_digest(monkeypatch):
+    """The K6 enumeration splices every map it builds and keeps its
+    pinned orbits."""
     splice = routing._splice
-    handed = []
+    calls = []
 
     def counting(*args):
-        """``_splice``, recording whether its map carries a view."""
-        out = splice(*args)
-        handed.append(out[0]._meets is not None or
-                      out[0]._meeting is not None)
-        return out
+        """``_splice``, counting its calls."""
+        calls.append(None)
+        return splice(*args)
 
     monkeypatch.setattr(routing, "_splice", counting)
     reps = enumeration.enumerate_good_drawings(6)
-    assert len(handed) == 2670 and not any(handed)
+    assert len(calls) == 2670
     pairs = [(d.key, serialize_cmap(d.map)) for d in reps]
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == ENUM6_DIGEST
 
@@ -538,28 +527,42 @@ def test_with_route_builder_path_on_permuted_layouts(checked_route):
 
 def test_with_route_face_starts(checked_route):
     """Face-start routes: every star the enumerator draws from K4 to K5
-    (the first edge of each from a face), new labels below, between and
-    above the drawn ones, and a drawn label that has no dart."""
+    (the first edge of each from a face), and new labels below, between
+    and above the drawn ones.  A drawn label is refused, one that has no
+    dart too: both paths used to give that vertex the route's dart and
+    leave a second, dartless vertex of the same label."""
     rng = random.Random(56)
     for rep in enumeration.enumerate_good_drawings(4):
         list(enumeration.extend_by_vertex(rep.map, 5))
-    assert len(checked_route) >= 100
-    starts = 0
-    for m in itertools.islice(_seeded_maps(), 6):
+    assert len(checked_route) >= 100 and set(checked_route) == {"splice"}
+    maps = list(itertools.islice(_seeded_maps(), 6))
+    checked_route.clear()  # the enumerator's and the generators' routes
+    starts = refused = 0
+    for m in maps:
         labels = m.real_labels()
         b = MapBuilder.from_map(m)
         b.new_vertex("real", labels[-1] + 3)  # a real vertex with no dart
         bare = b.freeze()
+        shuffled = permuted_layout(bare, rng)
         budget = dict.fromkeys(range(len(bare.curves)), 1)
         for fid in rng.sample(range(len(bare.faces)), 3):
             v = rng.choice(labels)
             found = iter_routes(bare, ("face", fid), bare.real_by_label[v],
                                 budget)
             for route in itertools.islice(found, 3):
-                for u in (0, labels[-1] + 1, labels[-1] + 3, labels[-1] + 4):
+                for u in (0, labels[-1] + 1, labels[-1] + 4):
                     routing.with_route(bare, EDGE, u, v, route)
                     starts += 1
-    assert starts >= 60 and set(checked_route) == {"splice"}
+                for mm in (bare, shuffled):
+                    for u in (labels[0], labels[-1] + 3):
+                        with pytest.raises(InputError, match=(
+                            f"^route starts in a face but the map has "
+                            f"vertex {u}$"
+                        )):
+                            routing.with_route(mm, EDGE, u, v, route)
+                        refused += 1
+    assert starts >= 45 and refused >= 60
+    assert checked_route.count("splice") == starts
 
 
 def _error_cases(m):
@@ -577,7 +580,7 @@ def _error_cases(m):
     s = crossing.crossings[0][0]
     return [
         ((2, 3), face, InputError,
-         "route starts in a face but vertex 2 has darts"),
+         "route starts in a face but the map has vertex 2"),
         ((2, 5), twice, InternalInvariantError,
          f"route crosses dead segment {s}"),
         ((1, 4), free, InputError,
@@ -597,4 +600,5 @@ def test_with_route_errors(checked_route):
         for (u, v), route, error, message in _error_cases(mm):
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 routing.with_route(mm, EDGE, u, v, route)
-    assert checked_route == ["splice"] * 4 + ["builder"] * 4
+    # the face start is refused before either path
+    assert checked_route == ["builder"] + ["splice"] * 3 + ["builder"] * 4

@@ -1,8 +1,7 @@
 """The pruned map validators against the all-pairs reference.
 
-``validate_map``, ``validate_witness`` and
-``extension._check_simple_vs_original`` visit only curve pairs that meet
-or draw the same edge.  They must return exactly what the all-pairs scans
+``validate_map`` and ``validate_witness`` visit only curve pairs that
+meet or draw the same edge.  They must return exactly what the all-pairs scans
 in ``tests/oracles.py`` return (same messages, same order, same
 exceptions) on four map sets: the edited and intermediate maps of the
 golden test, the completions of its inputs, crossmin insertions before
@@ -18,7 +17,6 @@ import random
 import re
 from itertools import chain, islice
 
-import sepdraw.extension as ext
 from sepdraw.cmap import (
     DRAWN_KINDS,
     EDGE,
@@ -37,7 +35,6 @@ from sepdraw.routing import iter_routes, min_cost_route, with_route
 
 from oracles import (
     permuted_layout,
-    reference_check_simple_vs_original,
     reference_shared_points,
     reference_validate_map,
     reference_validate_witness,
@@ -184,13 +181,12 @@ def _map_sets():
     }
 
 
-def _answers(m, validate, witness, simple):
+def _answers(m, validate, witness):
     witnessed = sorted({c.edge() for c in m.curves if c.kind == WITNESS})
     return (
         _outcome(lambda: validate(m)),
         _outcome(lambda: validate(m, strict=False)),
         [_outcome(lambda: witness(m, e)) for e in witnessed],
-        [_outcome(lambda: simple(m, c)) for c in range(len(m.curves))],
     )
 
 
@@ -388,11 +384,9 @@ def test_pruned_validators_match_reference():
     for name, maps in sets.items():
         assert maps, name
         for i, m in enumerate(maps):
-            got = _answers(m, validate_map, validate_witness,
-                           ext._check_simple_vs_original)
+            got = _answers(m, validate_map, validate_witness)
             want = _answers(m, reference_validate_map,
-                            reference_validate_witness,
-                            reference_check_simple_vs_original)
+                            reference_validate_witness)
             assert got == want, (name, i)
             messages += _messages(want[:2])
     # the edited fields can break the maps' other queries, so only the
