@@ -935,6 +935,21 @@ def _require_realizable(tables: RealizabilityTables, rs: RotationSystem):
 # Canonical forms
 
 
+@functools.lru_cache(maxsize=64)
+def _key_shifts(n: int) -> tuple[bytes, ...]:
+    """For each start s of a rotation of K_n, the ``bytes.translate``
+    table from the labels start 0 gives to those start s gives: label 1
+    stays, and label j + 2 becomes (j - s) mod (n - 1) + 2."""
+    m = n - 1
+    shifts = []
+    for s in range(m):
+        table = bytearray(range(256))
+        for j in range(m):
+            table[j + 2] = (j - s) % m + 2
+        shifts.append(bytes(table))
+    return tuple(shifts)
+
+
 def canonical_key(rs: RotationSystem) -> bytes:
     """Minimal encoding over all relabelings, mirrorings and cyclic
     re-linearizations; equal keys identify the same orbit.
@@ -947,7 +962,10 @@ def canonical_key(rs: RotationSystem) -> bytes:
     minimum is therefore the minimum over these 2n(n-1) labelings (both
     orientations), not over all 2·n! relabelings and mirrorings.  Every
     other row then starts at 1, the new label of v, so each candidate is
-    the rotations of v's neighbours read from v, relabeled.
+    the rotations of v's neighbours read from v, relabeled.  Those rows
+    are relabeled once per v and orientation, as start 0 labels them,
+    and each start reads its candidate off them through a cyclic shift
+    of the labels 2..n (:func:`_key_shifts`).
 
     Labels are bytes, so the key exists only for n <= 255; a larger
     system raises :class:`InputError`.
@@ -962,25 +980,24 @@ def canonical_key(rs: RotationSystem) -> bytes:
     m = n - 1
     size = m * m
     labels = bytes(range(1, n + 1))
+    shifts = _key_shifts(n)
     best = None
     for rows in (rs.rows, tuple(r[::-1] for r in rs.rows)):
         for v in range(1, n + 1):
             rot = rows[v - 1]
-            head = bytes([v])
-            around = bytes(rot) * 2
             # rows 2..n for start 0: each neighbour's rotation read from
-            # v, twice over; start s reads this from row s on
+            # v, twice over and relabeled as start 0 labels them; start s
+            # reads this from row s on, shifting every label but 1
             flat = []
             for w in rot:
                 row = rows[w - 1]
                 i = row.index(v)
                 flat += row[i:] + row[:i]
-            block = bytes(flat) * 2
-            for s in range(m):
-                # byte x of the table is the label that start s gives x
-                table = bytes.maketrans(head + around[s : s + m], labels)
+            table = bytes.maketrans(bytes([v, *rot]), labels)
+            block = bytes(flat).translate(table) * 2
+            for s, shift in enumerate(shifts):
                 cut = s * m
-                cand = block[cut : cut + size].translate(table)
+                cand = block[cut : cut + size].translate(shift)
                 if best is None or cand < best:
                     best = cand
     return bytes([n, *range(2, n + 1)]) + best

@@ -59,9 +59,17 @@ def iter_routes(m: CombinatorialMap, source, target_vid: int, budget):
 
     A face's boundary cycle has coordinates 0..2L-1: the i-th dart of its
     walk sits at 2i, and the corner clockwise-after dart ``g`` just
-    before ``g ^ 1``, at one more.  The target's corners are grouped by
-    face once, ascending by dart, so a visit reads its face's boundary
-    and that face's corners, and sorts nothing.
+    before ``g ^ 1``, at one more.  The coordinates of all darts are laid
+    out once per call, and the target's corners are grouped by face,
+    ascending by dart, so a visit reads its face's boundary and that
+    face's corners, and sorts nothing.
+
+    A crossing move is taken only if :func:`_reachable` finds a face
+    with a target corner from the face it enters, through segments not
+    yet crossed whose curves have budget left.  Every route beneath the
+    move takes such a path (it ignores only the chord rule and how often
+    a curve is crossed), so a move that fails the check has no route
+    beneath it, and the cut changes neither the routes nor their order.
     """
     faces = m.faces
     face_of = m.face_of
@@ -69,23 +77,18 @@ def iter_routes(m: CombinatorialMap, source, target_vid: int, budget):
     corners: dict[int, list] = {}
     for g in sorted(m.vdarts[target_vid]):
         corners.setdefault(face_of[g ^ 1], []).append(g)
-    bcache: dict[int, tuple] = {}
-
-    def boundary(fid):
-        """The face's walk, each dart's coordinate, and the cycle's size."""
-        if fid not in bcache:
-            orbit = faces[fid]
-            size = 2 * len(orbit)
-            bcache[fid] = orbit, dict(zip(orbit, range(0, size, 2))), size
-        return bcache[fid]
-
-    remaining = dict(budget)
+    coord = [0] * m.n_darts
+    for orbit in faces:
+        for p, d in enumerate(orbit):
+            coord[d] = 2 * p
+    remaining = [budget.get(cid, 0) for cid in range(len(m.curves))]
     chords: dict[int, list] = {}
     crossed_segs: set[int] = set()
     path: list[tuple[int, int]] = []
 
     def dfs(fid, entry, start_anchor):
-        orbit, coord, size = boundary(fid)
+        orbit = faces[fid]
+        size = 2 * len(orbit)
         mychords = chords.setdefault(fid, [])
         # The chords cut through this face so far, their ends as offsets
         # from the entry; the visit leaves them as it found them.  A new
@@ -109,7 +112,7 @@ def iter_routes(m: CombinatorialMap, source, target_vid: int, budget):
             if s in crossed_segs:
                 continue
             cid = scurve[s]
-            if remaining.get(cid, 0) <= 0:
+            if remaining[cid] <= 0:
                 continue
             if entry is not None:
                 p = coord[d]
@@ -120,10 +123,12 @@ def iter_routes(m: CombinatorialMap, source, target_vid: int, budget):
                 mychords.append((entry, p))
             crossed_segs.add(s)
             remaining[cid] -= 1
-            path.append((s, d))
             nfid = face_of[d ^ 1]
-            yield from dfs(nfid, boundary(nfid)[1][d ^ 1], start_anchor)
-            path.pop()
+            if _reachable(nfid, corners, faces, face_of, scurve,
+                          crossed_segs, remaining):
+                path.append((s, d))
+                yield from dfs(nfid, coord[d ^ 1], start_anchor)
+                path.pop()
             remaining[cid] += 1
             crossed_segs.discard(s)
             if entry is not None:
@@ -133,8 +138,32 @@ def iter_routes(m: CombinatorialMap, source, target_vid: int, budget):
         yield from dfs(source[1], None, ("face", source[1]))
     else:
         for g in m.vdarts[source]:
-            fid = face_of[g ^ 1]
-            yield from dfs(fid, boundary(fid)[1][g ^ 1] + 1, ("gap", g))
+            yield from dfs(face_of[g ^ 1], coord[g ^ 1] + 1, ("gap", g))
+
+
+def _reachable(fid, goals, faces, face_of, scurve, crossed, remaining):
+    """Whether a face in ``goals`` is face ``fid`` or can be reached from
+    it by crossing segments that are not in ``crossed`` and whose curves
+    have budget left in ``remaining`` (a list by curve id): the search
+    of :func:`iter_routes` without its chord rule, crossing a curve with
+    budget left any number of times."""
+    if fid in goals:
+        return True
+    seen = {fid}
+    stack = [fid]
+    while stack:
+        for d in faces[stack.pop()]:
+            s = d >> 1
+            if s in crossed or remaining[scurve[s]] <= 0:
+                continue
+            nfid = face_of[d ^ 1]
+            if nfid in seen:
+                continue
+            if nfid in goals:
+                return True
+            seen.add(nfid)
+            stack.append(nfid)
+    return False
 
 
 def min_cost_route(

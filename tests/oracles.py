@@ -203,6 +203,45 @@ def labeled_encoding(rs: RotationSystem) -> bytes:
     return b"".join(bytes(r) for r in rs.normalized)
 
 
+def reference_canonical_key(rs: RotationSystem) -> bytes:
+    """``rotation.canonical_key`` as it was before it relabeled once per
+    anchor: the minimum over the 2n(n-1) labelings that give label 1 to
+    a vertex v and labels 2..n to v's rotation from one of its starts,
+    with a ``bytes.maketrans`` table built for each start."""
+    n = rs.n
+    if n == 1:
+        return bytes([1])
+    if n > 255:
+        raise InputError(
+            f"canonical keys hold labels up to 255; the system has n={n}"
+        )
+    m = n - 1
+    size = m * m
+    labels = bytes(range(1, n + 1))
+    best = None
+    for rows in (rs.rows, tuple(r[::-1] for r in rs.rows)):
+        for v in range(1, n + 1):
+            rot = rows[v - 1]
+            head = bytes([v])
+            around = bytes(rot) * 2
+            # rows 2..n for start 0: each neighbour's rotation read from
+            # v, twice over; start s reads this from row s on
+            flat = []
+            for w in rot:
+                row = rows[w - 1]
+                i = row.index(v)
+                flat += row[i:] + row[:i]
+            block = bytes(flat) * 2
+            for s in range(m):
+                # byte x of the table is the label that start s gives x
+                table = bytes.maketrans(head + around[s : s + m], labels)
+                cut = s * m
+                cand = block[cut : cut + size].translate(table)
+                if best is None or cand < best:
+                    best = cand
+    return bytes([n, *range(2, n + 1)]) + best
+
+
 def _orient(a, b, c) -> float:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 

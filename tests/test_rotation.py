@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import sepdraw.enumeration as enumeration
 import sepdraw.rotation as rotation
 from sepdraw.errors import (
     AdjacentEdgesError,
@@ -51,6 +52,7 @@ from oracles import (
     k4_consistent_unrealizable_k5,
     labeled_encoding,
     random_points,
+    reference_canonical_key,
     reference_crossings_of_edge,
     reference_is_realizable,
     reference_k4_index,
@@ -863,6 +865,45 @@ class TestCanonicalKey:
             assert not all(is_realizable(tables, rs) for rs in systems)
         for rs in systems:
             assert canonical_key(rs) == self.full_orbit_key(rs)
+
+    def test_equals_reference_on_enumerated_leaves(self, monkeypatch):
+        """Every system the K6 enumeration keys, its leaves included,
+        against the key built with one translation table per start."""
+        keyed = []
+
+        def checked(rs):
+            key = canonical_key(rs)
+            assert key == reference_canonical_key(rs), rs.rows
+            keyed.append(rs.n)
+            return key
+
+        monkeypatch.setattr(enumeration, "canonical_key", checked)
+        enumeration.enumerate_good_drawings(6)
+        assert len(keyed) == 1504 and keyed.count(6) == 1386
+
+    def test_equals_reference_on_random_systems(self):
+        """Shuffled systems and their mirrors for n = 1..40: every start
+        of every rotation, across the shift tables of each size."""
+        rng = random.Random(34)
+        for n in range(1, 41):
+            for _ in range(3 if n <= 12 else 1):
+                rs = self.shuffled_system(rng, n)
+                for system in (rs, mirror(rs)):
+                    key = canonical_key(system)
+                    assert key == reference_canonical_key(system)
+
+    def test_equals_reference_on_relabeled_representatives(
+        self, enum5, enum6
+    ):
+        rng = random.Random(35)
+        for rep in list(enum5[5]) + list(enum6):
+            n = rep.rs.n
+            for _ in range(2):
+                perm = list(range(1, n + 1))
+                rng.shuffle(perm)
+                rs = relabel(rep.rs, perm)
+                assert canonical_key(rs) == reference_canonical_key(rs)
+                assert canonical_key(rs) == rep.key
 
     def test_single_vertex(self):
         assert canonical_key(RotationSystem(1, [()])) == bytes([1])

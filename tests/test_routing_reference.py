@@ -9,7 +9,12 @@ drawings of K4-K6 under the budgets of the witness search, every
 insertion step of the enumeration up to K6, and small hand-built maps
 queried from every vertex and face to every vertex, on which targets
 have several corners on one face and routes pass through a face more
-than once.
+than once.  Each search cuts the crossing moves beneath which no route
+lies (``routing._reachable``), so every comparison runs through the
+cut, and the tests count the moves it cut.  The witness maps of the
+three edges of the benchmark's seed-1 completion inputs that took
+seconds before the cut are pinned, and the edges of non-separable K6
+drawings that have no witness stay without one.
 
 The seeded generators pick among crossing-free routes with ``rng.choice``,
 so their outputs pin the route order too.
@@ -40,6 +45,7 @@ import itertools
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -51,10 +57,12 @@ from sepdraw.cmap import (
     CombinatorialMap,
     Curve,
     MapBuilder,
+    parse_cmap,
     serialize_cmap,
 )
 from sepdraw.errors import InputError, InternalInvariantError
 from sepdraw.generators import (
+    all_edges,
     random_planar_map,
     random_two_page,
     random_two_page_minus,
@@ -100,6 +108,23 @@ def _check(m, source, target_vid, budget) -> int:
     return len(got[1]) if got[0] == "ok" else 0
 
 
+def _count_cuts(monkeypatch) -> list:
+    """Wraps ``routing._reachable``; the returned list gets one entry per
+    crossing move the search cuts."""
+    reachable = routing._reachable
+    cuts = []
+
+    def counting(*args):
+        """``_reachable``, recording each move it cuts."""
+        found = reachable(*args)
+        if not found:
+            cuts.append(None)
+        return found
+
+    monkeypatch.setattr(routing, "_reachable", counting)
+    return cuts
+
+
 def test_probe_maps():
     rng = random.Random(51)
     routes = 0
@@ -131,12 +156,34 @@ def test_two_page_witness_budgets(monkeypatch):
         return iter_routes(m, source, target_vid, budget)
 
     monkeypatch.setattr(routing, "iter_routes", checked)
+    cuts = _count_cuts(monkeypatch)
     for n in (4, 5, 6):
         for _ in range(3):
             m = random_two_page(n, rng)[0]
             for e in sorted({c.edge() for c in m.curves if c.kind == EDGE}):
                 routing.find_witness(m, e)
-    assert len(queries) > 0 and sum(queries) > 0
+    assert len(queries) > 0 and sum(queries) > 0 and len(cuts) > 0
+
+
+def test_witness_negatives(monkeypatch, enum6):
+    """The edges of four non-separable K6 drawings (the golden test's)
+    under the budgets of the witness search: 22 have no witness, and the
+    cut, which ends those searches early, leaves them without one."""
+    queries = []
+
+    def checked(m, source, target_vid, budget):
+        queries.append(_check(m, source, target_vid, budget))
+        return iter_routes(m, source, target_vid, budget)
+
+    monkeypatch.setattr(routing, "iter_routes", checked)
+    cuts = _count_cuts(monkeypatch)
+    found = [
+        routing.find_witness(enum6[i].map, e)
+        for i in (1, 37, 71, 82)
+        for e in all_edges(6)
+    ]
+    assert found.count(None) == 22 and queries.count(0) == 22
+    assert len(cuts) > 0
 
 
 def test_enumeration_steps(monkeypatch):
@@ -148,8 +195,55 @@ def test_enumeration_steps(monkeypatch):
         return iter_routes(m, source, target_vid, budget)
 
     monkeypatch.setattr(enumeration, "iter_routes", checked)
+    cuts = _count_cuts(monkeypatch)
     enumeration.enumerate_good_drawings(6)
     assert len(queries) == 2624 and sum(queries) > 0
+    # each query runs three searches: _check's whole one and the
+    # enumerator's each cut 5710 moves (test_enumeration_cuts), and
+    # _check's search for the first route cuts some more
+    assert len(cuts) > 2 * 5710
+
+
+def test_enumeration_cuts(monkeypatch):
+    """One K6 enumeration cuts 5710 crossing moves and finds its 102
+    orbits."""
+    cuts = _count_cuts(monkeypatch)
+    reps = enumeration.enumerate_good_drawings(6)
+    assert len(cuts) == 5710 and len(reps) == 102
+
+
+# sha256 of serialize_cmap of the witness map of each edge of the
+# benchmark's seed-1 complete inputs that took seconds before the search
+# cut dead branches, recorded when iter_routes still sorted a gap table
+# on every face visit (as the weekly complete-scale job pins them)
+SLOW_WITNESSES = {
+    ("037-separable-8.cmap", (2, 7)):
+        "e409040d10c38bae9c336c503341e53492447817a38c36660b5014406a1c08f7",
+    ("046-separable-9.cmap", (4, 6)):
+        "08f397886179fbeb4ab940c2c4702dc28bcf786ae9138b5b7f45f66bc4c769a4",
+    ("047-separable-9.cmap", (2, 4)):
+        "26585e17bad75cc7e5a211ebb53d44f60ce9af073c2c97603adf58c0bb0b67b5",
+}
+
+
+def test_slow_witness_edges(monkeypatch, tmp_path):
+    """The three edges keep their pinned witness maps, and the search
+    cuts moves on each."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench")
+    )
+    from workloads import build_inputs
+
+    build_inputs("complete", 1, False, tmp_path)
+    cuts = _count_cuts(monkeypatch)
+    for (name, e), digest in SLOW_WITNESSES.items():
+        m = parse_cmap((tmp_path / name).read_text())
+        cuts.clear()
+        found = routing.find_witness(m, e)
+        assert found is not None, (name, e)
+        text = serialize_cmap(found[0]).encode()
+        assert hashlib.sha256(text).hexdigest() == digest, (name, e)
+        assert len(cuts) > 0, (name, e)
 
 
 def test_generator_outputs_pinned():
