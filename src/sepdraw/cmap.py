@@ -200,15 +200,6 @@ class CombinatorialMap:
             self.faces  # its walk fills _face_of
         return self._face_of
 
-    def face_of_gap(self, g: int) -> int:
-        """Face holding the corner clockwise-after dart ``g``.
-
-        In a face orbit (..., d, phi(d), ...) the corner between the two
-        boundary items is the gap after alpha(d), so gaps map to the face
-        of their opposite dart.
-        """
-        return self.face_of[g ^ 1]
-
     def __eq__(self, other):
         return isinstance(other, CombinatorialMap) and (
             self.vkind,

@@ -96,7 +96,7 @@ def _insert(m: CombinatorialMap, u: int, v: int, mode: str) -> InsertionResult:
     # distinct edges share at most one endpoint, and no edge curve draws
     # e, so only an edge curve it crosses can share two points with it.
     curves = m.curves
-    hits = Counter(m.scurve[s] for s, _ in route.crossings)
+    hits = Counter(m.scurve[d >> 1] for d in route.crossings)
     crossed = Counter()
     offender = None
     for f in sorted(hits):

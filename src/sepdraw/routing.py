@@ -1,13 +1,14 @@
 """Curve routing through the faces of a planarization.
 
 A route describes a new curve from one real vertex to another: the gap
-(corner) where it leaves the source, the ordered segments it crosses
-(with the side it approaches from), and the gap where it enters the
-target.  Two search modes are provided:
+(corner) where it leaves the source, the ordered segments it crosses,
+each given as its dart on the face the route leaves, and the gap where
+it enters the target.  Two search modes are provided:
 
-* lazy depth-first enumeration of all self-avoiding routes under
-  per-curve crossing budgets (used by the small-drawing enumerator, the
-  witness search, and the crossing-free steps of the seeded generators);
+* lazy depth-first enumeration of all self-avoiding routes that cross
+  each curve at most once and only the curves allowed (used by the
+  small-drawing enumerator, the witness search, and the crossing-free
+  steps of the seeded generators);
 * deterministic least-cost search (used by the edge-insertion
   operations), which only needs face-loop-free routes because any
   optimal route can be shortcut into one.
@@ -40,10 +41,12 @@ from .rotation import edge_key
 
 @dataclass(frozen=True)
 class Route:
-    """A realizable curve insertion."""
+    """A realizable curve insertion.  Each crossing is an entry dart
+    ``d``: the curve crosses segment ``d >> 1`` from the face of ``d``
+    into the face of ``d ^ 1``."""
 
     start: tuple  # ('gap', dart), or ('face', fid) for a dartless source
-    crossings: tuple  # ((segment, side_dart), ...)
+    crossings: tuple  # entry darts, in route order
     end_gap: int
 
 
@@ -53,9 +56,12 @@ def iter_routes(m: CombinatorialMap, source, target_vid: int, budget):
 
     ``source`` is a real vertex id (all its gaps are tried) or
     ``('face', fid)`` for a source point inside a face (a dartless new
-    vertex).  ``budget`` maps curve id -> max crossings (0 = barred);
-    missing ids default to 0.  A caller that wants one route takes
-    ``next(...)``, and the search stops there.
+    vertex).  ``budget`` maps curve id -> 1 (a route may cross the curve
+    once) or 0 (barred); missing ids default to 0, and keys that name no
+    curve are ignored.  Any other budget of a curve raises
+    :class:`InputError` naming the curve, before a route is yielded.  A
+    caller that wants one route takes ``next(...)``, and the search stops
+    there.
 
     A face's boundary cycle has coordinates 0..2L-1: the i-th dart of its
     walk sits at 2i, and the corner clockwise-after dart ``g`` just
@@ -65,12 +71,18 @@ def iter_routes(m: CombinatorialMap, source, target_vid: int, budget):
     face's corners, and sorts nothing.
 
     A crossing move is taken only if :func:`_reachable` finds a face
-    with a target corner from the face it enters, through segments not
-    yet crossed whose curves have budget left.  Every route beneath the
-    move takes such a path (it ignores only the chord rule and how often
-    a curve is crossed), so a move that fails the check has no route
-    beneath it, and the cut changes neither the routes nor their order.
+    with a target corner from the face it enters, through segments of
+    curves still free to cross.  Every route beneath the move takes such
+    a path (it ignores only the chord rule), so a move that fails the
+    check has no route beneath it, and the cut changes neither the
+    routes nor their order.
     """
+    free = []
+    for cid in range(len(m.curves)):
+        allowed = budget.get(cid, 0)
+        if allowed not in (0, 1):
+            raise InputError(f"curve {cid} has budget {allowed}, not 0 or 1")
+        free.append(allowed == 1)
     faces = m.faces
     face_of = m.face_of
     scurve = m.scurve
@@ -81,10 +93,8 @@ def iter_routes(m: CombinatorialMap, source, target_vid: int, budget):
     for orbit in faces:
         for p, d in enumerate(orbit):
             coord[d] = 2 * p
-    remaining = [budget.get(cid, 0) for cid in range(len(m.curves))]
     chords: dict[int, list] = {}
-    crossed_segs: set[int] = set()
-    path: list[tuple[int, int]] = []
+    path: list[int] = []
 
     def dfs(fid, entry, start_anchor):
         orbit = faces[fid]
@@ -106,13 +116,10 @@ def iter_routes(m: CombinatorialMap, source, target_vid: int, budget):
                 if any((0 < a < w) != (0 < b < w) for a, b in ends):
                     continue
             yield Route(start_anchor, tuple(path), g)
-        # crossing moves
+        # crossing moves: a curve once crossed is no longer free
         for d in orbit:
-            s = d >> 1
-            if s in crossed_segs:
-                continue
-            cid = scurve[s]
-            if remaining[cid] <= 0:
+            cid = scurve[d >> 1]
+            if not free[cid]:
                 continue
             if entry is not None:
                 p = coord[d]
@@ -121,16 +128,13 @@ def iter_routes(m: CombinatorialMap, source, target_vid: int, budget):
                     if any((0 < a < w) != (0 < b < w) for a, b in ends):
                         continue
                 mychords.append((entry, p))
-            crossed_segs.add(s)
-            remaining[cid] -= 1
+            free[cid] = False
             nfid = face_of[d ^ 1]
-            if _reachable(nfid, corners, faces, face_of, scurve,
-                          crossed_segs, remaining):
-                path.append((s, d))
+            if _reachable(nfid, corners, faces, face_of, scurve, free):
+                path.append(d)
                 yield from dfs(nfid, coord[d ^ 1], start_anchor)
                 path.pop()
-            remaining[cid] += 1
-            crossed_segs.discard(s)
+            free[cid] = True
             if entry is not None:
                 mychords.pop()
 
@@ -141,20 +145,18 @@ def iter_routes(m: CombinatorialMap, source, target_vid: int, budget):
             yield from dfs(face_of[g ^ 1], coord[g ^ 1] + 1, ("gap", g))
 
 
-def _reachable(fid, goals, faces, face_of, scurve, crossed, remaining):
+def _reachable(fid, goals, faces, face_of, scurve, free):
     """Whether a face in ``goals`` is face ``fid`` or can be reached from
-    it by crossing segments that are not in ``crossed`` and whose curves
-    have budget left in ``remaining`` (a list by curve id): the search
-    of :func:`iter_routes` without its chord rule, crossing a curve with
-    budget left any number of times."""
+    it by crossing segments of curves marked in ``free`` (a list by curve
+    id): the search of :func:`iter_routes` without its chord rule,
+    crossing a free curve any number of times."""
     if fid in goals:
         return True
     seen = {fid}
     stack = [fid]
     while stack:
         for d in faces[stack.pop()]:
-            s = d >> 1
-            if s in crossed or remaining[scurve[s]] <= 0:
+            if not free[scurve[d >> 1]]:
                 continue
             nfid = face_of[d ^ 1]
             if nfid in seen:
@@ -265,7 +267,7 @@ def min_cost_route(
     crossings = []
     while parent[fid] is not None:
         fid, d = parent[fid]
-        crossings.append((d >> 1, d))
+        crossings.append(d)
     crossings.reverse()
     return Route(("gap", start_gap[fid]), tuple(crossings), end_gap), total
 
@@ -275,8 +277,9 @@ def apply_route(
 ) -> int:
     """Thread a new curve along a route through the builder's map.
 
-    The route must reference the builder's current segment ids (apply
-    immediately after searching, before other mutations).  The curve is
+    The route's crossings are darts of the builder's current segments
+    (apply immediately after searching, before other mutations): each
+    splits its segment at a new crossing vertex.  The curve is
     recorded in route direction: from ``u_label`` (the route source) to
     ``v_label``.  A ``('gap', dart)`` start leaves through that corner; a
     ``('face', fid)`` start leaves from the real vertex labelled
@@ -289,7 +292,8 @@ def apply_route(
     segs = [b.new_segment(cid) for _ in range(nseg)]
     b.csegs[cid] = segs
     replaced: dict[int, int] = {}
-    for k, (s, side) in enumerate(route.crossings):
+    for k, side in enumerate(route.crossings):
+        s = side >> 1
         if b.scurve[s] < 0:
             raise InternalInvariantError(f"route crosses dead segment {s}")
         x = b.new_vertex("cross")
@@ -353,9 +357,10 @@ def with_route(
 
     A map laid out by ``freeze`` (every map the library makes) is not
     copied into a builder: the new map is spliced from its arrays.  Each
-    crossed segment s splits in place, so old segment s becomes s plus
-    the number of crossed segments below it, and the new curve's
-    segments come last.  Two facts make that a splice:
+    crossing is a dart d of the map, and its segment s = d >> 1 splits in
+    place, so old segment s becomes s plus the number of crossed segments
+    below it, and the new curve's segments come last.  Two facts make
+    that a splice:
 
     1. The dart map is increasing, so every old rotation, rolled to
        start at its smallest dart, keeps its roll, and a row with no dart
@@ -386,7 +391,8 @@ def _splice(m: CombinatorialMap, kind, u_label, v_label, route: Route):
     """:func:`with_route` on a map laid out by ``freeze``."""
     crossings = route.crossings
     seen = set()
-    for s, _ in crossings:
+    for d in crossings:
+        s = d >> 1
         if s in seen:
             raise InternalInvariantError(f"route crosses dead segment {s}")
         seen.add(s)
@@ -438,7 +444,8 @@ def _splice(m: CombinatorialMap, kind, u_label, v_label, route: Route):
     # the new crossings as apply_route turns them, each rolled to start
     # at its smallest dart: the head of the first half of its segment
     added = []
-    for i, (s, side) in enumerate(crossings):
+    for i, side in enumerate(crossings):
+        s = side >> 1
         head = 2 * (s + bisect_left(cut, s)) + 1
         new_in, new_out = 2 * (base + i) + 1, 2 * (base + i + 1)
         if side == 2 * s:

@@ -294,8 +294,8 @@ def exhaustive_min_route_cost(m, u_label: int, v_label: int, cost_of_curve):
     Independent of the production router; exponential, for small maps.
     """
     face_of = m.face_of
-    start_faces = {m.face_of_gap(g) for g in m.vdarts[m.real_by_label[u_label]]}
-    end_faces = {m.face_of_gap(g) for g in m.vdarts[m.real_by_label[v_label]]}
+    start_faces = {face_of[g ^ 1] for g in m.vdarts[m.real_by_label[u_label]]}
+    end_faces = {face_of[g ^ 1] for g in m.vdarts[m.real_by_label[v_label]]}
     best = [None]
 
     def dfs(fid, cost, visited):
@@ -330,7 +330,7 @@ def reference_min_cost_route(
     parent: dict[int, tuple] = {}
     heap = []
     for g in sorted(m.vdarts[u_vid]):
-        fid = m.face_of_gap(g)
+        fid = face_of[g ^ 1]
         label = (0, 0, (fid,), g)
         if fid not in best or label < best[fid]:
             best[fid] = label
@@ -352,11 +352,11 @@ def reference_min_cost_route(
             nlabel = (cost + w, nsteps + 1, faceseq + (nfid,), g0)
             if nfid not in best or nlabel < best[nfid]:
                 best[nfid] = nlabel
-                parent[nfid] = (fid, s, d)
+                parent[nfid] = (fid, d)
                 heapq.heappush(heap, (nlabel, nfid))
     cand = []
     for g in sorted(m.vdarts[v_vid]):
-        fid = m.face_of_gap(g)
+        fid = face_of[g ^ 1]
         if fid in best:
             cand.append((best[fid], g, fid))
     if not cand:
@@ -365,8 +365,8 @@ def reference_min_cost_route(
     crossings = []
     cur = fid
     while parent[cur] is not None:
-        pfid, s, d = parent[cur]
-        crossings.append((s, d))
+        pfid, d = parent[cur]
+        crossings.append(d)
         cur = pfid
     crossings.reverse()
     route = Route(("gap", label[3]), tuple(crossings), end_gap)
@@ -423,7 +423,9 @@ def reference_iter_routes(
     ``source`` is a real vertex id (all its gaps are tried) or
     ``('face', fid)`` for a source point inside a face (a dartless new
     vertex).  ``budget`` maps curve id -> max crossings (0 = barred);
-    missing ids default to 0.
+    missing ids default to 0.  Unlike ``routing.iter_routes``, which
+    takes only budgets of 0 and 1, any budget is taken, so tests that
+    need a curve crossed more than once take their routes here.
     """
     face_of = m.face_of
     bcache: dict[int, tuple] = {}
@@ -436,7 +438,7 @@ def reference_iter_routes(
     remaining = dict(budget)
     chords: dict[int, list] = {}
     crossed_segs: set[int] = set()
-    path: list[tuple[int, int]] = []
+    path: list[int] = []
     results: list[Route] = []
 
     def dfs(fid, entry_coord, start_anchor):
@@ -471,7 +473,7 @@ def reference_iter_routes(
                 mychords.append((entry_coord, p))
             crossed_segs.add(s)
             remaining[cid] -= 1
-            path.append((s, d))
+            path.append(d)
             nfid = face_of[d ^ 1]
             _, nec, _ = boundary(nfid)
             stop = dfs(nfid, nec[d ^ 1], start_anchor)
@@ -490,7 +492,7 @@ def reference_iter_routes(
             return
     else:
         for g in m.vdarts[source]:
-            fid = m.face_of_gap(g)
+            fid = face_of[g ^ 1]
             _, _, gap_coord = _boundary(m, fid)
             if dfs(fid, gap_coord[g], ("gap", g)) and first_only:
                 yield results[0]
@@ -894,9 +896,10 @@ def reference_with_route(m: CombinatorialMap, kind, u_label, v_label, route):
 
 
 # ``routing.apply_route`` and its gap checks as they were when every
-# insertion copied the map into a builder, kept verbatim so that on the
+# insertion copied the map into a builder, kept apart so that on the
 # builder path the reference shares no route application with the
-# ``with_route`` it checks.
+# ``with_route`` it checks; like the library, it reads each crossing as
+# its entry dart.
 
 
 def _reference_apply_route(
@@ -904,13 +907,13 @@ def _reference_apply_route(
 ) -> int:
     """Thread a new curve along a route through the builder's map.
 
-    The route must reference the builder's current segment ids (apply
-    immediately after searching, before other mutations).  The curve is
-    recorded in route direction: from ``u_label`` (the route source) to
-    ``v_label``.  A ``('gap', dart)`` start leaves through that corner; a
-    ``('face', fid)`` start leaves from the real vertex labelled
-    ``u_label``, which the caller must already have placed in the builder
-    without darts, and becomes its sole dart.
+    The route's crossings are darts of the builder's current segments
+    (apply immediately after searching, before other mutations).  The
+    curve is recorded in route direction: from ``u_label`` (the route
+    source) to ``v_label``.  A ``('gap', dart)`` start leaves through
+    that corner; a ``('face', fid)`` start leaves from the real vertex
+    labelled ``u_label``, which the caller must already have placed in
+    the builder without darts, and becomes its sole dart.
     Returns the new curve id.
     """
     cid = b.new_curve(kind, u_label, v_label)
@@ -918,7 +921,8 @@ def _reference_apply_route(
     segs = [b.new_segment(cid) for _ in range(nseg)]
     b.csegs[cid] = segs
     replaced: dict[int, int] = {}
-    for k, (s, side) in enumerate(route.crossings):
+    for k, side in enumerate(route.crossings):
+        s = side >> 1
         if b.scurve[s] < 0:
             raise InternalInvariantError(f"route crosses dead segment {s}")
         x = b.new_vertex("cross")

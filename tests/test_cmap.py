@@ -381,7 +381,7 @@ class TestWitnessSeparation:
             # side of each vertex = color of any incident corner
             side = {}
             for lab, vid in sorted(m.real_by_label.items()):
-                cols = {color[m.face_of_gap(g)] for g in m.vdarts[vid]}
+                cols = {color[m.face_of[g ^ 1]] for g in m.vdarts[vid]}
                 if lab in e:
                     continue
                 assert len(cols) == 1, "vertex off the curve sees one side"

@@ -43,6 +43,7 @@ from sepdraw.routing import (
 from oracles import (
     exhaustive_min_route_cost,
     reference_check_simple_vs_original,
+    reference_iter_routes,
     reference_shared_points,
     reference_validate_map,
     reference_violating_pair,
@@ -287,7 +288,9 @@ class TestExtendCrossmin:
 
 def _conflicted_pair_map():
     """Two inserted curves crossing twice (built deliberately through
-    suboptimal routes), for exercising the exchange surgery."""
+    suboptimal routes), for exercising the exchange surgery.  The second
+    route comes from ``reference_iter_routes``: the library search
+    crosses a curve at most once."""
     m, _ = from_two_page(
         [1, 3, 2, 4], [(1, 2), (3, 4)], ["upper", "upper"], witnesses=False
     )
@@ -305,10 +308,10 @@ def _conflicted_pair_map():
     budget[aid] = 2
     route_b = next(
         r
-        for r in iter_routes(
+        for r in reference_iter_routes(
             m2, m2.real_by_label[2], m2.real_by_label[3], budget
         )
-        if [m2.scurve[s] for s, _ in r.crossings].count(aid) == 2
+        if [m2.scurve[d >> 1] for d in r.crossings].count(aid) == 2
     )
     return m2, with_route(m2, INSERTED, 2, 3, route_b)[0], aid
 
@@ -335,7 +338,7 @@ class TestFixupSurgery:
             for r in iter_routes(
                 m2, m2.real_by_label[1], m2.real_by_label[3], budget
             )
-            if [m2.scurve[s] for s, _ in r.crossings].count(aid) == 1
+            if [m2.scurve[d >> 1] for d in r.crossings].count(aid) == 1
         )
         m5, _ = with_route(m2, INSERTED, 1, 3, route_c)
         viol = ext._violating_pair(m5)
@@ -349,7 +352,9 @@ class TestFixupSurgery:
         assert ext._potential(m6, ext.SEPARABLE) < pot0
 
     def test_exchange_with_loop_excision(self, monkeypatch):
-        # the first exchange in the search whose fix-up excises a loop
+        # the first exchange in the search whose fix-up excises a loop;
+        # the second curve crosses the first three times, so its routes
+        # come from the reference search, which takes any budget
         excised = []
         excise = ext._excise_one_loop
 
@@ -375,10 +380,10 @@ class TestFixupSurgery:
             aid = len(m1.curves) - 1
             budget = {cid: 1 for cid in range(len(m1.curves))}
             budget[aid] = 3
-            for rb in iter_routes(
+            for rb in reference_iter_routes(
                 m1, m1.real_by_label[1], m1.real_by_label[5], budget
             ):
-                crossed = [m1.scurve[s] for s, _ in rb.crossings]
+                crossed = [m1.scurve[d >> 1] for d in rb.crossings]
                 if crossed.count(aid) != 3:
                     continue
                 m2, _ = with_route(m1, INSERTED, 1, 5, rb)
@@ -635,15 +640,17 @@ class TestRouteDerivedCheck:
         """Routes the router does not pick: for each missing edge of
         2-page inputs, the first route the search finds that crosses one
         curve twice, through witness arcs only, and then through the edge
-        curves that share no end with the new edge too."""
+        curves that share no end with the new edge too.  The library
+        search crosses a curve at most once, so the routes come from
+        ``reference_iter_routes``, which takes any budget."""
         allowed = []
 
         def searched(m, u_vid, v_vid, cost_of_curve):
             """The first route that crosses a curve of ``allowed`` twice,
             or None."""
             budget = dict.fromkeys(allowed, 2)
-            for route in iter_routes(m, u_vid, v_vid, budget):
-                hits = Counter(m.scurve[s] for s, _ in route.crossings)
+            for route in reference_iter_routes(m, u_vid, v_vid, budget):
+                hits = Counter(m.scurve[d >> 1] for d in route.crossings)
                 if max(hits.values(), default=0) > 1:
                     return route, 0
             return None

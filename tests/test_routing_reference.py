@@ -428,14 +428,14 @@ def test_min_cost_route_ties():
     inner, outer = TRIANGLE.real_by_label[4], TRIANGLE.real_by_label[5]
     for costs, seg in (((1, 1, 1, 0, 0), 0), ((2, 1, 1, 0, 0), 1)):
         route, cost = min_cost_route(TRIANGLE, inner, outer, costs.__getitem__)
-        assert cost == 1 and [s for s, _ in route.crossings] == [seg]
+        assert cost == 1 and [d >> 1 for d in route.crossings] == [seg]
     # from the middle of the path: both start faces reach 8's face at cost
     # 1, and the smaller face id starts the route
     vid = DIAMOND.real_by_label
     middle, pendant = vid[2], vid[8]
     route, cost = min_cost_route(DIAMOND, middle, pendant, lambda c: 1)
-    starts = {DIAMOND.face_of_gap(g) for g in DIAMOND.vdarts[middle]}
-    assert cost == 1 and DIAMOND.face_of_gap(route.start[1]) == min(starts)
+    starts = {DIAMOND.face_of[g ^ 1] for g in DIAMOND.vdarts[middle]}
+    assert cost == 1 and DIAMOND.face_of[route.start[1] ^ 1] == min(starts)
     # 3 and 4 share the outer face: no crossing
     route, cost = min_cost_route(DIAMOND, vid[3], vid[4], lambda c: 1)
     assert cost == 0 and route.crossings == ()
@@ -453,8 +453,8 @@ TREE = _plane_map(
 def _faces_visited(m, route):
     """The faces a route passes through, in order, its start face first."""
     kind, start = route.start
-    out = [start if kind == "face" else m.face_of_gap(start)]
-    out += [m.face_of[d ^ 1] for _, d in route.crossings]
+    out = [start if kind == "face" else m.face_of[start ^ 1]]
+    out += [m.face_of[d ^ 1] for d in route.crossings]
     return out
 
 
@@ -468,7 +468,7 @@ def test_iter_routes_corner_cases():
     target; routes through the tree's one face cross back into it, so
     their pieces there must not interleave."""
     two = TREE.real_by_label[2]
-    assert [TREE.face_of_gap(g) for g in TREE.vdarts[two]] == [0, 0, 0]
+    assert [TREE.face_of[g ^ 1] for g in TREE.vdarts[two]] == [0, 0, 0]
     routes = []
     for m, crossable in ((TREE, 4), (TRIANGLE, 5), (DIAMOND, 7), (WHEEL, 7)):
         vids = range(len(m.vkind))
@@ -489,6 +489,42 @@ def test_iter_routes_corner_cases():
         for seq in (_faces_visited(m, r) for m, _, r in routes)
     )
     assert revisits == 27794
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_iter_routes_refuses_budgets_other_than_zero_and_one(bad):
+    """A budget other than 0 or 1 names its curve, and the search raises
+    before it yields a route, though routes exist under the other
+    budgets."""
+    one, two = TRIANGLE.real_by_label[1], TRIANGLE.real_by_label[2]
+    budget = {0: 1, 3: bad}
+    assert next(iter_routes(TRIANGLE, one, two, {0: 1}), None) is not None
+    routes = iter_routes(TRIANGLE, one, two, budget)
+    with pytest.raises(InputError, match=f"^curve 3 has budget {bad}, "
+                                         f"not 0 or 1$"):
+        next(routes)
+
+
+def test_iter_routes_budget_keys_and_defaults():
+    """A key past the last curve id is ignored, whatever its value, and
+    ``{}`` bars every curve, as all-zero budgets do."""
+    for m in (TREE, TRIANGLE, DIAMOND, WHEEL):
+        ncurves = len(m.curves)
+        for u, v in itertools.permutations(range(len(m.vkind)), 2):
+            free = list(iter_routes(m, u, v, {}))
+            assert free == list(
+                iter_routes(m, u, v, dict.fromkeys(range(ncurves), 0))
+            )
+            assert all(not r.crossings for r in free)
+            assert free == list(iter_routes(m, u, v, {ncurves: 2}))
+            if m is not WHEEL:  # its all-once searches are long
+                once = dict.fromkeys(range(ncurves), 1)
+                assert list(iter_routes(m, u, v, once)) == list(
+                    iter_routes(m, u, v, {**once, ncurves: 5})
+                )
+    # the triangle's pendants share no face, so only a crossing joins them
+    inner, outer = TRIANGLE.real_by_label[4], TRIANGLE.real_by_label[5]
+    assert list(iter_routes(TRIANGLE, inner, outer, {})) == []
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +570,7 @@ def test_with_route_splices_seeded_routes(checked_route):
     for m in _seeded_maps():
         for u, v, route in _splice_routes(m, rng):
             routing.with_route(m, EDGE, u, v, route)
-            crossed = {s for s, _ in route.crossings}
+            crossed = {d >> 1 for d in route.crossings}
             routes += 1
             crossing += len(crossed) > 1
             on_crossed += bool(
@@ -548,7 +584,9 @@ def test_with_route_splices_seeded_routes(checked_route):
 def test_with_route_splices_twice_crossed_and_chained_routes(checked_route):
     """Routes that cross one curve twice, spliced into seeded maps, and
     every insertion of the golden completion corpus, each but the first
-    of a completion spliced into the map the one before it made."""
+    of a completion spliced into the map the one before it made.  The
+    library search crosses a curve at most once, so the twice-crossing
+    routes come from ``reference_iter_routes``."""
     rng = random.Random(58)
     twice = 0
     for m in _seeded_maps():
@@ -556,11 +594,12 @@ def test_with_route_splices_twice_crossed_and_chained_routes(checked_route):
         budget = dict.fromkeys(rng.sample(curves, len(curves) // 2), 2)
         pairs = itertools.permutations(m.real_labels(), 2)
         for u, v in rng.sample(list(pairs), 6):
-            found = iter_routes(m, m.real_by_label[u], m.real_by_label[v],
-                                budget)
+            found = reference_iter_routes(
+                m, m.real_by_label[u], m.real_by_label[v], budget
+            )
             for route in itertools.islice(found, 8):
                 routing.with_route(m, EDGE, u, v, route)
-                crossed = [m.scurve[s] for s, _ in route.crossings]
+                crossed = [m.scurve[d >> 1] for d in route.crossings]
                 twice += len(set(crossed)) < len(crossed)
     assert twice == 69
 
@@ -671,7 +710,7 @@ def _error_cases(m):
         r for r in iter_routes(m, vid[2], vid[5], budget) if r.crossings
     )
     twice = Route(crossing.start, crossing.crossings * 2, crossing.end_gap)
-    s = crossing.crossings[0][0]
+    s = crossing.crossings[0] >> 1
     return [
         ((2, 3), face, InputError,
          "route starts in a face but the map has vertex 2"),

@@ -122,7 +122,7 @@ def _with_adjacent_crossing_witness(m):
             routes = iter_routes(m, m.real_by_label[e[0]],
                                  m.real_by_label[e[1]], {**budget, fid: 1})
             route = next((r for r in islice(routes, 200)
-                          if any(m.scurve[s] == fid for s, _ in r.crossings)),
+                          if any(m.scurve[d >> 1] == fid for d in r.crossings)),
                          None)
             if route is not None:
                 return with_route(m, WITNESS, e[0], e[1], route)[0]
