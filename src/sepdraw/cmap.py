@@ -13,9 +13,9 @@ the right of the dart's direction; the corner gap clockwise-after dart
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, chain, combinations, compress, repeat
 from operator import eq, invert, itemgetter, ne, sub
 
@@ -893,6 +893,8 @@ def from_two_page(order, edges, pages, witnesses: bool = True):
     as a half-circle on its assigned page ('upper' or 'lower'); two chords
     on one page cross exactly when their spine intervals interleave.  Each
     edge's witness arc is its mirrored half-circle on the opposite page.
+    ``pages`` is a list with one page per edge, or a dict keyed by edges
+    in either endpoint order.
 
     Returns ``(map, witness_set)``.
     """
@@ -904,7 +906,7 @@ def from_two_page(order, edges, pages, witnesses: bool = True):
     if len(set(edges)) != len(edges):
         raise InputError("duplicate edges")
     if isinstance(pages, dict):
-        pages = [pages[e] for e in edges]
+        pages = [_page_of(pages, u, v) for u, v in edges]
     pages = list(pages)
     if len(pages) != len(edges) or any(
         p not in ("upper", "lower") for p in pages
@@ -919,91 +921,94 @@ def from_two_page(order, edges, pages, witnesses: bool = True):
             raise InputError(f"vertex {lab} has no incident edges")
 
     b = MapBuilder()
-    vid_of = {}
-    for lab in sorted(order):
-        vid_of[lab] = b.new_vertex("real", lab)
+    vid_of = {lab: b.new_vertex("real", lab) for lab in sorted(order)}
 
-    # curve records: edges then mirrored witnesses
-    specs = []  # (cid, page, label_u, label_v), indexed by cid
-    for (u, v), page in zip(edges, pages):
-        specs.append((b.new_curve(EDGE, u, v), page, u, v))
+    # curve records: edges then mirrored witnesses, indexed by curve id
+    specs = [(EDGE, page, u, v) for (u, v), page in zip(edges, pages)]
     if witnesses:
-        for (u, v), page in zip(edges, pages):
-            other = "lower" if page == "upper" else "upper"
-            specs.append((b.new_curve(WITNESS, u, v), other, u, v))
+        specs += [
+            (WITNESS, "lower" if page == "upper" else "upper", u, v)
+            for _, page, u, v in specs
+        ]
+    on_page = {"upper": [], "lower": []}  # page -> [(cid, left, right)]
+    rank = []  # cid -> its place in its page's list
+    for cid, (kind, page, u, v) in enumerate(specs):
+        b.new_curve(kind, u, v)
+        rank.append(len(on_page[page]))
+        on_page[page].append((cid, *sorted((pos[u], pos[v]))))
 
-    def interval(spec):
-        _, _, u, v = spec
-        return (min(pos[u], pos[v]), max(pos[u], pos[v]))
+    # Crossing k is vertex len(order) + k, and its rotation fills slots
+    # 4k..4k+3 of ``crot``.  A is the curve with the smaller left end:
+    # its darts toward the big and the small spine position take slots 0
+    # and 2; B's take slots 1 and 3 on the upper page, 3 and 1 on the
+    # lower.  Per curve, the slot offsets of its darts toward its start
+    # and toward its end, when it is A and when it is B:
+    as_a, as_b = [], []
+    for _, page, u, v in specs:
+        ascending = pos[u] < pos[v]
+        as_a.append((2, 0) if ascending else (0, 2))
+        as_b.append((3, 1) if ascending == (page == "upper") else (1, 3))
 
-    # crossing events per curve, keyed by the exact x coordinate of the
+    # Crossing events per curve, keyed by the exact x coordinate of the
     # crossing point.  Three or more half-circles can pass through one
     # point; such ties are broken by symbolically scaling every curve's
     # height by (1 + eps*cid), which shifts the crossing of curves i, j
     # along x by a positive multiple of (t_i - t_j)/(m_j - m_i), an exact
     # rational shared by both curves (so the orders stay consistent).
-    events = {cid: [] for cid, _, _, _ in specs}
-    for i in range(len(specs)):
-        for j in range(i + 1, len(specs)):
-            ci, pi, *_ = specs[i]
-            cj, pj, *_ = specs[j]
-            if pi != pj:
-                continue
-            a1, b1 = interval(specs[i])
-            a2, b2 = interval(specs[j])
+    # Both rationals have the denominator (a1+b1) - (a2+b2), below 2n in
+    # absolute value, so scaled by lcm(1..2n) they are exact integers.  A
+    # key tied on both is ordered by crossing, so by the other curve's id.
+    n = len(order)
+    scale = math.lcm(*range(1, 2 * n + 1))
+    step = {d: scale // d for d in range(1 - 2 * n, 2 * n) if d}
+    events = [[] for _ in specs]  # cid -> [(x, tie, start slot, end slot)]
+    slots = 0
+    for ci, (_, page, _, _) in enumerate(specs):
+        row = on_page[page]
+        _, a1, b1 = row[rank[ci]]
+        s1, p1 = a1 + b1, a1 * b1
+        for cj, a2, b2 in row[rank[ci] + 1 :]:
             if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-                x = Fraction(a1 * b1 - a2 * b2, (a1 + b1) - (a2 + b2))
-                tie = Fraction(ci - cj, (a2 + b2) - (a1 + b1))
-                xv = b.new_vertex("cross")
-                events[ci].append(((x, tie), xv, cj))
-                events[cj].append(((x, tie), xv, ci))
+                q = step[s1 - a2 - b2]
+                x = (p1 - a2 * b2) * q
+                tie = (cj - ci) * q
+                if a1 < a2:
+                    (i0, i1), (j0, j1) = as_a[ci], as_b[cj]
+                else:
+                    (i0, i1), (j0, j1) = as_b[ci], as_a[cj]
+                events[ci].append((x, tie, slots + i0, slots + i1))
+                events[cj].append((x, tie, slots + j0, slots + j1))
+                slots += 4
 
-    # build chains; remember, per crossing vertex, the darts of each curve
-    # on the small-position and large-position sides
-    side_darts = {}  # (xv, cid) -> {'small': dart, 'big': dart}
-    end_darts = {}  # (cid, label) -> dart at that real endpoint
-    for cid, page, u, v in specs:
-        ev = sorted(events[cid], key=lambda t: t[0])
-        ascending = pos[u] < pos[v]
-        if not ascending:
+    # chains: each curve's segments in one run from its start u to its
+    # end v, and each crossing dart in its slot
+    crot = [0] * slots
+    ends = {lab: [] for lab in order}  # label -> [(page, far pos, dart)]
+    for cid, (_, page, u, v) in enumerate(specs):
+        ev = events[cid]
+        ev.sort()
+        if pos[u] > pos[v]:
             ev.reverse()
-        segs = [b.new_segment(cid) for _ in range(len(ev) + 1)]
-        b.csegs[cid] = segs
-        end_darts[(cid, u)] = 2 * segs[0]
-        end_darts[(cid, v)] = 2 * segs[-1] + 1
-        for k, (_, xv, _) in enumerate(ev):
-            back = 2 * segs[k] + 1
-            fwd = 2 * segs[k + 1]
-            if ascending:
-                side_darts[(xv, cid)] = {"small": back, "big": fwd}
-            else:
-                side_darts[(xv, cid)] = {"small": fwd, "big": back}
-
-    # rotations at crossing vertices, each set once from its lower curve;
-    # A is the curve with the smaller left endpoint
-    for ci, page, *_ in specs:
-        left = interval(specs[ci])[0]
-        for _, xv, cj in events[ci]:
-            if cj < ci:
-                continue
-            A, B = (ci, cj) if left < interval(specs[cj])[0] else (cj, ci)
-            da, db = side_darts[(xv, A)], side_darts[(xv, B)]
-            if page == "upper":
-                rot = (da["big"], db["big"], da["small"], db["small"])
-            else:
-                rot = (da["big"], db["small"], da["small"], db["big"])
-            b.set_rotation(xv, rot)
+        s = len(b.scurve)
+        b.csegs[cid] = list(range(s, s + len(ev) + 1))
+        b.scurve += repeat(cid, len(ev) + 1)
+        b.dvert += repeat(-1, 2 * len(ev) + 2)
+        back = 2 * s + 1
+        for _, _, start, end in ev:
+            crot[start] = back
+            crot[end] = back + 1
+            back += 2
+        ends[u].append((page, pos[v], 2 * s))
+        ends[v].append((page, pos[u], back))
+    for k in range(0, slots, 4):
+        b.set_rotation(b.new_vertex("cross"), crot[k : k + 4])
 
     # rotations at spine vertices: upper-left asc, lower-left desc,
     # lower-right desc, upper-right asc (by the other endpoint's position)
     for lab in order:
         p = pos[lab]
         ul, ll, lr, ur = [], [], [], []
-        for cid, page, u, v in specs:
-            if lab not in (u, v):
-                continue
-            q = pos[v] if u == lab else pos[u]
-            d = end_darts[(cid, lab)]
+        for page, q, d in ends[lab]:
             if page == "upper" and q < p:
                 ul.append((q, d))
             elif page == "lower" and q < p:
@@ -1027,6 +1032,16 @@ def from_two_page(order, edges, pages, witnesses: bool = True):
             f"two-page construction produced an invalid map: {bad[:3]}"
         )
     return m, witness_set(m)
+
+
+def _page_of(pages: dict, u: int, v: int) -> str:
+    """The page that ``pages`` gives edge (u, v), keyed in either order."""
+    given = [pages[k] for k in ((u, v), (v, u)) if k in pages]
+    if not given:
+        raise InputError(f"no page given for edge ({u},{v})")
+    if given[0] != given[-1]:
+        raise InputError(f"edge ({u},{v}) is given two pages")
+    return given[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from .cmap import (
     is_connected,
 )
 from .enumeration import path_k2_map
-from .errors import InternalInvariantError
+from .errors import InputError, InternalInvariantError
 from .rotation import edge_index
 from .routing import iter_routes, with_route
 
@@ -39,11 +39,20 @@ def random_two_page_minus(
 ):
     """A 2-page drawing of K_n minus 1..max_removed random edges, with
     mirrored witnesses.  Removals keeping the graph connected are drawn
-    by rejection (an isolated vertex would leave nothing to route from).
+    by rejection (an isolated vertex would leave nothing to route from),
+    so n must be at least 3, where removing one edge keeps K_n connected.
     """
+    if n < 3:
+        raise InputError(
+            f"need n >= 3 to remove an edge and stay connected, got {n}"
+        )
+    edges = all_edges(n)
+    if not 1 <= max_removed <= len(edges):
+        raise InputError(
+            f"max_removed must be 1..{len(edges)} for K{n}, got {max_removed}"
+        )
     order = list(range(1, n + 1))
     rng.shuffle(order)
-    edges = all_edges(n)
     while True:
         k = rng.randint(1, max_removed)
         removed = set(rng.sample(edges, k))

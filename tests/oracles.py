@@ -10,6 +10,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from sepdraw.cmap import (
@@ -20,6 +21,8 @@ from sepdraw.cmap import (
     CombinatorialMap,
     Curve,
     MapBuilder,
+    validate_map,
+    witness_set,
 )
 from sepdraw.errors import (
     InputError,
@@ -418,7 +421,8 @@ def reference_iter_routes(
     budget,
     first_only: bool = False,
 ):
-    """Yield routes from ``source`` to ``target_vid``.
+    """Yield routes from ``source`` to ``target_vid``, each as the
+    depth-first search reaches it.
 
     ``source`` is a real vertex id (all its gaps are tried) or
     ``('face', fid)`` for a source point inside a face (a dartless new
@@ -439,9 +443,10 @@ def reference_iter_routes(
     chords: dict[int, list] = {}
     crossed_segs: set[int] = set()
     path: list[int] = []
-    results: list[Route] = []
 
     def dfs(fid, entry_coord, start_anchor):
+        """The routes that continue the current path from face ``fid``,
+        each as the search reaches it."""
         orbit, edge_coord, gap_coord = boundary(fid)
         size = 2 * len(orbit)
         mychords = chords.setdefault(fid, [])
@@ -453,11 +458,9 @@ def reference_iter_routes(
                 continue
             if entry_coord is not None:
                 mychords.append((entry_coord, gc))
-            results.append(Route(start_anchor, tuple(path), g))
+            yield Route(start_anchor, tuple(path), g)
             if entry_coord is not None:
                 mychords.pop()
-            if first_only:
-                return True
         # crossing moves
         for d in orbit:
             s = d >> 1
@@ -476,28 +479,26 @@ def reference_iter_routes(
             path.append(d)
             nfid = face_of[d ^ 1]
             _, nec, _ = boundary(nfid)
-            stop = dfs(nfid, nec[d ^ 1], start_anchor)
+            yield from dfs(nfid, nec[d ^ 1], start_anchor)
             path.pop()
             remaining[cid] += 1
             crossed_segs.discard(s)
             if entry_coord is not None:
                 mychords.pop()
-            if stop:
-                return True
-        return False
 
     if isinstance(source, tuple) and source[0] == "face":
-        if dfs(source[1], None, ("face", source[1])) and first_only:
-            yield results[0]
-            return
+        starts = [(source[1], None, ("face", source[1]))]
     else:
+        starts = []
         for g in m.vdarts[source]:
             fid = face_of[g ^ 1]
             _, _, gap_coord = _boundary(m, fid)
-            if dfs(fid, gap_coord[g], ("gap", g)) and first_only:
-                yield results[0]
+            starts.append((fid, gap_coord[g], ("gap", g)))
+    for start in starts:
+        for route in dfs(*start):
+            yield route
+            if first_only:
                 return
-    yield from results
 
 
 # ---------------------------------------------------------------------------
@@ -1294,3 +1295,154 @@ def k4_consistent_unrealizable_k5(tables) -> list[RotationSystem]:
         ):
             systems.append(rs)
     return systems
+
+
+# ---------------------------------------------------------------------------
+# Reference 2-page construction: ``cmap.from_two_page`` as it was when it
+# keyed every crossing by exact ``Fraction`` coordinates and looked chord
+# intervals up per pair, kept so the integer-keyed version can be compared
+# with it map for map and message for message.
+
+
+def reference_from_two_page(order, edges, pages, witnesses: bool = True):
+    """Combinatorial map of a 2-page book drawing.
+
+    ``order`` lists the vertex labels along the spine; each edge is drawn
+    as a half-circle on its assigned page ('upper' or 'lower'); two chords
+    on one page cross exactly when their spine intervals interleave.  Each
+    edge's witness arc is its mirrored half-circle on the opposite page.
+
+    Returns ``(map, witness_set)``.  A ``pages`` dict must be keyed by
+    ``edge_key``.
+    """
+    order = list(order)
+    if len(set(order)) != len(order):
+        raise InputError("spine order contains repeated labels")
+    pos = {lab: i for i, lab in enumerate(order)}
+    edges = [edge_key(*e) for e in edges]
+    if len(set(edges)) != len(edges):
+        raise InputError("duplicate edges")
+    if isinstance(pages, dict):
+        pages = [pages[e] for e in edges]
+    pages = list(pages)
+    if len(pages) != len(edges) or any(
+        p not in ("upper", "lower") for p in pages
+    ):
+        raise InputError("need one page ('upper'|'lower') per edge")
+    for u, v in edges:
+        if u not in pos or v not in pos:
+            raise InputError(f"edge ({u},{v}) uses a label not on the spine")
+    touched = {x for e in edges for x in e}
+    for lab in order:
+        if lab not in touched:
+            raise InputError(f"vertex {lab} has no incident edges")
+
+    b = MapBuilder()
+    vid_of = {}
+    for lab in sorted(order):
+        vid_of[lab] = b.new_vertex("real", lab)
+
+    # curve records: edges then mirrored witnesses
+    specs = []  # (cid, page, label_u, label_v), indexed by cid
+    for (u, v), page in zip(edges, pages):
+        specs.append((b.new_curve(EDGE, u, v), page, u, v))
+    if witnesses:
+        for (u, v), page in zip(edges, pages):
+            other = "lower" if page == "upper" else "upper"
+            specs.append((b.new_curve(WITNESS, u, v), other, u, v))
+
+    def interval(spec):
+        _, _, u, v = spec
+        return (min(pos[u], pos[v]), max(pos[u], pos[v]))
+
+    # crossing events per curve, keyed by the exact x coordinate of the
+    # crossing point.  Three or more half-circles can pass through one
+    # point; such ties are broken by symbolically scaling every curve's
+    # height by (1 + eps*cid), which shifts the crossing of curves i, j
+    # along x by a positive multiple of (t_i - t_j)/(m_j - m_i), an exact
+    # rational shared by both curves (so the orders stay consistent).
+    events = {cid: [] for cid, _, _, _ in specs}
+    for i in range(len(specs)):
+        for j in range(i + 1, len(specs)):
+            ci, pi, *_ = specs[i]
+            cj, pj, *_ = specs[j]
+            if pi != pj:
+                continue
+            a1, b1 = interval(specs[i])
+            a2, b2 = interval(specs[j])
+            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
+                x = Fraction(a1 * b1 - a2 * b2, (a1 + b1) - (a2 + b2))
+                tie = Fraction(ci - cj, (a2 + b2) - (a1 + b1))
+                xv = b.new_vertex("cross")
+                events[ci].append(((x, tie), xv, cj))
+                events[cj].append(((x, tie), xv, ci))
+
+    # build chains; remember, per crossing vertex, the darts of each curve
+    # on the small-position and large-position sides
+    side_darts = {}  # (xv, cid) -> {'small': dart, 'big': dart}
+    end_darts = {}  # (cid, label) -> dart at that real endpoint
+    for cid, page, u, v in specs:
+        ev = sorted(events[cid], key=lambda t: t[0])
+        ascending = pos[u] < pos[v]
+        if not ascending:
+            ev.reverse()
+        segs = [b.new_segment(cid) for _ in range(len(ev) + 1)]
+        b.csegs[cid] = segs
+        end_darts[(cid, u)] = 2 * segs[0]
+        end_darts[(cid, v)] = 2 * segs[-1] + 1
+        for k, (_, xv, _) in enumerate(ev):
+            back = 2 * segs[k] + 1
+            fwd = 2 * segs[k + 1]
+            if ascending:
+                side_darts[(xv, cid)] = {"small": back, "big": fwd}
+            else:
+                side_darts[(xv, cid)] = {"small": fwd, "big": back}
+
+    # rotations at crossing vertices, each set once from its lower curve;
+    # A is the curve with the smaller left endpoint
+    for ci, page, *_ in specs:
+        left = interval(specs[ci])[0]
+        for _, xv, cj in events[ci]:
+            if cj < ci:
+                continue
+            A, B = (ci, cj) if left < interval(specs[cj])[0] else (cj, ci)
+            da, db = side_darts[(xv, A)], side_darts[(xv, B)]
+            if page == "upper":
+                rot = (da["big"], db["big"], da["small"], db["small"])
+            else:
+                rot = (da["big"], db["small"], da["small"], db["big"])
+            b.set_rotation(xv, rot)
+
+    # rotations at spine vertices: upper-left asc, lower-left desc,
+    # lower-right desc, upper-right asc (by the other endpoint's position)
+    for lab in order:
+        p = pos[lab]
+        ul, ll, lr, ur = [], [], [], []
+        for cid, page, u, v in specs:
+            if lab not in (u, v):
+                continue
+            q = pos[v] if u == lab else pos[u]
+            d = end_darts[(cid, lab)]
+            if page == "upper" and q < p:
+                ul.append((q, d))
+            elif page == "lower" and q < p:
+                ll.append((q, d))
+            elif page == "lower":
+                lr.append((q, d))
+            else:
+                ur.append((q, d))
+        rot = (
+            [d for _, d in sorted(ul)]
+            + [d for _, d in sorted(ll, reverse=True)]
+            + [d for _, d in sorted(lr, reverse=True)]
+            + [d for _, d in sorted(ur)]
+        )
+        b.set_rotation(vid_of[lab], rot)
+
+    m = b.freeze()
+    bad = validate_map(m)
+    if bad:
+        raise InternalInvariantError(
+            f"two-page construction produced an invalid map: {bad[:3]}"
+        )
+    return m, witness_set(m)

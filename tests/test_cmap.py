@@ -20,7 +20,11 @@ from sepdraw.cmap import (
 )
 from sepdraw.enumeration import triangle_map
 from sepdraw.errors import InputError
-from sepdraw.generators import all_edges, random_two_page
+from sepdraw.generators import (
+    all_edges,
+    random_two_page,
+    random_two_page_minus,
+)
 from sepdraw.rotation import convex, crossing_pairs
 from sepdraw.routing import find_witness
 
@@ -150,6 +154,36 @@ class TestTwoPage:
             from_two_page([1, 2, 3], [(1, 2)], ["upper"])  # 3 isolated
         with pytest.raises(InputError):
             from_two_page([1, 2], [(1, 2)], ["sideways"])
+
+    def test_page_dict_keyed_in_either_order(self):
+        order, edges = [2, 1, 3], [(1, 2), (1, 3), (2, 3)]
+        pages = ["upper", "lower", "upper"]
+        want = serialize_cmap(from_two_page(order, edges, pages)[0])
+        for keys in ([(1, 2), (1, 3), (2, 3)], [(2, 1), (3, 1), (2, 3)]):
+            m, _ = from_two_page(order, edges, dict(zip(keys, pages)))
+            assert serialize_cmap(m) == want
+        missing = {(1, 2): "upper", (3, 2): "upper"}
+        with pytest.raises(InputError, match=r"^no page given for edge \(1,3\)$"):
+            from_two_page(order, edges, missing)
+        twice = {**dict(zip(edges, pages)), (2, 1): "lower"}
+        with pytest.raises(InputError, match=r"^edge \(1,2\) is given two pages$"):
+            from_two_page(order, edges, twice)
+
+    @pytest.mark.parametrize("n, max_removed, message", [
+        (2, 1, "need n >= 3 to remove an edge and stay connected, got 2"),
+        (3, 0, "max_removed must be 1..3 for K3, got 0"),
+        (4, 7, "max_removed must be 1..6 for K4, got 7"),
+    ])
+    def test_random_two_page_minus_refuses_bad_arguments(
+        self, n, max_removed, message
+    ):
+        """K2 loses its only edge, and the number of removals must lie in
+        1..C(n, 2); each is refused before the first draw."""
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(InputError, match=f"^{message}$"):
+            random_two_page_minus(n, max_removed, rng)
+        assert rng.getstate() == state
 
 
 class TestValidation:
